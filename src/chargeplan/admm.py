@@ -20,6 +20,13 @@ subproblems in one iteration read the same frozen state, so they are
 independent and may run concurrently; state crosses the iteration barrier
 by value only.
 
+Each subproblem is minimized exactly by a sweep over the sorted kinks of its
+one-dimensional convex piecewise-quadratic objective (:class:`_LocationWorker`),
+which costs O(T m log(T m)) time and O(T m) memory for a location with ``m``
+in-range neighbors over ``T`` slots.  The delayed inflow of each iterate is
+gathered once, by the exchange, and reused for the next sweep's receiver
+slack and for the master's demand floor.
+
 The global budget couples locations and is therefore not enforced inside
 subproblems; the master checks it each iteration and, when binding, projects
 the auxiliary capacities onto the budget simplex (weighted quadratic
@@ -119,8 +126,11 @@ class _LocationWorker:
     ascending assignment-cost order up to each receiver's published capacity
     slack (or the hard per-cell cap when no slack information is supplied).
     That collapses the subproblem to a one-dimensional convex
-    piecewise-quadratic in ``c_i``, minimized exactly over its breakpoint
-    grid.
+    piecewise-quadratic in ``c_i``, whose kinks are the capacities at which
+    some slot's required outflow crosses a knapsack segment boundary.  A
+    sweep over the sorted kinks that accumulates the slope finds the exact
+    minimizer in O(T m log(T m)) time and O(T m) memory, with ``m`` the
+    number of in-range neighbors.
     """
 
     def __init__(self, instance: PlanningInstance, i: int, config: AdmmConfig):
@@ -140,6 +150,13 @@ class _LocationWorker:
         self.c_max = float(min(instance.capacity_max[i], config.capacity_cap))
         self.n_locations = instance.n_locations
         self.n_slots = instance.n_slots
+        # (T, m): how much the shipping-cost slope in c falls while slot t's
+        # required outflow lies past the start of knapsack segment k
+        # (unit costs ascend, so every entry is non-negative)
+        if self.beta > 0:
+            self.slope_steps = np.outer(
+                self.recurrence / self.beta, np.diff(self.unit_costs, prepend=0.0)
+            )
 
     def solve(
         self,
@@ -160,39 +177,14 @@ class _LocationWorker:
         else:
             caps = np.clip(caps, 0.0, self.cell_cap)
 
-        # prefix quantities/costs of the per-slot fractional knapsack
+        # prefix quantities of the per-slot fractional knapsack
         qty = np.zeros((T, m + 1))
         np.cumsum(caps, axis=1, out=qty[:, 1:])
-        cost_pfx = np.zeros((T, m + 1))
-        np.cumsum(caps * self.unit_costs[None, :], axis=1, out=cost_pfx[:, 1:])
         out_cap = np.minimum(self.demand, qty[:, -1])
-
-        def knap_cost(s: np.ndarray) -> np.ndarray:
-            """Cheapest shipping cost for outflows s, shape (K, T)."""
-            if m == 0:
-                return np.zeros_like(s)
-            # convex piecewise-linear with increasing slopes == max of its
-            # segment support lines
-            lines = cost_pfx[None, :, :-1] + self.unit_costs[None, None, :] * (
-                s[:, :, None] - qty[None, :, :-1]
-            )
-            return lines.max(axis=2)
-
-        def required_outflow(cs: np.ndarray) -> np.ndarray:
-            need = self.demand[None, :] + inflow[None, :] - cs[:, None] / self.beta
-            return np.clip(need, 0.0, out_cap[None, :])
-
-        def objective(cs: np.ndarray) -> np.ndarray:
-            value = (self.invest_cost - lam) * cs + 0.5 * self.rho * (c_tilde - cs) ** 2
-            if self.beta > 0:
-                s = required_outflow(cs)
-                value = value + (self.recurrence[None, :] * knap_cost(s)).sum(axis=1)
-            return value
+        need = self.demand + inflow
 
         if self.beta > 0:
-            c_lb = float(
-                max(0.0, self.beta * np.max(self.demand + inflow - out_cap))
-            )
+            c_lb = float(max(0.0, self.beta * np.max(need - out_cap)))
         else:
             c_lb = 0.0
         if c_lb > self.c_max + 1e-9 * max(1.0, self.c_max):
@@ -202,42 +194,37 @@ class _LocationWorker:
             )
         c_lb = min(c_lb, self.c_max)
 
+        # Between adjacent kinks the right-derivative of the objective is
+        # slope_j + rho * (c - c_tilde); slope_0 is the investment price
+        # less the multiplier and every shipping-cost step still active just
+        # above c_lb, and each kink crossed upward retires its step.
+        slope0 = self.invest_cost - lam
         if self.beta > 0 and m > 0:
-            # breakpoints of the piecewise objective: c where some slot's
-            # required outflow crosses a knapsack segment boundary
-            grid = self.beta * ((self.demand + inflow)[:, None] - qty)
-            cands = grid[(grid > c_lb) & (grid < self.c_max)]
-            cands = np.unique(np.concatenate([[c_lb, self.c_max], cands]))
+            # kink (t, k): the c at which slot t's required outflow
+            # d + in - c / beta reaches the start of knapsack segment k
+            kinks = self.beta * (need[:, None] - qty[:, :-1])
+            active = kinks > c_lb
+            inside = active & (kinks < self.c_max)
+            order = np.argsort(kinks[inside])
+            edges = np.concatenate([[c_lb], kinks[inside][order], [self.c_max]])
+            steps = self.slope_steps[inside][order]
+            slope0 -= float(self.slope_steps[active].sum())
+            slopes = slope0 + np.concatenate([[0.0], np.cumsum(steps)])
         else:
-            cands = np.unique(np.array([c_lb, self.c_max]))
-
-        values = objective(cands)
-        # between adjacent breakpoints the objective is quadratic with
-        # curvature rho; recover each segment's interior stationary point
-        a, b = cands[:-1], cands[1:]
-        width = b - a
-        ok = width > 1e-12
-        interior = np.array([])
-        if ok.any():
-            ga = (values[1:] - values[:-1] - 0.5 * self.rho * width**2) / np.where(
-                ok, width, 1.0
-            )
-            cand_in = a - ga / self.rho
-            keep = ok & (cand_in > a) & (cand_in < b)
-            interior = cand_in[keep]
-        if interior.size:
-            int_values = objective(interior)
-            all_c = np.concatenate([cands, interior])
-            all_v = np.concatenate([values, int_values])
-        else:
-            all_c, all_v = cands, values
-        best = int(np.argmin(all_v))
-        c_opt = float(all_c[best])
+            edges = np.array([c_lb, self.c_max])
+            slopes = np.array([slope0])
+        # the stationary points descend while the interval edges ascend; the
+        # first interval whose stationary point does not overshoot its right
+        # edge holds the minimizer (the last one when every point overshoots)
+        stationary = c_tilde - slopes / self.rho
+        hits = np.flatnonzero(stationary <= edges[1:])
+        j = int(hits[0]) if hits.size else len(slopes) - 1
+        c_opt = float(min(max(stationary[j], edges[j]), edges[j + 1]))
 
         z_rows = np.zeros((T, self.n_locations))
         local_cost = self.invest_cost * c_opt
         if self.beta > 0 and m > 0:
-            s = required_outflow(np.array([c_opt]))[0]  # (T,)
+            s = np.clip(need - c_opt / self.beta, 0.0, out_cap)  # (T,)
             alloc = np.clip(s[:, None] - qty[:, :-1], 0.0, caps)
             z_rows[:, self.neighbors] = alloc
             local_cost += float(self.recurrence @ (alloc @ self.unit_costs))
@@ -279,7 +266,10 @@ def solve_subproblem(
 
 
 def receiver_slack(
-    instance: PlanningInstance, c_tilde: np.ndarray, z: np.ndarray
+    instance: PlanningInstance,
+    c_tilde: np.ndarray,
+    z: np.ndarray,
+    inflow: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-(slot, location) spare vehicle capacity under the frozen state.
 
@@ -287,19 +277,22 @@ def receiver_slack(
     negative entries mean the frozen state over-subscribes location j.  A
     sender reading this matrix must add back its own frozen contribution to
     j's inflow before capping, so its previous shipments do not block it.
+    ``inflow`` is ``delayed_inflow(z, instance.delay)`` when the caller
+    already holds it; ``None`` computes it here.
     """
-    net = (
-        instance.charging_demand
-        - z.sum(axis=2)
-        + delayed_inflow(z, instance.delay)
-    )
+    if inflow is None:
+        inflow = delayed_inflow(z, instance.delay)
+    net = instance.charging_demand - z.sum(axis=2) + inflow
     return c_tilde[None, :] / instance.beta - net
 
 
-def _demand_floor(instance: PlanningInstance, z: np.ndarray) -> np.ndarray:
+def _demand_floor(
+    instance: PlanningInstance, z: np.ndarray, inflow: np.ndarray | None = None
+) -> np.ndarray:
     """Per-location lower bound on auxiliary capacity implied by fixed Z."""
     outflow = z.sum(axis=2)
-    inflow = delayed_inflow(z, instance.delay)
+    if inflow is None:
+        inflow = delayed_inflow(z, instance.delay)
     net = instance.charging_demand - outflow + inflow
     return np.maximum(0.0, instance.beta * net.max(axis=0))
 
@@ -311,17 +304,19 @@ def solve_master(
     z: np.ndarray,
     rho: float,
     config: AdmmConfig | None = None,
+    inflow: np.ndarray | None = None,
 ) -> tuple[np.ndarray, bool]:
     """Auxiliary-capacity update; closed form plus optional budget projection.
 
     With Z fixed, the capacity-satisfaction constraint reduces to the bound
     ``c_tilde_i >= D_i`` with ``D_i`` the peak net load, so the minimizer of
     the quadratic master objective is ``max(c_i - lambda_i / rho, D_i)``
-    clipped to the capacity ceiling.  Returns the update and whether the
-    budget projection was active.
+    clipped to the capacity ceiling.  ``inflow`` is Z's delayed inflow when
+    the caller already holds it (``None`` computes it).  Returns the update
+    and whether the budget projection was active.
     """
     cfg = config or AdmmConfig(rho=rho)
-    d = _demand_floor(instance, z)
+    d = _demand_floor(instance, z, inflow)
     cap = np.minimum(instance.capacity_max, cfg.capacity_cap)
     if np.any(d > cap + 1e-9 * np.maximum(1.0, cap)):
         i = int(np.argmax(d - cap))
@@ -431,7 +426,7 @@ def run_admm(
             # potential senders so the parallel sweep cannot over-subscribe
             # it; each sender's own frozen shipments are added back since
             # that share of the receiver's inflow is its to reallocate.
-            slack = receiver_slack(instance, state.c_tilde, state.z)
+            slack = receiver_slack(instance, state.c_tilde, state.z, state.z_in)
             shared = np.maximum(slack, 0.0) / np.maximum(in_degree, 1)[None, :]
             t_idx = np.arange(T)
 
@@ -454,7 +449,7 @@ def run_admm(
 
             z_in_new = transform_inflows(z_new, instance.delay)
             c_tilde_new, binding = solve_master(
-                instance, c_new, state.lam, z_new, cfg.rho, cfg
+                instance, c_new, state.lam, z_new, cfg.rho, cfg, z_in_new
             )
             budget_binding = budget_binding or binding
             lam_new = update_multipliers(state.lam, c_tilde_new, c_new, cfg.rho)

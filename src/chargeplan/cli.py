@@ -253,6 +253,9 @@ def cmd_sweep_r(args) -> int:
     except InfeasibleProblemError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except ConvergenceError as exc:
+        print(f"no convergence: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     path = out_dir / "sweep.csv"
     with open(path, "w") as fh:
         fh.write("R_km,investment,assignment,total,reduction_pct\n")
@@ -319,13 +322,18 @@ def cmd_compare(args) -> int:
                               "admm": dataclasses.asdict(admm),
                               "methods": methods})
     results = {}
+    converged = {}
     for method in methods:
         try:
-            solution, _ = _solve(instance, method, solver, admm)
+            solution, convergence = _solve(instance, method, solver, admm)
         except InfeasibleProblemError as exc:
             print(f"infeasible ({method}): {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
+        except ConvergenceError as exc:
+            print(f"no convergence ({method}): {exc}", file=sys.stderr)
+            return EXIT_NO_CONVERGENCE
         results[method] = solution
+        converged[method] = convergence is None or convergence.converged
     reference = min(s.cost.total for s in results.values())
     doc = {
         method: {
@@ -337,6 +345,7 @@ def cmd_compare(args) -> int:
                 else 100.0 * (s.cost.total - reference) / reference
             ),
             "feasible": s.feasibility.feasible,
+            "converged": converged[method],
         }
         for method, s in results.items()
     }
@@ -349,6 +358,10 @@ def cmd_compare(args) -> int:
                 f"{row['total']:.9g},{row['gap_to_best_pct']:.6g},{row['feasible']}\n"
             )
     _say(args, f"wrote comparison to {out_dir}")
+    stalled = [method for method, ok in converged.items() if not ok]
+    if stalled:
+        print(f"no convergence: {', '.join(stalled)}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
 

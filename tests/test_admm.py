@@ -1,13 +1,17 @@
 """Distributed consensus solver: components against oracles, then the loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chargeplan.admm
 from chargeplan.admm import (
     AdmmConfig,
+    _LocationWorker,
     receiver_slack,
     residuals,
     run_admm,
@@ -17,7 +21,7 @@ from chargeplan.admm import (
     update_multipliers,
 )
 from chargeplan.central import solve_centralized
-from chargeplan.model import InfeasibleProblemError
+from chargeplan.model import InfeasibleProblemError, delayed_inflow
 
 from conftest import make_instance, random_instance
 
@@ -156,6 +160,142 @@ class TestSolveSubproblem:
             ) + 1e-6 * max(1.0, abs(value))
 
 
+def grid_solve(worker, c_tilde, lam, inflow, caps=None):
+    """Reference subproblem solver: evaluates the objective on its kink grid.
+
+    Builds every shipping cost as the max of the knapsack's segment support
+    lines, evaluates the objective at c_lb, c_max and every kink between
+    them, recovers each segment's interior stationary point from the values
+    at its ends (the objective is quadratic with curvature rho there), and
+    returns the best point seen.  O(T^2 m^2) time, so for small cases only.
+    """
+    T, m = worker.n_slots, len(worker.neighbors)
+    if caps is None:
+        caps = np.full((T, m), worker.cell_cap)
+    else:
+        caps = np.clip(caps, 0.0, worker.cell_cap)
+    qty = np.zeros((T, m + 1))
+    np.cumsum(caps, axis=1, out=qty[:, 1:])
+    cost_pfx = np.zeros((T, m + 1))
+    np.cumsum(caps * worker.unit_costs[None, :], axis=1, out=cost_pfx[:, 1:])
+    out_cap = np.minimum(worker.demand, qty[:, -1])
+
+    def knap_cost(s):
+        if m == 0:
+            return np.zeros_like(s)
+        lines = cost_pfx[None, :, :-1] + worker.unit_costs[None, None, :] * (
+            s[:, :, None] - qty[None, :, :-1]
+        )
+        return lines.max(axis=2)
+
+    def required_outflow(cs):
+        need = worker.demand[None, :] + inflow[None, :] - cs[:, None] / worker.beta
+        return np.clip(need, 0.0, out_cap[None, :])
+
+    def objective(cs):
+        value = (worker.invest_cost - lam) * cs + 0.5 * worker.rho * (c_tilde - cs) ** 2
+        if worker.beta > 0:
+            value = value + (worker.recurrence[None, :] * knap_cost(required_outflow(cs))).sum(axis=1)
+        return value
+
+    c_lb = 0.0
+    if worker.beta > 0:
+        c_lb = float(max(0.0, worker.beta * np.max(worker.demand + inflow - out_cap)))
+    if c_lb > worker.c_max + 1e-9 * max(1.0, worker.c_max):
+        raise InfeasibleProblemError(f"location {worker.i}: c_lb above c_max")
+    c_lb = min(c_lb, worker.c_max)
+
+    cands = np.array([c_lb, worker.c_max])
+    if worker.beta > 0 and m > 0:
+        grid = worker.beta * ((worker.demand + inflow)[:, None] - qty)
+        cands = np.concatenate([cands, grid[(grid > c_lb) & (grid < worker.c_max)]])
+    cands = np.unique(cands)
+    values = objective(cands)
+    a, b = cands[:-1], cands[1:]
+    width = b - a
+    ok = width > 1e-12
+    all_c, all_v = cands, values
+    if ok.any():
+        ga = (values[1:] - values[:-1] - 0.5 * worker.rho * width**2) / np.where(ok, width, 1.0)
+        cand_in = a - ga / worker.rho
+        interior = cand_in[ok & (cand_in > a) & (cand_in < b)]
+        if interior.size:
+            all_c = np.concatenate([cands, interior])
+            all_v = np.concatenate([values, objective(interior)])
+    c_opt = float(all_c[int(np.argmin(all_v))])
+
+    z_rows = np.zeros((T, worker.n_locations))
+    local_cost = worker.invest_cost * c_opt
+    if worker.beta > 0 and m > 0:
+        alloc = np.clip(required_outflow(np.array([c_opt]))[0][:, None] - qty[:, :-1], 0.0, caps)
+        z_rows[:, worker.neighbors] = alloc
+        local_cost += float(worker.recurrence @ (alloc @ worker.unit_costs))
+    return c_opt, z_rows, local_cost
+
+
+@st.composite
+def subproblem_cases(draw):
+    """A location's subproblem with its frozen inputs, edge cases included."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n, T = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+    beta = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    forbid_frac = draw(st.sampled_from([0.0, 0.3, 1.0]))  # 1.0 leaves m = 0
+    inst = random_instance(rng, n=n, T=T, forbid_frac=forbid_frac, beta=beta)
+    i = draw(st.integers(0, n - 1))
+    inflow = rng.uniform(0.0, 3.0, size=T) * (rng.random(T) < 0.7)
+    m = int((~inst.forbidden_mask()[i]).sum())
+    caps = None
+    if draw(st.booleans()):
+        caps = rng.uniform(0.0, 3.0, size=(T, m)) * (rng.random((T, m)) < 0.6)
+    bound = draw(st.sampled_from(["loose", "tight", "random"]))
+    if bound != "loose":
+        # c_lb: the capacity that covers the demand left after maximal outflow
+        demand = inst.charging_demand[:, i]
+        cell_caps = np.full((T, m), AdmmConfig().assignment_cap) if caps is None else caps
+        shipped = cell_caps.sum(axis=1)
+        c_lb = float(max(0.0, beta * np.max(demand + inflow - np.minimum(demand, shipped))))
+        c_max = c_lb if bound == "tight" else float(rng.uniform(0.0, 2.0 * c_lb + 5.0))
+        capacity_max = inst.capacity_max.copy()
+        capacity_max[i] = c_max
+        inst = dataclasses.replace(inst, capacity_max=capacity_max)
+    lam = draw(st.one_of(st.floats(-2.0, 2.0), st.floats(-1e6, 1e6)))
+    c_tilde = draw(st.one_of(st.floats(-20.0, 40.0), st.sampled_from([-1e3, 1e8])))
+    rho = draw(st.sampled_from([0.1, 1.0]))
+    return inst, i, AdmmConfig(rho=rho), c_tilde, lam, inflow, caps
+
+
+class TestKinkSweep:
+    """The sorted-kink sweep against the kink-grid evaluator it replaced."""
+
+    @given(case=subproblem_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_grid_evaluation(self, case):
+        inst, i, cfg, c_tilde, lam, inflow, caps = case
+        worker = _LocationWorker(inst, i, cfg)
+        try:
+            ref = grid_solve(worker, c_tilde, lam, inflow, caps)
+        except InfeasibleProblemError:
+            with pytest.raises(InfeasibleProblemError):
+                worker.solve(c_tilde, lam, inflow, caps)
+            return
+        c_opt, z_rows, f = worker.solve(c_tilde, lam, inflow, caps)
+        # The reference recovers an interior minimizer from objective values
+        # at an interval's ends, up to c_max apart, which costs it about
+        # eps * (c_max + |c_tilde| + |w - lam| / rho) of absolute accuracy;
+        # z and f inherit that error through slopes 1/beta and w + r.u/beta.
+        c_atol = 64 * np.finfo(float).eps * max(
+            1.0, worker.c_max, abs(c_tilde), abs(worker.invest_cost - lam) / cfg.rho
+        )
+        z_atol = c_atol / inst.beta if inst.beta > 0 else 0.0
+        f_atol = worker.invest_cost * c_atol + z_atol * float(
+            inst.recurrence.sum() * worker.unit_costs.max(initial=0.0)
+        )
+        assert c_opt == pytest.approx(ref[0], rel=1e-9, abs=c_atol)
+        np.testing.assert_allclose(z_rows, ref[1], rtol=1e-9, atol=z_atol)
+        assert f == pytest.approx(ref[2], rel=1e-9, abs=f_atol)
+
+
 class TestSolveMaster:
     def test_closed_form_pull_toward_c(self):
         inst = make_instance(np.zeros((1, 1)))
@@ -259,6 +399,44 @@ class TestReceiverSlack:
         inst = make_instance([[4.0, 1.0]], beta=2.0)
         slack = receiver_slack(inst, np.array([10.0, 2.0]), np.zeros((1, 2, 2)))
         np.testing.assert_allclose(slack, [[1.0, 0.0]])  # 10/2 - 4, 2/2 - 1
+
+
+class TestInflowReuse:
+    def test_one_delayed_inflow_gather_per_iteration(self, monkeypatch):
+        calls = []
+
+        def counting(z, delay):
+            calls.append(z.shape)
+            return delayed_inflow(z, delay)
+
+        monkeypatch.setattr(chargeplan.admm, "delayed_inflow", counting)
+        rng = np.random.default_rng(2)
+        inst = random_instance(rng, n=4, T=6, forbid_frac=0.2)
+        _, conv = run_admm(inst, AdmmConfig(max_iterations=40))
+        assert conv.iterations >= 2
+        # the exchange once per iteration, plus the initial demand floor
+        assert len(calls) <= conv.iterations + 1
+
+    @pytest.mark.parametrize("binding", [False, True])
+    def test_precomputed_inflow_changes_nothing(self, binding):
+        rng = np.random.default_rng(4)
+        inst = random_instance(rng, n=4, T=6, forbid_frac=0.2)
+        z = rng.uniform(0.0, 1.0, size=(6, 4, 4)) * ~inst.forbidden_mask()[None]
+        inflow = delayed_inflow(z, inst.delay)
+        c_tilde = rng.uniform(5.0, 10.0, size=4)
+        np.testing.assert_array_equal(
+            receiver_slack(inst, c_tilde, z, inflow=inflow),
+            receiver_slack(inst, c_tilde, z),
+        )
+        c, lam = rng.uniform(0.0, 50.0, size=4), rng.uniform(-1.0, 1.0, size=4)
+        if binding:  # a budget just above the demand floor's cost
+            floor = inst.beta * (inst.charging_demand - z.sum(axis=2) + inflow).max(axis=0)
+            budget = float(inst.unit_investment_cost @ np.maximum(floor, 0.0)) + 1.0
+            inst = dataclasses.replace(inst, budget=budget)
+        fresh, fresh_binding = solve_master(inst, c, lam, z, 0.1)
+        reused, reused_binding = solve_master(inst, c, lam, z, 0.1, inflow=inflow)
+        np.testing.assert_array_equal(reused, fresh)
+        assert reused_binding == fresh_binding == binding
 
 
 class TestRunAdmm:

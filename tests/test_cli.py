@@ -39,6 +39,10 @@ def instance_file(tmp_path):
     return out / "instance.json"
 
 
+#: forces the embedded simplex to give up after one pivot
+SIMPLEX_ONE_PIVOT = {"solver": {"backend": "simplex", "max_iterations": 1}}
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -192,6 +196,14 @@ class TestSweepR:
         assert run("--out", str(tmp_path / "s"), "sweep-r",
                    str(instance_file)) == EXIT_CONFIG
 
+    def test_simplex_iteration_limit_exit_4(self, tmp_path, instance_file):
+        cfg = write_config(tmp_path, SIMPLEX_ONE_PIVOT)
+        out = tmp_path / "sweep"
+        code = run("--config", str(cfg), "--out", str(out), "sweep-r",
+                   str(instance_file), "--r-values", "0,3")
+        assert code == EXIT_NO_CONVERGENCE
+        assert not (out / "sweep.csv").exists()
+
     def test_instance_without_distances_exit_2(self, tmp_path):
         inst = make_instance(np.ones((2, 2)))
         path = tmp_path / "nodist.json"
@@ -267,3 +279,22 @@ class TestCompare:
     def test_unknown_method_exit_2(self, tmp_path, instance_file):
         assert run("--out", str(tmp_path / "c"), "compare", str(instance_file),
                    "--methods", "magic") == EXIT_CONFIG
+
+    def test_simplex_iteration_limit_exit_4(self, tmp_path, instance_file):
+        cfg = write_config(tmp_path, SIMPLEX_ONE_PIVOT)
+        code = run("--config", str(cfg), "--out", str(tmp_path / "c"), "compare",
+                   str(instance_file), "--methods", "centralized")
+        assert code == EXIT_NO_CONVERGENCE
+
+    def test_non_converged_admm_exit_4_after_writing(self, tmp_path, instance_file):
+        cfg = write_config(
+            tmp_path, {"admm": {"max_iterations": 1, "threshold": 1e-12}}
+        )
+        out = tmp_path / "cmp"
+        code = run("--config", str(cfg), "--out", str(out), "compare",
+                   str(instance_file), "--methods", "base,admm")
+        assert code == EXIT_NO_CONVERGENCE
+        doc = json.loads((out / "comparison.json").read_text())
+        assert doc["base"]["converged"] is True
+        assert doc["admm"]["converged"] is False
+        assert (out / "comparison.csv").exists()
