@@ -1,12 +1,15 @@
 """Centralized LP path: problem builder, solvers, and the no-assignment baseline.
 
 ``build_lp`` lowers a :class:`~chargeplan.model.PlanningInstance` to a sparse
-standard-form LP.  Structural zeros (diagonal and range-forbidden pairs) are
-realized by variable elimination, never as rows, so the column space contains
-exactly the capacities plus the free assignment cells.
+standard-form LP with numpy, from one array of free assignment cells.
+Structural zeros (diagonal and range-forbidden pairs) are realized by variable
+elimination, never as rows, so the column space contains exactly the
+capacities plus the free assignment cells.  Rows the others imply are not
+written: the LP has ``1 + 2 * n * T`` rows.
 
-``solve_centralized`` runs either the embedded revised simplex (desk-tiny
-problems, fully self-contained) or scipy's HiGHS backend (anything larger).
+``solve_centralized`` runs scipy's HiGHS backend (the default) or, on
+request, the embedded dense revised simplex, a self-contained oracle for
+desk-tiny problems.
 """
 
 from __future__ import annotations
@@ -35,12 +38,10 @@ from .simplex import solve_simplex
 class SolverConfig:
     """Tolerances and backend selection for the centralized solve."""
 
-    backend: str = "auto"  # "auto" | "simplex" | "highs"
+    backend: str = "highs"  # "highs" | "simplex" (dense, desk-tiny LPs only)
     optimality_tol: float = 1e-7
     feasibility_tol: float = 1e-8
     max_iterations: int = 20000
-    # "auto" uses the embedded simplex up to this many columns
-    simplex_max_cols: int = 300
 
 
 @dataclass(frozen=True)
@@ -79,118 +80,90 @@ class StandardFormLP:
         }
 
 
-def free_assignment_cells(instance: PlanningInstance) -> list[tuple[int, int, int]]:
-    """(t, i, j) cells that carry a decision variable, in column order."""
-    mask = instance.forbidden_mask()
-    cells = []
-    for t in range(instance.n_slots):
-        for i in range(instance.n_locations):
-            for j in range(instance.n_locations):
-                if not mask[i, j]:
-                    cells.append((t, i, j))
-    return cells
+def free_assignment_cells(instance: PlanningInstance) -> np.ndarray:
+    """(K, 3) int array of the (t, i, j) cells that carry a decision variable.
+
+    Rows are in column order: slot-major, then the row-major order of the
+    pairs that are not forbidden.
+    """
+    pairs = np.argwhere(~instance.forbidden_mask())
+    T = instance.n_slots
+    slots = np.repeat(np.arange(T), len(pairs))
+    return np.column_stack([slots, np.tile(pairs, (T, 1))])
 
 
 def build_lp(instance: PlanningInstance) -> StandardFormLP:
     """Lower the joint problem to standard form.
 
-    Rows: one budget row, one flow-conservation row per (location, slot),
-    and two capacity-satisfaction rows per (location, slot) (demand must fit
-    under the installed capacity and stay non-negative).  Capacity box
+    Rows: one budget row, one flow-conservation row per (location, slot)
+    (``FLOW_i_t``: outflow fits under the demand), and one capacity row per
+    (location, slot) (``CAPU_i_t``: net demand fits under the installed
+    capacity).  Net demand >= 0 needs no row: flow conservation keeps the
+    outflow under the demand, and inflow is non-negative.  Capacity box
     bounds fold into variable bounds.
     """
     n, T = instance.n_locations, instance.n_slots
     demand = instance.charging_demand
     beta = instance.beta
     cells = free_assignment_cells(instance)
-    col_of = {cell: n + k for k, cell in enumerate(cells)}
+    t, i, j = cells.T
     n_cols = n + len(cells)
     if n_cols > 50_000_000:
         raise OverflowError("instance exceeds supported index space")
+    n_rows = 1 + 2 * n * T
 
-    col_names = [f"C_{i + 1}" for i in range(n)] + [
-        f"Z_{i + 1}_{j + 1}_{t + 1}" for (t, i, j) in cells
+    cell_list = cells.tolist()
+    col_names = [f"C_{k + 1}" for k in range(n)] + [
+        f"Z_{a + 1}_{b + 1}_{s + 1}" for (s, a, b) in cell_list
     ]
-    col_kinds: list[tuple] = [("c", i) for i in range(n)] + [
-        ("z", t, i, j) for (t, i, j) in cells
+    col_kinds: list[tuple] = [("c", k) for k in range(n)] + [
+        ("z", s, a, b) for (s, a, b) in cell_list
     ]
+    row_names = (
+        ["BUDGET"]
+        + [f"FLOW_{a + 1}_{s + 1}" for a in range(n) for s in range(T)]
+        + [f"CAPU_{a + 1}_{s + 1}" for a in range(n) for s in range(T)]
+    )
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    rhs: list[float] = []
-    row_names: list[str] = []
-
-    def add(row: int, col: int, val: float):
-        rows.append(row)
-        cols.append(col)
-        vals.append(val)
-
-    # Budget row.
-    r = 0
-    row_names.append("BUDGET")
+    # Row (location, slot) of each family sits at offset + location * T + slot.
+    flow0, capu0 = 1, 1 + n * T
+    loc = np.arange(n)
+    zcols = n + np.arange(len(cells))
     w = instance.unit_investment_cost
-    for i in range(n):
-        add(r, i, float(w[i]))
-    rhs.append(float(instance.budget))
+    blocks = [
+        # budget: sum_i w_i c_i <= budget
+        (np.zeros(n, dtype=int), loc, w),
+        # capacity upper side: -beta*outflow + beta*inflow - c_i <= -beta*demand
+        (capu0 + np.arange(n * T), np.repeat(loc, T), np.full(n * T, -1.0)),
+        # flow conservation: sum_j z[t,i,j] <= alpha*flow
+        (flow0 + i * T + t, zcols, np.ones(len(cells))),
+    ]
+    if beta != 0.0:
+        # departure relieves i in slot t; arrival loads j delay[i, j] slots
+        # later (cyclic)
+        t_arr = (t + instance.delay[i, j]) % T
+        blocks += [
+            (capu0 + i * T + t, zcols, np.full(len(cells), -beta)),
+            (capu0 + j * T + t_arr, zcols, np.full(len(cells), beta)),
+        ]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
 
-    # Flow conservation: sum_j z[t,i,j] <= alpha*flow.
-    flow_row = {}
-    for i in range(n):
-        for t in range(T):
-            r += 1
-            flow_row[(i, t)] = r
-            row_names.append(f"FLOW_{i + 1}_{t + 1}")
-            rhs.append(float(demand[t, i]))
-    # Capacity satisfaction, upper side:
-    #   -beta*outflow + beta*inflow - c_i <= -beta*demand
-    capu_row = {}
-    for i in range(n):
-        for t in range(T):
-            r += 1
-            capu_row[(i, t)] = r
-            row_names.append(f"CAPU_{i + 1}_{t + 1}")
-            rhs.append(float(-beta * demand[t, i]))
-            add(r, i, -1.0)
-    # Capacity satisfaction, lower side:
-    #   beta*outflow - beta*inflow <= beta*demand
-    capl_row = {}
-    for i in range(n):
-        for t in range(T):
-            r += 1
-            capl_row[(i, t)] = r
-            row_names.append(f"CAPL_{i + 1}_{t + 1}")
-            rhs.append(float(beta * demand[t, i]))
-
-    for (t, i, j), col in col_of.items():
-        add(flow_row[(i, t)], col, 1.0)
-        if beta != 0.0:
-            # departure reduces demand at i in slot t
-            add(capu_row[(i, t)], col, -beta)
-            add(capl_row[(i, t)], col, beta)
-            # arrival adds demand at j, delay[i, j] slots later (cyclic)
-            t_arr = (t + int(instance.delay[i, j])) % T
-            add(capu_row[(j, t_arr)], col, beta)
-            add(capl_row[(j, t_arr)], col, -beta)
-
-    n_rows = r + 1
+    rhs = np.concatenate(
+        [[float(instance.budget)], demand.T.ravel(), (-beta * demand).T.ravel()]
+    )
     lb = np.zeros(n_cols)
     ub = np.full(n_cols, np.inf)
     ub[:n] = instance.capacity_max
-    obj = np.zeros(n_cols)
-    obj[:n] = w
-    rec = instance.recurrence
-    for k, (t, i, j) in enumerate(cells):
-        obj[n + k] = float(rec[t] * instance.assign_cost[i, j])
+    obj = np.concatenate([w, instance.recurrence[t] * instance.assign_cost[i, j]])
 
     return StandardFormLP(
         n_rows=n_rows,
         n_cols=n_cols,
-        rows=np.array(rows, dtype=int),
-        cols=np.array(cols, dtype=int),
-        vals=np.array(vals, dtype=float),
+        rows=rows,
+        cols=cols,
+        vals=vals,
         senses=["L"] * n_rows,
-        rhs=np.array(rhs, dtype=float),
+        rhs=rhs,
         lb=lb,
         ub=ub,
         obj=obj,
@@ -201,30 +174,25 @@ def build_lp(instance: PlanningInstance) -> StandardFormLP:
 
 
 def _extract_plans(
-    instance: PlanningInstance, lp: StandardFormLP, x: np.ndarray
+    instance: PlanningInstance, x: np.ndarray
 ) -> tuple[InvestmentPlan, AssignmentPlan]:
     n, T = instance.n_locations, instance.n_slots
     c = np.maximum(x[:n], 0.0)
     z = np.zeros((T, n, n))
-    for k, kind in enumerate(lp.col_kinds):
-        if kind[0] == "z":
-            _, t, i, j = kind
-            z[t, i, j] = max(x[k], 0.0)
+    t, i, j = free_assignment_cells(instance).T
+    z[t, i, j] = np.maximum(x[n:], 0.0)
     return InvestmentPlan(c), AssignmentPlan(z)
 
 
 def solve_lp(lp: StandardFormLP, config: SolverConfig) -> tuple[np.ndarray, dict]:
     """Solve a built LP, returning the primal point and solver statistics."""
-    backend = config.backend
-    if backend == "auto":
-        backend = "simplex" if lp.n_cols <= config.simplex_max_cols else "highs"
     start = time.perf_counter()
-    if backend == "highs":
+    if config.backend == "highs":
         res = scipy.optimize.linprog(
             lp.obj,
             A_ub=lp.to_coo().tocsr(),
             b_ub=lp.rhs,
-            bounds=list(zip(lp.lb, lp.ub)),
+            bounds=np.column_stack([lp.lb, lp.ub]),
             method="highs",
             options={
                 "primal_feasibility_tolerance": config.feasibility_tol,
@@ -239,20 +207,11 @@ def solve_lp(lp: StandardFormLP, config: SolverConfig) -> tuple[np.ndarray, dict
             raise ConvergenceError(f"LP solve failed: {res.message}")
         x = np.asarray(res.x)
         iterations = int(getattr(res, "nit", 0))
-    elif backend == "simplex":
-        A = lp.to_coo().toarray()
-        b = lp.rhs.copy()
-        extra_rows = []
-        extra_rhs = []
-        for k in range(lp.n_cols):
-            if np.isfinite(lp.ub[k]):
-                row = np.zeros(lp.n_cols)
-                row[k] = 1.0
-                extra_rows.append(row)
-                extra_rhs.append(lp.ub[k])
-        if extra_rows:
-            A = np.vstack([A, np.array(extra_rows)])
-            b = np.concatenate([b, np.array(extra_rhs)])
+    elif config.backend == "simplex":
+        # finite upper bounds become explicit rows x_k <= ub_k
+        bounded = np.isfinite(lp.ub)
+        A = np.vstack([lp.to_coo().toarray(), np.eye(lp.n_cols)[bounded]])
+        b = np.concatenate([lp.rhs, lp.ub[bounded]])
         res = solve_simplex(lp.obj, A, b, max_iterations=config.max_iterations)
         if res.status == "infeasible":
             raise InfeasibleProblemError("LP is infeasible")
@@ -266,7 +225,7 @@ def solve_lp(lp: StandardFormLP, config: SolverConfig) -> tuple[np.ndarray, dict
         raise ValueError(f"unknown backend: {config.backend!r}")
     wall_ms = 1000.0 * (time.perf_counter() - start)
     stats = {
-        "backend": backend,
+        "backend": config.backend,
         "iterations": iterations,
         "wall_ms": wall_ms,
         "lp_objective": float(lp.obj @ x),
@@ -283,7 +242,7 @@ def solve_centralized(
     config = config or SolverConfig()
     lp = build_lp(instance)
     x, stats = solve_lp(lp, config)
-    inv, asg = _extract_plans(instance, lp, x)
+    inv, asg = _extract_plans(instance, x)
     cost = evaluate_objective(instance, inv, asg)
     report = check_feasibility(instance, inv, asg, tol=1e-6)
     stats["method"] = "centralized"

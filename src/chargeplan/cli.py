@@ -73,6 +73,15 @@ def _section(config: dict, name: str, cls):
         raise ConfigError(f"invalid config section {name!r}: {exc}") from exc
 
 
+def _load_instance(path: str):
+    """Read an instance file; a missing, malformed or incomplete one is an
+    input error (exit 2), never a traceback."""
+    try:
+        return io.load_instance(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError(f"cannot read instance: {exc}") from exc
+
+
 def _write_resolved(out_dir: Path, resolved: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved_config.json").write_text(
@@ -161,11 +170,7 @@ def cmd_solve(args) -> int:
     config = _load_config(args.config)
     solver = _section(config, "solver", SolverConfig)
     admm = _section(config, "admm", AdmmConfig)
-    try:
-        instance = io.load_instance(args.instance)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot read instance: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    instance = _load_instance(args.instance)
 
     out_dir = Path(args.out)
     _write_resolved(
@@ -236,7 +241,7 @@ def cmd_sweep_r(args) -> int:
         if args.r_values
         else config.get("sweep", {}).get("r_values", [])
     )
-    instance = io.load_instance(args.instance)
+    instance = _load_instance(args.instance)
     if instance.distance is None:
         print("error: instance carries no raw distances; cannot sweep R",
               file=sys.stderr)
@@ -311,7 +316,7 @@ def cmd_compare(args) -> int:
     config = _load_config(args.config)
     solver = _section(config, "solver", SolverConfig)
     admm = _section(config, "admm", AdmmConfig)
-    instance = io.load_instance(args.instance)
+    instance = _load_instance(args.instance)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         print("error: no methods given", file=sys.stderr)

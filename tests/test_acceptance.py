@@ -234,10 +234,13 @@ def test_criterion_7_master_step_vs_nlp_oracle():
         def objective(v):
             return float(lam @ v + 0.5 * rho * ((v - c) ** 2).sum())
 
+        def gradient(v):
+            return lam + rho * (v - c)
+
         res = scipy.optimize.minimize(
             objective,
             x0=np.clip(c, d, cap),
-            jac=lambda v: lam + rho * (v - c),
+            jac=gradient,
             bounds=list(zip(d, cap)),
             constraints=[
                 {"type": "ineq", "fun": lambda v: budget - float(w @ v),
@@ -246,6 +249,22 @@ def test_criterion_7_master_step_vs_nlp_oracle():
             method="SLSQP",
             options={"maxiter": 500, "ftol": 1e-14},
         )
+        if res.status == 8:
+            # SLSQP can stall next to a binding budget ("Positive directional
+            # derivative for linesearch"), depending on the BLAS thread
+            # count; the trust-region interior-point method does not
+            res = scipy.optimize.minimize(
+                objective,
+                x0=np.clip(c, d, cap),
+                jac=gradient,
+                hess=lambda v: rho * np.eye(n),
+                bounds=scipy.optimize.Bounds(d, cap),
+                constraints=[
+                    scipy.optimize.LinearConstraint(w[None, :], -np.inf, budget)
+                ],
+                method="trust-constr",
+                options={"initial_barrier_parameter": 1e-8, "gtol": 1e-12},
+            )
         assert res.success, res.message
         scale = max(1.0, abs(res.fun))
         assert objective(c_tilde) <= res.fun + 1e-6 * scale

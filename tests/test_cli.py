@@ -43,6 +43,13 @@ def instance_file(tmp_path):
 SIMPLEX_ONE_PIVOT = {"solver": {"backend": "simplex", "max_iterations": 1}}
 
 
+def fieldless_instance(tmp_path):
+    """An instance file with the right version but none of the fields."""
+    path = tmp_path / "fieldless.json"
+    path.write_text(json.dumps({"version": "charge-plan-instance/1"}))
+    return path
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -204,6 +211,11 @@ class TestSweepR:
         assert code == EXIT_NO_CONVERGENCE
         assert not (out / "sweep.csv").exists()
 
+    def test_unreadable_instance_exit_2(self, tmp_path):
+        path = fieldless_instance(tmp_path)
+        assert run("--out", str(tmp_path / "s"), "sweep-r", str(path),
+                   "--r-values", "0,1") == EXIT_CONFIG
+
     def test_instance_without_distances_exit_2(self, tmp_path):
         inst = make_instance(np.ones((2, 2)))
         path = tmp_path / "nodist.json"
@@ -279,6 +291,10 @@ class TestCompare:
     def test_unknown_method_exit_2(self, tmp_path, instance_file):
         assert run("--out", str(tmp_path / "c"), "compare", str(instance_file),
                    "--methods", "magic") == EXIT_CONFIG
+
+    def test_unreadable_instance_exit_2(self, tmp_path):
+        path = fieldless_instance(tmp_path)
+        assert run("--out", str(tmp_path / "c"), "compare", str(path)) == EXIT_CONFIG
 
     def test_simplex_iteration_limit_exit_4(self, tmp_path, instance_file):
         cfg = write_config(tmp_path, SIMPLEX_ONE_PIVOT)
