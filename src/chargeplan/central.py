@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.optimize
@@ -50,8 +51,10 @@ class StandardFormLP:
 
     Constraint matrix given as parallel (row, col, value) triplet arrays.
     Every row is one instance of a model constraint; all senses are "L"
-    (<=) by construction.  ``col_kinds[k]`` is ``("c", i)`` or
-    ``("z", t, i, j)``.
+    (<=) by construction.  Columns are the ``n_locations`` capacities, then
+    one assignment per row of ``cells`` (``(t, i, j)``, see
+    :func:`free_assignment_cells`).  The MPS names and ``col_kinds`` are
+    derived from that layout on first access; solves never read them.
     """
 
     n_rows: int
@@ -64,9 +67,32 @@ class StandardFormLP:
     lb: np.ndarray
     ub: np.ndarray
     obj: np.ndarray
-    col_names: list[str]
-    row_names: list[str]
-    col_kinds: list[tuple] = field(repr=False, default_factory=list)
+    n_locations: int
+    n_slots: int
+    cells: np.ndarray = field(repr=False)
+
+    @cached_property
+    def col_kinds(self) -> list[tuple]:
+        """``("c", i)`` per capacity column, ``("z", t, i, j)`` per cell."""
+        return [("c", k) for k in range(self.n_locations)] + [
+            ("z", s, a, b) for (s, a, b) in self.cells.tolist()
+        ]
+
+    @cached_property
+    def col_names(self) -> list[str]:
+        """``C_<i>`` and ``Z_<i>_<j>_<t>``, 1-based."""
+        return [f"C_{k + 1}" for k in range(self.n_locations)] + [
+            f"Z_{a + 1}_{b + 1}_{s + 1}" for (s, a, b) in self.cells.tolist()
+        ]
+
+    @cached_property
+    def row_names(self) -> list[str]:
+        n, T = self.n_locations, self.n_slots
+        return (
+            ["BUDGET"]
+            + [f"FLOW_{a + 1}_{s + 1}" for a in range(n) for s in range(T)]
+            + [f"CAPU_{a + 1}_{s + 1}" for a in range(n) for s in range(T)]
+        )
 
     def to_coo(self) -> scipy.sparse.coo_matrix:
         return scipy.sparse.coo_matrix(
@@ -112,19 +138,6 @@ def build_lp(instance: PlanningInstance) -> StandardFormLP:
         raise OverflowError("instance exceeds supported index space")
     n_rows = 1 + 2 * n * T
 
-    cell_list = cells.tolist()
-    col_names = [f"C_{k + 1}" for k in range(n)] + [
-        f"Z_{a + 1}_{b + 1}_{s + 1}" for (s, a, b) in cell_list
-    ]
-    col_kinds: list[tuple] = [("c", k) for k in range(n)] + [
-        ("z", s, a, b) for (s, a, b) in cell_list
-    ]
-    row_names = (
-        ["BUDGET"]
-        + [f"FLOW_{a + 1}_{s + 1}" for a in range(n) for s in range(T)]
-        + [f"CAPU_{a + 1}_{s + 1}" for a in range(n) for s in range(T)]
-    )
-
     # Row (location, slot) of each family sits at offset + location * T + slot.
     flow0, capu0 = 1, 1 + n * T
     loc = np.arange(n)
@@ -167,9 +180,9 @@ def build_lp(instance: PlanningInstance) -> StandardFormLP:
         lb=lb,
         ub=ub,
         obj=obj,
-        col_names=col_names,
-        row_names=row_names,
-        col_kinds=col_kinds,
+        n_locations=n,
+        n_slots=T,
+        cells=cells,
     )
 
 

@@ -24,7 +24,14 @@ from . import io
 from .admm import AdmmConfig, run_admm, write_convergence_csv
 from .central import SolverConfig, solve_base_model, solve_centralized
 from .datagen import GenParams, generate_instance, with_range_limit
-from .ingest import BinningSpec, assemble_instance, build_distances, build_flows, parse_trips
+from .ingest import (
+    BinningSpec,
+    Zone,
+    assemble_instance,
+    build_distances,
+    build_flows,
+    parse_trips,
+)
 from .model import ConvergenceError, InfeasibleProblemError, Solution
 from .report import round_assignments, write_csv_tables, write_geojson
 
@@ -113,12 +120,24 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _binning_spec(config: dict) -> BinningSpec:
+    """The ``binning`` section, with its JSON lists turned into the bbox
+    tuple and the :class:`Zone` tuple that BinningSpec takes."""
+    data = config.get("binning", {})
+    if isinstance(data, dict):
+        try:
+            if data.get("bbox") is not None:
+                data = dict(data, bbox=tuple(data["bbox"]))
+            if data.get("zones") is not None:
+                data = dict(data, zones=tuple(Zone(**entry) for entry in data["zones"]))
+        except TypeError as exc:
+            raise ConfigError(f"invalid config section 'binning': {exc}") from exc
+    return _section(dict(config, binning=data), "binning", BinningSpec)
+
+
 def cmd_ingest(args) -> int:
     config = _load_config(args.config)
-    binning_raw = config.get("binning", {})
-    if "bbox" in binning_raw and binning_raw["bbox"] is not None:
-        binning_raw = dict(binning_raw, bbox=tuple(binning_raw["bbox"]))
-    spec = _section({"binning": binning_raw, **{k: v for k, v in config.items() if k != "binning"}}, "binning", BinningSpec)
+    spec = _binning_spec(config)
     econ = _section(config, "econ", GenParams)
     if args.seed is not None:
         econ = dataclasses.replace(econ, seed=args.seed)

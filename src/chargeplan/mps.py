@@ -140,7 +140,9 @@ def read_mps(path) -> StandardFormLP:
     for k, v in up.items():
         ub[k] = v
 
-    return StandardFormLP(
+    kinds = [_kind_from_name(name) for name in col_names]
+    n = sum(kind[0] == "c" for kind in kinds)
+    lp = StandardFormLP(
         n_rows=n_rows,
         n_cols=n_cols,
         rows=np.array(rows, dtype=int),
@@ -151,7 +153,10 @@ def read_mps(path) -> StandardFormLP:
         lb=lb,
         ub=ub,
         obj=obj,
-        col_names=col_names,
-        row_names=row_names,
-        col_kinds=[_kind_from_name(name) for name in col_names],
+        n_locations=n,
+        n_slots=(n_rows - 1) // (2 * n) if n else 0,
+        cells=np.array([kind[1:] for kind in kinds[n:]], dtype=int).reshape(-1, 3),
     )
+    if lp.col_names != col_names or lp.row_names != row_names:
+        raise ValueError("row or column names do not follow the chargeplan LP layout")
+    return lp

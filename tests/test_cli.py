@@ -2,6 +2,8 @@
 
 import csv
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +98,70 @@ class TestGenerate:
     def test_missing_config_exit_2(self, tmp_path):
         assert run("--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "x"), "generate") == EXIT_CONFIG
+
+
+TRIPS_50 = Path(__file__).parent / "data" / "trips_50.csv"
+GRID_2X2 = {"binning": {"bbox": [0, 0, 1, 1], "rows": 2, "cols": 2}}
+THREE_ZONES = {"binning": {"zones": [
+    {"label": "west", "lon": 0.2, "lat": 0.2},
+    {"label": "east", "lon": 0.8, "lat": 0.2},
+    {"label": "north", "lon": 0.5, "lat": 0.8},
+]}}
+
+
+def ingest(tmp_path, doc, trips=TRIPS_50, name="ingest"):
+    """Run ``ingest`` with config ``doc``; returns (exit code, output dir)."""
+    out = tmp_path / name
+    cfg = write_config(tmp_path, doc, name=f"{name}.json")
+    return run("--config", str(cfg), "--out", str(out), "ingest", str(trips)), out
+
+
+class TestIngest:
+    def test_grid_summary(self, tmp_path):
+        code, out = ingest(tmp_path, GRID_2X2)
+        assert code == EXIT_OK
+        summary = json.loads((out / "ingest_summary.json").read_text())
+        assert summary == {"records_read": 50, "skipped": 3, "dropped": 4,
+                           "retained": 43, "zones": 4, "imputed_pairs": 8}
+
+    def test_zone_list_config_round_trips(self, tmp_path):
+        code, out = ingest(tmp_path, THREE_ZONES)
+        assert code == EXIT_OK
+        summary = json.loads((out / "ingest_summary.json").read_text())
+        # every well-formed record snaps to some zone, so none is dropped
+        assert (summary["zones"], summary["skipped"], summary["dropped"]) == (3, 3, 0)
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["binning"]["zones"] == THREE_ZONES["binning"]["zones"]
+        code, again = ingest(tmp_path, resolved, name="again")
+        assert code == EXIT_OK
+        for name in ("resolved_config.json", "instance.json", "ingest_summary.json"):
+            assert (again / name).read_bytes() == (out / name).read_bytes()
+
+    @pytest.mark.parametrize("zones", [
+        [{"label": "a", "lon": 0.1}],  # no lat
+        [{"label": "a", "lon": 0.1, "lat": 0.2, "height": 3}],  # unknown key
+        [{"label": "a", "lon": "east", "lat": 0.2}],  # not a number
+        ["a"],  # not an object
+        [],
+        5,
+    ])
+    def test_malformed_zone_list_exit_2(self, tmp_path, zones):
+        code, _ = ingest(tmp_path, {"binning": {"zones": zones}})
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("distance", ["nan", "-2.0"])
+    def test_bad_distance_row_skipped_not_fatal(self, tmp_path, distance):
+        lines = TRIPS_50.read_text().splitlines()
+        k = next(k for k, line in enumerate(lines[1:], 1) if not line.endswith(","))
+        lines[k] = lines[k].rsplit(",", 1)[0] + "," + distance
+        trips = tmp_path / "trips.csv"
+        trips.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = ingest(tmp_path, GRID_2X2, trips=trips)
+        assert code == EXIT_OK
+        summary = json.loads((out / "ingest_summary.json").read_text())
+        assert (summary["records_read"], summary["skipped"]) == (50, 4)
 
 
 class TestSolve:

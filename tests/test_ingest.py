@@ -1,6 +1,12 @@
 """Trip ingestion: parsing, spatial/temporal binning, distance estimation."""
 
-from datetime import datetime, timedelta
+import csv
+import functools
+import math
+import tempfile
+from dataclasses import dataclass
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +15,9 @@ from hypothesis import strategies as st
 
 from chargeplan.datagen import GenParams
 from chargeplan.ingest import (
+    REQUIRED_COLUMNS,
     BinningSpec,
-    TripRecord,
+    TripTable,
     Zone,
     assemble_instance,
     build_distances,
@@ -22,11 +29,122 @@ from chargeplan.ingest import (
 # 2 x 2 grid over a unit degree box; slots are 15 minutes over one week
 GRID = BinningSpec(bbox=(0.0, 0.0, 1.0, 1.0), rows=2, cols=2, n_slots=672)
 
+HEADER = "start_time,origin_lng,origin_lat,dest_lng,dest_lat,distance_km"
 
-def write_csv(tmp_path, rows, header="start_time,origin_lng,origin_lat,dest_lng,dest_lat,distance_km"):
+
+def write_csv(tmp_path, rows, header=HEADER):
     path = tmp_path / "trips.csv"
     path.write_text("\n".join([header] + rows) + "\n")
     return path
+
+
+# ---------------------------------------------------------------- oracle
+#
+# The row-by-row pipeline that the columnar one replaced, kept as a test
+# oracle: csv.DictReader, one record object per row, scalar zone and slot
+# lookups, and the math-module haversine.  It also skips a row whose
+# distance_km is given but not a finite non-negative number.
+
+
+@dataclass(frozen=True)
+class TripRecord:
+    start_time: datetime
+    origin: tuple[float, float]  # (lon, lat)
+    destination: tuple[float, float]
+    distance_km: float | None = None
+
+
+def oracle_haversine(lon1, lat1, lon2, lat2):
+    phi1, phi2 = math.radians(lat1), math.radians(lat2)
+    dphi = phi2 - phi1
+    dlam = math.radians(lon2 - lon1)
+    a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
+    return 2 * 6371.0088 * math.asin(math.sqrt(a))
+
+
+def oracle_zone_of(spec, lon, lat):
+    if spec.zones is not None:
+        best, best_d = None, math.inf
+        for k, z in enumerate(spec.zones):
+            d = oracle_haversine(lon, lat, z.lon, z.lat)
+            if d < best_d:
+                best, best_d = k, d
+        return best
+    min_lon, min_lat, max_lon, max_lat = spec.bbox
+    if not (min_lon <= lon <= max_lon and min_lat <= lat <= max_lat):
+        return None
+    c = min(int((lon - min_lon) / (max_lon - min_lon) * spec.cols), spec.cols - 1)
+    r = min(int((lat - min_lat) / (max_lat - min_lat) * spec.rows), spec.rows - 1)
+    return r * spec.cols + c
+
+
+def oracle_slot_of(spec, ts):
+    minute_of_week = ts.weekday() * 24 * 60 + ts.hour * 60 + ts.minute
+    return (minute_of_week // spec.slot_minutes) % spec.n_slots
+
+
+def oracle_parse(path):
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        has_distance = "distance_km" in reader.fieldnames
+        records, skipped = [], 0
+        for row in reader:
+            try:
+                ts = datetime.fromisoformat(row["start_time"])
+                origin = (float(row["origin_lng"]), float(row["origin_lat"]))
+                dest = (float(row["dest_lng"]), float(row["dest_lat"]))
+                dist = None
+                if has_distance and row["distance_km"] not in (None, ""):
+                    dist = float(row["distance_km"])
+                    if not (math.isfinite(dist) and dist >= 0):
+                        raise ValueError("bad distance")
+                if not all(math.isfinite(v) for v in (*origin, *dest)):
+                    raise ValueError("non-finite coordinate")
+                records.append(TripRecord(ts, origin, dest, dist))
+            except (ValueError, TypeError, KeyError):
+                skipped += 1
+    return records, skipped
+
+
+def oracle_flows(records, spec):
+    flow = np.zeros((spec.n_slots, spec.n_zones))
+    dropped = 0
+    for rec in records:
+        zone = oracle_zone_of(spec, *rec.destination)
+        if zone is None:
+            dropped += 1
+            continue
+        flow[oracle_slot_of(spec, rec.start_time), zone] += 1.0
+    return flow, dropped
+
+
+def oracle_distances(records, spec):
+    n = spec.n_zones
+    total = np.zeros((n, n))
+    counts = np.zeros((n, n))
+    for rec in records:
+        zi = oracle_zone_of(spec, *rec.origin)
+        zj = oracle_zone_of(spec, *rec.destination)
+        if zi is None or zj is None:
+            continue
+        d = rec.distance_km
+        if d is None:
+            d = oracle_haversine(*rec.origin, *rec.destination)
+        total[zi, zj] += d
+        counts[zi, zj] += 1.0
+    zones = spec.zone_registry()
+    centroid = np.array(
+        [[oracle_haversine(a.lon, a.lat, b.lon, b.lat) for b in zones] for a in zones]
+    )
+    observed = counts > 0
+    distance = np.where(observed, total / np.where(observed, counts, 1.0), centroid)
+    imputed = ~observed
+    np.fill_diagonal(distance, 0.0)
+    np.fill_diagonal(imputed, False)
+    return distance, counts.astype(int), imputed
+
+
+# ---------------------------------------------------------------- tests
 
 
 class TestParseTrips:
@@ -35,11 +153,11 @@ class TestParseTrips:
         result = parse_trips(path)
         assert result.skipped == 0
         assert len(result.records) == 1
-        rec = result.records[0]
-        assert rec.start_time == datetime(2024, 3, 4, 8, 10)
-        assert rec.origin == (0.1, 0.2)
-        assert rec.destination == (0.8, 0.9)
-        assert rec.distance_km == 4.5
+        rec = result.records
+        assert rec.minute[0] == 8 * 60 + 10  # Monday 2024-03-04 08:10
+        assert (rec.origin_lon[0], rec.origin_lat[0]) == (0.1, 0.2)
+        assert (rec.dest_lon[0], rec.dest_lat[0]) == (0.8, 0.9)
+        assert rec.distance_km[0] == 4.5
 
     def test_distance_column_optional(self, tmp_path):
         path = write_csv(
@@ -48,7 +166,7 @@ class TestParseTrips:
             header="start_time,origin_lng,origin_lat,dest_lng,dest_lat",
         )
         result = parse_trips(path)
-        assert result.records[0].distance_km is None
+        assert np.isnan(result.records.distance_km[0])  # not given
 
     def test_malformed_rows_skipped_not_fatal(self, tmp_path):
         path = write_csv(
@@ -63,6 +181,44 @@ class TestParseTrips:
         result = parse_trips(path)
         assert len(result.records) == 1
         assert result.skipped == 3
+
+    @pytest.mark.parametrize("distance", ["nan", "inf", "-inf", "-2.0"])
+    def test_non_finite_or_negative_distance_skipped(self, tmp_path, distance):
+        path = write_csv(
+            tmp_path,
+            [
+                "2024-03-04T08:10:00,0.1,0.2,0.8,0.9,4.5",
+                f"2024-03-04T08:20:00,0.1,0.2,0.8,0.9,{distance}",
+            ],
+        )
+        result = parse_trips(path)
+        assert len(result.records) == 1
+        assert result.skipped == 1
+
+    def test_blank_lines_ignored_short_rows_malformed(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            [
+                "",
+                "2024-03-04T08:10:00,0.1,0.2,0.8,0.9",  # stops before distance_km
+                "2024-03-04T08:10:00,0.1,0.2,0.8",  # stops before dest_lat
+                "",
+            ],
+        )
+        result = parse_trips(path)
+        assert len(result.records) == 1
+        assert np.isnan(result.records.distance_km[0])
+        assert result.skipped == 1
+
+    def test_columns_found_by_name_last_duplicate_wins(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            ["0.8,0.9,9.0,0.5,2024-03-04T08:10:00,0.1,0.2"],
+            header="dest_lng,dest_lat,distance_km,dest_lng,start_time,origin_lng,origin_lat",
+        )
+        rec = parse_trips(path).records
+        assert (rec.dest_lon[0], rec.dest_lat[0]) == (0.5, 0.9)
+        assert (rec.origin_lon[0], rec.origin_lat[0]) == (0.1, 0.2)
 
     def test_missing_required_column_rejected(self, tmp_path):
         path = write_csv(
@@ -82,7 +238,7 @@ class TestParseTrips:
     def test_header_only_file_yields_no_records(self, tmp_path):
         path = write_csv(tmp_path, [])
         result = parse_trips(path)
-        assert result.records == [] and result.skipped == 0
+        assert len(result.records) == 0 and result.skipped == 0
 
 
 class TestBinningSpec:
@@ -96,28 +252,43 @@ class TestBinningSpec:
         with pytest.raises(ValueError, match="divide"):
             BinningSpec(bbox=(0, 0, 1, 1), rows=1, cols=1, slot_minutes=7)
 
+    @pytest.mark.parametrize("bbox", [(0, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1), (0, 0, math.inf, 1)])
+    def test_degenerate_bbox_rejected(self, bbox):
+        with pytest.raises(ValueError, match="bbox"):
+            BinningSpec(bbox=bbox, rows=1, cols=1)
+
+    def test_zone_list_must_be_nonempty_and_finite(self):
+        with pytest.raises(ValueError, match="empty"):
+            BinningSpec(zones=())
+        with pytest.raises(ValueError, match="finite"):
+            BinningSpec(zones=(Zone("a", math.nan, 0.0),))
+
     def test_grid_cell_lookup(self):
         assert GRID.n_zones == 4
-        assert GRID.zone_of(0.25, 0.25) == 0  # r0c0
-        assert GRID.zone_of(0.75, 0.25) == 1  # r0c1
-        assert GRID.zone_of(0.25, 0.75) == 2  # r1c0
-        assert GRID.zone_of(1.0, 1.0) == 3  # boundary snaps inward
-        assert GRID.zone_of(1.5, 0.5) is None
+        lon = [0.25, 0.75, 0.25, 1.0, 1.5]
+        lat = [0.25, 0.25, 0.75, 1.0, 0.5]
+        # r0c0, r0c1, r1c0, the far corner snapping inward, outside (-1)
+        assert GRID.zones_of(lon, lat).tolist() == [0, 1, 2, 3, -1]
 
     def test_zone_list_snaps_to_nearest(self):
         spec = BinningSpec(
             zones=(Zone("a", 0.0, 0.0), Zone("b", 1.0, 1.0)), n_slots=4
         )
-        assert spec.zone_of(0.1, 0.1) == 0
-        assert spec.zone_of(0.9, 0.8) == 1
+        assert spec.zones_of([0.1, 0.9], [0.1, 0.8]).tolist() == [0, 1]
 
-    def test_slot_is_weekday_anchored(self):
+    def test_zone_list_tie_goes_to_first_listed(self):
+        spec = BinningSpec(
+            zones=(Zone("a", 0.0, 0.5), Zone("b", 1.0, 0.5), Zone("c", 0.0, 0.5)), n_slots=4
+        )
+        assert spec.zones_of([0.5, 0.0], [0.5, 0.5]).tolist() == [0, 0]
+
+    def test_slot_is_weekday_anchored(self, tmp_path):
         # 2024-03-04 is a Monday; 00:00-00:14 is slot 0
-        assert GRID.slot_of(datetime(2024, 3, 4, 0, 0)) == 0
-        assert GRID.slot_of(datetime(2024, 3, 4, 0, 15)) == 1
-        assert GRID.slot_of(datetime(2024, 3, 5, 0, 0)) == 96  # Tuesday
-        # the following Monday folds back onto slot 0
-        assert GRID.slot_of(datetime(2024, 3, 11, 0, 0)) == 0
+        stamps = ["2024-03-04T00:00", "2024-03-04T00:15", "2024-03-05T00:00", "2024-03-11T00:00"]
+        path = write_csv(tmp_path, [f"{ts},0.5,0.5,0.5,0.5," for ts in stamps])
+        slots = GRID.slots_of(parse_trips(path).records.minute)
+        # Tuesday is slot 96; the following Monday folds back onto slot 0
+        assert slots.tolist() == [0, 1, 96, 0]
 
     def test_grid_centroids_are_cell_centers(self):
         zones = GRID.zone_registry()
@@ -140,41 +311,59 @@ class TestHaversine:
         b = haversine_km(0.9, 0.7, 0.3, 0.2)
         assert a == pytest.approx(b, rel=1e-12)
 
+    def test_broadcasts_like_the_scalar_formula(self):
+        lon = np.array([0.1, 13.4, -70.0])
+        lat = np.array([0.2, 52.5, -33.4])
+        d = haversine_km(lon[:, None], lat[:, None], lon[None, :], lat[None, :])
+        points = list(zip(lon, lat))
+        expected = [[oracle_haversine(*p, *q) for q in points] for p in points]
+        np.testing.assert_allclose(d, expected, rtol=1e-15, atol=0.0)
+
 
 def trip(ts, dest, origin=(0.25, 0.25), dist=None):
-    return TripRecord(ts, origin, dest, dist)
+    """One CSV row for a trip starting at datetime ``ts``."""
+    km = "" if dist is None else repr(dist)
+    return f"{ts.isoformat()},{origin[0]!r},{origin[1]!r},{dest[0]!r},{dest[1]!r},{km}"
+
+
+def table(rows) -> TripTable:
+    """Parse CSV rows (see :func:`trip`) into a TripTable; none may be malformed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        parsed = parse_trips(write_csv(Path(tmp), rows))
+    assert parsed.skipped == 0
+    return parsed.records
 
 
 class TestBuildFlows:
     def test_counts_destinations(self):
         mon8 = datetime(2024, 3, 4, 8, 0)
-        records = [
+        records = table([
             trip(mon8, (0.75, 0.25)),
             trip(mon8, (0.75, 0.25)),
             trip(mon8, (0.25, 0.75)),
-        ]
+        ])
         result = build_flows(records, GRID)
-        slot = GRID.slot_of(mon8)
+        slot = 8 * 4  # Monday 08:00, 15-minute slots
         assert result.flow[slot, 1] == 2.0
         assert result.flow[slot, 2] == 1.0
         assert result.flow.sum() == 3.0
         assert result.dropped == 0
 
     def test_out_of_bbox_destinations_dropped(self):
-        records = [trip(datetime(2024, 3, 4, 8, 0), (2.0, 2.0))]
+        records = table([trip(datetime(2024, 3, 4, 8, 0), (2.0, 2.0))])
         result = build_flows(records, GRID)
         assert result.flow.sum() == 0.0
         assert result.dropped == 1
 
     def test_total_conserved(self):
         rng = np.random.default_rng(0)
-        records = [
+        records = table([
             trip(
                 datetime(2024, 3, 4) + timedelta(minutes=int(rng.integers(0, 7 * 1440))),
                 (float(rng.uniform(0, 1)), float(rng.uniform(0, 1))),
             )
             for _ in range(200)
-        ]
+        ])
         result = build_flows(records, GRID)
         assert result.flow.sum() + result.dropped == 200
 
@@ -183,19 +372,10 @@ class TestBuildFlows:
     def test_shift_equivariance(self, shift):
         # delaying every trip by k slots rotates the flow matrix by k rows
         base_ts = datetime(2024, 3, 4, 0, 0)
-        records = [
-            trip(base_ts + timedelta(minutes=37), (0.75, 0.25)),
-            trip(base_ts + timedelta(minutes=1200), (0.25, 0.75)),
-        ]
-        shifted = [
-            TripRecord(
-                r.start_time + timedelta(minutes=15 * shift),
-                r.origin,
-                r.destination,
-                r.distance_km,
-            )
-            for r in records
-        ]
+        starts = [(base_ts + timedelta(minutes=37), (0.75, 0.25)),
+                  (base_ts + timedelta(minutes=1200), (0.25, 0.75))]
+        records = table([trip(ts, dest) for ts, dest in starts])
+        shifted = table([trip(ts + timedelta(minutes=15 * shift), dest) for ts, dest in starts])
         f0 = build_flows(records, GRID).flow
         f1 = build_flows(shifted, GRID).flow
         np.testing.assert_array_equal(np.roll(f0, shift, axis=0), f1)
@@ -204,10 +384,10 @@ class TestBuildFlows:
 class TestBuildDistances:
     def test_mean_of_observed_distances(self):
         mon = datetime(2024, 3, 4, 8, 0)
-        records = [
+        records = table([
             trip(mon, (0.75, 0.25), origin=(0.25, 0.25), dist=2.0),
             trip(mon, (0.75, 0.25), origin=(0.25, 0.25), dist=4.0),
-        ]
+        ])
         result = build_distances(records, GRID)
         assert result.distance[0, 1] == pytest.approx(3.0)
         assert result.counts[0, 1] == 2
@@ -215,13 +395,13 @@ class TestBuildDistances:
 
     def test_haversine_fallback_per_record(self):
         mon = datetime(2024, 3, 4, 8, 0)
-        records = [trip(mon, (0.75, 0.25), origin=(0.25, 0.25))]
+        records = table([trip(mon, (0.75, 0.25), origin=(0.25, 0.25))])
         result = build_distances(records, GRID)
         expected = haversine_km(0.25, 0.25, 0.75, 0.25)
         assert result.distance[0, 1] == pytest.approx(expected)
 
     def test_unobserved_pairs_imputed_from_centroids(self):
-        result = build_distances([], GRID)
+        result = build_distances(table([]), GRID)
         zones = GRID.zone_registry()
         expected = haversine_km(zones[0].lon, zones[0].lat, zones[3].lon, zones[3].lat)
         assert result.distance[0, 3] == pytest.approx(expected)
@@ -231,19 +411,165 @@ class TestBuildDistances:
     def test_diagonal_forced_to_zero(self):
         mon = datetime(2024, 3, 4, 8, 0)
         # a trip within one zone would otherwise leave a nonzero diagonal
-        records = [trip(mon, (0.3, 0.3), origin=(0.2, 0.2), dist=5.0)]
+        records = table([trip(mon, (0.3, 0.3), origin=(0.2, 0.2), dist=5.0)])
         result = build_distances(records, GRID)
         assert result.distance[0, 0] == 0.0
 
     def test_no_symmetry_imposed(self):
         mon = datetime(2024, 3, 4, 8, 0)
-        records = [
+        records = table([
             trip(mon, (0.75, 0.25), origin=(0.25, 0.25), dist=2.0),
             trip(mon, (0.25, 0.25), origin=(0.75, 0.25), dist=6.0),
-        ]
+        ])
         result = build_distances(records, GRID)
         assert result.distance[0, 1] == pytest.approx(2.0)
         assert result.distance[1, 0] == pytest.approx(6.0)
+
+
+# ------------------------------------------------- columnar vs. row-by-row
+
+UNIT_BOX = (0.0, 0.0, 1.0, 1.0)
+CITY_BOX = (13.30, 52.45, 13.50, 52.55)
+LATTICE = [0.0, 0.25, 0.5, 0.75, 1.0]  # quarter points of the unit box
+
+
+@st.composite
+def binning_specs(draw):
+    timing = dict(
+        slot_minutes=draw(st.sampled_from([1, 15, 60, 1440])),
+        n_slots=draw(st.sampled_from([1, 7, 96, 672])),
+    )
+    if draw(st.booleans()):
+        bbox = draw(st.sampled_from([UNIT_BOX, CITY_BOX]))
+        return BinningSpec(bbox=bbox, rows=draw(st.integers(1, 5)),
+                           cols=draw(st.integers(1, 5)), **timing)
+    # zone points on the lattice, so duplicated and mirrored points make
+    # exact ties for lattice trips
+    points = draw(st.lists(st.tuples(st.sampled_from(LATTICE), st.sampled_from(LATTICE)),
+                           min_size=1, max_size=5))
+    zones = tuple(Zone(f"z{k}", lon, lat) for k, (lon, lat) in enumerate(points))
+    return BinningSpec(zones=zones, **timing)
+
+
+@functools.lru_cache(maxsize=None)
+def coordinate(lo, hi, cuts):
+    """A coordinate field: cell boundaries, box edges and their float
+    neighbours, lattice points, points in and around the box, or text that
+    is not a finite number."""
+    span = hi - lo
+    edges = [lo + k * span / cuts for k in range(cuts + 1)] + [lo, hi]
+    edges += [math.nextafter(v, d) for v in (lo, hi) for d in (-math.inf, math.inf)]
+    number = st.one_of(
+        st.sampled_from(edges + LATTICE),
+        st.floats(lo - 0.2 * span, hi + 0.2 * span),
+    ).map(repr)
+    bad = st.sampled_from(["nan", "inf", "-inf", "1e999", "zzz", ""])
+    return st.one_of(number, number, number, bad)
+
+
+@st.composite
+def stamp_fields(draw):
+    """A start_time field: ISO 8601 over three decades, naive or with a UTC
+    offset, in three layouts, or text that is not a timestamp."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from(
+            ["not-a-date", "2024-02-30T25:00:00", "2024-13-01", "", "2024-03-04T08"]
+        ))
+    ts = datetime(2000, 1, 1) + timedelta(seconds=draw(st.integers(0, 31 * 365 * 86400)))
+    if draw(st.booleans()):
+        ts = ts.replace(tzinfo=timezone(timedelta(minutes=draw(st.integers(-1439, 1439)))))
+    layout = draw(st.sampled_from(["T", " ", "minutes"]))
+    return ts.isoformat(timespec="minutes") if layout == "minutes" else ts.isoformat(sep=layout)
+
+
+STAMPS = stamp_fields()
+
+
+DISTANCES = st.one_of(
+    st.floats(0.0, 50.0).map(repr),
+    st.sampled_from(["", "", "0", "-0.0", "nan", "inf", "-inf", "-1.5", "abc"]),
+)
+
+
+@st.composite
+def trips_files(draw, spec):
+    """CSV text with shuffled, optional, extra and duplicated columns."""
+    names = list(REQUIRED_COLUMNS)
+    if draw(st.booleans()):
+        names.append("distance_km")
+    if draw(st.booleans()):
+        names.append("note")
+    names = draw(st.permutations(names))
+    if draw(st.booleans()):
+        names.append(draw(st.sampled_from(names)))  # a duplicated name: the last wins
+    lo_lon, lo_lat, hi_lon, hi_lat = spec.bbox or UNIT_BOX
+    fields = {
+        "start_time": STAMPS,
+        "origin_lng": coordinate(lo_lon, hi_lon, spec.cols or 4),
+        "origin_lat": coordinate(lo_lat, hi_lat, spec.rows or 4),
+        "dest_lng": coordinate(lo_lon, hi_lon, spec.cols or 4),
+        "dest_lat": coordinate(lo_lat, hi_lat, spec.rows or 4),
+        "distance_km": DISTANCES,
+        "note": st.just("x"),
+    }
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 24))):
+        shape = draw(st.sampled_from(["full"] * 6 + ["blank", "short", "long"]))
+        if shape == "blank":
+            lines.append("")
+            continue
+        row = [draw(fields[name]) for name in names]
+        if shape == "short":
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        elif shape == "long":
+            row.append(draw(DISTANCES))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def ingest_cases(draw):
+    spec = draw(binning_specs())
+    return spec, draw(trips_files(spec))
+
+
+class TestColumnarMatchesRowByRow:
+    @given(case=ingest_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_same_flows_counts_and_distances(self, case):
+        spec, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trips.csv"
+            path.write_text(text)
+            parsed = parse_trips(path)
+            records, skipped = oracle_parse(path)
+        trips = parsed.records
+        assert (len(trips), parsed.skipped) == (len(records), skipped)
+
+        # the columns hold the records, a missing distance as NaN
+        np.testing.assert_array_equal(trips.origin_lon, [r.origin[0] for r in records])
+        np.testing.assert_array_equal(trips.dest_lat, [r.destination[1] for r in records])
+        np.testing.assert_array_equal(
+            trips.distance_km,
+            [math.nan if r.distance_km is None else r.distance_km for r in records],
+        )
+        assert spec.slots_of(trips.minute).tolist() == [
+            oracle_slot_of(spec, r.start_time) for r in records
+        ]
+        assert spec.zones_of(trips.dest_lon, trips.dest_lat).tolist() == [
+            -1 if z is None else z for z in (oracle_zone_of(spec, *r.destination) for r in records)
+        ]
+
+        flows = build_flows(trips, spec)
+        flow, dropped = oracle_flows(records, spec)
+        np.testing.assert_array_equal(flows.flow, flow)
+        assert flows.dropped == dropped
+
+        got = build_distances(trips, spec)
+        distance, counts, imputed = oracle_distances(records, spec)
+        np.testing.assert_array_equal(got.counts, counts)
+        np.testing.assert_array_equal(got.imputed, imputed)
+        np.testing.assert_allclose(got.distance, distance, rtol=1e-12, atol=0.0)
 
 
 class TestAssembleInstance:
