@@ -1,10 +1,10 @@
 """Distributed consensus solver for the joint planning problem.
 
 Each location owns its capacity ``c_i`` and outgoing assignments ``z[t, i, :]``
-and solves a local subproblem in parallel; a master step owns auxiliary
-capacity copies ``c_tilde`` and enforces that installed capacity covers the
-delay-aware net demand induced by the collected assignments.  Multipliers
-``lambda_i`` price the consensus gap ``c_i - c_tilde_i``.
+and solves a local subproblem; a master step owns auxiliary capacity copies
+``c_tilde`` and enforces that installed capacity covers the delay-aware net
+demand induced by the collected assignments.  Multipliers ``lambda_i`` price
+the consensus gap ``c_i - c_tilde_i``.
 
 Inflows seen by a subproblem are frozen at the previous iteration's
 assignments (a location cannot control what it receives), exchanged as the
@@ -14,11 +14,10 @@ other locations' variables frozen; in particular the receivers' capacity-
 satisfaction rows bound a sender's shipments by the receivers' published
 slack (:func:`receiver_slack`), which is what lets the scheme discover
 capacity pooling across staggered demand peaks.  Slack is rationed equally
-among a receiver's potential senders so the parallel sweep cannot
-collectively over-subscribe it.  The sweep is Jacobi: all
-subproblems in one iteration read the same frozen state, so they are
-independent and may run concurrently; state crosses the iteration barrier
-by value only.
+among a receiver's potential senders so the senders cannot collectively
+over-subscribe it.  The sweep is Jacobi: all subproblems in one iteration
+read the same frozen state, so they are independent of each other and of
+the order they run in; the loop runs them serially, in location order.
 
 Each subproblem is minimized exactly by a sweep over the sorted kinks of its
 one-dimensional convex piecewise-quadratic objective (:class:`_LocationWorker`),
@@ -36,10 +35,8 @@ knapsack, solved by bisection on the budget multiplier).
 from __future__ import annotations
 
 import csv
-import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,18 +51,18 @@ from .model import (
     evaluate_objective,
 )
 
+# practical variable bounds: installed capacity (kW) and vehicles per cell
+CAPACITY_CAP = 1e7
+ASSIGNMENT_CAP = 1e4
+
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    """Penalty, stopping rule, and practical variable bounds."""
+    """Penalty and stopping rule of the consensus loop."""
 
     rho: float = 0.1
     max_iterations: int = 200
     threshold: float = 1e-4
-    workers: int = 1
-    capacity_cap: float = 1e7
-    assignment_cap: float = 1e4
-    enforce_budget: bool = True
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -83,19 +80,6 @@ class IterationRecord:
     q_dual: float
     objective: float
     wall_ms: float
-
-
-@dataclass
-class AdmmState:
-    """Mutable per-iteration state of the consensus loop."""
-
-    iteration: int
-    c: np.ndarray
-    c_tilde: np.ndarray
-    lam: np.ndarray
-    z: np.ndarray  # (T, n, n) assignment tensor
-    z_in: np.ndarray  # (T, n) frozen delayed inflows
-    history: list[IterationRecord] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -133,9 +117,9 @@ class _LocationWorker:
     number of in-range neighbors.
     """
 
-    def __init__(self, instance: PlanningInstance, i: int, config: AdmmConfig):
+    def __init__(self, instance: PlanningInstance, i: int, rho: float):
         self.i = i
-        self.rho = config.rho
+        self.rho = rho
         self.beta = instance.beta
         mask = instance.forbidden_mask()[i]
         self.neighbors = np.nonzero(~mask)[0]
@@ -143,13 +127,18 @@ class _LocationWorker:
         order = np.argsort(costs, kind="stable")
         self.neighbors = self.neighbors[order]
         self.unit_costs = costs[order]
-        self.cell_cap = config.assignment_cap
+        self.cell_cap = ASSIGNMENT_CAP
         self.demand = instance.charging_demand[:, i].copy()  # (T,)
         self.recurrence = instance.recurrence
         self.invest_cost = float(instance.unit_investment_cost[i])
-        self.c_max = float(min(instance.capacity_max[i], config.capacity_cap))
+        self.c_max = float(min(instance.capacity_max[i], CAPACITY_CAP))
         self.n_locations = instance.n_locations
         self.n_slots = instance.n_slots
+        # (T, m): the slot in which a shipment leaving in slot t reaches each
+        # sorted neighbor, for gathering per-receiver slack in arrival terms
+        self.arrival = (
+            np.arange(self.n_slots)[:, None] + instance.delay[i, self.neighbors][None, :]
+        ) % self.n_slots
         # (T, m): how much the shipping-cost slope in c falls while slot t's
         # required outflow lies past the start of knapsack segment k
         # (unit costs ascend, so every entry is non-negative)
@@ -238,7 +227,6 @@ def solve_subproblem(
     lambda_i: float,
     inflow_i: np.ndarray,
     rho: float,
-    config: AdmmConfig | None = None,
     receiver_caps: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, float]:
     """One location's primal update given frozen inflow parameters.
@@ -252,16 +240,10 @@ def solve_subproblem(
     optimal capacity, the (T, n) outgoing-assignment rows, and the local
     cost ``f_i`` at the optimum.
     """
-    cfg = config or AdmmConfig(rho=rho)
-    if cfg.rho != rho:
-        cfg = dataclasses.replace(cfg, rho=rho)
-    worker = _LocationWorker(instance, i, cfg)
+    worker = _LocationWorker(instance, i, rho)
     caps = None
     if receiver_caps is not None:
-        T = instance.n_slots
-        js = worker.neighbors
-        arr = (np.arange(T)[:, None] + instance.delay[i, js][None, :]) % T
-        caps = receiver_caps[arr, js[None, :]]
+        caps = receiver_caps[worker.arrival, worker.neighbors]
     return worker.solve(c_tilde_i, lambda_i, inflow_i, caps)
 
 
@@ -269,7 +251,7 @@ def receiver_slack(
     instance: PlanningInstance,
     c_tilde: np.ndarray,
     z: np.ndarray,
-    inflow: np.ndarray | None = None,
+    inflow: np.ndarray,
 ) -> np.ndarray:
     """Per-(slot, location) spare vehicle capacity under the frozen state.
 
@@ -277,24 +259,10 @@ def receiver_slack(
     negative entries mean the frozen state over-subscribes location j.  A
     sender reading this matrix must add back its own frozen contribution to
     j's inflow before capping, so its previous shipments do not block it.
-    ``inflow`` is ``delayed_inflow(z, instance.delay)`` when the caller
-    already holds it; ``None`` computes it here.
+    ``inflow`` is ``delayed_inflow(z, instance.delay)``.
     """
-    if inflow is None:
-        inflow = delayed_inflow(z, instance.delay)
     net = instance.charging_demand - z.sum(axis=2) + inflow
     return c_tilde[None, :] / instance.beta - net
-
-
-def _demand_floor(
-    instance: PlanningInstance, z: np.ndarray, inflow: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-location lower bound on auxiliary capacity implied by fixed Z."""
-    outflow = z.sum(axis=2)
-    if inflow is None:
-        inflow = delayed_inflow(z, instance.delay)
-    net = instance.charging_demand - outflow + inflow
-    return np.maximum(0.0, instance.beta * net.max(axis=0))
 
 
 def solve_master(
@@ -303,21 +271,20 @@ def solve_master(
     lam: np.ndarray,
     z: np.ndarray,
     rho: float,
-    config: AdmmConfig | None = None,
-    inflow: np.ndarray | None = None,
+    inflow: np.ndarray,
 ) -> tuple[np.ndarray, bool]:
-    """Auxiliary-capacity update; closed form plus optional budget projection.
+    """Auxiliary-capacity update; closed form plus budget projection.
 
     With Z fixed, the capacity-satisfaction constraint reduces to the bound
     ``c_tilde_i >= D_i`` with ``D_i`` the peak net load, so the minimizer of
     the quadratic master objective is ``max(c_i - lambda_i / rho, D_i)``
-    clipped to the capacity ceiling.  ``inflow`` is Z's delayed inflow when
-    the caller already holds it (``None`` computes it).  Returns the update
-    and whether the budget projection was active.
+    clipped to the capacity ceiling.  ``inflow`` is Z's delayed inflow,
+    ``delayed_inflow(z, instance.delay)``.  Returns the update and whether
+    the budget projection was active.
     """
-    cfg = config or AdmmConfig(rho=rho)
-    d = _demand_floor(instance, z, inflow)
-    cap = np.minimum(instance.capacity_max, cfg.capacity_cap)
+    net = instance.charging_demand - z.sum(axis=2) + inflow
+    d = np.maximum(0.0, instance.beta * net.max(axis=0))
+    cap = np.minimum(instance.capacity_max, CAPACITY_CAP)
     if np.any(d > cap + 1e-9 * np.maximum(1.0, cap)):
         i = int(np.argmax(d - cap))
         raise InfeasibleProblemError(
@@ -327,26 +294,23 @@ def solve_master(
     d = np.minimum(d, cap)
     c_tilde = np.clip(c - lam / rho, d, cap)
 
-    binding = False
-    if cfg.enforce_budget:
-        w = instance.unit_investment_cost
-        if float(w @ c_tilde) > instance.budget + 1e-9 * max(1.0, instance.budget):
-            if float(w @ d) > instance.budget + 1e-9 * max(1.0, instance.budget):
-                raise InfeasibleProblemError(
-                    "master infeasible: demand floor alone exceeds the budget"
-                )
-            binding = True
-            lo, hi = 0.0, 1.0
-            while float(w @ np.clip(c - (lam + hi * w) / rho, d, cap)) > instance.budget:
-                hi *= 2.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if float(w @ np.clip(c - (lam + mid * w) / rho, d, cap)) > instance.budget:
-                    lo = mid
-                else:
-                    hi = mid
-            c_tilde = np.clip(c - (lam + hi * w) / rho, d, cap)
-    return c_tilde, binding
+    w = instance.unit_investment_cost
+    if float(w @ c_tilde) <= instance.budget + 1e-9 * max(1.0, instance.budget):
+        return c_tilde, False
+    if float(w @ d) > instance.budget + 1e-9 * max(1.0, instance.budget):
+        raise InfeasibleProblemError(
+            "master infeasible: demand floor alone exceeds the budget"
+        )
+    lo, hi = 0.0, 1.0
+    while float(w @ np.clip(c - (lam + hi * w) / rho, d, cap)) > instance.budget:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(w @ np.clip(c - (lam + mid * w) / rho, d, cap)) > instance.budget:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(c - (lam + hi * w) / rho, d, cap), True
 
 
 def update_multipliers(
@@ -386,23 +350,19 @@ def run_admm(
     """
     cfg = config or AdmmConfig()
     n, T = instance.n_locations, instance.n_slots
-    workers = [_LocationWorker(instance, i, cfg) for i in range(n)]
+    workers = [_LocationWorker(instance, i, cfg.rho) for i in range(n)]
 
     # Anchor the auxiliary capacities at the no-assignment floor (each
     # location covers its own peak); the loop then ratchets capacity down
     # through published slack instead of bootstrapping from zero.
-    c0 = np.minimum(
-        _demand_floor(instance, np.zeros((T, n, n))),
-        np.minimum(instance.capacity_max, cfg.capacity_cap),
+    c_tilde = np.minimum(
+        instance.beta * instance.charging_demand.max(axis=0),
+        np.minimum(instance.capacity_max, CAPACITY_CAP),
     )
-    state = AdmmState(
-        iteration=0,
-        c=c0.copy(),
-        c_tilde=c0,
-        lam=np.zeros(n),
-        z=np.zeros((T, n, n)),
-        z_in=np.zeros((T, n)),
-    )
+    lam = np.zeros(n)
+    z = np.zeros((T, n, n))
+    z_in = np.zeros((T, n))
+    history: list[IterationRecord] = []
     w_cost = instance.unit_investment_cost
     assign_weight = np.where(instance.forbidden_mask(), 0.0, instance.assign_cost)
     in_degree = (~instance.forbidden_mask()).sum(axis=0).astype(float)
@@ -416,81 +376,49 @@ def run_admm(
     converged = False
     budget_binding = False
     best = None  # (objective, c_tilde, z)
-    q_primal = q_dual = float("inf")
-    executor = ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
-    try:
-        for k in range(1, cfg.max_iterations + 1):
-            it_start = time.perf_counter()
+    for k in range(1, cfg.max_iterations + 1):
+        it_start = time.perf_counter()
 
-            # Published slack is rationed equally among a receiver's
-            # potential senders so the parallel sweep cannot over-subscribe
-            # it; each sender's own frozen shipments are added back since
-            # that share of the receiver's inflow is its to reallocate.
-            slack = receiver_slack(instance, state.c_tilde, state.z, state.z_in)
-            shared = np.maximum(slack, 0.0) / np.maximum(in_degree, 1)[None, :]
-            t_idx = np.arange(T)
+        # Published slack is rationed equally among a receiver's potential
+        # senders so the sweep cannot over-subscribe it; each sender's own
+        # frozen shipments are added back since that share of the
+        # receiver's inflow is its to reallocate.
+        slack = receiver_slack(instance, c_tilde, z, z_in)
+        shared = np.maximum(slack, 0.0) / np.maximum(in_degree, 1)[None, :]
+        results = [
+            w.solve(float(c_tilde[w.i]), float(lam[w.i]), z_in[:, w.i],
+                    shared[w.arrival, w.neighbors] + z[:, w.i, w.neighbors])
+            for w in workers
+        ]
+        c = np.array([r[0] for r in results])
+        z = np.stack([r[1] for r in results], axis=1)  # (T, n, n)
 
-            def solve_one(i):
-                w = workers[i]
-                js = w.neighbors
-                arr = (t_idx[:, None] + instance.delay[i, js][None, :]) % T
-                caps = shared[arr, js[None, :]] + state.z[:, i, js]
-                return w.solve(
-                    float(state.c_tilde[i]), float(state.lam[i]),
-                    state.z_in[:, i], caps,
-                )
+        z_in = transform_inflows(z, instance.delay)
+        c_tilde, binding = solve_master(instance, c, lam, z, cfg.rho, z_in)
+        budget_binding = budget_binding or binding
+        lam_prev, lam = lam, update_multipliers(lam, c_tilde, c, cfg.rho)
 
-            if executor is not None:
-                results = list(executor.map(solve_one, range(n)))
-            else:
-                results = [solve_one(i) for i in range(n)]
-            c_new = np.array([r[0] for r in results])
-            z_new = np.stack([r[1] for r in results], axis=1)  # (T, n, n)
+        # Q_dual is the multiplier movement entering this iteration; on the
+        # very first pass no earlier movement exists, so the current step is
+        # used (zero exactly when the loop starts at a fixed point).
+        q_primal, step_dual = residuals(c_tilde, c, lam, lam_prev)
+        q_dual = step_dual if k == 1 else prev_step_dual
+        prev_step_dual = step_dual
 
-            z_in_new = transform_inflows(z_new, instance.delay)
-            c_tilde_new, binding = solve_master(
-                instance, c_new, state.lam, z_new, cfg.rho, cfg, z_in_new
+        obj = assembled_objective(c_tilde, z)
+        history.append(
+            IterationRecord(
+                k, q_primal, q_dual, obj, 1000.0 * (time.perf_counter() - it_start)
             )
-            budget_binding = budget_binding or binding
-            lam_new = update_multipliers(state.lam, c_tilde_new, c_new, cfg.rho)
-
-            # Q_dual is the multiplier movement entering this iteration; on
-            # the very first pass no earlier movement exists, so the current
-            # step is used (zero exactly when the loop starts at a fixed point).
-            q_primal, step_dual = residuals(c_tilde_new, c_new, lam_new, state.lam)
-            if k == 1:
-                q_dual = step_dual
-            else:
-                q_dual = prev_step_dual
-            prev_step_dual = step_dual
-
-            state = AdmmState(
-                iteration=k,
-                c=c_new,
-                c_tilde=c_tilde_new,
-                lam=lam_new,
-                z=z_new,
-                z_in=z_in_new,
-                history=state.history,
-            )
-            obj = assembled_objective(c_tilde_new, z_new)
-            state.history.append(
-                IterationRecord(
-                    k, q_primal, q_dual, obj,
-                    1000.0 * (time.perf_counter() - it_start),
-                )
-            )
-            if best is None or obj < best[0]:
-                best = (obj, c_tilde_new.copy(), z_new.copy())
-            if q_primal <= cfg.threshold and q_dual <= cfg.threshold:
-                converged = True
-                break
-    finally:
-        if executor is not None:
-            executor.shutdown()
+        )
+        if best is None or obj < best[0]:
+            best = (obj, c_tilde, z)
+        if q_primal <= cfg.threshold and q_dual <= cfg.threshold:
+            converged = True
+            break
 
     if converged:
-        c_final, z_final = state.c_tilde, state.z
+        c_final, z_final = c_tilde, z
     else:
         _, c_final, z_final = best
 
@@ -501,7 +429,7 @@ def run_admm(
     wall = time.perf_counter() - start
     stats = {
         "method": "admm",
-        "iterations": state.iteration,
+        "iterations": k,
         "converged": converged,
         "rho": cfg.rho,
         "threshold": cfg.threshold,
@@ -511,10 +439,10 @@ def run_admm(
     solution = Solution(inv, asg, cost, report, stats)
     convergence = ConvergenceReport(
         converged=converged,
-        iterations=state.iteration,
+        iterations=k,
         q_primal=q_primal,
         q_dual=q_dual,
-        history=state.history,
+        history=history,
         wall_time_s=wall,
         budget_binding=budget_binding,
     )

@@ -74,6 +74,13 @@ def _section(config: dict, name: str, cls):
     unknown = set(data) - names
     if unknown:
         raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
+    for f in dataclasses.fields(cls):
+        # JSON's 4.0 and true are not integers; int fields take only ints
+        if type(f.default) is int and f.name in data and type(data[f.name]) is not int:
+            raise ConfigError(
+                f"invalid config section {name!r}: {f.name} must be an integer, "
+                f"got {data[f.name]!r}"
+            )
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:

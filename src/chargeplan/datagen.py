@@ -20,6 +20,7 @@ above), so callers can reconstruct the labeling without extra metadata.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,23 +142,7 @@ def with_range_limit(
         else:
             price_per_km = 0.2
     cost = assignment_costs(instance.distance, price_per_km, range_km)
-    return PlanningInstance(
-        n_locations=instance.n_locations,
-        n_slots=instance.n_slots,
-        flow=instance.flow,
-        alpha=instance.alpha,
-        beta=instance.beta,
-        assign_cost=cost,
-        delay=instance.delay,
-        base_cost=instance.base_cost,
-        location_cost=instance.location_cost,
-        budget=instance.budget,
-        capacity_max=instance.capacity_max,
-        recurrence=instance.recurrence,
-        range_limit=range_km,
-        distance=instance.distance,
-        coordinates=instance.coordinates,
-    )
+    return dataclasses.replace(instance, assign_cost=cost, range_limit=range_km)
 
 
 def generate_instance(params: GenParams) -> PlanningInstance:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import chargeplan.admm
 from chargeplan.admm import (
+    ASSIGNMENT_CAP,
     AdmmConfig,
     _LocationWorker,
     receiver_slack,
@@ -252,7 +253,7 @@ def subproblem_cases(draw):
     if bound != "loose":
         # c_lb: the capacity that covers the demand left after maximal outflow
         demand = inst.charging_demand[:, i]
-        cell_caps = np.full((T, m), AdmmConfig().assignment_cap) if caps is None else caps
+        cell_caps = np.full((T, m), ASSIGNMENT_CAP) if caps is None else caps
         shipped = cell_caps.sum(axis=1)
         c_lb = float(max(0.0, beta * np.max(demand + inflow - np.minimum(demand, shipped))))
         c_max = c_lb if bound == "tight" else float(rng.uniform(0.0, 2.0 * c_lb + 5.0))
@@ -262,7 +263,7 @@ def subproblem_cases(draw):
     lam = draw(st.one_of(st.floats(-2.0, 2.0), st.floats(-1e6, 1e6)))
     c_tilde = draw(st.one_of(st.floats(-20.0, 40.0), st.sampled_from([-1e3, 1e8])))
     rho = draw(st.sampled_from([0.1, 1.0]))
-    return inst, i, AdmmConfig(rho=rho), c_tilde, lam, inflow, caps
+    return inst, i, rho, c_tilde, lam, inflow, caps
 
 
 class TestKinkSweep:
@@ -271,8 +272,8 @@ class TestKinkSweep:
     @given(case=subproblem_cases())
     @settings(max_examples=400, deadline=None)
     def test_matches_grid_evaluation(self, case):
-        inst, i, cfg, c_tilde, lam, inflow, caps = case
-        worker = _LocationWorker(inst, i, cfg)
+        inst, i, rho, c_tilde, lam, inflow, caps = case
+        worker = _LocationWorker(inst, i, rho)
         try:
             ref = grid_solve(worker, c_tilde, lam, inflow, caps)
         except InfeasibleProblemError:
@@ -285,7 +286,7 @@ class TestKinkSweep:
         # eps * (c_max + |c_tilde| + |w - lam| / rho) of absolute accuracy;
         # z and f inherit that error through slopes 1/beta and w + r.u/beta.
         c_atol = 64 * np.finfo(float).eps * max(
-            1.0, worker.c_max, abs(c_tilde), abs(worker.invest_cost - lam) / cfg.rho
+            1.0, worker.c_max, abs(c_tilde), abs(worker.invest_cost - lam) / rho
         )
         z_atol = c_atol / inst.beta if inst.beta > 0 else 0.0
         f_atol = worker.invest_cost * c_atol + z_atol * float(
@@ -300,7 +301,8 @@ class TestSolveMaster:
     def test_closed_form_pull_toward_c(self):
         inst = make_instance(np.zeros((1, 1)))
         c_tilde, binding = solve_master(
-            inst, np.array([10.0]), np.array([0.2]), np.zeros((1, 1, 1)), rho=0.1
+            inst, np.array([10.0]), np.array([0.2]), np.zeros((1, 1, 1)), rho=0.1,
+            inflow=np.zeros((1, 1)),
         )
         assert c_tilde[0] == pytest.approx(8.0)  # 10 - 0.2 / 0.1
         assert not binding
@@ -308,7 +310,8 @@ class TestSolveMaster:
     def test_demand_floor_binds(self):
         inst = make_instance([[7.0]], beta=1.0)
         c_tilde, _ = solve_master(
-            inst, np.array([3.0]), np.array([0.0]), np.zeros((1, 1, 1)), rho=0.1
+            inst, np.array([3.0]), np.array([0.0]), np.zeros((1, 1, 1)), rho=0.1,
+            inflow=np.zeros((1, 1)),
         )
         assert c_tilde[0] == pytest.approx(7.0)
 
@@ -318,7 +321,8 @@ class TestSolveMaster:
         z = np.zeros((1, 2, 2))
         z[0, 0, 1] = 4.0
         c_tilde, _ = solve_master(
-            inst, np.zeros(2), np.zeros(2), z, rho=0.1
+            inst, np.zeros(2), np.zeros(2), z, rho=0.1,
+            inflow=delayed_inflow(z, inst.delay),
         )
         assert c_tilde[0] == pytest.approx(3.0)  # 7 - 4 shipped away
         assert c_tilde[1] == pytest.approx(4.0)  # receives 4
@@ -326,7 +330,8 @@ class TestSolveMaster:
     def test_budget_projection_activates(self):
         inst = make_instance(np.zeros((1, 2)), base_cost=1.0, budget=10.0)
         c_tilde, binding = solve_master(
-            inst, np.array([20.0, 20.0]), np.zeros(2), np.zeros((1, 2, 2)), rho=0.1
+            inst, np.array([20.0, 20.0]), np.zeros(2), np.zeros((1, 2, 2)), rho=0.1,
+            inflow=np.zeros((1, 2)),
         )
         assert binding
         assert float(inst.unit_investment_cost @ c_tilde) <= 10.0 + 1e-6
@@ -335,7 +340,8 @@ class TestSolveMaster:
         inst = make_instance([[10.0]], beta=1.0, base_cost=1.0, budget=5.0)
         with pytest.raises(InfeasibleProblemError, match="budget"):
             solve_master(
-                inst, np.array([10.0]), np.zeros(1), np.zeros((1, 1, 1)), rho=0.1
+                inst, np.array([10.0]), np.zeros(1), np.zeros((1, 1, 1)), rho=0.1,
+                inflow=np.zeros((1, 1)),
             )
 
     @pytest.mark.parametrize("seed", range(10))
@@ -355,7 +361,7 @@ class TestSolveMaster:
         if float(inst.unit_investment_cost @ d) > budget:
             return  # oracle domain empty; covered by the raising test above
 
-        c_tilde, _ = solve_master(inst, c, lam, np.zeros((2, n, n)), rho)
+        c_tilde, _ = solve_master(inst, c, lam, np.zeros((2, n, n)), rho, np.zeros((2, n)))
 
         w = inst.unit_investment_cost
         x = d.copy()
@@ -397,7 +403,9 @@ class TestMultipliersAndResiduals:
 class TestReceiverSlack:
     def test_zero_state_slack_is_capacity_minus_demand(self):
         inst = make_instance([[4.0, 1.0]], beta=2.0)
-        slack = receiver_slack(inst, np.array([10.0, 2.0]), np.zeros((1, 2, 2)))
+        slack = receiver_slack(
+            inst, np.array([10.0, 2.0]), np.zeros((1, 2, 2)), np.zeros((1, 2))
+        )
         np.testing.assert_allclose(slack, [[1.0, 0.0]])  # 10/2 - 4, 2/2 - 1
 
 
@@ -414,29 +422,8 @@ class TestInflowReuse:
         inst = random_instance(rng, n=4, T=6, forbid_frac=0.2)
         _, conv = run_admm(inst, AdmmConfig(max_iterations=40))
         assert conv.iterations >= 2
-        # the exchange once per iteration, plus the initial demand floor
-        assert len(calls) <= conv.iterations + 1
-
-    @pytest.mark.parametrize("binding", [False, True])
-    def test_precomputed_inflow_changes_nothing(self, binding):
-        rng = np.random.default_rng(4)
-        inst = random_instance(rng, n=4, T=6, forbid_frac=0.2)
-        z = rng.uniform(0.0, 1.0, size=(6, 4, 4)) * ~inst.forbidden_mask()[None]
-        inflow = delayed_inflow(z, inst.delay)
-        c_tilde = rng.uniform(5.0, 10.0, size=4)
-        np.testing.assert_array_equal(
-            receiver_slack(inst, c_tilde, z, inflow=inflow),
-            receiver_slack(inst, c_tilde, z),
-        )
-        c, lam = rng.uniform(0.0, 50.0, size=4), rng.uniform(-1.0, 1.0, size=4)
-        if binding:  # a budget just above the demand floor's cost
-            floor = inst.beta * (inst.charging_demand - z.sum(axis=2) + inflow).max(axis=0)
-            budget = float(inst.unit_investment_cost @ np.maximum(floor, 0.0)) + 1.0
-            inst = dataclasses.replace(inst, budget=budget)
-        fresh, fresh_binding = solve_master(inst, c, lam, z, 0.1)
-        reused, reused_binding = solve_master(inst, c, lam, z, 0.1, inflow=inflow)
-        np.testing.assert_array_equal(reused, fresh)
-        assert reused_binding == fresh_binding == binding
+        # the exchange, once per iteration, is the only gather
+        assert len(calls) == conv.iterations
 
 
 class TestRunAdmm:
@@ -511,14 +498,3 @@ class TestRunAdmm:
         invest = float(sol.investment.capacity @ inst.unit_investment_cost)
         assert invest <= 18.5 + 1e-6
         assert sol.feasibility.feasible
-
-    def test_threaded_sweep_matches_serial(self):
-        rng = np.random.default_rng(77)
-        inst = random_instance(rng, n=4, T=6, forbid_frac=0.2)
-        sol1, conv1 = run_admm(inst, AdmmConfig(workers=1))
-        sol4, conv4 = run_admm(inst, AdmmConfig(workers=4))
-        assert conv4.iterations == conv1.iterations
-        np.testing.assert_allclose(
-            sol4.investment.capacity, sol1.investment.capacity, atol=1e-12
-        )
-        np.testing.assert_allclose(sol4.assignment.z, sol1.assignment.z, atol=1e-12)

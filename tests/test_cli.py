@@ -99,6 +99,12 @@ class TestGenerate:
         assert run("--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "x"), "generate") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("value", [4.0, True, "4"])
+    def test_non_integer_int_field_exit_2(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {"generate": {"n_locations": value}})
+        assert run("--config", str(cfg), "--out", str(tmp_path / "x"), "generate") == EXIT_CONFIG
+        assert "n_locations must be an integer" in capsys.readouterr().err
+
 
 TRIPS_50 = Path(__file__).parent / "data" / "trips_50.csv"
 GRID_2X2 = {"binning": {"bbox": [0, 0, 1, 1], "rows": 2, "cols": 2}}
@@ -227,6 +233,29 @@ class TestSolve:
         path = tmp_path / "garbage.json"
         path.write_text("{}")
         assert run("--out", str(tmp_path / "o"), "solve", str(path)) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("doc, method", [
+        ({"admm": {"max_iterations": 10.0}}, "admm"),
+        ({"solver": {"backend": "simplex", "max_iterations": "x"}}, "centralized"),
+    ])
+    def test_non_integer_max_iterations_exit_2(self, tmp_path, capsys, instance_file,
+                                               doc, method):
+        cfg = write_config(tmp_path, doc)
+        code = run("--config", str(cfg), "--out", str(tmp_path / "sol"),
+                   "solve", str(instance_file), "--method", method)
+        assert code == EXIT_CONFIG
+        assert "max_iterations must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("workers", 2), ("enforce_budget", False),
+        ("capacity_cap", 1e7), ("assignment_cap", 1e4),
+    ])
+    def test_retired_admm_key_exit_2(self, tmp_path, capsys, instance_file, key, value):
+        cfg = write_config(tmp_path, {"admm": {key: value}})
+        code = run("--config", str(cfg), "--out", str(tmp_path / "sol"),
+                   "solve", str(instance_file), "--method", "admm")
+        assert code == EXIT_CONFIG
+        assert f"unknown keys in config section 'admm': ['{key}']" in capsys.readouterr().err
 
     def test_solver_config_section_respected(self, tmp_path, instance_file):
         cfg = write_config(tmp_path, {"solver": {"backend": "highs"}})
@@ -367,6 +396,12 @@ class TestCompare:
         code = run("--config", str(cfg), "--out", str(tmp_path / "c"), "compare",
                    str(instance_file), "--methods", "centralized")
         assert code == EXIT_NO_CONVERGENCE
+
+    def test_non_integer_max_iterations_exit_2(self, tmp_path, instance_file):
+        cfg = write_config(tmp_path, {"admm": {"max_iterations": 10.0}})
+        code = run("--config", str(cfg), "--out", str(tmp_path / "c"), "compare",
+                   str(instance_file), "--methods", "base,admm")
+        assert code == EXIT_CONFIG
 
     def test_non_converged_admm_exit_4_after_writing(self, tmp_path, instance_file):
         cfg = write_config(

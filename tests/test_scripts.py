@@ -1,0 +1,37 @@
+"""The experiment scripts run end to end on tiny instances."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_run_r_sweep():
+    proc = run_script("run_r_sweep.py", "--n-locations", "3", "--n-slots", "4")
+    assert proc.returncode == 0, proc.stderr
+    # the baseline line, the header and one row per default R value
+    assert len(proc.stdout.splitlines()) == 2 + 5
+
+
+def test_run_gap_experiment(tmp_path):
+    out = tmp_path / "gaps.csv"
+    proc = run_script("run_gap_experiment.py", "--seeds", "1", "--n-locations", "3",
+                      "--n-slots", "4", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["seed"] for row in rows] == ["0"]
