@@ -8,7 +8,7 @@ the same model with per-location subproblems for settings where demand data
 cannot be pooled.
 """
 
-from .admm import AdmmConfig, ConvergenceReport, run_admm, solve_subproblem
+from .admm import AdmmConfig, ConvergenceReport, run_admm
 from .central import (
     SolverConfig,
     build_lp,
@@ -60,6 +60,5 @@ __all__ = [
     "save_solution",
     "solve_base_model",
     "solve_centralized",
-    "solve_subproblem",
     "with_range_limit",
 ]

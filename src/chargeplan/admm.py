@@ -1,14 +1,16 @@
 """Distributed consensus solver for the joint planning problem.
 
-Each location owns its capacity ``c_i`` and outgoing assignments ``z[t, i, :]``
-and solves a local subproblem; a master step owns auxiliary capacity copies
+Each location owns its capacity ``c_i`` and its outgoing assignments, one per
+in-range edge of the instance's :class:`~chargeplan.model.RangeGraph`, and
+solves a local subproblem; a master step owns auxiliary capacity copies
 ``c_tilde`` and enforces that installed capacity covers the delay-aware net
 demand induced by the collected assignments.  Multipliers ``lambda_i`` price
 the consensus gap ``c_i - c_tilde_i``.
 
-Inflows seen by a subproblem are frozen at the previous iteration's
-assignments (a location cannot control what it receives), exchanged as the
-reindexed parameter tensor produced by :func:`transform_inflows`.  Every
+The iterate is a (T, E) array over the E edges; the dense (T, n, n) plan is
+built once, at the end.  Inflows seen by a subproblem are frozen at the
+previous iteration's assignments (a location cannot control what it
+receives), exchanged by :func:`transform_inflows` in O(T E).  Every
 constraint row of the joint problem appears in each subproblem with the
 other locations' variables frozen; in particular the receivers' capacity-
 satisfaction rows bound a sender's shipments by the receivers' published
@@ -22,9 +24,8 @@ the order they run in; the loop runs them serially, in location order.
 Each subproblem is minimized exactly by a sweep over the sorted kinks of its
 one-dimensional convex piecewise-quadratic objective (:class:`_LocationWorker`),
 which costs O(T m log(T m)) time and O(T m) memory for a location with ``m``
-in-range neighbors over ``T`` slots.  The delayed inflow of each iterate is
-gathered once, by the exchange, and reused for the next sweep's receiver
-slack and for the master's demand floor.
+in-range neighbors over ``T`` slots.  Each iterate's delayed inflow and net
+demand are computed once and reused by the master and the next sweep.
 
 The global budget couples locations and is therefore not enforced inside
 subproblems; the master checks it each iteration and, when binding, projects
@@ -45,9 +46,9 @@ from .model import (
     InfeasibleProblemError,
     InvestmentPlan,
     PlanningInstance,
+    RangeGraph,
     Solution,
     check_feasibility,
-    delayed_inflow,
     evaluate_objective,
 )
 
@@ -93,13 +94,12 @@ class ConvergenceReport:
     budget_binding: bool = False
 
 
-def transform_inflows(z: np.ndarray, delay: np.ndarray) -> np.ndarray:
-    """Reindex assignments into per-location delayed inflow parameters.
+def transform_inflows(z: np.ndarray, graph: RangeGraph) -> np.ndarray:
+    """(T, n) delayed inflow of (T, E) edge assignments: one gather, one bincount.
 
-    ``out[t, i] = sum_j z[(t - delay[j, i]) mod T, j, i]``; pure gather,
-    no optimization.  Conserves the vehicle total of ``z``.
+    Equals :func:`~chargeplan.model.delayed_inflow` of the dense plan bit for bit.
     """
-    return delayed_inflow(z, delay)
+    return graph.inflow(z)
 
 
 class _LocationWorker:
@@ -114,31 +114,27 @@ class _LocationWorker:
     some slot's required outflow crosses a knapsack segment boundary.  A
     sweep over the sorted kinks that accumulates the slope finds the exact
     minimizer in O(T m log(T m)) time and O(T m) memory, with ``m`` the
-    number of in-range neighbors.
+    number of in-range neighbors: its graph ``edges`` sorted by cost.
     """
 
     def __init__(self, instance: PlanningInstance, i: int, rho: float):
         self.i = i
         self.rho = rho
         self.beta = instance.beta
-        mask = instance.forbidden_mask()[i]
-        self.neighbors = np.nonzero(~mask)[0]
-        costs = instance.assign_cost[i, self.neighbors]
-        order = np.argsort(costs, kind="stable")
-        self.neighbors = self.neighbors[order]
-        self.unit_costs = costs[order]
+        graph = instance.range_graph
+        lo, hi = graph.offsets[i], graph.offsets[i + 1]
+        self.edges = lo + np.argsort(graph.cost[lo:hi], kind="stable")
+        self.neighbors = graph.dst[self.edges]
+        self.unit_costs = graph.cost[self.edges]
         self.cell_cap = ASSIGNMENT_CAP
         self.demand = instance.charging_demand[:, i].copy()  # (T,)
         self.recurrence = instance.recurrence
         self.invest_cost = float(instance.unit_investment_cost[i])
         self.c_max = float(min(instance.capacity_max[i], CAPACITY_CAP))
-        self.n_locations = instance.n_locations
-        self.n_slots = instance.n_slots
+        self.n_slots = T = instance.n_slots
         # (T, m): the slot in which a shipment leaving in slot t reaches each
         # sorted neighbor, for gathering per-receiver slack in arrival terms
-        self.arrival = (
-            np.arange(self.n_slots)[:, None] + instance.delay[i, self.neighbors][None, :]
-        ) % self.n_slots
+        self.arrival = (np.arange(T)[:, None] + graph.delay[self.edges]) % T
         # (T, m): how much the shipping-cost slope in c falls while slot t's
         # required outflow lies past the start of knapsack segment k
         # (unit costs ascend, so every entry is non-negative)
@@ -154,11 +150,12 @@ class _LocationWorker:
         inflow: np.ndarray,
         caps: np.ndarray | None = None,
     ) -> tuple[float, np.ndarray, float]:
-        """Minimize the augmented local objective; returns (c_i, z rows, f_i).
+        """Minimize ``f_i - lam * c + (rho/2) * (c_tilde - c)^2``; (c_i, alloc, f_i).
 
-        ``caps`` is a (T, n_neighbors) matrix of per-slot shipping limits in
-        sorted-neighbor order (receiver slack from the frozen state); when
-        omitted only the hard per-cell bound applies.
+        ``inflow`` is the (T,) frozen arrivals and ``caps`` a (T, m) matrix of
+        per-slot shipping limits on ``edges`` (receiver slack from the frozen
+        state); when omitted only the hard per-cell bound applies.  ``alloc``
+        is the (T, m) shipment on ``edges``, ``f_i`` the unaugmented cost.
         """
         T, m = self.n_slots, len(self.neighbors)
         if caps is None:
@@ -195,73 +192,39 @@ class _LocationWorker:
             active = kinks > c_lb
             inside = active & (kinks < self.c_max)
             order = np.argsort(kinks[inside])
-            edges = np.concatenate([[c_lb], kinks[inside][order], [self.c_max]])
+            breaks = np.concatenate([[c_lb], kinks[inside][order], [self.c_max]])
             steps = self.slope_steps[inside][order]
             slope0 -= float(self.slope_steps[active].sum())
             slopes = slope0 + np.concatenate([[0.0], np.cumsum(steps)])
         else:
-            edges = np.array([c_lb, self.c_max])
+            breaks = np.array([c_lb, self.c_max])
             slopes = np.array([slope0])
-        # the stationary points descend while the interval edges ascend; the
+        # the stationary points descend while the interval ends ascend; the
         # first interval whose stationary point does not overshoot its right
-        # edge holds the minimizer (the last one when every point overshoots)
+        # end holds the minimizer (the last one when every point overshoots)
         stationary = c_tilde - slopes / self.rho
-        hits = np.flatnonzero(stationary <= edges[1:])
+        hits = np.flatnonzero(stationary <= breaks[1:])
         j = int(hits[0]) if hits.size else len(slopes) - 1
-        c_opt = float(min(max(stationary[j], edges[j]), edges[j + 1]))
+        c_opt = float(min(max(stationary[j], breaks[j]), breaks[j + 1]))
 
-        z_rows = np.zeros((T, self.n_locations))
+        alloc = np.zeros((T, m))
         local_cost = self.invest_cost * c_opt
         if self.beta > 0 and m > 0:
             s = np.clip(need - c_opt / self.beta, 0.0, out_cap)  # (T,)
             alloc = np.clip(s[:, None] - qty[:, :-1], 0.0, caps)
-            z_rows[:, self.neighbors] = alloc
             local_cost += float(self.recurrence @ (alloc @ self.unit_costs))
-        return c_opt, z_rows, local_cost
-
-
-def solve_subproblem(
-    instance: PlanningInstance,
-    i: int,
-    c_tilde_i: float,
-    lambda_i: float,
-    inflow_i: np.ndarray,
-    rho: float,
-    receiver_caps: np.ndarray | None = None,
-) -> tuple[float, np.ndarray, float]:
-    """One location's primal update given frozen inflow parameters.
-
-    Minimizes ``f_i(z, c) - lambda_i * c + (rho/2) * (c_tilde_i - c)^2``
-    subject to the constraint rows touching the location's own variables:
-    its flow-conservation and capacity-satisfaction rows, plus the
-    receivers' capacity-satisfaction rows with every other sender frozen,
-    which bound shipments by ``receiver_caps`` (a (T, n) per-slot slack
-    matrix in arrival-slot terms; ``None`` means uncapped).  Returns the
-    optimal capacity, the (T, n) outgoing-assignment rows, and the local
-    cost ``f_i`` at the optimum.
-    """
-    worker = _LocationWorker(instance, i, rho)
-    caps = None
-    if receiver_caps is not None:
-        caps = receiver_caps[worker.arrival, worker.neighbors]
-    return worker.solve(c_tilde_i, lambda_i, inflow_i, caps)
+        return c_opt, alloc, local_cost
 
 
 def receiver_slack(
-    instance: PlanningInstance,
-    c_tilde: np.ndarray,
-    z: np.ndarray,
-    inflow: np.ndarray,
+    instance: PlanningInstance, c_tilde: np.ndarray, net: np.ndarray
 ) -> np.ndarray:
     """Per-(slot, location) spare vehicle capacity under the frozen state.
 
-    ``slack[t, j] = c_tilde_j / beta - (demand - outflow + inflow)[t, j]``;
-    negative entries mean the frozen state over-subscribes location j.  A
-    sender reading this matrix must add back its own frozen contribution to
-    j's inflow before capping, so its previous shipments do not block it.
-    ``inflow`` is ``delayed_inflow(z, instance.delay)``.
+    ``slack[t, j] = c_tilde_j / beta - net[t, j]`` for the frozen net demand
+    ``demand - outflow + inflow``; negative entries mean j is over-subscribed.
+    A sender must add back its own frozen shipments to j before capping.
     """
-    net = instance.charging_demand - z.sum(axis=2) + inflow
     return c_tilde[None, :] / instance.beta - net
 
 
@@ -269,20 +232,18 @@ def solve_master(
     instance: PlanningInstance,
     c: np.ndarray,
     lam: np.ndarray,
-    z: np.ndarray,
+    net: np.ndarray,
     rho: float,
-    inflow: np.ndarray,
 ) -> tuple[np.ndarray, bool]:
     """Auxiliary-capacity update; closed form plus budget projection.
 
     With Z fixed, the capacity-satisfaction constraint reduces to the bound
     ``c_tilde_i >= D_i`` with ``D_i`` the peak net load, so the minimizer of
     the quadratic master objective is ``max(c_i - lambda_i / rho, D_i)``
-    clipped to the capacity ceiling.  ``inflow`` is Z's delayed inflow,
-    ``delayed_inflow(z, instance.delay)``.  Returns the update and whether
-    the budget projection was active.
+    clipped to the capacity ceiling.  ``net`` is Z's (T, n) net demand
+    ``demand - outflow + inflow``.  Returns the update and whether the
+    budget projection was active.
     """
-    net = instance.charging_demand - z.sum(axis=2) + inflow
     d = np.maximum(0.0, instance.beta * net.max(axis=0))
     cap = np.minimum(instance.capacity_max, CAPACITY_CAP)
     if np.any(d > cap + 1e-9 * np.maximum(1.0, cap)):
@@ -350,27 +311,24 @@ def run_admm(
     """
     cfg = config or AdmmConfig()
     n, T = instance.n_locations, instance.n_slots
+    graph = instance.range_graph
     workers = [_LocationWorker(instance, i, cfg.rho) for i in range(n)]
+    # where the workers' allocations, taken in location order, sit in z
+    sweep_edges = np.concatenate([w.edges for w in workers])
+    demand = instance.charging_demand
 
     # Anchor the auxiliary capacities at the no-assignment floor (each
     # location covers its own peak); the loop then ratchets capacity down
     # through published slack instead of bootstrapping from zero.
-    c_tilde = np.minimum(
-        instance.beta * instance.charging_demand.max(axis=0),
-        np.minimum(instance.capacity_max, CAPACITY_CAP),
-    )
+    cap = np.minimum(instance.capacity_max, CAPACITY_CAP)
+    c_tilde = np.minimum(instance.beta * demand.max(axis=0), cap)
     lam = np.zeros(n)
-    z = np.zeros((T, n, n))
+    z = np.zeros((T, graph.n_edges))
     z_in = np.zeros((T, n))
+    net = demand
     history: list[IterationRecord] = []
     w_cost = instance.unit_investment_cost
-    assign_weight = np.where(instance.forbidden_mask(), 0.0, instance.assign_cost)
-    in_degree = (~instance.forbidden_mask()).sum(axis=0).astype(float)
-
-    def assembled_objective(c_tilde, z):
-        invest = float(w_cost @ c_tilde)
-        assign = float(instance.recurrence @ np.einsum("tij,ij->t", z, assign_weight))
-        return invest + assign
+    in_degree = np.bincount(graph.dst, minlength=n)
 
     start = time.perf_counter()
     converged = False
@@ -383,18 +341,20 @@ def run_admm(
         # senders so the sweep cannot over-subscribe it; each sender's own
         # frozen shipments are added back since that share of the
         # receiver's inflow is its to reallocate.
-        slack = receiver_slack(instance, c_tilde, z, z_in)
+        slack = receiver_slack(instance, c_tilde, net)
         shared = np.maximum(slack, 0.0) / np.maximum(in_degree, 1)[None, :]
         results = [
             w.solve(float(c_tilde[w.i]), float(lam[w.i]), z_in[:, w.i],
-                    shared[w.arrival, w.neighbors] + z[:, w.i, w.neighbors])
+                    shared[w.arrival, w.neighbors] + z[:, w.edges])
             for w in workers
         ]
         c = np.array([r[0] for r in results])
-        z = np.stack([r[1] for r in results], axis=1)  # (T, n, n)
+        z = np.empty((T, graph.n_edges))
+        z[:, sweep_edges] = np.concatenate([r[1] for r in results], axis=1)
 
-        z_in = transform_inflows(z, instance.delay)
-        c_tilde, binding = solve_master(instance, c, lam, z, cfg.rho, z_in)
+        z_in = transform_inflows(z, graph)
+        net = demand - graph.outflow(z) + z_in
+        c_tilde, binding = solve_master(instance, c, lam, net, cfg.rho)
         budget_binding = budget_binding or binding
         lam_prev, lam = lam, update_multipliers(lam, c_tilde, c, cfg.rho)
 
@@ -405,25 +365,19 @@ def run_admm(
         q_dual = step_dual if k == 1 else prev_step_dual
         prev_step_dual = step_dual
 
-        obj = assembled_objective(c_tilde, z)
-        history.append(
-            IterationRecord(
-                k, q_primal, q_dual, obj, 1000.0 * (time.perf_counter() - it_start)
-            )
-        )
+        obj = float(w_cost @ c_tilde) + float(instance.recurrence @ (z @ graph.cost))
+        wall_ms = 1000.0 * (time.perf_counter() - it_start)
+        history.append(IterationRecord(k, q_primal, q_dual, obj, wall_ms))
         if best is None or obj < best[0]:
             best = (obj, c_tilde, z)
         if q_primal <= cfg.threshold and q_dual <= cfg.threshold:
             converged = True
             break
 
-    if converged:
-        c_final, z_final = c_tilde, z
-    else:
-        _, c_final, z_final = best
+    _, c_final, z_final = (obj, c_tilde, z) if converged else best
 
     inv = InvestmentPlan(c_final)
-    asg = AssignmentPlan(z_final)
+    asg = AssignmentPlan(graph.dense(z_final))
     cost = evaluate_objective(instance, inv, asg)
     report = check_feasibility(instance, inv, asg, tol=1e-4)
     wall = time.perf_counter() - start

@@ -50,8 +50,8 @@ class StandardFormLP:
     """Sparse standard-form LP with a name map back to model variables.
 
     Constraint matrix given as parallel (row, col, value) triplet arrays.
-    Every row is one instance of a model constraint; all senses are "L"
-    (<=) by construction.  Columns are the ``n_locations`` capacities, then
+    Every row is one instance of a model constraint, and every row reads
+    ``<=``.  Columns are the ``n_locations`` capacities, then
     one assignment per row of ``cells`` (``(t, i, j)``, see
     :func:`free_assignment_cells`).  The MPS names and ``col_kinds`` are
     derived from that layout on first access; solves never read them.
@@ -62,7 +62,6 @@ class StandardFormLP:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    senses: list[str]
     rhs: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
@@ -99,23 +98,17 @@ class StandardFormLP:
             (self.vals, (self.rows, self.cols)), shape=(self.n_rows, self.n_cols)
         )
 
-    def triplet_set(self) -> set[tuple[int, int, float]]:
-        return {
-            (int(r), int(c), float(v))
-            for r, c, v in zip(self.rows, self.cols, self.vals)
-        }
-
 
 def free_assignment_cells(instance: PlanningInstance) -> np.ndarray:
     """(K, 3) int array of the (t, i, j) cells that carry a decision variable.
 
-    Rows are in column order: slot-major, then the row-major order of the
-    pairs that are not forbidden.
+    Rows are in column order: slot-major, then the edges of the instance's
+    :class:`~chargeplan.model.RangeGraph`.
     """
-    pairs = np.argwhere(~instance.forbidden_mask())
+    graph = instance.range_graph
     T = instance.n_slots
-    slots = np.repeat(np.arange(T), len(pairs))
-    return np.column_stack([slots, np.tile(pairs, (T, 1))])
+    slots = np.repeat(np.arange(T), graph.n_edges)
+    return np.column_stack([slots, np.tile(graph.src, T), np.tile(graph.dst, T)])
 
 
 def build_lp(instance: PlanningInstance) -> StandardFormLP:
@@ -175,7 +168,6 @@ def build_lp(instance: PlanningInstance) -> StandardFormLP:
         rows=rows,
         cols=cols,
         vals=vals,
-        senses=["L"] * n_rows,
         rhs=rhs,
         lb=lb,
         ub=ub,
@@ -191,9 +183,8 @@ def _extract_plans(
 ) -> tuple[InvestmentPlan, AssignmentPlan]:
     n, T = instance.n_locations, instance.n_slots
     c = np.maximum(x[:n], 0.0)
-    z = np.zeros((T, n, n))
-    t, i, j = free_assignment_cells(instance).T
-    z[t, i, j] = np.maximum(x[n:], 0.0)
+    graph = instance.range_graph
+    z = graph.dense(np.maximum(x[n:], 0.0).reshape(T, graph.n_edges))
     return InvestmentPlan(c), AssignmentPlan(z)
 
 

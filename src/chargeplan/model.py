@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -152,6 +153,67 @@ class PlanningInstance:
         np.fill_diagonal(mask, True)
         return mask
 
+    @cached_property
+    def range_graph(self) -> "RangeGraph":
+        """The in-range pairs as edges; built on first access, then shared."""
+        src, dst = np.nonzero(~self.forbidden_mask())
+        offsets = np.searchsorted(src, np.arange(self.n_locations + 1))
+        return RangeGraph(self.n_locations, src, dst, self.assign_cost[src, dst],
+                          self.delay[src, dst], offsets)
+
+
+def _slot_sums(values: np.ndarray, loc: np.ndarray, n: int) -> np.ndarray:
+    """``out[t, k]``: the sum of ``values[t, e]`` over ``loc[e] == k``, in edge order."""
+    T = values.shape[0]
+    bins = (np.arange(T)[:, None] * n + loc).ravel()
+    return np.bincount(bins, weights=values.ravel(), minlength=T * n).reshape(T, n)
+
+
+def _delayed_sums(z_e: np.ndarray, dst: np.ndarray, delay: np.ndarray, n: int) -> np.ndarray:
+    """(T, n) arrivals of shipments ``z_e[t, e]`` to ``dst[e]``, ``delay[e]`` slots on."""
+    T = z_e.shape[0]
+    arrived = np.take_along_axis(z_e, np.subtract.outer(np.arange(T), delay) % T, axis=0)
+    return _slot_sums(arrived, dst, n)
+
+
+@dataclass(frozen=True)
+class RangeGraph:
+    """In-range (origin ``src``, destination ``dst``) pairs, one edge each.
+
+    Edges are origin-major (row-major over the pairs), the central LP's column
+    order within a slot; origin ``i`` owns ``offsets[i]:offsets[i + 1]``.  A
+    plan on the graph is a (T, E) array, ``z_e[t, e] = z[t, src[e], dst[e]]``.
+    """
+
+    n_locations: int
+    src: np.ndarray
+    dst: np.ndarray
+    cost: np.ndarray
+    delay: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.src, self.dst, self.cost, self.delay, self.offsets):
+            a.setflags(write=False)
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.src)
+
+    def outflow(self, z_e: np.ndarray) -> np.ndarray:
+        """(T, n) vehicles leaving each location per slot."""
+        return _slot_sums(z_e, self.src, self.n_locations)
+
+    def inflow(self, z_e: np.ndarray) -> np.ndarray:
+        """(T, n) delayed arrivals, equal to :func:`delayed_inflow` of :meth:`dense`."""
+        return _delayed_sums(z_e, self.dst, self.delay, self.n_locations)
+
+    def dense(self, z_e: np.ndarray) -> np.ndarray:
+        """The (T, n, n) plan with ``z_e`` on the edges and zeros elsewhere."""
+        z = np.zeros((z_e.shape[0], self.n_locations, self.n_locations))
+        z[:, self.src, self.dst] = z_e
+        return z
+
 
 @dataclass(frozen=True)
 class InvestmentPlan:
@@ -253,21 +315,14 @@ class Solution:
 def delayed_inflow(z: np.ndarray, delay: np.ndarray) -> np.ndarray:
     """Total EVs arriving at each (slot, location), accounting for travel delay.
 
-    ``inflow[t, i] = sum_j z[(t - delay[j, i]) mod T, j, i]``.  The slot index
+    ``inflow[t, i] = sum_j z[(t - delay[j, i]) mod T, j, i]``, summed in
+    ascending ``j`` over every pair, forbidden ones included.  The slot index
     wraps cyclically: the horizon is treated as one period of a recurring
     cycle, so departures late in the horizon arrive at its start.
     """
     T, n, _ = z.shape
-    inflow = np.zeros((T, n))
-    base = np.arange(T)
-    for j in range(n):
-        for i in range(n):
-            tau = int(delay[j, i])
-            if tau == 0:
-                inflow[:, i] += z[:, j, i]
-            else:
-                inflow[:, i] += z[(base - tau) % T, j, i]
-    return inflow
+    dst = np.tile(np.arange(n), n)
+    return _delayed_sums(z.reshape(T, n * n), dst, np.asarray(delay).ravel(), n)
 
 
 def net_demand_matrix(instance: PlanningInstance, asg: AssignmentPlan) -> np.ndarray:
@@ -275,24 +330,6 @@ def net_demand_matrix(instance: PlanningInstance, asg: AssignmentPlan) -> np.nda
     outflow = asg.z.sum(axis=2)
     inflow = delayed_inflow(asg.z, instance.delay)
     return instance.charging_demand - outflow + inflow
-
-
-def net_charging_demand(
-    instance: PlanningInstance, asg: AssignmentPlan, i: int, t: int
-) -> float:
-    """Net charging demand at location ``i`` in slot ``t`` under ``asg``.
-
-    Local demand ``alpha[t, i] * flow[t, i]`` minus EVs redirected away in
-    slot ``t``, plus EVs from elsewhere that were dispatched ``delay[j, i]``
-    slots earlier (cyclic wrap modulo ``n_slots``).
-    """
-    n, T = instance.n_locations, instance.n_slots
-    if not (0 <= i < n and 0 <= t < T):
-        raise IndexError(f"index (i={i}, t={t}) out of bounds")
-    demand = instance.charging_demand[t, i] - asg.z[t, i, :].sum()
-    for j in range(n):
-        demand += asg.z[(t - int(instance.delay[j, i])) % T, j, i]
-    return float(demand)
 
 
 def evaluate_objective(
@@ -350,9 +387,7 @@ def check_feasibility(
     invest = float(c @ instance.unit_investment_cost)
     res["budget"] = ConstraintResidual(max(0.0, invest - instance.budget), None)
 
-    over = c - instance.capacity_max
-    under = -c
-    res["capacity_bounds"] = worst(np.maximum(over, under))
+    res["capacity_bounds"] = worst(np.maximum(c - instance.capacity_max, -c))
 
     outflow = z.sum(axis=2)  # (T, n)
     res["flow_conservation"] = worst(outflow - instance.charging_demand)
@@ -368,10 +403,6 @@ def check_feasibility(
     diag = np.abs(z[:, np.arange(n), np.arange(n)])
     res["diagonal"] = worst(diag)
 
-    forbidden = ~np.isfinite(instance.assign_cost)
-    if forbidden.any():
-        res["range"] = worst(np.abs(z[:, forbidden]))
-    else:
-        res["range"] = ConstraintResidual(0.0, None)
+    res["range"] = worst(np.abs(z[:, ~np.isfinite(instance.assign_cost)]))
 
     return FeasibilityReport(res, tol)

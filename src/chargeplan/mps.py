@@ -15,7 +15,6 @@ import numpy as np
 
 from .central import StandardFormLP
 
-_SENSE_TO_MPS = {"L": "L", "G": "G", "E": "E"}
 _OBJ_ROW = "COST"
 
 
@@ -36,8 +35,7 @@ def _kind_from_name(name: str) -> tuple:
 def write_mps(lp: StandardFormLP, path, name: str = "CHARGEPLAN") -> None:
     """Write the LP as an MPS file; the triplet matrix round-trips exactly."""
     lines = [f"NAME          {name}", "ROWS", f" N  {_OBJ_ROW}"]
-    for sense, rname in zip(lp.senses, lp.row_names):
-        lines.append(f" {_SENSE_TO_MPS[sense]}  {rname}")
+    lines += [f" L  {rname}" for rname in lp.row_names]
 
     # column-major entry lists, preserving row order within each column
     by_col: list[list[tuple[str, float]]] = [[] for _ in range(lp.n_cols)]
@@ -68,8 +66,10 @@ def write_mps(lp: StandardFormLP, path, name: str = "CHARGEPLAN") -> None:
 
 
 def read_mps(path) -> StandardFormLP:
-    """Parse a file produced by :func:`write_mps` back into a StandardFormLP."""
-    senses: list[str] = []
+    """Parse a file produced by :func:`write_mps` back into a StandardFormLP.
+
+    Every row must be ``L`` (``<=``), as written; any other sense is an error.
+    """
     row_names: list[str] = []
     row_index: dict[str, int] = {}
     col_names: list[str] = []
@@ -94,9 +94,10 @@ def read_mps(path) -> StandardFormLP:
             sense, rname = fields
             if sense == "N":
                 continue
+            if sense != "L":
+                raise ValueError(f"row {rname}: unsupported sense {sense!r}, only L")
             row_index[rname] = len(row_names)
             row_names.append(rname)
-            senses.append(sense)
         elif section == "COLUMNS":
             cname, rname, value = fields
             if cname not in col_index:
@@ -148,7 +149,6 @@ def read_mps(path) -> StandardFormLP:
         rows=np.array(rows, dtype=int),
         cols=np.array(cols, dtype=int),
         vals=np.array(vals, dtype=float),
-        senses=senses,
         rhs=rhs,
         lb=lb,
         ub=ub,

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from chargeplan.model import FORBIDDEN, PlanningInstance
 
@@ -80,6 +83,31 @@ def random_instance(rng: np.random.Generator, n=3, T=4, forbid_frac=0.3, **kw):
     )
     defaults.update(kw)
     return make_instance(flow, **defaults)
+
+
+@st.composite
+def edge_cases(draw):
+    """A generated instance and a random (T, E) plan on its range graph.
+
+    Forbidden pairs are drawn per ordered pair, so they are asymmetric;
+    delays span the whole horizon, so arrivals wrap; and one location may
+    lose every pair in and out of it.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, T = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    delay = rng.integers(0, T, size=(n, n))
+    np.fill_diagonal(delay, 0)
+    forbid_frac = draw(st.sampled_from([0.0, 0.4, 0.8, 1.0]))
+    inst = random_instance(rng, n=n, T=T, forbid_frac=forbid_frac, delay=delay)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        cost = inst.assign_cost.copy()
+        cost[k, :] = cost[:, k] = FORBIDDEN
+        cost[k, k] = 0.0
+        inst = dataclasses.replace(inst, assign_cost=cost)
+    E = inst.range_graph.n_edges
+    z_e = rng.uniform(0.0, 3.0, size=(T, E)) * (rng.random((T, E)) < 0.7)
+    return inst, z_e
 
 
 @pytest.fixture

@@ -229,9 +229,7 @@ def test_criterion_7_master_step_vs_nlp_oracle():
         lam = rng.uniform(-2.0, 2.0, size=n)
         rho = float(rng.uniform(0.05, 1.0))
 
-        c_tilde, _ = solve_master(
-            inst, c, lam, np.zeros((T, n, n)), rho, np.zeros((T, n))
-        )
+        c_tilde, _ = solve_master(inst, c, lam, inst.charging_demand, rho)
 
         def objective(v):
             return float(lam @ v + 0.5 * rho * ((v - c) ** 2).sum())

@@ -17,23 +17,30 @@ from chargeplan.admm import (
     residuals,
     run_admm,
     solve_master,
-    solve_subproblem,
     transform_inflows,
     update_multipliers,
 )
-from chargeplan.central import solve_centralized
-from chargeplan.model import InfeasibleProblemError, delayed_inflow
+from chargeplan.central import solve_base_model, solve_centralized
+from chargeplan.datagen import GenParams, generate_instance, with_range_limit
+from chargeplan.model import (
+    AssignmentPlan,
+    InfeasibleProblemError,
+    RangeGraph,
+    delayed_inflow,
+    net_demand_matrix,
+)
 
-from conftest import make_instance, random_instance
+from conftest import edge_cases, make_instance, random_instance
 
 
 class TestTransformInflows:
     def test_reindexes_by_travel_delay(self):
         # shipment 1 -> 2 departing slot 1 with delay 1 arrives in slot 2
+        delay = np.array([[0, 1], [1, 0]])
+        graph = make_instance(np.zeros((3, 2)), delay=delay).range_graph
         z = np.zeros((3, 2, 2))
         z[1, 0, 1] = 4.0
-        delay = np.array([[0, 1], [1, 0]])
-        inflow = transform_inflows(z, delay)
+        inflow = transform_inflows(z[:, graph.src, graph.dst], graph)
         assert inflow[2, 1] == pytest.approx(4.0)
         assert inflow.sum() == pytest.approx(4.0)
 
@@ -42,19 +49,47 @@ class TestTransformInflows:
     def test_conserves_vehicle_totals(self, seed):
         rng = np.random.default_rng(seed)
         T, n = int(rng.integers(1, 6)), int(rng.integers(1, 5))
-        z = rng.uniform(0.0, 3.0, size=(T, n, n))
         delay = rng.integers(0, T, size=(n, n))
-        out = transform_inflows(z, delay)
+        np.fill_diagonal(delay, 0)
+        graph = make_instance(np.zeros((T, n)), delay=delay).range_graph
+        z_e = rng.uniform(0.0, 3.0, size=(T, graph.n_edges))
+        z = graph.dense(z_e)
+        out = transform_inflows(z_e, graph)
         assert out.sum() == pytest.approx(z.sum())
         # per destination, a cyclic shift never changes the column total
         np.testing.assert_allclose(out.sum(axis=0), z.sum(axis=(0, 1)))
+
+    @given(case=edge_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_dense_delayed_inflow_of_the_scattered_plan(self, case):
+        inst, z_e = case
+        graph = inst.range_graph
+        assert np.array_equal(
+            transform_inflows(z_e, graph), delayed_inflow(graph.dense(z_e), inst.delay)
+        )
+
+
+def subproblem_rows(inst, i, c_tilde, lam, inflow, rho, receiver_caps=None):
+    """Solve location i's subproblem; its allocation as dense (T, n) rows.
+
+    ``receiver_caps`` is a (T, n) per-slot slack matrix in arrival-slot terms,
+    gathered onto the location's edges as ``run_admm`` does.
+    """
+    worker = _LocationWorker(inst, i, rho)
+    caps = None
+    if receiver_caps is not None:
+        caps = receiver_caps[worker.arrival, worker.neighbors]
+    c, alloc, f = worker.solve(c_tilde, lam, inflow, caps)
+    rows = np.zeros((inst.n_slots, inst.n_locations))
+    rows[:, worker.neighbors] = alloc
+    return c, rows, f
 
 
 class TestSolveSubproblem:
     def test_zero_demand_builds_nothing(self):
         # positive investment price dominates the pull toward c_tilde = 5
         inst = make_instance(np.zeros((2, 2)), base_cost=1.0)
-        c, z, f = solve_subproblem(inst, 0, 5.0, 0.0, np.zeros(2), rho=0.1)
+        c, z, f = subproblem_rows(inst, 0, 5.0, 0.0, np.zeros(2), rho=0.1)
         assert c == pytest.approx(0.0)
         assert np.all(z == 0)
         assert f == pytest.approx(0.0)
@@ -62,7 +97,7 @@ class TestSolveSubproblem:
     def test_large_multiplier_pushes_capacity_up(self):
         # lambda far above the investment price makes capacity profitable
         inst = make_instance(np.zeros((1, 2)), base_cost=1.0, capacity_max=[9.0, 9.0])
-        c, _, _ = solve_subproblem(inst, 0, 100.0, 50.0, np.zeros(1), rho=0.1)
+        c, _, _ = subproblem_rows(inst, 0, 100.0, 50.0, np.zeros(1), rho=0.1)
         assert c == pytest.approx(9.0)
 
     def test_must_cover_own_net_demand(self):
@@ -71,7 +106,7 @@ class TestSolveSubproblem:
         cost = np.full((2, 2), np.inf)
         np.fill_diagonal(cost, 0.0)
         inst = make_instance([[4.0, 0.0], [1.0, 0.0]], beta=2.0, assign_cost=cost)
-        c, z, _ = solve_subproblem(inst, 0, 0.0, 0.0, np.zeros(2), rho=0.1)
+        c, z, _ = subproblem_rows(inst, 0, 0.0, 0.0, np.zeros(2), rho=0.1)
         assert c == pytest.approx(8.0)
         assert np.all(z == 0)
 
@@ -80,17 +115,17 @@ class TestSolveSubproblem:
         np.fill_diagonal(cost, 0.0)
         inst = make_instance([[10.0]], beta=2.0, capacity_max=[5.0], assign_cost=cost)
         with pytest.raises(InfeasibleProblemError):
-            solve_subproblem(inst, 0, 0.0, 0.0, np.zeros(1), rho=0.1)
+            subproblem_rows(inst, 0, 0.0, 0.0, np.zeros(1), rho=0.1)
 
     def test_receiver_caps_limit_shipments(self):
         inst = make_instance([[6.0, 0.0]], beta=1.0, base_cost=10.0,
                              assign_cost=[[0.0, 0.1], [0.1, 0.0]])
-        free_c, free_z, _ = solve_subproblem(inst, 0, 0.0, 0.0, np.zeros(1), rho=0.1)
+        free_c, free_z, _ = subproblem_rows(inst, 0, 0.0, 0.0, np.zeros(1), rho=0.1)
         # uncapped, the expensive investment pushes all demand to location 2
         assert free_z[0, 1] == pytest.approx(6.0)
         caps = np.zeros((1, 2))
         caps[0, 1] = 2.0
-        capped_c, capped_z, _ = solve_subproblem(
+        capped_c, capped_z, _ = subproblem_rows(
             inst, 0, 0.0, 0.0, np.zeros(1), rho=0.1, receiver_caps=caps
         )
         assert capped_z[0, 1] == pytest.approx(2.0)
@@ -135,7 +170,7 @@ class TestSolveSubproblem:
         inflow = rng.uniform(0.0, 2.0, size=3)
         rho = 0.1
 
-        c_opt, z_rows, f = solve_subproblem(inst, i, c_tilde, lam, inflow, rho)
+        c_opt, z_rows, f = subproblem_rows(inst, i, c_tilde, lam, inflow, rho)
 
         # the returned point must itself be feasible and correctly priced
         net = inst.charging_demand[:, i] + inflow - z_rows.sum(axis=1)
@@ -225,13 +260,12 @@ def grid_solve(worker, c_tilde, lam, inflow, caps=None):
             all_v = np.concatenate([values, objective(interior)])
     c_opt = float(all_c[int(np.argmin(all_v))])
 
-    z_rows = np.zeros((T, worker.n_locations))
+    alloc = np.zeros((T, m))
     local_cost = worker.invest_cost * c_opt
     if worker.beta > 0 and m > 0:
         alloc = np.clip(required_outflow(np.array([c_opt]))[0][:, None] - qty[:, :-1], 0.0, caps)
-        z_rows[:, worker.neighbors] = alloc
         local_cost += float(worker.recurrence @ (alloc @ worker.unit_costs))
-    return c_opt, z_rows, local_cost
+    return c_opt, alloc, local_cost
 
 
 @st.composite
@@ -301,8 +335,7 @@ class TestSolveMaster:
     def test_closed_form_pull_toward_c(self):
         inst = make_instance(np.zeros((1, 1)))
         c_tilde, binding = solve_master(
-            inst, np.array([10.0]), np.array([0.2]), np.zeros((1, 1, 1)), rho=0.1,
-            inflow=np.zeros((1, 1)),
+            inst, np.array([10.0]), np.array([0.2]), inst.charging_demand, rho=0.1
         )
         assert c_tilde[0] == pytest.approx(8.0)  # 10 - 0.2 / 0.1
         assert not binding
@@ -310,8 +343,7 @@ class TestSolveMaster:
     def test_demand_floor_binds(self):
         inst = make_instance([[7.0]], beta=1.0)
         c_tilde, _ = solve_master(
-            inst, np.array([3.0]), np.array([0.0]), np.zeros((1, 1, 1)), rho=0.1,
-            inflow=np.zeros((1, 1)),
+            inst, np.array([3.0]), np.array([0.0]), inst.charging_demand, rho=0.1
         )
         assert c_tilde[0] == pytest.approx(7.0)
 
@@ -321,8 +353,8 @@ class TestSolveMaster:
         z = np.zeros((1, 2, 2))
         z[0, 0, 1] = 4.0
         c_tilde, _ = solve_master(
-            inst, np.zeros(2), np.zeros(2), z, rho=0.1,
-            inflow=delayed_inflow(z, inst.delay),
+            inst, np.zeros(2), np.zeros(2), net_demand_matrix(inst, AssignmentPlan(z)),
+            rho=0.1,
         )
         assert c_tilde[0] == pytest.approx(3.0)  # 7 - 4 shipped away
         assert c_tilde[1] == pytest.approx(4.0)  # receives 4
@@ -330,8 +362,7 @@ class TestSolveMaster:
     def test_budget_projection_activates(self):
         inst = make_instance(np.zeros((1, 2)), base_cost=1.0, budget=10.0)
         c_tilde, binding = solve_master(
-            inst, np.array([20.0, 20.0]), np.zeros(2), np.zeros((1, 2, 2)), rho=0.1,
-            inflow=np.zeros((1, 2)),
+            inst, np.array([20.0, 20.0]), np.zeros(2), inst.charging_demand, rho=0.1
         )
         assert binding
         assert float(inst.unit_investment_cost @ c_tilde) <= 10.0 + 1e-6
@@ -340,8 +371,7 @@ class TestSolveMaster:
         inst = make_instance([[10.0]], beta=1.0, base_cost=1.0, budget=5.0)
         with pytest.raises(InfeasibleProblemError, match="budget"):
             solve_master(
-                inst, np.array([10.0]), np.zeros(1), np.zeros((1, 1, 1)), rho=0.1,
-                inflow=np.zeros((1, 1)),
+                inst, np.array([10.0]), np.zeros(1), inst.charging_demand, rho=0.1
             )
 
     @pytest.mark.parametrize("seed", range(10))
@@ -361,7 +391,7 @@ class TestSolveMaster:
         if float(inst.unit_investment_cost @ d) > budget:
             return  # oracle domain empty; covered by the raising test above
 
-        c_tilde, _ = solve_master(inst, c, lam, np.zeros((2, n, n)), rho, np.zeros((2, n)))
+        c_tilde, _ = solve_master(inst, c, lam, inst.charging_demand, rho)
 
         w = inst.unit_investment_cost
         x = d.copy()
@@ -403,27 +433,27 @@ class TestMultipliersAndResiduals:
 class TestReceiverSlack:
     def test_zero_state_slack_is_capacity_minus_demand(self):
         inst = make_instance([[4.0, 1.0]], beta=2.0)
-        slack = receiver_slack(
-            inst, np.array([10.0, 2.0]), np.zeros((1, 2, 2)), np.zeros((1, 2))
-        )
+        slack = receiver_slack(inst, np.array([10.0, 2.0]), inst.charging_demand)
         np.testing.assert_allclose(slack, [[1.0, 0.0]])  # 10/2 - 4, 2/2 - 1
 
 
 class TestInflowReuse:
     def test_one_delayed_inflow_gather_per_iteration(self, monkeypatch):
-        calls = []
-
-        def counting(z, delay):
-            calls.append(z.shape)
-            return delayed_inflow(z, delay)
-
-        monkeypatch.setattr(chargeplan.admm, "delayed_inflow", counting)
+        gathers, outflows = [], []
+        exchange, outflow = transform_inflows, RangeGraph.outflow
+        monkeypatch.setattr(chargeplan.admm, "transform_inflows",
+                            lambda z, graph: gathers.append(z.shape) or exchange(z, graph))
+        monkeypatch.setattr(RangeGraph, "outflow",
+                            lambda graph, z: outflows.append(z.shape) or outflow(graph, z))
         rng = np.random.default_rng(2)
         inst = random_instance(rng, n=4, T=6, forbid_frac=0.2)
         _, conv = run_admm(inst, AdmmConfig(max_iterations=40))
         assert conv.iterations >= 2
-        # the exchange, once per iteration, is the only gather
-        assert len(calls) == conv.iterations
+        # the exchange, once per iteration, is the only gather, and each
+        # iterate's net demand is computed once, on the (T, E) edge array
+        E = inst.range_graph.n_edges
+        assert gathers == [(inst.n_slots, E)] * conv.iterations
+        assert outflows == [(inst.n_slots, E)] * conv.iterations
 
 
 class TestRunAdmm:
@@ -482,6 +512,22 @@ class TestRunAdmm:
         # history is monotone in k and records positive wall times
         ks = [rec.k for rec in conv.history]
         assert ks == list(range(1, len(ks) + 1))
+
+    def test_equals_baseline_when_every_pair_is_forbidden(self):
+        inst = with_range_limit(
+            generate_instance(GenParams(n_locations=5, n_slots=12, seed=3)), 0.0
+        )
+        assert inst.range_graph.n_edges == 0
+        sol, conv = run_admm(inst)
+        base = solve_base_model(inst)
+        assert conv.converged
+        np.testing.assert_allclose(
+            sol.investment.capacity, base.investment.capacity, rtol=1e-12
+        )
+        assert sol.assignment.z.shape == (12, 5, 5)
+        assert not sol.assignment.z.any()
+        assert sol.cost.total == pytest.approx(base.cost.total, rel=1e-12)
+        assert sol.feasibility.feasible
 
     def test_budget_respected_when_below_the_baseline_cost(self):
         # baseline investment would cost 20; the budget rules that out, so

@@ -111,7 +111,6 @@ class TestBuildLp:
         # budget + flow + capacity-satisfaction row
         assert lp.n_rows == 3
         assert lp.row_names == ["BUDGET", "FLOW_1_1", "CAPU_1_1"]
-        assert all(s == "L" for s in lp.senses)
 
     def test_forbidden_pairs_removed_as_variables_not_rows(self):
         cost = np.array(

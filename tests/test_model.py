@@ -12,11 +12,36 @@ from chargeplan.model import (
     check_feasibility,
     delayed_inflow,
     evaluate_objective,
-    net_charging_demand,
     net_demand_matrix,
 )
 
-from conftest import make_instance, random_instance
+from conftest import edge_cases, make_instance, random_instance
+
+
+def loop_delayed_inflow(z, delay):
+    """Reference delayed inflow: one cyclic gather per (origin, destination)."""
+    T, n, _ = z.shape
+    inflow = np.zeros((T, n))
+    base = np.arange(T)
+    for j in range(n):
+        for i in range(n):
+            inflow[:, i] += z[(base - int(delay[j, i])) % T, j, i]
+    return inflow
+
+
+def net_charging_demand(instance, asg, i, t):
+    """Reference net charging demand at location ``i`` in slot ``t``.
+
+    Local demand minus EVs redirected away in slot ``t``, plus EVs from
+    elsewhere dispatched ``delay[j, i]`` slots earlier (cyclic wrap).
+    """
+    n, T = instance.n_locations, instance.n_slots
+    if not (0 <= i < n and 0 <= t < T):
+        raise IndexError(f"index (i={i}, t={t}) out of bounds")
+    demand = instance.charging_demand[t, i] - asg.z[t, i, :].sum()
+    for j in range(n):
+        demand += asg.z[(t - int(instance.delay[j, i])) % T, j, i]
+    return float(demand)
 
 
 class TestInstanceValidation:
@@ -161,6 +186,44 @@ class TestDelayedInflow:
         z = rng.uniform(0.0, 4.0, size=(T, n, n))
         delay = rng.integers(0, T, size=(n, n))
         assert delayed_inflow(z, delay).sum() == pytest.approx(z.sum())
+
+
+class TestRangeGraph:
+    def test_edges_are_the_in_range_pairs_in_origin_major_order(self):
+        cost = np.array([[0.0, FORBIDDEN, 2.0], [1.0, 0.0, 3.0], [FORBIDDEN] * 2 + [0.0]])
+        delay = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        graph = make_instance(np.ones((3, 3)), assign_cost=cost, delay=delay).range_graph
+        np.testing.assert_array_equal(graph.src, [0, 1, 1])
+        np.testing.assert_array_equal(graph.dst, [2, 0, 2])
+        np.testing.assert_array_equal(graph.cost, [2.0, 1.0, 3.0])
+        np.testing.assert_array_equal(graph.delay, [2, 1, 1])
+        np.testing.assert_array_equal(graph.offsets, [0, 1, 3, 3])
+        assert graph.n_edges == 3
+
+    def test_built_once_per_instance(self):
+        inst = make_instance(np.ones((1, 2)))
+        assert inst.range_graph is inst.range_graph
+        with pytest.raises(ValueError):
+            inst.range_graph.src[0] = 1
+
+    @given(case=edge_cases(), seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_kernels_match_the_dense_loop(self, case, seed):
+        inst, z_e = case
+        graph = inst.range_graph
+        T, n = inst.n_slots, inst.n_locations
+        mask = inst.forbidden_mask()
+        np.testing.assert_array_equal(np.stack([graph.src, graph.dst], axis=1),
+                                      np.argwhere(~mask))
+        z = graph.dense(z_e)
+        assert not z[:, mask].any()
+        np.testing.assert_allclose(graph.outflow(z_e), z.sum(axis=2), rtol=1e-12)
+        assert np.array_equal(graph.inflow(z_e), loop_delayed_inflow(z, inst.delay))
+        # the dense path counts every pair, diagonal and out-of-range included
+        wild = np.random.default_rng(seed).uniform(-1.0, 3.0, size=(T, n, n))
+        assert np.array_equal(
+            delayed_inflow(wild, inst.delay), loop_delayed_inflow(wild, inst.delay)
+        )
 
 
 class TestNetChargingDemand:

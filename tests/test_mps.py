@@ -9,6 +9,11 @@ from chargeplan.mps import read_mps, write_mps
 from conftest import make_instance, random_instance
 
 
+def triplet_set(lp):
+    """The constraint matrix as a set of exact (row, col, value) triplets."""
+    return {(int(r), int(c), float(v)) for r, c, v in zip(lp.rows, lp.cols, lp.vals)}
+
+
 def test_single_location_file_layout(tmp_path):
     inst = make_instance([[3.0]], base_cost=2.0)
     lp = build_lp(inst)
@@ -53,8 +58,7 @@ def test_round_trip_preserves_every_coefficient(tmp_path, seed):
     assert back.n_cols == lp.n_cols
     assert back.row_names == lp.row_names
     assert back.col_names == lp.col_names
-    assert back.senses == lp.senses
-    assert back.triplet_set() == lp.triplet_set()  # exact, not approximate
+    assert triplet_set(back) == triplet_set(lp)  # exact, not approximate
     np.testing.assert_array_equal(back.rhs, lp.rhs)
     np.testing.assert_array_equal(back.obj, lp.obj)
     np.testing.assert_array_equal(back.lb, lp.lb)
@@ -86,7 +90,7 @@ def test_awkward_doubles_survive(tmp_path):
     path = tmp_path / "awkward.mps"
     write_mps(lp, path)
     back = read_mps(path)
-    assert back.triplet_set() == lp.triplet_set()
+    assert triplet_set(back) == triplet_set(lp)
     np.testing.assert_array_equal(back.rhs, lp.rhs)
 
 
@@ -97,4 +101,24 @@ def test_unknown_bound_type_rejected(tmp_path):
     text = path.read_text().replace(" UP BND", " FR BND")
     path.write_text(text)
     with pytest.raises(ValueError, match="bound"):
+        read_mps(path)
+
+
+@pytest.mark.parametrize("sense", ["G", "E"])
+def test_row_sense_other_than_l_rejected(tmp_path, sense):
+    # the LP's rows all read <=; a >= or = row must not be solved as <=
+    path = tmp_path / "sense.mps"
+    path.write_text(
+        "NAME          HAND\n"
+        "ROWS\n"
+        " N  COST\n"
+        f" {sense}  BUDGET\n"
+        "COLUMNS\n"
+        "    C_1           COST          1\n"
+        "    C_1           BUDGET        1\n"
+        "RHS\n"
+        "    RHS           BUDGET        5\n"
+        "ENDATA\n"
+    )
+    with pytest.raises(ValueError, match="sense"):
         read_mps(path)
