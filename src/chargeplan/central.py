@@ -37,12 +37,15 @@ from .simplex import solve_simplex
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and backend selection for the centralized solve."""
+    """Backend selection for the centralized solve.  ``max_iterations``
+    bounds only the dense simplex; HiGHS keeps its own iteration limit."""
 
     backend: str = "highs"  # "highs" | "simplex" (dense, desk-tiny LPs only)
-    optimality_tol: float = 1e-7
-    feasibility_tol: float = 1e-8
     max_iterations: int = 20000
+
+    def __post_init__(self):
+        if self.backend not in ("highs", "simplex"):
+            raise ValueError(f"unknown backend: {self.backend!r}")
 
 
 @dataclass(frozen=True)
@@ -199,8 +202,8 @@ def solve_lp(lp: StandardFormLP, config: SolverConfig) -> tuple[np.ndarray, dict
             bounds=np.column_stack([lp.lb, lp.ub]),
             method="highs",
             options={
-                "primal_feasibility_tolerance": config.feasibility_tol,
-                "dual_feasibility_tolerance": config.optimality_tol,
+                "primal_feasibility_tolerance": 1e-8,
+                "dual_feasibility_tolerance": 1e-7,
             },
         )
         if res.status == 2:
@@ -211,7 +214,7 @@ def solve_lp(lp: StandardFormLP, config: SolverConfig) -> tuple[np.ndarray, dict
             raise ConvergenceError(f"LP solve failed: {res.message}")
         x = np.asarray(res.x)
         iterations = int(getattr(res, "nit", 0))
-    elif config.backend == "simplex":
+    else:
         # finite upper bounds become explicit rows x_k <= ub_k
         bounded = np.isfinite(lp.ub)
         A = np.vstack([lp.to_coo().toarray(), np.eye(lp.n_cols)[bounded]])
@@ -225,8 +228,6 @@ def solve_lp(lp: StandardFormLP, config: SolverConfig) -> tuple[np.ndarray, dict
             raise ConvergenceError("simplex iteration limit exceeded")
         x = res.x
         iterations = res.iterations
-    else:
-        raise ValueError(f"unknown backend: {config.backend!r}")
     wall_ms = 1000.0 * (time.perf_counter() - start)
     stats = {
         "backend": config.backend,

@@ -1,10 +1,17 @@
 """Command-line surface: generate, ingest, solve, sweep-r, report, compare.
 
-One declarative JSON config file feeds every command (section per concern);
-flags override the few high-traffic knobs.  Every run writes its resolved
-configuration next to its outputs for reproducibility.  Exit codes are a
-stable contract: 0 success, 2 config/input error, 3 infeasible,
-4 non-convergence.
+One declarative JSON config file (``--config``) feeds every command, one
+section per concern; flags override the few high-traffic knobs.  Every run
+writes its resolved configuration next to its outputs for reproducibility.
+
+Outside input is checked where it enters: the config by :func:`_load_config`
+and :func:`_section`, instance and solution files by
+:func:`chargeplan.io.instance_from_dict` and
+:func:`chargeplan.io.solution_from_dict`.  Commands raise; :func:`main` alone
+turns an exception into an exit code, a stable contract: 0 success,
+2 config/input error (:class:`ConfigError`, ``ValueError``, ``OSError``),
+3 infeasible (``InfeasibleProblemError``), 4 non-convergence
+(``ConvergenceError``, raised after the best iterate is written).
 
 Wall-clock timings never enter result files (only convergence logs), so
 reruns with the same config and seed are byte-identical.
@@ -40,9 +47,25 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NO_CONVERGENCE = 4
 
+METHODS = ("centralized", "admm", "base")
+
 
 class ConfigError(Exception):
     pass
+
+
+@dataclasses.dataclass(frozen=True)
+class SweepConfig:
+    """The assignment-range limits (km) that ``sweep-r`` solves at."""
+
+    r_values: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if not all(type(r) in (int, float) for r in self.r_values):
+            raise ValueError(f"r_values must be numbers, got {self.r_values!r}")
+
+
+_KNOWN_SECTIONS = {"generate", "solver", "admm", "binning", "econ", "sweep"}
 
 
 def _load_config(path: str | None) -> dict:
@@ -56,44 +79,43 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
+    unknown_sections = set(doc) - _KNOWN_SECTIONS
+    if unknown_sections:
+        raise ConfigError(f"unknown config sections: {sorted(unknown_sections)}")
     return doc
 
 
-_KNOWN_SECTIONS = {"generate", "solver", "admm", "binning", "econ", "sweep", "report"}
+#: the JSON types a field takes, by the type of its default (4.0 and true are
+#: not integers, true is not a number)
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"), tuple: ((list,), "a list")}
 
 
-def _section(config: dict, name: str, cls):
-    """Build a config dataclass from one section, rejecting unknown keys."""
-    unknown_sections = set(config) - _KNOWN_SECTIONS
-    if unknown_sections:
-        raise ConfigError(f"unknown config sections: {sorted(unknown_sections)}")
+def _section(config: dict, name: str, cls, **convert):
+    """Build a config dataclass from one section, rejecting unknown keys and
+    values of the wrong JSON type.  ``convert`` maps a key to the function
+    that turns its (non-null) JSON value into the field's type."""
     data = config.get(name, {})
     if not isinstance(data, dict):
         raise ConfigError(f"config section {name!r} must be an object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+    fields = dataclasses.fields(cls)
+    unknown = set(data) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    for f in dataclasses.fields(cls):
-        # JSON's 4.0 and true are not integers; int fields take only ints
-        if type(f.default) is int and f.name in data and type(data[f.name]) is not int:
+    for f in fields:
+        types, what = _JSON_TYPES.get(type(f.default), (None, None))
+        if types and f.name in data and type(data[f.name]) not in types:
             raise ConfigError(
-                f"invalid config section {name!r}: {f.name} must be an integer, "
+                f"invalid config section {name!r}: {f.name} must be {what}, "
                 f"got {data[f.name]!r}"
             )
     try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
+        return cls(**{
+            key: convert[key](value) if key in convert and value is not None else value
+            for key, value in data.items()
+        })
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid config section {name!r}: {exc}") from exc
-
-
-def _load_instance(path: str):
-    """Read an instance file; a missing, malformed or incomplete one is an
-    input error (exit 2), never a traceback."""
-    try:
-        return io.load_instance(path)
-    except (OSError, ValueError, KeyError) as exc:
-        raise ConfigError(f"cannot read instance: {exc}") from exc
 
 
 def _write_resolved(out_dir: Path, resolved: dict) -> None:
@@ -113,8 +135,7 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def cmd_generate(args) -> int:
-    config = _load_config(args.config)
+def cmd_generate(args, config: dict) -> int:
     params = _section(config, "generate", GenParams)
     if args.seed is not None:
         params = dataclasses.replace(params, seed=args.seed)
@@ -127,24 +148,10 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _binning_spec(config: dict) -> BinningSpec:
-    """The ``binning`` section, with its JSON lists turned into the bbox
-    tuple and the :class:`Zone` tuple that BinningSpec takes."""
-    data = config.get("binning", {})
-    if isinstance(data, dict):
-        try:
-            if data.get("bbox") is not None:
-                data = dict(data, bbox=tuple(data["bbox"]))
-            if data.get("zones") is not None:
-                data = dict(data, zones=tuple(Zone(**entry) for entry in data["zones"]))
-        except TypeError as exc:
-            raise ConfigError(f"invalid config section 'binning': {exc}") from exc
-    return _section(dict(config, binning=data), "binning", BinningSpec)
-
-
-def cmd_ingest(args) -> int:
-    config = _load_config(args.config)
-    spec = _binning_spec(config)
+def cmd_ingest(args, config: dict) -> int:
+    # the JSON lists become the bbox tuple and the Zone tuple BinningSpec takes
+    spec = _section(config, "binning", BinningSpec, bbox=tuple,
+                    zones=lambda entries: tuple(Zone(**entry) for entry in entries))
     econ = _section(config, "econ", GenParams)
     if args.seed is not None:
         econ = dataclasses.replace(econ, seed=args.seed)
@@ -156,17 +163,8 @@ def cmd_ingest(args) -> int:
     instance = assemble_instance(flows.flow, distances.distance, econ, coordinates)
 
     out_dir = Path(args.out)
-    _write_resolved(
-        out_dir,
-        {
-            "binning": {
-                **dataclasses.asdict(spec),
-                "zones": None if spec.zones is None
-                else [dataclasses.asdict(z) for z in spec.zones],
-            },
-            "econ": dataclasses.asdict(econ),
-        },
-    )
+    _write_resolved(out_dir, {"binning": dataclasses.asdict(spec),
+                              "econ": dataclasses.asdict(econ)})
     io.save_instance(instance, out_dir / "instance.json")
     summary = {
         "records_read": len(parsed.records) + parsed.skipped,
@@ -182,21 +180,18 @@ def cmd_ingest(args) -> int:
 
 
 def _solve(instance, method: str, solver: SolverConfig, admm: AdmmConfig):
-    """Returns (solution, convergence-or-None)."""
+    """Returns (solution, convergence-or-None) for one of :data:`METHODS`."""
     if method == "centralized":
         return solve_centralized(instance, solver), None
     if method == "base":
         return solve_base_model(instance), None
-    if method == "admm":
-        return run_admm(instance, admm)
-    raise ConfigError(f"unknown method: {method!r}")
+    return run_admm(instance, admm)
 
 
-def cmd_solve(args) -> int:
-    config = _load_config(args.config)
+def cmd_solve(args, config: dict) -> int:
     solver = _section(config, "solver", SolverConfig)
     admm = _section(config, "admm", AdmmConfig)
-    instance = _load_instance(args.instance)
+    instance = io.load_instance(args.instance)
 
     out_dir = Path(args.out)
     _write_resolved(
@@ -211,20 +206,17 @@ def cmd_solve(args) -> int:
         solution, convergence = _solve(instance, args.method, solver, admm)
     except InfeasibleProblemError as exc:
         (out_dir / "infeasible.json").write_text(json.dumps({"reason": str(exc)}))
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ConvergenceError as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        raise
 
     checksum = io.file_checksum(args.instance)
     io.save_solution(_clean_stats(solution), out_dir / "solution.json", checksum)
     if convergence is not None:
         write_convergence_csv(convergence.history, out_dir / "convergence.csv")
         if not convergence.converged:
-            _say(args, f"best iterate after {convergence.iterations} iterations "
-                       f"(Q_primal={convergence.q_primal:.3g})")
-            return EXIT_NO_CONVERGENCE
+            raise ConvergenceError(
+                f"best iterate after {convergence.iterations} iterations "
+                f"(Q_primal={convergence.q_primal:.3g})"
+            )
     _say(args, f"total cost {solution.cost.total:.6g}")
     return EXIT_OK
 
@@ -259,34 +251,17 @@ def sweep_range(instance, r_values, solver: SolverConfig) -> list[dict]:
     return rows
 
 
-def cmd_sweep_r(args) -> int:
-    config = _load_config(args.config)
+def cmd_sweep_r(args, config: dict) -> int:
     solver = _section(config, "solver", SolverConfig)
-    r_values = (
-        [float(v) for v in args.r_values.split(",") if v.strip() != ""]
-        if args.r_values
-        else config.get("sweep", {}).get("r_values", [])
-    )
-    instance = _load_instance(args.instance)
-    if instance.distance is None:
-        print("error: instance carries no raw distances; cannot sweep R",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    if not r_values:
-        print("error: empty R list", file=sys.stderr)
-        return EXIT_CONFIG
+    sweep = _section(config, "sweep", SweepConfig)
+    if args.r_values:
+        sweep = SweepConfig([float(v) for v in args.r_values.split(",") if v.strip()])
+    instance = io.load_instance(args.instance)
 
     out_dir = Path(args.out)
     _write_resolved(out_dir, {"solver": dataclasses.asdict(solver),
-                              "sweep": {"r_values": r_values}})
-    try:
-        rows = sweep_range(instance, r_values, solver)
-    except InfeasibleProblemError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ConvergenceError as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+                              "sweep": dataclasses.asdict(sweep)})
+    rows = sweep_range(instance, sweep.r_values, solver)
     path = out_dir / "sweep.csv"
     with open(path, "w") as fh:
         fh.write("R_km,investment,assignment,total,reduction_pct\n")
@@ -300,36 +275,24 @@ def cmd_sweep_r(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    try:
-        instance = io.load_instance(args.instance)
-        doc = json.loads(Path(args.solution).read_text())
-        solution = io.solution_from_dict(doc)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_report(args, config: dict) -> int:
+    instance = io.load_instance(args.instance)
+    doc = json.loads(Path(args.solution).read_text())
+    solution = io.solution_from_dict(doc)
     stored = doc.get("instance_checksum")
     if stored is not None and stored != io.file_checksum(args.instance):
-        print("error: solution was produced from a different instance file",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    if solution.assignment.z.shape[1] != instance.n_locations:
-        print("error: mismatched instance/solution pair", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("solution was produced from a different instance file")
+    if solution.assignment.z.shape[:2] != (instance.n_slots, instance.n_locations):
+        raise ValueError("mismatched instance/solution pair")
 
     window = None
     if args.window:
         lo, hi = (int(v) for v in args.window.split(":"))
         window = (lo, hi)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_resolved(out_dir, {"report": {"format": args.format, "window": window}})
     if args.format == "geojson":
-        try:
-            write_geojson(instance, solution, out_dir / "solution.geojson", window)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        write_geojson(instance, solution, out_dir / "solution.geojson", window)
     else:
         write_csv_tables(instance, solution, out_dir, window)
     rounded = round_assignments(instance, solution)
@@ -338,15 +301,14 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    config = _load_config(args.config)
+def cmd_compare(args, config: dict) -> int:
     solver = _section(config, "solver", SolverConfig)
     admm = _section(config, "admm", AdmmConfig)
-    instance = _load_instance(args.instance)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        print("error: no methods given", file=sys.stderr)
-        return EXIT_CONFIG
+    if not methods or not set(methods) <= set(METHODS):
+        raise ConfigError(f"--methods takes one or more of {', '.join(METHODS)}, "
+                          f"got {args.methods!r}")
+    instance = io.load_instance(args.instance)
 
     out_dir = Path(args.out)
     _write_resolved(out_dir, {"solver": dataclasses.asdict(solver),
@@ -357,12 +319,8 @@ def cmd_compare(args) -> int:
     for method in methods:
         try:
             solution, convergence = _solve(instance, method, solver, admm)
-        except InfeasibleProblemError as exc:
-            print(f"infeasible ({method}): {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        except ConvergenceError as exc:
-            print(f"no convergence ({method}): {exc}", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
+        except (InfeasibleProblemError, ConvergenceError) as exc:
+            raise type(exc)(f"{method}: {exc}") from exc
         results[method] = solution
         converged[method] = convergence is None or convergence.converged
     reference = min(s.cost.total for s in results.values())
@@ -391,8 +349,7 @@ def cmd_compare(args) -> int:
     _say(args, f"wrote comparison to {out_dir}")
     stalled = [method for method, ok in converged.items() if not ok]
     if stalled:
-        print(f"no convergence: {', '.join(stalled)}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        raise ConvergenceError(", ".join(stalled))
     return EXIT_OK
 
 
@@ -414,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance")
     p.add_argument("instance")
-    p.add_argument("--method", choices=["centralized", "admm", "base"],
-                   default="centralized")
+    p.add_argument("--method", choices=METHODS, default="centralized")
 
     p = sub.add_parser("sweep-r", help="sweep the assignment range limit")
     p.add_argument("instance")
@@ -445,16 +401,22 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the only place a failure becomes its exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _load_config(args.config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except InfeasibleProblemError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except ConvergenceError as exc:
+        print(f"no convergence: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .datagen import GenParams, assignment_costs, travel_delays
+from .datagen import GenParams, assignment_costs, sample_alpha, travel_delays
 from .model import PlanningInstance
 
 EARTH_RADIUS_KM = 6371.0088
@@ -319,13 +319,11 @@ def assemble_instance(
     location_cost = params.location_cost_scale * np.exp(
         -params.location_cost_decay * distance[center_index, :]
     )
-    rng = np.random.default_rng(params.seed)
-    alpha = rng.beta(params.alpha_a, params.alpha_b, size=(T, n))
     return PlanningInstance(
         n_locations=n,
         n_slots=T,
         flow=flow,
-        alpha=alpha,
+        alpha=sample_alpha(params.alpha_a, params.alpha_b, params.seed, (T, n)),
         beta=params.beta_kw,
         assign_cost=cost,
         delay=delay,

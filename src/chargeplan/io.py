@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -61,35 +62,55 @@ def instance_to_dict(instance: PlanningInstance) -> dict:
     return doc
 
 
+@contextmanager
+def _reading(doc, kind: str, version: str):
+    """Check a document's root and version, then turn a missing field or a
+    value of the wrong JSON type into ``ValueError``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} document must be a JSON object, got {type(doc).__name__}")
+    if doc.get("version") != version:
+        raise ValueError(f"unsupported {kind} version: {doc.get('version')!r}")
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{kind} document has no field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed {kind} document: {exc}") from exc
+
+
+def _whole(value, name: str, ndim: int = 0) -> np.ndarray:
+    """``value`` as an ``ndim``-dimensional int array.  A fractional or
+    non-finite entry is an error, where ``astype(int)`` would truncate it."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim != ndim or not np.all(np.isfinite(arr) & (arr == np.trunc(arr))):
+        shape = "a whole number" if ndim == 0 else f"a {ndim}-d array of whole numbers"
+        raise ValueError(f"{name} must be {shape}")
+    return arr.astype(int)
+
+
 def instance_from_dict(doc: dict) -> PlanningInstance:
-    version = doc.get("version")
-    if version != INSTANCE_VERSION:
-        raise ValueError(f"unsupported instance version: {version!r}")
-    cost = np.array(
-        [
-            [FORBIDDEN if v == "forbidden" else float(v) for v in row]
-            for row in doc["assign_cost"]
-        ]
-    )
-    return PlanningInstance(
-        n_locations=doc["n_locations"],
-        n_slots=doc["n_slots"],
-        flow=np.array(doc["flow"], dtype=float),
-        alpha=np.array(doc["alpha"], dtype=float),
-        beta=float(doc["beta"]),
-        assign_cost=cost,
-        delay=np.array(doc["delay"], dtype=int),
-        base_cost=float(doc["base_cost"]),
-        location_cost=np.array(doc["location_cost"], dtype=float),
-        budget=float(doc["budget"]),
-        capacity_max=np.array(doc["capacity_max"], dtype=float),
-        recurrence=np.array(doc["recurrence"], dtype=float),
-        range_limit=float(doc["range_limit"]),
-        distance=np.array(doc["distance"], dtype=float) if "distance" in doc else None,
-        coordinates=(
-            np.array(doc["coordinates"], dtype=float) if "coordinates" in doc else None
-        ),
-    )
+    with _reading(doc, "instance", INSTANCE_VERSION):
+        cost = np.array([[FORBIDDEN if v == "forbidden" else float(v) for v in row]
+                         for row in doc["assign_cost"]])
+        return PlanningInstance(
+            n_locations=int(_whole(doc["n_locations"], "n_locations")),
+            n_slots=int(_whole(doc["n_slots"], "n_slots")),
+            flow=np.array(doc["flow"], dtype=float),
+            alpha=np.array(doc["alpha"], dtype=float),
+            beta=float(doc["beta"]),
+            assign_cost=cost,
+            delay=_whole(doc["delay"], "delay", ndim=2),
+            base_cost=float(doc["base_cost"]),
+            location_cost=np.array(doc["location_cost"], dtype=float),
+            budget=float(doc["budget"]),
+            capacity_max=np.array(doc["capacity_max"], dtype=float),
+            recurrence=np.array(doc["recurrence"], dtype=float),
+            range_limit=float(doc["range_limit"]),
+            distance=np.array(doc["distance"], dtype=float) if "distance" in doc else None,
+            coordinates=(
+                np.array(doc["coordinates"], dtype=float) if "coordinates" in doc else None
+            ),
+        )
 
 
 def save_instance(instance: PlanningInstance, path) -> None:
@@ -133,24 +154,32 @@ def solution_to_dict(solution: Solution, instance_checksum: str | None = None) -
 
 
 def solution_from_dict(doc: dict) -> Solution:
-    version = doc.get("version")
-    if version != SOLUTION_VERSION:
-        raise ValueError(f"unsupported solution version: {version!r}")
-    n, T = doc["n_locations"], doc["n_slots"]
-    z = np.zeros((T, n, n))
-    for t, i, j, v in doc["assignments"]:
-        z[t, i, j] = v
-    residuals = {
-        name: ConstraintResidual(r["violation"], tuple(r["where"]) if r["where"] else None)
-        for name, r in doc["feasibility"]["residuals"].items()
-    }
-    return Solution(
-        investment=InvestmentPlan(np.array(doc["capacity"], dtype=float)),
-        assignment=AssignmentPlan(z),
-        cost=CostBreakdown(**doc["cost"]),
-        feasibility=FeasibilityReport(residuals, doc["feasibility"]["tol"]),
-        stats=doc.get("stats", {}),
-    )
+    with _reading(doc, "solution", SOLUTION_VERSION):
+        n = int(_whole(doc["n_locations"], "n_locations"))
+        T = int(_whole(doc["n_slots"], "n_slots"))
+        triplets = np.asarray(doc["assignments"], dtype=float)
+        if triplets.size and (triplets.ndim != 2 or triplets.shape[1] != 4):
+            raise ValueError("assignments must be (t, i, j, value) triplets")
+        triplets = triplets.reshape(-1, 4)
+        cells = _whole(triplets[:, :3], "assignment indices", ndim=2)
+        if np.any((cells < 0) | (cells >= (T, n, n))):
+            raise ValueError(f"assignment index outside the {T} x {n} x {n} plan")
+        z = np.zeros((T, n, n))
+        z[tuple(cells.T)] = triplets[:, 3]
+        capacity = np.array(doc["capacity"], dtype=float)
+        if capacity.shape != (n,):
+            raise ValueError(f"capacity must have {n} entries, got shape {capacity.shape}")
+        residuals = {
+            name: ConstraintResidual(r["violation"], tuple(r["where"]) if r["where"] else None)
+            for name, r in doc["feasibility"]["residuals"].items()
+        }
+        return Solution(
+            investment=InvestmentPlan(capacity),
+            assignment=AssignmentPlan(z),
+            cost=CostBreakdown(**doc["cost"]),
+            feasibility=FeasibilityReport(residuals, float(doc["feasibility"]["tol"])),
+            stats=dict(doc.get("stats", {})),
+        )
 
 
 def save_solution(solution: Solution, path, instance_checksum: str | None = None) -> None:

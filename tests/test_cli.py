@@ -1,14 +1,23 @@
 """End-to-end CLI contract: commands, configs, exit codes, determinism."""
 
+import contextlib
+import copy
 import csv
+import functools
+import hashlib
 import json
+import tempfile
 import warnings
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chargeplan import io
+from chargeplan.central import solve_centralized
 from chargeplan.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -105,6 +114,14 @@ class TestGenerate:
         assert run("--config", str(cfg), "--out", str(tmp_path / "x"), "generate") == EXIT_CONFIG
         assert "n_locations must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("budget", "x"), ("range_km", True), ("beta_kw", None),
+    ])
+    def test_non_number_float_field_exit_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {"generate": {key: value}})
+        assert run("--config", str(cfg), "--out", str(tmp_path / "x"), "generate") == EXIT_CONFIG
+        assert f"{key} must be a number" in capsys.readouterr().err
+
 
 TRIPS_50 = Path(__file__).parent / "data" / "trips_50.csv"
 GRID_2X2 = {"binning": {"bbox": [0, 0, 1, 1], "rows": 2, "cols": 2}}
@@ -154,6 +171,13 @@ class TestIngest:
     def test_malformed_zone_list_exit_2(self, tmp_path, zones):
         code, _ = ingest(tmp_path, {"binning": {"zones": zones}})
         assert code == EXIT_CONFIG
+
+    def test_zero_slot_minutes_exit_2(self, tmp_path, capsys):
+        doc = {"binning": dict(GRID_2X2["binning"], slot_minutes=0)}
+        code, out = ingest(tmp_path, doc)
+        assert code == EXIT_CONFIG
+        assert "invalid config section 'binning'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("distance", ["nan", "-2.0"])
     def test_bad_distance_row_skipped_not_fatal(self, tmp_path, distance):
@@ -217,7 +241,7 @@ class TestSolve:
         assert code == EXIT_INFEASIBLE
         assert (out / "infeasible.json").exists()
 
-    def test_non_convergence_exit_4(self, tmp_path, instance_file):
+    def test_non_convergence_exit_4(self, tmp_path, capsys, instance_file):
         cfg = write_config(
             tmp_path, {"admm": {"max_iterations": 1, "threshold": 1e-12}}
         )
@@ -228,6 +252,7 @@ class TestSolve:
         # the best iterate is still written for inspection
         assert (out / "solution.json").exists()
         assert (out / "convergence.csv").exists()
+        assert "no convergence: best iterate after 1 iterations" in capsys.readouterr().err
 
     def test_unreadable_instance_exit_2(self, tmp_path):
         path = tmp_path / "garbage.json"
@@ -256,6 +281,26 @@ class TestSolve:
                    "solve", str(instance_file), "--method", "admm")
         assert code == EXIT_CONFIG
         assert f"unknown keys in config section 'admm': ['{key}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["optimality_tol", "feasibility_tol"])
+    def test_retired_solver_key_exit_2(self, tmp_path, capsys, instance_file, key):
+        cfg = write_config(tmp_path, {"solver": {key: 1e-7}})
+        code = run("--config", str(cfg), "--out", str(tmp_path / "sol"),
+                   "solve", str(instance_file))
+        assert code == EXIT_CONFIG
+        assert f"unknown keys in config section 'solver': ['{key}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("delay", [[0, 1.5], [1, 0]]), ("n_locations", 2.5), ("n_slots", 2.5),
+    ])
+    def test_fractional_integer_field_exit_2(self, tmp_path, capsys, field, value):
+        doc = io.instance_to_dict(make_instance(np.ones((2, 2))))
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(dict(doc, **{field: value})))
+        out = tmp_path / "sol"
+        assert run("--out", str(out), "solve", str(path)) == EXIT_CONFIG
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_solver_config_section_respected(self, tmp_path, instance_file):
         cfg = write_config(tmp_path, {"solver": {"backend": "highs"}})
@@ -403,6 +448,17 @@ class TestCompare:
                    str(instance_file), "--methods", "base,admm")
         assert code == EXIT_CONFIG
 
+    def test_infeasible_names_the_method(self, tmp_path, capsys):
+        inst = make_instance([[10.0]], beta=2.0, capacity_max=[5.0])
+        path = tmp_path / "bad.json"
+        io.save_instance(inst, path)
+        code = run("--out", str(tmp_path / "c"), "compare", str(path),
+                   "--methods", "centralized,base")
+        assert code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: centralized: ")
+        assert "Traceback" not in err
+
     def test_non_converged_admm_exit_4_after_writing(self, tmp_path, instance_file):
         cfg = write_config(
             tmp_path, {"admm": {"max_iterations": 1, "threshold": 1e-12}}
@@ -415,3 +471,156 @@ class TestCompare:
         assert doc["base"]["converged"] is True
         assert doc["admm"]["converged"] is False
         assert (out / "comparison.csv").exists()
+
+
+# ------------------------------------------------- malformed input, one exit code
+
+VALID_CONFIG = {
+    "solver": {"backend": "highs", "max_iterations": 20000},
+    "admm": {"rho": 0.1, "max_iterations": 50, "threshold": 1e-4},
+    "sweep": {"r_values": [0, 3]},
+}
+#: the commands that read each config section
+SECTION_READERS = {"solver": ("solve", "sweep-r", "compare"),
+                   "admm": ("solve", "compare"), "sweep": ("sweep-r",)}
+INPUT_COMMANDS = ("solve", "sweep-r", "report", "compare")
+#: document fields whose absence is valid
+OPTIONAL_FIELDS = {"distance", "coordinates", "stats", "instance_checksum"}
+
+
+@functools.cache
+def valid_documents() -> dict:
+    """A tiny instance, its centralized solution and a config that reads
+    every section the input commands use."""
+    inst = generate_instance(GenParams(n_locations=4, n_slots=8, seed=3, range_km=6.0))
+    instance = io.instance_to_dict(inst)
+    checksum = hashlib.sha256(json.dumps(instance, indent=1).encode()).hexdigest()
+    solution = io.solution_to_dict(solve_centralized(inst), checksum)
+    return {"instance": instance, "solution": solution, "config": VALID_CONFIG}
+
+
+def other_json_types(value) -> list:
+    """Stand-ins of a JSON type other than ``value``'s (numbers are one type)."""
+    number = (int, float)
+    return [v for v in ("x", 5, [1], {"a": 1})
+            if not (isinstance(v, number) and isinstance(value, number))
+            and type(v) is not type(value)]
+
+
+@st.composite
+def corruptions(draw):
+    """One corrupting edit ``(document, op, path, value)`` of a valid input."""
+    docs = valid_documents()
+    document = draw(st.sampled_from(["instance", "solution", "config"]))
+    doc = docs[document]
+    kind = draw(st.sampled_from(
+        ["root", "drop", "null", "retype"] if document != "config"
+        else ["root", "missing", "null", "retype", "section", "unknown-key"]
+    ))
+    if document == "solution" and draw(st.booleans()):
+        kind = "triplet"
+    if kind == "root":
+        return document, "set", (), draw(st.sampled_from([[], [1], 5, 2.5]))
+    if kind == "missing":
+        return document, "missing", (), None
+    if kind == "triplet":
+        T, n = doc["n_slots"], doc["n_locations"]
+        axis = draw(st.integers(0, 2))
+        bad = draw(st.sampled_from([(T, n, n)[axis], 99, -1, 0.5]))
+        triplet = [0, 0, 1, 1.0]
+        triplet[axis] = bad
+        return document, "append", ("assignments",), triplet
+    if document == "config":
+        section = draw(st.sampled_from(sorted(doc)))
+        if kind == "section":
+            return document, "set", (section,), draw(st.sampled_from(["x", 5, [1]]))
+        if kind == "unknown-key":
+            return document, "set", (section, "bogus"), 1
+        key = draw(st.sampled_from(sorted(doc[section])))
+        path = (section, key)
+    else:
+        path = (draw(st.sampled_from(sorted(set(doc) - OPTIONAL_FIELDS))),)
+        if kind == "drop":
+            return document, "drop", path, None
+    value = doc[path[0]] if len(path) == 1 else doc[path[0]][path[1]]
+    if kind == "null":
+        return document, "set", path, None
+    return document, "set", path, draw(st.sampled_from(other_json_types(value)))
+
+
+def corrupt(docs: dict, case) -> dict:
+    document, op, path, value = case
+    docs = copy.deepcopy(docs)
+    if op == "missing":
+        del docs[document]
+    elif not path:
+        docs[document] = value
+    else:
+        *parents, key = path
+        holder = docs[document]
+        for parent in parents:
+            holder = holder[parent]
+        if op == "drop":
+            del holder[key]
+        elif op == "append":
+            holder[key].append(value)
+        else:
+            holder[key] = value
+    return docs
+
+
+def readers(case) -> tuple[str, ...]:
+    document, op, path, _ = case
+    if document == "solution":
+        return ("report",)
+    if document == "config" and path:
+        return SECTION_READERS[path[0]]
+    return INPUT_COMMANDS
+
+
+def run_command(command: str, work: Path) -> tuple[int, str]:
+    """Run one input command on the files in ``work``; (exit code, stderr)."""
+    inputs = {"instance": str(work / "instance.json"),
+              "solution": str(work / "solution.json")}
+    operands = {
+        "solve": ["solve", inputs["instance"]],
+        "sweep-r": ["sweep-r", inputs["instance"]],
+        "report": ["report", inputs["solution"], inputs["instance"]],
+        "compare": ["compare", inputs["instance"], "--methods", "base,centralized"],
+    }[command]
+    err = StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run("--config", str(work / "config.json"), "--out",
+                   str(work / command), *operands)
+    return code, err.getvalue()
+
+
+def write_documents(docs: dict, work: Path) -> None:
+    for name, doc in docs.items():
+        (work / f"{name}.json").write_text(json.dumps(doc, indent=1))
+
+
+def test_valid_documents_pass_every_input_command(tmp_path):
+    write_documents(valid_documents(), tmp_path)
+    for command in INPUT_COMMANDS:
+        assert run_command(command, tmp_path) == (EXIT_OK, ""), command
+
+
+@given(case=corruptions())
+@example(case=("instance", "set", (), []))
+@example(case=("instance", "set", ("n_locations",), None))
+@example(case=("config", "set", ("sweep",), 5))
+@example(case=("config", "set", ("sweep", "r_values"), 5))
+@example(case=("solution", "append", ("assignments",), [99, 0, 1, 1.0]))
+@example(case=("solution", "append", ("assignments",), [-1, 0, 1, 1.0]))
+@example(case=("config", "missing", (), None))
+@settings(max_examples=150, deadline=None)
+def test_corrupted_input_exits_2_and_writes_nothing(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        write_documents(corrupt(valid_documents(), case), work)
+        for command in readers(case):
+            code, err = run_command(command, work)
+            assert code == EXIT_CONFIG, (command, err)
+            assert "Traceback" not in err
+            assert not (work / command).exists(), command

@@ -17,6 +17,8 @@ from chargeplan.io import (
     load_solution,
     save_instance,
     save_solution,
+    solution_from_dict,
+    solution_to_dict,
 )
 from chargeplan.model import FORBIDDEN
 
@@ -80,6 +82,33 @@ class TestInstanceIO:
         with pytest.raises(ValueError, match="version"):
             instance_from_dict(doc)
 
+    @pytest.mark.parametrize("root", [[], 5, "instance"])
+    def test_non_object_root_rejected(self, root):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            instance_from_dict(root)
+
+    @pytest.mark.parametrize("field, value", [
+        ("delay", [[0, 1.5], [1, 0]]), ("n_locations", 2.5), ("n_slots", 2.5),
+        ("delay", [[0, None], [1, 0]]), ("n_slots", [2]),
+    ])
+    def test_fractional_or_non_integer_counts_rejected(self, field, value):
+        doc = instance_to_dict(make_instance(np.ones((2, 2))))
+        with pytest.raises(ValueError, match=field):
+            instance_from_dict(dict(doc, **{field: value}))
+
+    @pytest.mark.parametrize("field, value", [("beta", None), ("flow", None),
+                                              ("assign_cost", 5), ("beta", [1])])
+    def test_mistyped_field_is_a_value_error(self, field, value):
+        doc = instance_to_dict(make_instance(np.ones((2, 2))))
+        with pytest.raises(ValueError):
+            instance_from_dict(dict(doc, **{field: value}))
+
+    def test_missing_field_named(self):
+        doc = instance_to_dict(make_instance(np.ones((2, 2))))
+        del doc["budget"]
+        with pytest.raises(ValueError, match="no field 'budget'"):
+            instance_from_dict(doc)
+
     def test_save_is_deterministic(self, tmp_path, rng):
         inst = random_instance(rng)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -139,3 +168,27 @@ class TestSolutionIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="version"):
             load_solution(path)
+
+    @pytest.mark.parametrize("triplet", [
+        [2, 0, 1, 1.0], [-1, 0, 1, 1.0], [0, 0, 3, 1.0], [0, -1, 1, 1.0],
+        [0.5, 0, 1, 1.0], [0, 0, 1],
+    ])
+    def test_triplet_outside_the_plan_rejected(self, triplet):
+        inst = make_instance(np.ones((2, 3)))
+        doc = solution_to_dict(solve_centralized(inst))
+        doc["assignments"].append(triplet)
+        with pytest.raises(ValueError, match="assignment"):
+            solution_from_dict(doc)
+
+    def test_triplets_fill_their_cells(self):
+        inst = make_instance(np.ones((2, 3)))
+        doc = solution_to_dict(solve_centralized(inst))
+        doc["assignments"] = [[1, 2, 0, 4.0], [0, 0, 1, 0.5]]
+        z = solution_from_dict(doc).assignment.z
+        assert (z[1, 2, 0], z[0, 0, 1]) == (4.0, 0.5)
+        assert np.count_nonzero(z) == 2
+
+    @pytest.mark.parametrize("root", [[], 5])
+    def test_non_object_root_rejected(self, root):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            solution_from_dict(root)
