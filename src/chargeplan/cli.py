@@ -158,7 +158,7 @@ def cmd_ingest(args, config: dict) -> int:
 
     parsed = parse_trips(args.trips)
     flows = build_flows(parsed.records, spec)
-    distances = build_distances(parsed.records, spec)
+    distances = build_distances(parsed.records, spec, flows.dest_zone)
     coordinates = np.array([[z.lon, z.lat] for z in flows.zones])
     instance = assemble_instance(flows.flow, distances.distance, econ, coordinates)
 
@@ -194,14 +194,8 @@ def cmd_solve(args, config: dict) -> int:
     instance = io.load_instance(args.instance)
 
     out_dir = Path(args.out)
-    _write_resolved(
-        out_dir,
-        {
-            "solver": dataclasses.asdict(solver),
-            "admm": dataclasses.asdict(admm),
-            "method": args.method,
-        },
-    )
+    _write_resolved(out_dir, {"solver": dataclasses.asdict(solver),
+                              "admm": dataclasses.asdict(admm)})
     try:
         solution, convergence = _solve(instance, args.method, solver, admm)
     except InfeasibleProblemError as exc:
@@ -278,19 +272,17 @@ def cmd_sweep_r(args, config: dict) -> int:
 def cmd_report(args, config: dict) -> int:
     instance = io.load_instance(args.instance)
     doc = json.loads(Path(args.solution).read_text())
-    solution = io.solution_from_dict(doc)
+    solution = io.solution_from_dict(doc, (instance.n_slots, instance.n_locations))
     stored = doc.get("instance_checksum")
     if stored is not None and stored != io.file_checksum(args.instance):
         raise ValueError("solution was produced from a different instance file")
-    if solution.assignment.z.shape[:2] != (instance.n_slots, instance.n_locations):
-        raise ValueError("mismatched instance/solution pair")
 
     window = None
     if args.window:
         lo, hi = (int(v) for v in args.window.split(":"))
         window = (lo, hi)
     out_dir = Path(args.out)
-    _write_resolved(out_dir, {"report": {"format": args.format, "window": window}})
+    _write_resolved(out_dir, {})  # report reads no config section
     if args.format == "geojson":
         write_geojson(instance, solution, out_dir / "solution.geojson", window)
     else:
@@ -312,8 +304,7 @@ def cmd_compare(args, config: dict) -> int:
 
     out_dir = Path(args.out)
     _write_resolved(out_dir, {"solver": dataclasses.asdict(solver),
-                              "admm": dataclasses.asdict(admm),
-                              "methods": methods})
+                              "admm": dataclasses.asdict(admm)})
     results = {}
     converged = {}
     for method in methods:

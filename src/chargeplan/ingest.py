@@ -10,18 +10,23 @@ The slot index is the weekday-anchored minute of week divided by the slot
 length, folded cyclically onto the horizon, so multi-week data accumulate
 onto one representative cycle and binning stays shift-equivariant.
 
-The CSV is read once, row by row, into a :class:`TripTable` of numpy
-columns; binning, the per-record distance fallback and the per-pair
-averages are array code over that table.  Reading dominates: on a 2-vCPU
-x86-64 host with CPython 3.11, parsing a 100 000-row file takes about
-0.3 s (nearly all of it in the ``csv`` module and ``fromisoformat``), grid
-binning and averaging about 0.02 s.
+The CSV is read once, row by row, straight into one typed buffer per
+column (``array.array``); the :class:`TripTable` columns are numpy views of
+those buffers, so a parsed row costs its 48 bytes of values and no Python
+object outlives its row.  Binning, the per-record distance fallback and the
+per-pair averages are array code over that table.  Reading dominates: on a
+2-vCPU x86-64 host with CPython 3.11, parsing a 100 000-row file takes
+about 0.35 s (a third of it in the ``csv`` module, the rest in the per-row
+conversions, checks and appends), grid binning and averaging about 0.02 s.
+A 1.5 M-row file parses in about 5 s and adds about 70 MB, the size of its
+columns, to the process's peak RSS.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -31,6 +36,12 @@ from .datagen import GenParams, assignment_costs, sample_alpha, travel_delays
 from .model import PlanningInstance
 
 EARTH_RADIUS_KM = 6371.0088
+
+#: ``a`` terms closer than this relative gap may round to equal distances.
+#: A gap of 1e-9 in ``a`` is at least 5e-10 in the distance (the square root
+#: halves it, the arcsine keeps it), far beyond the three roundings of about
+#: 1e-16 each that ``_arc_km`` adds.
+_A_TIE_TOL = 1e-9
 
 REQUIRED_COLUMNS = ("start_time", "origin_lng", "origin_lat", "dest_lng", "dest_lat")
 
@@ -108,19 +119,32 @@ class BinningSpec:
         """Zone index per point (int64), -1 where it falls outside the grid.
 
         Grid cells are half-open except on the far edges, which snap
-        inward.  A zone list keeps a running best under strict ``<``, so a
-        point equidistant from several zones goes to the first of them.
+        inward.  On a zone list a point goes to the zone at the least
+        distance as :func:`haversine_km` rounds it; of zones at equal
+        distances, the first listed.
         """
         lon = np.asarray(lon, dtype=float)
         lat = np.asarray(lat, dtype=float)
         best = np.full(lon.shape, -1, dtype=np.int64)
         if self.zones is not None:
-            best_d = np.full(lon.shape, np.inf)
+            # the running best compares haversine ``a`` terms, which rise
+            # with distance; only where two of them are too close for the
+            # rounded distances to be told apart in advance are those
+            # distances computed and compared
+            best_a = np.full(lon.shape, np.inf)
+            phi = np.radians(lat)
+            cos_phi = np.cos(phi)
             for k, z in enumerate(self.zones):
-                d = haversine_km(lon, lat, z.lon, z.lat)
-                closer = d < best_d
-                best[closer] = k
-                best_d[closer] = d[closer]
+                dlam = np.radians(np.subtract(z.lon, lon))
+                a = _haversine_a(phi, cos_phi, np.radians(z.lat), dlam)
+                closer = a < best_a * (1 - _A_TIE_TOL)
+                near = (a <= best_a * (1 + _A_TIE_TOL)) ^ closer
+                if near.any():
+                    near &= a != best_a
+                    near[near] = _arc_km(a[near]) < _arc_km(best_a[near])
+                    closer |= near
+                np.copyto(best, k, where=closer)
+                np.copyto(best_a, a, where=closer)
             return best
         min_lon, min_lat, max_lon, max_lat = self.bbox
         inside = (min_lon <= lon) & (lon <= max_lon) & (min_lat <= lat) & (lat <= max_lat)
@@ -137,16 +161,25 @@ class BinningSpec:
 
 
 def haversine_km(lon1, lat1, lon2, lat2) -> np.ndarray:
-    """Great-circle distance in km, elementwise over broadcast arguments.
+    """Great-circle distance in km, elementwise over broadcast arguments."""
+    phi1 = np.radians(lat1)
+    dlam = np.radians(np.subtract(lon2, lon1))
+    return _arc_km(_haversine_a(phi1, np.cos(phi1), np.radians(lat2), dlam))
+
+
+def _haversine_a(phi1, cos_phi1, phi2, dlam) -> np.ndarray:
+    """The haversine term ``a`` in [0, 1], which rises with distance, from
+    latitudes and the longitude difference in radians."""
+    return np.sin((phi2 - phi1) / 2) ** 2 + cos_phi1 * np.cos(phi2) * np.sin(dlam / 2) ** 2
+
+
+def _arc_km(a) -> np.ndarray:
+    """Distance in km for haversine terms ``a``.
 
     The arcsine goes through ``math.asin`` one element at a time: numpy's
     SIMD ``arcsin`` can differ from libm's in the last bit, and distances
     (hence instance files) should not depend on the host's CPU extensions.
     """
-    phi1, phi2 = np.radians(lat1), np.radians(lat2)
-    dphi = phi2 - phi1
-    dlam = np.radians(np.subtract(lon2, lon1))
-    a = np.sin(dphi / 2) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2) ** 2
     root = np.sqrt(a)
     arc = np.fromiter(map(math.asin, root.ravel().tolist()), float, root.size)
     return 2 * EARTH_RADIUS_KM * arc.reshape(root.shape)
@@ -196,8 +229,12 @@ def parse_trips(path) -> ParseResult:
         has_distance = "distance_km" in where
         k_dist = where.get("distance_km")
         width = max(k_time, k_olon, k_olat, k_dlon, k_dlat) + 1
-        fromisoformat, inf, nan = datetime.fromisoformat, math.inf, math.nan
-        parsed: list[tuple[int, float, float, float, float, float]] = []
+        fromisoformat, isfinite = datetime.fromisoformat, math.isfinite
+        inf, nan = math.inf, math.nan
+        # one typed buffer per column: a row costs its 48 bytes of values,
+        # not a tuple of Python objects
+        minute, dist_col = array("q"), array("d")
+        olon, olat, dlon, dlat = array("d"), array("d"), array("d"), array("d")
         skipped = 0
         for row in reader:
             if not row:
@@ -213,26 +250,28 @@ def parse_trips(path) -> ParseResult:
                     dist = float(text)
                     if not 0.0 <= dist < inf:
                         raise ValueError("distance_km must be finite and non-negative")
-                parsed.append((
-                    ts.weekday() * 1440 + ts.hour * 60 + ts.minute,
-                    float(row[k_olon]), float(row[k_olat]),
-                    float(row[k_dlon]), float(row[k_dlat]),
-                    dist,
-                ))
+                o_lon, o_lat = float(row[k_olon]), float(row[k_olat])
+                d_lon, d_lat = float(row[k_dlon]), float(row[k_dlat])
             except ValueError:
                 skipped += 1
-    # minutes of week are small integers, exact in a float64 column
-    columns = np.array(parsed, dtype=float).reshape(-1, 6)
-    finite = np.isfinite(columns[:, 1:5]).all(axis=1)
-    skipped += int(np.count_nonzero(~finite))
-    minute, olon, olat, dlon, dlat, dist = np.ascontiguousarray(columns[finite].T)
+                continue
+            if not (isfinite(o_lon) and isfinite(o_lat) and isfinite(d_lon) and isfinite(d_lat)):
+                skipped += 1
+                continue
+            minute.append(ts.weekday() * 1440 + ts.hour * 60 + ts.minute)
+            olon.append(o_lon)
+            olat.append(o_lat)
+            dlon.append(d_lon)
+            dlat.append(d_lat)
+            dist_col.append(dist)
+    # the columns are views of the buffers, not copies
     table = TripTable(
-        minute=minute.astype(np.int64),
-        origin_lon=olon,
-        origin_lat=olat,
-        dest_lon=dlon,
-        dest_lat=dlat,
-        distance_km=dist,
+        minute=np.frombuffer(minute, dtype=np.int64),
+        origin_lon=np.frombuffer(olon, dtype=float),
+        origin_lat=np.frombuffer(olat, dtype=float),
+        dest_lon=np.frombuffer(dlon, dtype=float),
+        dest_lat=np.frombuffer(dlat, dtype=float),
+        distance_km=np.frombuffer(dist_col, dtype=float),
     )
     return ParseResult(table, skipped)
 
@@ -242,6 +281,7 @@ class FlowResult:
     flow: np.ndarray  # (n_slots, n_zones)
     zones: list[Zone]
     dropped: int
+    dest_zone: np.ndarray  # zone index per trip destination, -1 off the grid
 
 
 def build_flows(trips: TripTable, spec: BinningSpec) -> FlowResult:
@@ -251,7 +291,7 @@ def build_flows(trips: TripTable, spec: BinningSpec) -> FlowResult:
     kept = zone >= 0
     cell = spec.slots_of(trips.minute[kept]) * n + zone[kept]
     flow = np.bincount(cell, minlength=T * n).reshape(T, n).astype(float)
-    return FlowResult(flow, spec.zone_registry(), int(np.count_nonzero(~kept)))
+    return FlowResult(flow, spec.zone_registry(), int(np.count_nonzero(~kept)), zone)
 
 
 @dataclass
@@ -261,18 +301,22 @@ class DistanceResult:
     imputed: np.ndarray  # True where the centroid fallback was used
 
 
-def build_distances(trips: TripTable, spec: BinningSpec) -> DistanceResult:
+def build_distances(
+    trips: TripTable, spec: BinningSpec, dest_zone: np.ndarray | None = None
+) -> DistanceResult:
     """Average observed trip distance per (origin zone, destination zone).
 
     A record without a distance counts with the haversine distance between
     its own endpoints.  Pairs with no observations fall back to the
     inter-centroid haversine distance and are flagged as imputed.  The
     diagonal is forced to zero.  No symmetry is imposed; empirical averages
-    rarely are.  Sums accumulate in record order.
+    rarely are.  Sums accumulate in record order.  ``dest_zone`` is
+    :attr:`FlowResult.dest_zone` of the same trips and spec, so that the
+    destinations are not looked up twice; without it they are looked up here.
     """
     n = spec.n_zones
     zi = spec.zones_of(trips.origin_lon, trips.origin_lat)
-    zj = spec.zones_of(trips.dest_lon, trips.dest_lat)
+    zj = spec.zones_of(trips.dest_lon, trips.dest_lat) if dest_zone is None else dest_zone
     kept = (zi >= 0) & (zj >= 0)
     absent = kept & np.isnan(trips.distance_km)
     d = trips.distance_km.copy()

@@ -153,10 +153,16 @@ def solution_to_dict(solution: Solution, instance_checksum: str | None = None) -
     }
 
 
-def solution_from_dict(doc: dict) -> Solution:
+def solution_from_dict(doc: dict, shape: tuple[int, int] | None = None) -> Solution:
+    """Read a solution document.  ``shape``, when given, is the instance's
+    ``(n_slots, n_locations)``; the document's own counts must match it, and
+    are checked before the plan is allocated from them."""
     with _reading(doc, "solution", SOLUTION_VERSION):
         n = int(_whole(doc["n_locations"], "n_locations"))
         T = int(_whole(doc["n_slots"], "n_slots"))
+        if shape is not None and (T, n) != shape:
+            raise ValueError(f"solution is for {T} slots x {n} locations, "
+                             f"the instance has {shape[0]} x {shape[1]}")
         triplets = np.asarray(doc["assignments"], dtype=float)
         if triplets.size and (triplets.ndim != 2 or triplets.shape[1] != 4):
             raise ValueError("assignments must be (t, i, j, value) triplets")

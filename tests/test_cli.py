@@ -398,6 +398,21 @@ class TestReport:
         assert run("--out", str(tmp_path / "rep"), "report", str(sol_path),
                    str(other)) == EXIT_CONFIG
 
+    def test_oversized_solution_exit_2_before_allocating(self, tmp_path, instance_file,
+                                                        capsys):
+        # a dense plan of 24 x 1e7 x 1e7 cells cannot be allocated: the
+        # counts must be compared with the instance first
+        sol_path = self._solved(tmp_path, instance_file)
+        doc = json.loads(sol_path.read_text())
+        doc["n_locations"] = 10_000_000
+        sol_path.write_text(json.dumps(doc))
+        out = tmp_path / "rep"
+        assert run("--out", str(out), "report", str(sol_path),
+                   str(instance_file)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "10000000 locations" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_rounded_solution_is_integral(self, tmp_path, instance_file):
         sol_path = self._solved(tmp_path, instance_file)
         out = tmp_path / "rep"
@@ -406,6 +421,30 @@ class TestReport:
         rounded = io.load_solution(out / "solution_rounded.json")
         z = rounded.assignment.z
         np.testing.assert_array_equal(z, np.rint(z))
+
+
+class TestResolvedConfig:
+    @pytest.mark.parametrize("command", [
+        ["generate"],
+        ["ingest", str(TRIPS_50)],
+        ["solve", "{instance}", "--method", "admm"],
+        ["sweep-r", "{instance}", "--r-values", "0,3"],
+        ["report", "{solution}", "{instance}", "--format", "geojson"],
+        ["compare", "{instance}", "--methods", "base,centralized"],
+    ], ids=lambda command: command[0])
+    def test_every_command_replays_its_resolved_config(self, tmp_path, instance_file,
+                                                       command):
+        assert run("--out", str(tmp_path / "sol"), "solve", str(instance_file)) == EXIT_OK
+        argv = [arg.format(instance=instance_file, solution=tmp_path / "sol" / "solution.json")
+                for arg in command]
+        first = tmp_path / "first"
+        assert run("--config", str(write_config(tmp_path, GRID_2X2)), "--out", str(first),
+                   *argv) == EXIT_OK
+        again = tmp_path / "again"
+        assert run("--config", str(first / "resolved_config.json"), "--out", str(again),
+                   *argv) == EXIT_OK
+        assert (again / "resolved_config.json").read_bytes() == (
+            first / "resolved_config.json").read_bytes()
 
 
 class TestCompare:

@@ -4,6 +4,7 @@ import csv
 import functools
 import math
 import tempfile
+import tracemalloc
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -240,6 +241,30 @@ class TestParseTrips:
         result = parse_trips(path)
         assert len(result.records) == 0 and result.skipped == 0
 
+    def test_peak_memory_per_row_is_bounded(self, tmp_path):
+        # the columns take 48 bytes a row; a parse that kept a Python tuple
+        # per row until the end took over 370
+        rng = np.random.default_rng(0)
+        n = 20_000
+        minutes = rng.integers(0, 7 * 1440, n)
+        coords = rng.uniform(0.0, 1.0, (n, 4))
+        km = rng.uniform(0.0, 30.0, n)
+        start = datetime(2024, 3, 4)
+        rows = [
+            f"{(start + timedelta(minutes=int(m))).isoformat()},"
+            f"{c[0]:.6f},{c[1]:.6f},{c[2]:.6f},{c[3]:.6f},{d:.3f}"
+            for m, c, d in zip(minutes, coords, km)
+        ]
+        path = write_csv(tmp_path, rows)
+        tracemalloc.start()
+        try:
+            parsed = parse_trips(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (len(parsed.records), parsed.skipped) == (n, 0)
+        assert peak / n <= 150
+
 
 class TestBinningSpec:
     def test_grid_or_zones_exactly_one(self):
@@ -281,6 +306,18 @@ class TestBinningSpec:
             zones=(Zone("a", 0.0, 0.5), Zone("b", 1.0, 0.5), Zone("c", 0.0, 0.5)), n_slots=4
         )
         assert spec.zones_of([0.5, 0.0], [0.5, 0.5]).tolist() == [0, 0]
+
+    def test_zone_list_tie_on_rounded_distance_goes_to_first_listed(self):
+        # the zone points are one float apart, so their haversine ``a`` terms
+        # differ, yet both round to the same distance: nearer by ``a`` is not
+        # nearer by distance, and the first listed wins either way round
+        far_a, near_a = Zone("far_a", 0.75, 0.5400000000000001), Zone("near_a", 0.75, 0.54)
+        assert far_a.lat != near_a.lat
+        assert oracle_haversine(0.5, 0.5, far_a.lon, far_a.lat) == oracle_haversine(
+            0.5, 0.5, near_a.lon, near_a.lat)
+        for zones in ((far_a, near_a), (near_a, far_a)):
+            spec = BinningSpec(zones=zones, n_slots=4)
+            assert spec.zones_of([0.5], [0.5]).tolist() == [0]
 
     def test_slot_is_weekday_anchored(self, tmp_path):
         # 2024-03-04 is a Monday; 00:00-00:14 is slot 0
