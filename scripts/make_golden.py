@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 import scipy.optimize
 
-from chargeplan.central import build_lp, export_model
+from chargeplan.central import build_lp
 from chargeplan.io import instance_to_dict
 from chargeplan.model import FORBIDDEN, PlanningInstance
-from chargeplan.mps import read_mps
+from chargeplan.mps import read_mps, write_mps
 
 N_CASES = 25
 
@@ -61,7 +61,7 @@ def external_objective(instance: PlanningInstance, workdir: Path) -> float:
     """Objective via the MPS file route and scipy's HiGHS solver."""
     lp = build_lp(instance)
     mps_path = workdir / "model.mps"
-    export_model(lp, mps_path)
+    write_mps(lp, mps_path)
     back = read_mps(mps_path)
     res = scipy.optimize.linprog(
         back.obj,

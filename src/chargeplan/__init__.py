@@ -9,13 +9,7 @@ cannot be pooled.
 """
 
 from .admm import AdmmConfig, ConvergenceReport, run_admm
-from .central import (
-    SolverConfig,
-    build_lp,
-    export_model,
-    solve_base_model,
-    solve_centralized,
-)
+from .central import SolverConfig, build_lp, solve_base_model, solve_centralized
 from .datagen import GenParams, generate_instance, with_range_limit
 from .io import load_instance, load_solution, save_instance, save_solution
 from .model import (
@@ -31,6 +25,7 @@ from .model import (
     check_feasibility,
     evaluate_objective,
 )
+from .mps import write_mps
 
 __version__ = "0.1.0"
 
@@ -51,7 +46,6 @@ __all__ = [
     "build_lp",
     "check_feasibility",
     "evaluate_objective",
-    "export_model",
     "generate_instance",
     "load_instance",
     "load_solution",
@@ -61,4 +55,5 @@ __all__ = [
     "solve_base_model",
     "solve_centralized",
     "with_range_limit",
+    "write_mps",
 ]

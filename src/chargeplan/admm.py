@@ -7,10 +7,10 @@ solves a local subproblem; a master step owns auxiliary capacity copies
 demand induced by the collected assignments.  Multipliers ``lambda_i`` price
 the consensus gap ``c_i - c_tilde_i``.
 
-The iterate is a (T, E) array over the E edges; the dense (T, n, n) plan is
-built once, at the end.  Inflows seen by a subproblem are frozen at the
-previous iteration's assignments (a location cannot control what it
-receives), exchanged by :func:`transform_inflows` in O(T E).  Every
+The iterate is a (T, E) array over the E edges, and so is the returned
+:class:`~chargeplan.model.AssignmentPlan`.  Inflows seen by a subproblem are
+frozen at the previous iteration's assignments (a location cannot control
+what it receives), exchanged by :func:`transform_inflows` in O(T E).  Every
 constraint row of the joint problem appears in each subproblem with the
 other locations' variables frozen; in particular the receivers' capacity-
 satisfaction rows bound a sender's shipments by the receivers' published
@@ -108,7 +108,7 @@ class _LocationWorker:
     With inflows frozen, the minimum-cost split of any required outflow over
     the in-range neighbors is a fractional knapsack: fill neighbors in
     ascending assignment-cost order up to each receiver's published capacity
-    slack (or the hard per-cell cap when no slack information is supplied).
+    slack, and never past the hard per-cell cap.
     That collapses the subproblem to a one-dimensional convex
     piecewise-quadratic in ``c_i``, whose kinks are the capacities at which
     some slot's required outflow crosses a knapsack segment boundary.  A
@@ -126,7 +126,6 @@ class _LocationWorker:
         self.edges = lo + np.argsort(graph.cost[lo:hi], kind="stable")
         self.neighbors = graph.dst[self.edges]
         self.unit_costs = graph.cost[self.edges]
-        self.cell_cap = ASSIGNMENT_CAP
         self.demand = instance.charging_demand[:, i].copy()  # (T,)
         self.recurrence = instance.recurrence
         self.invest_cost = float(instance.unit_investment_cost[i])
@@ -144,24 +143,17 @@ class _LocationWorker:
             )
 
     def solve(
-        self,
-        c_tilde: float,
-        lam: float,
-        inflow: np.ndarray,
-        caps: np.ndarray | None = None,
+        self, c_tilde: float, lam: float, inflow: np.ndarray, caps: np.ndarray
     ) -> tuple[float, np.ndarray, float]:
         """Minimize ``f_i - lam * c + (rho/2) * (c_tilde - c)^2``; (c_i, alloc, f_i).
 
         ``inflow`` is the (T,) frozen arrivals and ``caps`` a (T, m) matrix of
         per-slot shipping limits on ``edges`` (receiver slack from the frozen
-        state); when omitted only the hard per-cell bound applies.  ``alloc``
-        is the (T, m) shipment on ``edges``, ``f_i`` the unaugmented cost.
+        state), clipped to ``[0, ASSIGNMENT_CAP]``.  ``alloc`` is the (T, m)
+        shipment on ``edges``, ``f_i`` the unaugmented cost.
         """
         T, m = self.n_slots, len(self.neighbors)
-        if caps is None:
-            caps = np.full((T, m), self.cell_cap)
-        else:
-            caps = np.clip(caps, 0.0, self.cell_cap)
+        caps = np.clip(caps, 0.0, ASSIGNMENT_CAP)
 
         # prefix quantities of the per-slot fractional knapsack
         qty = np.zeros((T, m + 1))
@@ -377,7 +369,7 @@ def run_admm(
     _, c_final, z_final = (obj, c_tilde, z) if converged else best
 
     inv = InvestmentPlan(c_final)
-    asg = AssignmentPlan(graph.dense(z_final))
+    asg = AssignmentPlan(graph, z_final)
     cost = evaluate_objective(instance, inv, asg)
     report = check_feasibility(instance, inv, asg, tol=1e-4)
     wall = time.perf_counter() - start

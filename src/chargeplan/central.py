@@ -56,8 +56,8 @@ class StandardFormLP:
     Every row is one instance of a model constraint, and every row reads
     ``<=``.  Columns are the ``n_locations`` capacities, then
     one assignment per row of ``cells`` (``(t, i, j)``, see
-    :func:`free_assignment_cells`).  The MPS names and ``col_kinds`` are
-    derived from that layout on first access; solves never read them.
+    :func:`free_assignment_cells`).  The MPS names are derived from that
+    layout on first access; solves never read them.
     """
 
     n_rows: int
@@ -72,13 +72,6 @@ class StandardFormLP:
     n_locations: int
     n_slots: int
     cells: np.ndarray = field(repr=False)
-
-    @cached_property
-    def col_kinds(self) -> list[tuple]:
-        """``("c", i)`` per capacity column, ``("z", t, i, j)`` per cell."""
-        return [("c", k) for k in range(self.n_locations)] + [
-            ("z", s, a, b) for (s, a, b) in self.cells.tolist()
-        ]
 
     @cached_property
     def col_names(self) -> list[str]:
@@ -187,8 +180,8 @@ def _extract_plans(
     n, T = instance.n_locations, instance.n_slots
     c = np.maximum(x[:n], 0.0)
     graph = instance.range_graph
-    z = graph.dense(np.maximum(x[n:], 0.0).reshape(T, graph.n_edges))
-    return InvestmentPlan(c), AssignmentPlan(z)
+    z = np.maximum(x[n:], 0.0).reshape(T, graph.n_edges)
+    return InvestmentPlan(c), AssignmentPlan(graph, z)
 
 
 def solve_lp(lp: StandardFormLP, config: SolverConfig) -> tuple[np.ndarray, dict]:
@@ -252,13 +245,6 @@ def solve_centralized(
     report = check_feasibility(instance, inv, asg, tol=1e-6)
     stats["method"] = "centralized"
     return Solution(inv, asg, cost, report, stats)
-
-
-def export_model(lp: StandardFormLP, path) -> None:
-    """Write a built LP to an MPS file for external solvers."""
-    from .mps import write_mps
-
-    write_mps(lp, path)
 
 
 def solve_base_model(instance: PlanningInstance) -> Solution:

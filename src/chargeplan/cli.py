@@ -272,7 +272,7 @@ def cmd_sweep_r(args, config: dict) -> int:
 def cmd_report(args, config: dict) -> int:
     instance = io.load_instance(args.instance)
     doc = json.loads(Path(args.solution).read_text())
-    solution = io.solution_from_dict(doc, (instance.n_slots, instance.n_locations))
+    solution = io.solution_from_dict(doc, instance)
     stored = doc.get("instance_checksum")
     if stored is not None and stored != io.file_checksum(args.instance):
         raise ValueError("solution was produced from a different instance file")

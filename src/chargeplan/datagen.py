@@ -126,8 +126,9 @@ def with_range_limit(
     """Rebuild an instance's assignment costs for a different range limit.
 
     Requires the raw distance matrix to be present.  The per-km price is
-    inferred from any priced off-diagonal cell when not given (falls back to
-    the 0.2 default for instances where every pair is already forbidden).
+    inferred from any priced off-diagonal cell when not given; when the
+    instance has none and the new range admits a pair, the price must be
+    given.
     """
     if instance.distance is None:
         raise ValueError("instance does not carry raw distances")
@@ -139,8 +140,13 @@ def with_range_limit(
             price_per_km = float(
                 instance.assign_cost[i, j] / instance.distance[i, j]
             )
+        elif np.any(off & (instance.distance < range_km)):
+            raise ValueError(
+                f"no priced pair to infer the per-km price from; a {range_km:g} km "
+                "range admits pairs, so pass price_per_km"
+            )
         else:
-            price_per_km = 0.2
+            price_per_km = 0.0  # every pair stays forbidden; no price is read
     cost = assignment_costs(instance.distance, price_per_km, range_km)
     return dataclasses.replace(instance, assign_cost=cost, range_limit=range_km)
 

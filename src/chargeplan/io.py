@@ -5,7 +5,9 @@ fields exactly as on :class:`~chargeplan.model.PlanningInstance`.  Matrices
 are row-major nested arrays; forbidden assignment-cost cells are written as
 the string ``"forbidden"``.  Solution documents (``charge-plan-solution/1``)
 store assignments sparsely as (t, i, j, value) triplets and embed a checksum
-of the instance file so mismatched reporting can be detected.
+of the instance file so mismatched reporting can be detected.  A solution is
+read against its instance: the triplets map onto the instance's range-graph
+edges, so a nonzero one on a diagonal or out-of-range pair is an error.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def solution_to_dict(solution: Solution, instance_checksum: str | None = None) -
         "capacity": solution.investment.capacity.tolist(),
         "assignments": triplets,
         "n_slots": int(solution.assignment.z.shape[0]),
-        "n_locations": int(solution.assignment.z.shape[1]),
+        "n_locations": solution.assignment.graph.n_locations,
         "cost": {
             "investment": solution.cost.investment,
             "assignment": solution.cost.assignment,
@@ -153,16 +155,16 @@ def solution_to_dict(solution: Solution, instance_checksum: str | None = None) -
     }
 
 
-def solution_from_dict(doc: dict, shape: tuple[int, int] | None = None) -> Solution:
-    """Read a solution document.  ``shape``, when given, is the instance's
-    ``(n_slots, n_locations)``; the document's own counts must match it, and
-    are checked before the plan is allocated from them."""
+def solution_from_dict(doc: dict, instance: PlanningInstance) -> Solution:
+    """Read a solution document for ``instance``.  The document's counts must
+    be the instance's, every triplet must index a cell of the plan, and a
+    nonzero one must sit on an edge of the instance's range graph."""
     with _reading(doc, "solution", SOLUTION_VERSION):
         n = int(_whole(doc["n_locations"], "n_locations"))
         T = int(_whole(doc["n_slots"], "n_slots"))
-        if shape is not None and (T, n) != shape:
-            raise ValueError(f"solution is for {T} slots x {n} locations, "
-                             f"the instance has {shape[0]} x {shape[1]}")
+        if (T, n) != (instance.n_slots, instance.n_locations):
+            raise ValueError(f"solution is for {T} slots x {n} locations, the "
+                             f"instance has {instance.n_slots} x {instance.n_locations}")
         triplets = np.asarray(doc["assignments"], dtype=float)
         if triplets.size and (triplets.ndim != 2 or triplets.shape[1] != 4):
             raise ValueError("assignments must be (t, i, j, value) triplets")
@@ -170,8 +172,18 @@ def solution_from_dict(doc: dict, shape: tuple[int, int] | None = None) -> Solut
         cells = _whole(triplets[:, :3], "assignment indices", ndim=2)
         if np.any((cells < 0) | (cells >= (T, n, n))):
             raise ValueError(f"assignment index outside the {T} x {n} x {n} plan")
-        z = np.zeros((T, n, n))
-        z[tuple(cells.T)] = triplets[:, 3]
+        graph = instance.range_graph
+        edge_of = np.full((n, n), -1)
+        edge_of[graph.src, graph.dst] = np.arange(graph.n_edges)
+        edges = edge_of[cells[:, 1], cells[:, 2]]
+        off = (edges < 0) & (triplets[:, 3] != 0)
+        if off.any():
+            t, i, j = cells[np.argmax(off)].tolist()
+            raise ValueError(f"assignment ({t}, {i}, {j}) is on a diagonal or "
+                             "out-of-range pair")
+        on = edges >= 0
+        z = np.zeros((T, graph.n_edges))
+        z[cells[on, 0], edges[on]] = triplets[on, 3]
         capacity = np.array(doc["capacity"], dtype=float)
         if capacity.shape != (n,):
             raise ValueError(f"capacity must have {n} entries, got shape {capacity.shape}")
@@ -181,7 +193,7 @@ def solution_from_dict(doc: dict, shape: tuple[int, int] | None = None) -> Solut
         }
         return Solution(
             investment=InvestmentPlan(capacity),
-            assignment=AssignmentPlan(z),
+            assignment=AssignmentPlan(graph, z),
             cost=CostBreakdown(**doc["cost"]),
             feasibility=FeasibilityReport(residuals, float(doc["feasibility"]["tol"])),
             stats=dict(doc.get("stats", {})),
@@ -194,5 +206,5 @@ def save_solution(solution: Solution, path, instance_checksum: str | None = None
     )
 
 
-def load_solution(path) -> Solution:
-    return solution_from_dict(json.loads(Path(path).read_text()))
+def load_solution(path, instance: PlanningInstance) -> Solution:
+    return solution_from_dict(json.loads(Path(path).read_text()), instance)

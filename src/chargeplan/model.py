@@ -6,9 +6,11 @@ The planning problem couples a one-time capacity investment decision ``c_i``
 are immutable after construction and all operations are pure functions, so
 they are safe to share across threads.
 
-Pairs that are out of assignment range are encoded as structural zeros via
-the ``FORBIDDEN`` cost marker (``math.inf``) rather than big-M costs, which
-keeps the resulting LP well conditioned.
+Pairs that are out of assignment range are marked by the ``FORBIDDEN`` cost
+(``math.inf``) rather than big-M costs, which keeps the resulting LP well
+conditioned.  An assignment plan holds one column per in-range pair (an edge
+of the instance's :class:`RangeGraph`), so the diagonal and forbidden cells
+are zero by construction rather than by check.
 """
 
 from __future__ import annotations
@@ -144,19 +146,14 @@ class PlanningInstance:
         """Per-kW investment cost ``base_cost + location_cost`` per location."""
         return self.base_cost + self.location_cost
 
-    def forbidden_mask(self) -> np.ndarray:
-        """Boolean (n, n) mask of pairs where assignment is structurally zero.
-
-        Includes the diagonal: self-assignment is always forbidden.
-        """
-        mask = ~np.isfinite(self.assign_cost)
-        np.fill_diagonal(mask, True)
-        return mask
-
     @cached_property
     def range_graph(self) -> "RangeGraph":
-        """The in-range pairs as edges; built on first access, then shared."""
-        src, dst = np.nonzero(~self.forbidden_mask())
+        """The in-range pairs as edges: every off-diagonal pair at a finite
+        cost (self-assignment is never allowed).  Built on first access, then
+        shared."""
+        allowed = np.isfinite(self.assign_cost)
+        np.fill_diagonal(allowed, False)
+        src, dst = np.nonzero(allowed)
         offsets = np.searchsorted(src, np.arange(self.n_locations + 1))
         return RangeGraph(self.n_locations, src, dst, self.assign_cost[src, dst],
                           self.delay[src, dst], offsets)
@@ -205,14 +202,9 @@ class RangeGraph:
         return _slot_sums(z_e, self.src, self.n_locations)
 
     def inflow(self, z_e: np.ndarray) -> np.ndarray:
-        """(T, n) delayed arrivals, equal to :func:`delayed_inflow` of :meth:`dense`."""
+        """(T, n) delayed arrivals, equal to :func:`delayed_inflow` of the
+        dense plan with ``z_e`` on the edges and zeros elsewhere."""
         return _delayed_sums(z_e, self.dst, self.delay, self.n_locations)
-
-    def dense(self, z_e: np.ndarray) -> np.ndarray:
-        """The (T, n, n) plan with ``z_e`` on the edges and zeros elsewhere."""
-        z = np.zeros((z_e.shape[0], self.n_locations, self.n_locations))
-        z[:, self.src, self.dst] = z_e
-        return z
 
 
 @dataclass(frozen=True)
@@ -235,32 +227,39 @@ class InvestmentPlan:
 
 @dataclass(frozen=True)
 class AssignmentPlan:
-    """EV redirections ``z[t, i, j]`` (continuous-relaxed vehicle counts).
+    """EV redirections (continuous-relaxed vehicle counts) on a range graph.
 
-    Stored dense for vectorised evaluation; cells on the diagonal or on
-    range-forbidden pairs are required to stay exactly zero and are rejected
-    by :func:`evaluate_objective` when violated.
+    ``z[t, e]`` is the number sent from ``graph.src[e]`` to ``graph.dst[e]``
+    in slot ``t``; pairs off the graph (the diagonal and out-of-range pairs)
+    have no column, so they carry nothing.  ``z`` is kept as a read-only
+    view, not a copy, of the array passed in, which nothing else should
+    write to afterwards.
     """
 
+    graph: RangeGraph
     z: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "z", _readonly(self.z))
-        if self.z.ndim != 3 or self.z.shape[1] != self.z.shape[2]:
-            raise ValueError("z must have shape (n_slots, n, n)")
-        if not np.all(np.isfinite(self.z)):
+        z = np.asarray(self.z, dtype=float).view()
+        z.setflags(write=False)
+        object.__setattr__(self, "z", z)
+        if z.ndim != 2 or z.shape[1] != self.graph.n_edges:
+            raise ValueError("z must have shape (n_slots, n_edges)")
+        if not np.all(np.isfinite(z)):
             raise ValueError("z entries must be finite")
 
     @staticmethod
     def zeros(instance: PlanningInstance) -> "AssignmentPlan":
-        n, T = instance.n_locations, instance.n_slots
-        return AssignmentPlan(np.zeros((T, n, n)))
+        graph = instance.range_graph
+        return AssignmentPlan(graph, np.zeros((instance.n_slots, graph.n_edges)))
 
-    def nonzero_triplets(self, atol: float = 0.0):
-        """Yield (t, i, j, value) for entries with |value| > atol."""
-        ts, is_, js = np.nonzero(np.abs(self.z) > atol)
-        for t, i, j in zip(ts.tolist(), is_.tolist(), js.tolist()):
-            yield t, i, j, float(self.z[t, i, j])
+    def nonzero_triplets(self):
+        """Yield (t, i, j, value) for the nonzero entries, slot-major, then
+        origin-major."""
+        ts, es = np.nonzero(self.z)
+        src, dst = self.graph.src[es].tolist(), self.graph.dst[es].tolist()
+        for t, e, i, j in zip(ts.tolist(), es.tolist(), src, dst):
+            yield t, i, j, float(self.z[t, e])
 
 
 @dataclass(frozen=True)
@@ -325,11 +324,18 @@ def delayed_inflow(z: np.ndarray, delay: np.ndarray) -> np.ndarray:
     return _delayed_sums(z.reshape(T, n * n), dst, np.asarray(delay).ravel(), n)
 
 
+def _plan_graph(instance: PlanningInstance, asg: AssignmentPlan) -> RangeGraph:
+    """The instance's range graph, which ``asg`` must be a plan on."""
+    graph = instance.range_graph
+    if asg.graph is not graph or asg.z.shape[0] != instance.n_slots:
+        raise ValueError("assignment plan does not match instance dimensions")
+    return graph
+
+
 def net_demand_matrix(instance: PlanningInstance, asg: AssignmentPlan) -> np.ndarray:
     """Delay-aware net charging demand (EV counts) for every (slot, location)."""
-    outflow = asg.z.sum(axis=2)
-    inflow = delayed_inflow(asg.z, instance.delay)
-    return instance.charging_demand - outflow + inflow
+    graph = _plan_graph(instance, asg)
+    return instance.charging_demand - graph.outflow(asg.z) + graph.inflow(asg.z)
 
 
 def evaluate_objective(
@@ -338,26 +344,15 @@ def evaluate_objective(
     """Evaluate the joint objective for a pair of plans.
 
     investment = sum_i c_i * (base_cost + location_cost_i)
-    assignment = sum_t recurrence_t * sum_ij z[t, i, j] * assign_cost[i, j]
+    assignment = sum_t recurrence_t * sum_e z[t, e] * cost[e]
 
-    Raises ``ValueError`` on dimension mismatch or if any structurally-zero
-    cell (diagonal or forbidden pair) carries a nonzero assignment.
+    Raises ``ValueError`` when either plan does not fit the instance.
     """
-    n, T = instance.n_locations, instance.n_slots
-    if inv.capacity.shape != (n,):
+    if inv.capacity.shape != (instance.n_locations,):
         raise ValueError("investment plan does not match instance dimensions")
-    if asg.z.shape != (T, n, n):
-        raise ValueError("assignment plan does not match instance dimensions")
-    mask = instance.forbidden_mask()
-    if np.any(asg.z[:, mask] != 0):
-        bad = np.argwhere(asg.z[:, mask] != 0)
-        raise ValueError(
-            f"nonzero assignment on a forbidden or diagonal cell (first at {bad[0]})"
-        )
+    graph = _plan_graph(instance, asg)
     investment = float(inv.capacity @ instance.unit_investment_cost)
-    cost = np.where(mask, 0.0, instance.assign_cost)
-    per_slot = np.einsum("tij,ij->t", asg.z, cost)
-    assignment = float(instance.recurrence @ per_slot)
+    assignment = float(instance.recurrence @ (asg.z @ graph.cost))
     return CostBreakdown(investment, assignment, investment + assignment)
 
 
@@ -373,7 +368,7 @@ def check_feasibility(
     is ``max(0, lhs - rhs)`` in the constraint's natural units, together with
     the offending indices of the worst violation.
     """
-    n, T = instance.n_locations, instance.n_slots
+    graph = _plan_graph(instance, asg)
     c, z = inv.capacity, asg.z
     res: dict[str, ConstraintResidual] = {}
 
@@ -389,20 +384,22 @@ def check_feasibility(
 
     res["capacity_bounds"] = worst(np.maximum(c - instance.capacity_max, -c))
 
-    outflow = z.sum(axis=2)  # (T, n)
+    outflow = graph.outflow(z)  # (T, n)
     res["flow_conservation"] = worst(outflow - instance.charging_demand)
 
-    net = net_demand_matrix(instance, asg)
-    load = instance.beta * net
+    load = instance.beta * (instance.charging_demand - outflow + graph.inflow(z))
     upper = load - c[None, :]
     lower = -load
     res["capacity_satisfaction"] = worst(np.maximum(upper, lower))
 
-    res["non_negativity"] = worst(-z)
+    neg = worst(-z)
+    if neg.where is not None:  # report the cell (t, i, j), not the edge
+        t, e = neg.where
+        neg = ConstraintResidual(neg.violation, (t, int(graph.src[e]), int(graph.dst[e])))
+    res["non_negativity"] = neg
 
-    diag = np.abs(z[:, np.arange(n), np.arange(n)])
-    res["diagonal"] = worst(diag)
-
-    res["range"] = worst(np.abs(z[:, ~np.isfinite(instance.assign_cost)]))
+    # kept for the solution file format: the plan has no diagonal or
+    # out-of-range cell, so these are zero by construction
+    res["diagonal"] = res["range"] = ConstraintResidual(0.0, None)
 
     return FeasibilityReport(res, tol)

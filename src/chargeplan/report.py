@@ -23,7 +23,8 @@ from .model import (
 def aggregate_flows(
     solution: Solution, window: tuple[int, int] | None = None
 ) -> np.ndarray:
-    """Sum assignments over a half-open slot window into an (n, n) matrix."""
+    """Sum assignments over a half-open slot window: one total per edge of
+    the plan's range graph."""
     z = solution.assignment.z
     if window is None:
         window = (0, z.shape[0])
@@ -31,6 +32,20 @@ def aggregate_flows(
     if not (0 <= lo < hi <= z.shape[0]):
         raise ValueError(f"invalid slot window {window}")
     return z[lo:hi].sum(axis=0)
+
+
+def _flows(instance: PlanningInstance, solution: Solution, window) -> tuple:
+    """The plan's graph, its per-edge flows over the window, and each
+    location's net vehicles sent (sent minus received)."""
+    graph = solution.assignment.graph
+    if graph is not instance.range_graph:
+        raise ValueError("solution does not match instance dimensions")
+    flows = aggregate_flows(solution, window)
+    # row and column sums of the (n, n) flow matrix: numpy's pairwise row sum
+    # fixes the last digit the GeoJSON prints, where a bincount could move it
+    matrix = np.zeros((instance.n_locations,) * 2)
+    matrix[graph.src, graph.dst] = flows
+    return graph, flows, matrix.sum(axis=1) - matrix.sum(axis=0)
 
 
 def solution_geojson(
@@ -47,11 +62,8 @@ def solution_geojson(
     """
     if instance.coordinates is None:
         raise ValueError("instance carries no coordinates; cannot build GeoJSON")
-    if solution.assignment.z.shape[1] != instance.n_locations:
-        raise ValueError("solution does not match instance dimensions")
+    graph, flows, net_sent = _flows(instance, solution, window)
     coords = instance.coordinates
-    flows = aggregate_flows(solution, window)
-    net_sent = flows.sum(axis=1) - flows.sum(axis=0)
     features = []
     for i in range(instance.n_locations):
         features.append(
@@ -66,23 +78,18 @@ def solution_geojson(
                 },
             }
         )
-    for i in range(instance.n_locations):
-        for j in range(instance.n_locations):
-            if flows[i, j] > flow_atol:
-                features.append(
-                    {
-                        "type": "Feature",
-                        "geometry": {
-                            "type": "LineString",
-                            "coordinates": [list(coords[i]), list(coords[j])],
-                        },
-                        "properties": {
-                            "from": i,
-                            "to": j,
-                            "vehicles": float(flows[i, j]),
-                        },
-                    }
-                )
+    for e in np.flatnonzero(flows > flow_atol):
+        i, j = int(graph.src[e]), int(graph.dst[e])
+        features.append(
+            {
+                "type": "Feature",
+                "geometry": {
+                    "type": "LineString",
+                    "coordinates": [list(coords[i]), list(coords[j])],
+                },
+                "properties": {"from": i, "to": j, "vehicles": float(flows[e])},
+            }
+        )
     return {"type": "FeatureCollection", "features": features}
 
 
@@ -97,12 +104,9 @@ def write_csv_tables(
     window: tuple[int, int] | None = None,
 ) -> tuple[Path, Path]:
     """Write locations.csv and flows.csv; returns their paths."""
-    if solution.assignment.z.shape[1] != instance.n_locations:
-        raise ValueError("solution does not match instance dimensions")
+    graph, flows, net_sent = _flows(instance, solution, window)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    flows = aggregate_flows(solution, window)
-    net_sent = flows.sum(axis=1) - flows.sum(axis=0)
     has_coords = instance.coordinates is not None
 
     loc_path = out_dir / "locations.csv"
@@ -130,10 +134,8 @@ def write_csv_tables(
     with open(flow_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["from", "to", "vehicles"])
-        for i in range(instance.n_locations):
-            for j in range(instance.n_locations):
-                if flows[i, j] > 1e-9:
-                    writer.writerow([i, j, f"{flows[i, j]:.9g}"])
+        for e in np.flatnonzero(flows > 1e-9):
+            writer.writerow([graph.src[e], graph.dst[e], f"{flows[e]:.9g}"])
     return loc_path, flow_path
 
 
@@ -143,9 +145,8 @@ def round_assignments(instance: PlanningInstance, solution: Solution) -> Solutio
     Capacities are kept; only z is rounded to the nearest integer, so the
     recheck quantifies how much feasibility degrades under integral flows.
     """
-    z = np.rint(solution.assignment.z)
     inv = solution.investment
-    asg = AssignmentPlan(z)
+    asg = AssignmentPlan(solution.assignment.graph, np.rint(solution.assignment.z))
     cost = evaluate_objective(instance, inv, asg)
     report = check_feasibility(instance, inv, asg, tol=solution.feasibility.tol)
     stats = dict(solution.stats)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from chargeplan.model import FORBIDDEN, PlanningInstance
+from chargeplan.model import FORBIDDEN, AssignmentPlan, PlanningInstance
 
 
 def make_instance(
@@ -108,6 +108,27 @@ def edge_cases(draw):
     E = inst.range_graph.n_edges
     z_e = rng.uniform(0.0, 3.0, size=(T, E)) * (rng.random((T, E)) < 0.7)
     return inst, z_e
+
+
+def forbidden(instance) -> np.ndarray:
+    """(n, n) mask of the pairs no plan may use: out of range, or on the diagonal."""
+    return ~np.isfinite(instance.assign_cost) | np.eye(instance.n_locations, dtype=bool)
+
+
+def dense(plan: AssignmentPlan) -> np.ndarray:
+    """The (T, n, n) array of an edge plan, zero off its range graph."""
+    graph = plan.graph
+    z = np.zeros((plan.z.shape[0], graph.n_locations, graph.n_locations))
+    z[:, graph.src, graph.dst] = plan.z
+    return z
+
+
+def plan_of(instance, z) -> AssignmentPlan:
+    """The edge plan of a (T, n, n) array that is zero off the instance's range graph."""
+    z = np.asarray(z, dtype=float)
+    assert not z[:, forbidden(instance)].any(), "plan uses a forbidden pair"
+    graph = instance.range_graph
+    return AssignmentPlan(graph, z[:, graph.src, graph.dst])
 
 
 @pytest.fixture

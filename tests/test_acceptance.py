@@ -29,7 +29,7 @@ from chargeplan.ingest import BinningSpec, build_distances, build_flows, parse_t
 from chargeplan.io import instance_from_dict
 from chargeplan.model import check_feasibility, delayed_inflow
 
-from conftest import make_instance
+from conftest import forbidden, make_instance
 
 DATA = Path(__file__).parent / "data"
 
@@ -96,7 +96,7 @@ def brute_force_integer_optimum(instance) -> float:
     ok &= np.all(c <= instance.capacity_max[None] + 1e-9, axis=1)
     invest = c @ w
     ok &= invest <= instance.budget + 1e-9
-    cost_mat = np.where(instance.forbidden_mask(), 0.0, instance.assign_cost)
+    cost_mat = np.where(forbidden(instance), 0.0, instance.assign_cost)
     assign = np.einsum("ktij,ij,t->k", z, cost_mat, instance.recurrence)
     totals = np.where(ok, invest + assign, np.inf)
     return float(totals.min())

@@ -30,7 +30,7 @@ from chargeplan.model import (
     net_demand_matrix,
 )
 
-from conftest import edge_cases, make_instance, random_instance
+from conftest import dense, edge_cases, forbidden, make_instance, plan_of, random_instance
 
 
 class TestTransformInflows:
@@ -53,7 +53,7 @@ class TestTransformInflows:
         np.fill_diagonal(delay, 0)
         graph = make_instance(np.zeros((T, n)), delay=delay).range_graph
         z_e = rng.uniform(0.0, 3.0, size=(T, graph.n_edges))
-        z = graph.dense(z_e)
+        z = dense(AssignmentPlan(graph, z_e))
         out = transform_inflows(z_e, graph)
         assert out.sum() == pytest.approx(z.sum())
         # per destination, a cyclic shift never changes the column total
@@ -65,7 +65,8 @@ class TestTransformInflows:
         inst, z_e = case
         graph = inst.range_graph
         assert np.array_equal(
-            transform_inflows(z_e, graph), delayed_inflow(graph.dense(z_e), inst.delay)
+            transform_inflows(z_e, graph),
+            delayed_inflow(dense(AssignmentPlan(graph, z_e)), inst.delay),
         )
 
 
@@ -73,12 +74,13 @@ def subproblem_rows(inst, i, c_tilde, lam, inflow, rho, receiver_caps=None):
     """Solve location i's subproblem; its allocation as dense (T, n) rows.
 
     ``receiver_caps`` is a (T, n) per-slot slack matrix in arrival-slot terms,
-    gathered onto the location's edges as ``run_admm`` does.
+    gathered onto the location's edges as ``run_admm`` does; without it only
+    the per-cell cap binds.
     """
     worker = _LocationWorker(inst, i, rho)
-    caps = None
-    if receiver_caps is not None:
-        caps = receiver_caps[worker.arrival, worker.neighbors]
+    if receiver_caps is None:
+        receiver_caps = np.full((inst.n_slots, inst.n_locations), ASSIGNMENT_CAP)
+    caps = receiver_caps[worker.arrival, worker.neighbors]
     c, alloc, f = worker.solve(c_tilde, lam, inflow, caps)
     rows = np.zeros((inst.n_slots, inst.n_locations))
     rows[:, worker.neighbors] = alloc
@@ -134,7 +136,7 @@ class TestSolveSubproblem:
     def _oracle_value(self, inst, i, c_tilde, lam, inflow, rho, c):
         """Subproblem objective at capacity c via an explicit shipping LP."""
         T, n = inst.n_slots, inst.n_locations
-        mask = inst.forbidden_mask()[i]
+        mask = forbidden(inst)[i]
         js = np.nonzero(~mask)[0]
         m = len(js)
         demand = inst.charging_demand[:, i]
@@ -177,7 +179,7 @@ class TestSolveSubproblem:
         assert np.all(inst.beta * net <= c_opt + 1e-7)
         assert np.all(z_rows.sum(axis=1) <= inst.charging_demand[:, i] + 1e-9)
         assert np.all(z_rows >= 0)
-        assert np.all(z_rows[:, inst.forbidden_mask()[i]] == 0)
+        assert np.all(z_rows[:, forbidden(inst)[i]] == 0)
         invest = float(inst.unit_investment_cost[i])
         unit = np.where(np.isfinite(inst.assign_cost[i]), inst.assign_cost[i], 0.0)
         ship = float(inst.recurrence @ (z_rows * unit[None, :]).sum(axis=1))
@@ -196,7 +198,7 @@ class TestSolveSubproblem:
             ) + 1e-6 * max(1.0, abs(value))
 
 
-def grid_solve(worker, c_tilde, lam, inflow, caps=None):
+def grid_solve(worker, c_tilde, lam, inflow, caps):
     """Reference subproblem solver: evaluates the objective on its kink grid.
 
     Builds every shipping cost as the max of the knapsack's segment support
@@ -206,10 +208,7 @@ def grid_solve(worker, c_tilde, lam, inflow, caps=None):
     returns the best point seen.  O(T^2 m^2) time, so for small cases only.
     """
     T, m = worker.n_slots, len(worker.neighbors)
-    if caps is None:
-        caps = np.full((T, m), worker.cell_cap)
-    else:
-        caps = np.clip(caps, 0.0, worker.cell_cap)
+    caps = np.clip(caps, 0.0, ASSIGNMENT_CAP)
     qty = np.zeros((T, m + 1))
     np.cumsum(caps, axis=1, out=qty[:, 1:])
     cost_pfx = np.zeros((T, m + 1))
@@ -279,16 +278,15 @@ def subproblem_cases(draw):
     inst = random_instance(rng, n=n, T=T, forbid_frac=forbid_frac, beta=beta)
     i = draw(st.integers(0, n - 1))
     inflow = rng.uniform(0.0, 3.0, size=T) * (rng.random(T) < 0.7)
-    m = int((~inst.forbidden_mask()[i]).sum())
-    caps = None
+    m = int((~forbidden(inst)[i]).sum())
+    caps = np.full((T, m), ASSIGNMENT_CAP)  # only the per-cell cap binds
     if draw(st.booleans()):
         caps = rng.uniform(0.0, 3.0, size=(T, m)) * (rng.random((T, m)) < 0.6)
     bound = draw(st.sampled_from(["loose", "tight", "random"]))
     if bound != "loose":
         # c_lb: the capacity that covers the demand left after maximal outflow
         demand = inst.charging_demand[:, i]
-        cell_caps = np.full((T, m), ASSIGNMENT_CAP) if caps is None else caps
-        shipped = cell_caps.sum(axis=1)
+        shipped = caps.sum(axis=1)
         c_lb = float(max(0.0, beta * np.max(demand + inflow - np.minimum(demand, shipped))))
         c_max = c_lb if bound == "tight" else float(rng.uniform(0.0, 2.0 * c_lb + 5.0))
         capacity_max = inst.capacity_max.copy()
@@ -353,7 +351,7 @@ class TestSolveMaster:
         z = np.zeros((1, 2, 2))
         z[0, 0, 1] = 4.0
         c_tilde, _ = solve_master(
-            inst, np.zeros(2), np.zeros(2), net_demand_matrix(inst, AssignmentPlan(z)),
+            inst, np.zeros(2), np.zeros(2), net_demand_matrix(inst, plan_of(inst, z)),
             rho=0.1,
         )
         assert c_tilde[0] == pytest.approx(3.0)  # 7 - 4 shipped away
@@ -450,10 +448,11 @@ class TestInflowReuse:
         _, conv = run_admm(inst, AdmmConfig(max_iterations=40))
         assert conv.iterations >= 2
         # the exchange, once per iteration, is the only gather, and each
-        # iterate's net demand is computed once, on the (T, E) edge array
+        # iterate's net demand is computed once, on the (T, E) edge array;
+        # the final feasibility check sums the returned plan's outflow once more
         E = inst.range_graph.n_edges
         assert gathers == [(inst.n_slots, E)] * conv.iterations
-        assert outflows == [(inst.n_slots, E)] * conv.iterations
+        assert outflows == [(inst.n_slots, E)] * (conv.iterations + 1)
 
 
 class TestRunAdmm:
@@ -524,8 +523,7 @@ class TestRunAdmm:
         np.testing.assert_allclose(
             sol.investment.capacity, base.investment.capacity, rtol=1e-12
         )
-        assert sol.assignment.z.shape == (12, 5, 5)
-        assert not sol.assignment.z.any()
+        assert sol.assignment.z.shape == (12, 0)
         assert sol.cost.total == pytest.approx(base.cost.total, rel=1e-12)
         assert sol.feasibility.feasible
 

@@ -25,7 +25,7 @@ from chargeplan.model import (
     net_demand_matrix,
 )
 
-from conftest import make_instance, random_instance
+from conftest import forbidden, make_instance, random_instance
 
 
 def brute_force_integer(instance):
@@ -56,7 +56,7 @@ def brute_force_integer(instance):
             continue
         if float(c @ w) > instance.budget + 1e-9:
             continue
-        cost_mat = np.where(instance.forbidden_mask(), 0.0, instance.assign_cost)
+        cost_mat = np.where(forbidden(instance), 0.0, instance.assign_cost)
         total = float(c @ w) + float(rec @ np.einsum("tij,ij->t", z, cost_mat))
         best = min(best, total)
     return best

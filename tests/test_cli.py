@@ -200,7 +200,7 @@ class TestSolve:
         code = run("--out", str(out), "solve", str(instance_file),
                    "--method", "centralized")
         assert code == EXIT_OK
-        sol = io.load_solution(out / "solution.json")
+        sol = io.load_solution(out / "solution.json", io.load_instance(instance_file))
         assert sol.feasibility.feasible
         doc = json.loads((out / "solution.json").read_text())
         assert doc["instance_checksum"] == io.file_checksum(instance_file)
@@ -229,7 +229,7 @@ class TestSolve:
         out = tmp_path / "base"
         assert run("--out", str(out), "solve", str(instance_file),
                    "--method", "base") == EXIT_OK
-        sol = io.load_solution(out / "solution.json")
+        sol = io.load_solution(out / "solution.json", io.load_instance(instance_file))
         assert np.all(sol.assignment.z == 0)
 
     def test_infeasible_instance_exit_3(self, tmp_path):
@@ -307,7 +307,7 @@ class TestSolve:
         out = tmp_path / "sol"
         assert run("--config", str(cfg), "--out", str(out),
                    "solve", str(instance_file)) == EXIT_OK
-        sol = io.load_solution(out / "solution.json")
+        sol = io.load_solution(out / "solution.json", io.load_instance(instance_file))
         assert sol.stats["backend"] == "highs"
 
 
@@ -326,7 +326,8 @@ class TestSweepR:
         base_out = tmp_path / "base"
         assert run("--out", str(base_out), "solve", str(instance_file),
                    "--method", "base") == EXIT_OK
-        base = io.load_solution(base_out / "solution.json")
+        base = io.load_solution(base_out / "solution.json",
+                                io.load_instance(instance_file))
         assert totals[0] == pytest.approx(base.cost.total, rel=1e-9)
         assert rows[0]["reduction_pct"] == ""
 
@@ -362,6 +363,17 @@ class TestSweepR:
         io.save_instance(inst, path)
         assert run("--out", str(tmp_path / "s"), "sweep-r", str(path),
                    "--r-values", "0,1") == EXIT_CONFIG
+
+    def test_no_price_to_widen_the_range_with_exit_2(self, tmp_path, capsys):
+        # every pair is out of range, so no cost says what a kilometre costs
+        inst = generate_instance(GenParams(n_locations=5, n_slots=24, seed=3,
+                                           range_km=0.0, assign_price_per_km=80.0))
+        path = tmp_path / "unpriced.json"
+        io.save_instance(inst, path)
+        assert run("--out", str(tmp_path / "s"), "sweep-r", str(path),
+                   "--r-values", "0,6") == EXIT_CONFIG
+        assert "price_per_km" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "sweep.csv").exists()
 
 
 class TestReport:
@@ -413,12 +425,28 @@ class TestReport:
         assert "10000000 locations" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_triplet_on_a_forbidden_pair_exit_2_and_nothing_written(
+        self, tmp_path, instance_file, capsys
+    ):
+        sol_path = self._solved(tmp_path, instance_file)
+        doc = json.loads(sol_path.read_text())
+        doc["assignments"].append([0, 0, 1, 1.0])  # 0 -> 1 is out of range
+        sol_path.write_text(json.dumps(doc))
+        out = tmp_path / "rep"
+        assert run("--out", str(out), "report", str(sol_path),
+                   str(instance_file)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "(0, 0, 1) is on a diagonal or out-of-range pair" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_rounded_solution_is_integral(self, tmp_path, instance_file):
         sol_path = self._solved(tmp_path, instance_file)
         out = tmp_path / "rep"
         assert run("--out", str(out), "report", str(sol_path),
                    str(instance_file)) == EXIT_OK
-        rounded = io.load_solution(out / "solution_rounded.json")
+        rounded = io.load_solution(out / "solution_rounded.json",
+                                   io.load_instance(instance_file))
         z = rounded.assignment.z
         np.testing.assert_array_equal(z, np.rint(z))
 
@@ -557,7 +585,7 @@ def corruptions(draw):
         else ["root", "missing", "null", "retype", "section", "unknown-key"]
     ))
     if document == "solution" and draw(st.booleans()):
-        kind = "triplet"
+        kind = draw(st.sampled_from(["triplet", "off-graph"]))
     if kind == "root":
         return document, "set", (), draw(st.sampled_from([[], [1], 5, 2.5]))
     if kind == "missing":
@@ -569,6 +597,14 @@ def corruptions(draw):
         triplet = [0, 0, 1, 1.0]
         triplet[axis] = bad
         return document, "append", ("assignments",), triplet
+    if kind == "off-graph":
+        # a nonzero triplet on the diagonal or on an out-of-range pair
+        cost = docs["instance"]["assign_cost"]
+        i, j = draw(st.sampled_from([(i, j) for i, row in enumerate(cost)
+                                     for j, v in enumerate(row)
+                                     if i == j or v == "forbidden"]))
+        t = draw(st.integers(0, doc["n_slots"] - 1))
+        return document, "append", ("assignments",), [t, i, j, 1.0]
     if document == "config":
         section = draw(st.sampled_from(sorted(doc)))
         if kind == "section":
@@ -652,6 +688,8 @@ def test_valid_documents_pass_every_input_command(tmp_path):
 @example(case=("config", "set", ("sweep", "r_values"), 5))
 @example(case=("solution", "append", ("assignments",), [99, 0, 1, 1.0]))
 @example(case=("solution", "append", ("assignments",), [-1, 0, 1, 1.0]))
+@example(case=("solution", "append", ("assignments",), [0, 0, 1, 1.0]))
+@example(case=("solution", "append", ("assignments",), [3, 2, 2, 1.0]))
 @example(case=("config", "missing", (), None))
 @settings(max_examples=150, deadline=None)
 def test_corrupted_input_exits_2_and_writes_nothing(case):

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargeplan.central import solve_centralized
 from chargeplan.datagen import GenParams, generate_instance
@@ -20,9 +22,16 @@ from chargeplan.io import (
     solution_from_dict,
     solution_to_dict,
 )
-from chargeplan.model import FORBIDDEN
+from chargeplan.model import (
+    FORBIDDEN,
+    AssignmentPlan,
+    InvestmentPlan,
+    Solution,
+    check_feasibility,
+    evaluate_objective,
+)
 
-from conftest import make_instance, random_instance
+from conftest import dense, edge_cases, make_instance, random_instance
 
 
 def assert_instances_equal(a, b):
@@ -124,7 +133,7 @@ class TestSolutionIO:
         sol = solve_centralized(inst)
         path = tmp_path / "solution.json"
         save_solution(sol, path, instance_checksum="abc123")
-        back = load_solution(path)
+        back = load_solution(path, inst)
         np.testing.assert_array_equal(back.investment.capacity, sol.investment.capacity)
         np.testing.assert_array_equal(back.assignment.z, sol.assignment.z)
         assert back.cost.total == sol.cost.total
@@ -145,8 +154,11 @@ class TestSolutionIO:
         assert doc["version"] == SOLUTION_VERSION
         nnz = int((sol.assignment.z != 0).sum())
         assert len(doc["assignments"]) == nnz
+        z = dense(sol.assignment)
         for t, i, j, v in doc["assignments"]:
-            assert sol.assignment.z[t, i, j] == v
+            assert z[t, i, j] == v
+        # slot-major, then origin-major, then destination: the order of np.nonzero
+        assert doc["assignments"] == [[t, i, j, z[t, i, j]] for t, i, j in np.argwhere(z)]
 
     def test_checksum_embedded(self, tmp_path, rng):
         inst = random_instance(rng)
@@ -167,7 +179,7 @@ class TestSolutionIO:
         doc["version"] = "something-else/1"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="version"):
-            load_solution(path)
+            load_solution(path, inst)
 
     @pytest.mark.parametrize("triplet", [
         [2, 0, 1, 1.0], [-1, 0, 1, 1.0], [0, 0, 3, 1.0], [0, -1, 1, 1.0],
@@ -178,17 +190,48 @@ class TestSolutionIO:
         doc = solution_to_dict(solve_centralized(inst))
         doc["assignments"].append(triplet)
         with pytest.raises(ValueError, match="assignment"):
-            solution_from_dict(doc)
+            solution_from_dict(doc, inst)
 
     def test_triplets_fill_their_cells(self):
         inst = make_instance(np.ones((2, 3)))
         doc = solution_to_dict(solve_centralized(inst))
         doc["assignments"] = [[1, 2, 0, 4.0], [0, 0, 1, 0.5]]
-        z = solution_from_dict(doc).assignment.z
+        z = dense(solution_from_dict(doc, inst).assignment)
         assert (z[1, 2, 0], z[0, 0, 1]) == (4.0, 0.5)
         assert np.count_nonzero(z) == 2
+
+    @pytest.mark.parametrize("triplet", [[0, 1, 1, 1.0], [1, 0, 2, 0.5], [1, 2, 0, -2.0]])
+    def test_triplet_on_a_diagonal_or_out_of_range_pair_rejected(self, triplet):
+        cost = np.ones((3, 3))
+        np.fill_diagonal(cost, 0.0)
+        cost[0, 2] = cost[2, 0] = FORBIDDEN
+        inst = make_instance(np.ones((2, 3)), assign_cost=cost)
+        doc = solution_to_dict(solve_centralized(inst))
+        doc["assignments"].append(triplet)
+        with pytest.raises(ValueError, match="diagonal or out-of-range"):
+            solution_from_dict(doc, inst)
+        # a zero there carries nothing, so it is read as no assignment
+        doc["assignments"][-1][3] = 0.0
+        assert solution_from_dict(doc, inst).assignment.z.shape == (2, 4)
 
     @pytest.mark.parametrize("root", [[], 5])
     def test_non_object_root_rejected(self, root):
         with pytest.raises(ValueError, match="must be a JSON object"):
-            solution_from_dict(root)
+            solution_from_dict(root, make_instance(np.ones((1, 1))))
+
+    @given(case=edge_cases(), seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_save_then_load_is_the_identity(self, case, seed):
+        inst, z_e = case
+        capacity = np.random.default_rng(seed).uniform(-1.0, 5.0, inst.n_locations)
+        inv, asg = InvestmentPlan(capacity), AssignmentPlan(inst.range_graph, z_e)
+        sol = Solution(inv, asg, evaluate_objective(inst, inv, asg),
+                       check_feasibility(inst, inv, asg), {"method": "manual"})
+        doc = json.loads(json.dumps(solution_to_dict(sol, "abc")))
+        back = solution_from_dict(doc, inst)
+        assert back.assignment.graph is inst.range_graph
+        np.testing.assert_array_equal(back.assignment.z, sol.assignment.z)
+        np.testing.assert_array_equal(back.investment.capacity, capacity)
+        assert back.cost == sol.cost
+        assert back.feasibility == sol.feasibility
+        assert back.stats == sol.stats

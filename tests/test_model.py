@@ -15,7 +15,7 @@ from chargeplan.model import (
     net_demand_matrix,
 )
 
-from conftest import edge_cases, make_instance, random_instance
+from conftest import dense, edge_cases, forbidden, make_instance, plan_of, random_instance
 
 
 def loop_delayed_inflow(z, delay):
@@ -38,9 +38,10 @@ def net_charging_demand(instance, asg, i, t):
     n, T = instance.n_locations, instance.n_slots
     if not (0 <= i < n and 0 <= t < T):
         raise IndexError(f"index (i={i}, t={t}) out of bounds")
-    demand = instance.charging_demand[t, i] - asg.z[t, i, :].sum()
+    z = dense(asg)
+    demand = instance.charging_demand[t, i] - z[t, i, :].sum()
     for j in range(n):
-        demand += asg.z[(t - int(instance.delay[j, i])) % T, j, i]
+        demand += z[(t - int(instance.delay[j, i])) % T, j, i]
     return float(demand)
 
 
@@ -70,12 +71,11 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             inst.flow[0, 0] = 5.0
 
-    def test_forbidden_mask_includes_diagonal(self):
+    def test_range_graph_skips_the_diagonal_and_forbidden_pairs(self):
         cost = np.array([[0.0, FORBIDDEN], [1.0, 0.0]])
-        inst = make_instance(np.ones((1, 2)), assign_cost=cost)
-        mask = inst.forbidden_mask()
-        assert mask[0, 0] and mask[1, 1]  # diagonal always forbidden
-        assert mask[0, 1] and not mask[1, 0]
+        graph = make_instance(np.ones((1, 2)), assign_cost=cost).range_graph
+        # the diagonal costs 0 but is never an edge; 0 -> 1 is out of range
+        assert (graph.src.tolist(), graph.dst.tolist()) == ([1], [0])
 
     def test_charging_demand_is_alpha_times_flow(self):
         inst = make_instance([[4.0, 10.0]], alpha=[[0.5, 0.1]])
@@ -111,25 +111,28 @@ class TestEvaluateObjective:
         )
         z = np.zeros((1, 2, 2))
         z[0, 0, 1] = 3.0
-        cost = evaluate_objective(inst, InvestmentPlan([0.0, 0.0]), AssignmentPlan(z))
+        cost = evaluate_objective(inst, InvestmentPlan([0.0, 0.0]), plan_of(inst, z))
         assert cost.assignment == pytest.approx(624.0)
         assert cost.investment == 0.0
         assert cost.total == pytest.approx(624.0)
 
-    def test_nonzero_diagonal_assignment_rejected(self):
-        inst = make_instance(np.ones((1, 2)))
-        z = np.zeros((1, 2, 2))
-        z[0, 1, 1] = 1.0
-        with pytest.raises(ValueError, match="forbidden or diagonal"):
-            evaluate_objective(inst, InvestmentPlan.zeros(inst), AssignmentPlan(z))
+    def test_plan_on_another_instance_rejected(self):
+        inst, twin = make_instance(np.ones((1, 2))), make_instance(np.ones((1, 2)))
+        for check in (evaluate_objective, check_feasibility):
+            with pytest.raises(ValueError, match="dimensions"):
+                check(inst, InvestmentPlan.zeros(inst), AssignmentPlan.zeros(twin))
+        with pytest.raises(ValueError, match="dimensions"):  # two slots, not one
+            net_demand_matrix(inst, AssignmentPlan(inst.range_graph, np.zeros((2, 2))))
+        with pytest.raises(ValueError, match="n_edges"):
+            AssignmentPlan(inst.range_graph, np.zeros((1, 3)))
 
-    def test_nonzero_forbidden_assignment_rejected(self):
-        cost = np.array([[0.0, FORBIDDEN], [1.0, 0.0]])
-        inst = make_instance(np.ones((1, 2)), assign_cost=cost)
-        z = np.zeros((1, 2, 2))
-        z[0, 0, 1] = 0.5
-        with pytest.raises(ValueError, match="forbidden or diagonal"):
-            evaluate_objective(inst, InvestmentPlan.zeros(inst), AssignmentPlan(z))
+    def test_plan_is_a_read_only_view(self):
+        inst = make_instance(np.ones((1, 2)))
+        z_e = np.ones((1, 2))
+        plan = AssignmentPlan(inst.range_graph, z_e)
+        assert np.shares_memory(plan.z, z_e)
+        with pytest.raises(ValueError):
+            plan.z[0, 0] = 2.0
 
     def test_dimension_mismatch_rejected(self):
         inst = make_instance(np.ones((1, 2)))
@@ -145,11 +148,12 @@ class TestEvaluateObjective:
         inst = random_instance(rng)
         n, T = inst.n_locations, inst.n_slots
         c = rng.uniform(0.0, 5.0, size=n)
-        z = rng.uniform(0.0, 2.0, size=(T, n, n))
-        z[:, inst.forbidden_mask()] = 0.0
-        base = evaluate_objective(inst, InvestmentPlan(c), AssignmentPlan(z))
+        z = rng.uniform(0.0, 2.0, size=(T, inst.range_graph.n_edges))
+        base = evaluate_objective(
+            inst, InvestmentPlan(c), AssignmentPlan(inst.range_graph, z)
+        )
         scaled = evaluate_objective(
-            inst, InvestmentPlan(scale * c), AssignmentPlan(scale * z)
+            inst, InvestmentPlan(scale * c), AssignmentPlan(inst.range_graph, scale * z)
         )
         assert scaled.total == pytest.approx(scale * base.total, abs=1e-6, rel=1e-9)
 
@@ -212,11 +216,9 @@ class TestRangeGraph:
         inst, z_e = case
         graph = inst.range_graph
         T, n = inst.n_slots, inst.n_locations
-        mask = inst.forbidden_mask()
         np.testing.assert_array_equal(np.stack([graph.src, graph.dst], axis=1),
-                                      np.argwhere(~mask))
-        z = graph.dense(z_e)
-        assert not z[:, mask].any()
+                                      np.argwhere(~forbidden(inst)))
+        z = dense(AssignmentPlan(graph, z_e))
         np.testing.assert_allclose(graph.outflow(z_e), z.sum(axis=2), rtol=1e-12)
         assert np.array_equal(graph.inflow(z_e), loop_delayed_inflow(z, inst.delay))
         # the dense path counts every pair, diagonal and out-of-range included
@@ -238,7 +240,7 @@ class TestNetChargingDemand:
         inst = make_instance(np.full((4, 2), 10.0), delay=delay)
         z = np.zeros((4, 2, 2))
         z[2, 1, 0] = 5.0  # 2 -> 1 departing slot 2, arriving slot 3
-        asg = AssignmentPlan(z)
+        asg = plan_of(inst, z)
         assert net_charging_demand(inst, asg, 1, 2) == pytest.approx(5.0)
         assert net_charging_demand(inst, asg, 0, 3) == pytest.approx(15.0)
 
@@ -256,8 +258,8 @@ class TestNetChargingDemand:
         rng = np.random.default_rng(seed)
         inst = random_instance(rng)
         n, T = inst.n_locations, inst.n_slots
-        z = rng.uniform(0.0, 2.0, size=(T, n, n))
-        asg = AssignmentPlan(z)
+        asg = AssignmentPlan(inst.range_graph,
+                             rng.uniform(0.0, 2.0, size=(T, inst.range_graph.n_edges)))
         mat = net_demand_matrix(inst, asg)
         for i in range(n):
             for t in range(T):
@@ -271,9 +273,8 @@ class TestNetChargingDemand:
         # redirection moves demand around; the horizon total stays constant
         rng = np.random.default_rng(seed)
         inst = random_instance(rng)
-        n, T = inst.n_locations, inst.n_slots
-        z = rng.uniform(0.0, 2.0, size=(T, n, n))
-        net = net_demand_matrix(inst, AssignmentPlan(z))
+        z = rng.uniform(0.0, 2.0, size=(inst.n_slots, inst.range_graph.n_edges))
+        net = net_demand_matrix(inst, AssignmentPlan(inst.range_graph, z))
         assert net.sum() == pytest.approx(inst.charging_demand.sum(), rel=1e-9)
 
 
@@ -306,7 +307,7 @@ class TestCheckFeasibility:
         inst = make_instance([[2.0, 10.0]], alpha=[[0.5, 1.0]])
         z = np.zeros((1, 2, 2))
         z[0, 0, 1] = 1.5  # demand at location 0 is only 1.0
-        report = check_feasibility(inst, InvestmentPlan([0.0, 100.0]), AssignmentPlan(z))
+        report = check_feasibility(inst, InvestmentPlan([0.0, 100.0]), plan_of(inst, z))
         assert report.residuals["flow_conservation"].violation == pytest.approx(0.5)
 
     def test_budget_violation_in_currency(self):
@@ -321,24 +322,19 @@ class TestCheckFeasibility:
         under = check_feasibility(inst, InvestmentPlan([-1.0]), AssignmentPlan.zeros(inst))
         assert under.residuals["capacity_bounds"].violation == pytest.approx(1.0)
 
-    def test_forbidden_and_diagonal_cells_flagged(self):
-        cost = np.array([[0.0, FORBIDDEN], [1.0, 0.0]])
-        inst = make_instance(np.full((1, 2), 10.0), assign_cost=cost)
-        z = np.zeros((1, 2, 2))
-        z[0, 0, 1] = 0.25
-        z[0, 0, 0] = 0.5
-        report = check_feasibility(
-            inst, InvestmentPlan([100.0, 100.0]), AssignmentPlan(z)
-        )
-        assert report.residuals["range"].violation == pytest.approx(0.25)
-        assert report.residuals["diagonal"].violation == pytest.approx(0.5)
-
     def test_never_raises_on_wild_plans(self):
         inst = make_instance(np.ones((2, 2)))
-        z = np.full((2, 2, 2), -3.0)
-        report = check_feasibility(inst, InvestmentPlan([-1.0, 1e12]), AssignmentPlan(z))
+        z = np.array([[-1.0, -3.0], [-3.0, -2.0]])  # edges 0 -> 1 and 1 -> 0
+        report = check_feasibility(
+            inst, InvestmentPlan([-1.0, 1e12]), AssignmentPlan(inst.range_graph, z)
+        )
         assert not report.feasible
+        # the worst cell is named as (t, i, j), the first one in that order
         assert report.residuals["non_negativity"].violation == pytest.approx(3.0)
+        assert report.residuals["non_negativity"].where == (0, 1, 0)
+        # a plan has no diagonal or out-of-range cell to violate
+        assert report.residuals["diagonal"].violation == 0.0
+        assert report.residuals["range"].violation == 0.0
 
     def test_tolerance_controls_the_verdict(self):
         inst = make_instance([[4.0]], beta=2.0)
@@ -358,7 +354,7 @@ class TestRelabelingInvariance:
         n, T = inst.n_locations, inst.n_slots
         c = rng.uniform(0.0, 5.0, size=n)
         z = rng.uniform(0.0, 2.0, size=(T, n, n))
-        z[:, inst.forbidden_mask()] = 0.0
+        z[:, forbidden(inst)] = 0.0
         perm = rng.permutation(n)
 
         permuted = make_instance(
@@ -373,17 +369,12 @@ class TestRelabelingInvariance:
             capacity_max=inst.capacity_max[perm],
             recurrence=inst.recurrence,
         )
-        cost = evaluate_objective(inst, InvestmentPlan(c), AssignmentPlan(z))
-        cost_p = evaluate_objective(
-            permuted,
-            InvestmentPlan(c[perm]),
-            AssignmentPlan(z[:, perm][:, :, perm]),
-        )
+        asg, asg_p = plan_of(inst, z), plan_of(permuted, z[:, perm][:, :, perm])
+        cost = evaluate_objective(inst, InvestmentPlan(c), asg)
+        cost_p = evaluate_objective(permuted, InvestmentPlan(c[perm]), asg_p)
         assert cost_p.total == pytest.approx(cost.total, rel=1e-12)
-        report = check_feasibility(inst, InvestmentPlan(c), AssignmentPlan(z))
-        report_p = check_feasibility(
-            permuted, InvestmentPlan(c[perm]), AssignmentPlan(z[:, perm][:, :, perm])
-        )
+        report = check_feasibility(inst, InvestmentPlan(c), asg)
+        report_p = check_feasibility(permuted, InvestmentPlan(c[perm]), asg_p)
         assert report_p.max_violation() == pytest.approx(
             report.max_violation(), abs=1e-9
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chargeplan.central import SolverConfig, build_lp, export_model, solve_lp
+from chargeplan.central import SolverConfig, build_lp, solve_lp
 from chargeplan.mps import read_mps, write_mps
 
 from conftest import make_instance, random_instance
@@ -41,8 +41,8 @@ def test_variable_names_are_one_based(tmp_path):
     path = tmp_path / "named.mps"
     write_mps(lp, path)
     back = read_mps(path)
-    assert back.col_kinds[: 3] == [("c", 0), ("c", 1), ("c", 2)]
-    assert ("z", 0, 0, 1) in back.col_kinds
+    assert back.n_locations == 3
+    assert [0, 0, 1] in back.cells.tolist()  # Z_1_2_1: slot 0, origin 0, destination 1
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -63,7 +63,7 @@ def test_round_trip_preserves_every_coefficient(tmp_path, seed):
     np.testing.assert_array_equal(back.obj, lp.obj)
     np.testing.assert_array_equal(back.lb, lp.lb)
     np.testing.assert_array_equal(back.ub, lp.ub)
-    assert back.col_kinds == lp.col_kinds
+    np.testing.assert_array_equal(back.cells, lp.cells)
 
 
 def test_round_trip_solves_to_same_objective(tmp_path):
@@ -71,7 +71,7 @@ def test_round_trip_solves_to_same_objective(tmp_path):
     inst = random_instance(rng)
     lp = build_lp(inst)
     path = tmp_path / "solve.mps"
-    export_model(lp, path)
+    write_mps(lp, path)
     back = read_mps(path)
     x1, s1 = solve_lp(lp, SolverConfig())
     x2, s2 = solve_lp(back, SolverConfig())

@@ -9,7 +9,6 @@ import pytest
 from chargeplan.central import solve_base_model, solve_centralized
 from chargeplan.datagen import GenParams, generate_instance
 from chargeplan.model import (
-    AssignmentPlan,
     InvestmentPlan,
     Solution,
     check_feasibility,
@@ -23,7 +22,7 @@ from chargeplan.report import (
     write_geojson,
 )
 
-from conftest import make_instance
+from conftest import make_instance, plan_of
 
 
 @pytest.fixture
@@ -45,7 +44,7 @@ def pooled():
     z[0, 0, 1] = 5.0
     z[1, 1, 0] = 5.0
     inv = InvestmentPlan([5.0, 5.0])
-    asg = AssignmentPlan(z)
+    asg = plan_of(inst, z)
     sol = Solution(
         inv,
         asg,
