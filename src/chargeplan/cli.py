@@ -39,7 +39,7 @@ from .ingest import (
     build_flows,
     parse_trips,
 )
-from .model import ConvergenceError, InfeasibleProblemError, Solution
+from .model import ConvergenceError, InfeasibleProblemError, PlanningInstance, Solution
 from .report import round_assignments, write_csv_tables, write_geojson
 
 EXIT_OK = 0
@@ -215,26 +215,33 @@ def cmd_solve(args, config: dict) -> int:
     return EXIT_OK
 
 
-def sweep_range(instance, r_values, solver: SolverConfig) -> list[dict]:
-    """Re-solve the joint model across assignment-range limits.
+def restrict_range(instance: PlanningInstance, r_values) -> list[tuple[float, PlanningInstance]]:
+    """The instance at each assignment-range limit (km), as (R, instance)
+    pairs; an R the instance cannot be widened to raises here, before
+    anything is solved or written."""
+    if not r_values:
+        raise ConfigError("empty R list")
+    return [(float(r), with_range_limit(instance, float(r))) for r in r_values]
+
+
+def sweep_range(restricted: list[tuple[float, PlanningInstance]],
+                solver: SolverConfig) -> list[dict]:
+    """Re-solve the joint model at each of :func:`restrict_range`'s limits.
 
     Each row reports investment, assignment, and total cost plus the
     percentage total-cost reduction relative to the previous (smaller) R.
     """
-    if not r_values:
-        raise ConfigError("empty R list")
     rows = []
     prev_total = None
-    for r in r_values:
-        restricted = with_range_limit(instance, float(r))
-        solution = solve_centralized(restricted, solver)
+    for r, instance in restricted:
+        solution = solve_centralized(instance, solver)
         reduction = (
             None if prev_total in (None, 0.0)
             else 100.0 * (prev_total - solution.cost.total) / prev_total
         )
         rows.append(
             {
-                "R_km": float(r),
+                "R_km": r,
                 "investment": solution.cost.investment,
                 "assignment": solution.cost.assignment,
                 "total": solution.cost.total,
@@ -251,11 +258,12 @@ def cmd_sweep_r(args, config: dict) -> int:
     if args.r_values:
         sweep = SweepConfig([float(v) for v in args.r_values.split(",") if v.strip()])
     instance = io.load_instance(args.instance)
+    restricted = restrict_range(instance, sweep.r_values)
 
     out_dir = Path(args.out)
     _write_resolved(out_dir, {"solver": dataclasses.asdict(solver),
                               "sweep": dataclasses.asdict(sweep)})
-    rows = sweep_range(instance, sweep.r_values, solver)
+    rows = sweep_range(restricted, solver)
     path = out_dir / "sweep.csv"
     with open(path, "w") as fh:
         fh.write("R_km,investment,assignment,total,reduction_pct\n")

@@ -10,25 +10,29 @@ The slot index is the weekday-anchored minute of week divided by the slot
 length, folded cyclically onto the horizon, so multi-week data accumulate
 onto one representative cycle and binning stays shift-equivariant.
 
-The CSV is read once, row by row, straight into one typed buffer per
-column (``array.array``); the :class:`TripTable` columns are numpy views of
-those buffers, so a parsed row costs its 48 bytes of values and no Python
-object outlives its row.  Binning, the per-record distance fallback and the
-per-pair averages are array code over that table.  Reading dominates: on a
-2-vCPU x86-64 host with CPython 3.11, parsing a 100 000-row file takes
-about 0.35 s (a third of it in the ``csv`` module, the rest in the per-row
-conversions, checks and appends), grid binning and averaging about 0.02 s.
-A 1.5 M-row file parses in about 5 s and adds about 70 MB, the size of its
-columns, to the process's peak RSS.
+The CSV is read once, in blocks of whole lines, straight into one typed
+buffer per column (``array.array``); the :class:`TripTable` columns are numpy
+views of those buffers, so a parsed row costs its 48 bytes of values, and
+the parse adds about 1 MB of per-block arrays at its peak.  Canonical lines
+(ISO start times without zone or fraction, plain decimals) are parsed by
+array code over each block's bytes, every other line by the per-row checks
+of the ``csv`` route; both give the same values, bit for bit.  Binning, the
+per-record distance fallback and the per-pair averages are array code over
+that table.  On a 2-vCPU x86-64 host with CPython 3.11, parsing a 100 000-row
+file takes about 0.15 s, grid binning and averaging about 0.02 s; a 1.5 M-row
+file parses in about 2.2 s and adds about 70 MB, the size of its columns, to
+the process's peak RSS.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from array import array
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import chain, islice
 
 import numpy as np
 
@@ -214,66 +218,318 @@ def parse_trips(path) -> ParseResult:
     ``skipped``, when it is too short to hold every required column, its
     start time is not ISO 8601, a coordinate is not a finite number, or it
     gives a ``distance_km`` that is not a finite non-negative number.  An
-    empty or absent ``distance_km`` means the distance is not given.
+    empty or absent ``distance_km`` means the distance is not given.  A
+    field longer than ``csv.field_size_limit()`` is an error naming its line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ValueError(f"trips file line {reader.line_num}: {exc}") from None
         if header is None:
             raise ValueError("empty trips file")
+        trips = _TripReader(header)
+        trips.read(fh, reader.line_num + 1)
+    return ParseResult(trips.table(), trips.skipped)
+
+
+#: Characters read per block.  A block ends at a line end, so a longer line
+#: makes a longer block.
+_BLOCK_CHARS = 1 << 16
+
+# Fields are checked and converted eight characters at a time: each 64-bit
+# word holds eight consecutive bytes of a block, the first in its lowest
+# byte, and byte-wise arithmetic never carries from one byte into the next
+# because every byte of a block is ASCII (below 0x80).
+_ONES = 0x0101010101010101  # a one in every byte
+_HIGH = 0x8080808080808080  # the high bit of every byte
+
+#: ``_INSIDE[n]``: the last ``n`` bytes of a 16-byte window, as two words
+_INSIDE = np.frombuffer(b"".join(bytes(16 - n) + b"\xff" * n for n in range(17)),
+                        dtype="<u8").reshape(17, 2)
+_POW10 = 10 ** np.arange(16, dtype=np.uint64)
+_POW10_F = _POW10.astype(float)  # exact: 10**15 < 2**53
+
+_STAMP = b"0000-00-00T00:00:00"
+#: XOR with this turns a canonical stamp's digits into 0-9, its separators
+#: into 0; the greatest each byte may then be (month, day, hour, minute and
+#: second are bounded by their first digit)
+_STAMP_ZERO = np.frombuffer(_STAMP.ljust(24, b"\0"), dtype="<u8")
+_STAMP_MAX = np.frombuffer(bytes([9, 9, 9, 9, 0, 1, 9, 0, 3, 9, 0, 2, 9, 0, 5, 9, 0, 5, 9])
+                           .ljust(24, b"\x7f"), dtype="<u8")
+#: days per month, by month number; 0 where the number is not a month
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
+
+#: bytes around a block, so every field window lies inside the buffer
+_PAD = b" " * 24
+
+
+class _TripReader:
+    """Appends the records after a trips file's header to one typed buffer
+    per column, and counts the malformed ones.
+
+    Text is read in blocks that end at a line end.  A *canonical* line is
+    parsed by array code over the block's bytes: it has as many fields as
+    the header, no quote and no lone carriage return, is no longer than the
+    ``csv`` field size limit, its start time reads ``YYYY-MM-DDTHH:MM:SS`` on
+    a calendar date, and each of its numbers is an optional minus sign and
+    then 1 to 15 digits with at most one point among them (``-12.5``, ``.5``,
+    ``5.``).  Such a decimal is its integer mantissa, exact in a double, over
+    a power of ten, also exact, so one correctly rounded division gives the
+    bits ``float`` gives (Clinger's fast path).  Every other line goes
+    through the per-row checks of :func:`_row_checks`, and the records keep
+    file order.  From the first block that holds a quote on, ``csv`` reads
+    the rest of the file row by row, because a quoted field may span lines.
+    """
+
+    def __init__(self, header: list[str]):
         where = {name: k for k, name in enumerate(header)}
         missing = [c for c in REQUIRED_COLUMNS if c not in where]
         if missing:
             raise ValueError(f"trips file missing required columns: {missing}")
-        k_time, k_olon, k_olat, k_dlon, k_dlat = (where[c] for c in REQUIRED_COLUMNS)
-        has_distance = "distance_km" in where
-        k_dist = where.get("distance_km")
-        width = max(k_time, k_olon, k_olat, k_dlon, k_dlat) + 1
-        fromisoformat, isfinite = datetime.fromisoformat, math.isfinite
-        inf, nan = math.inf, math.nan
+        self.n_fields = len(header)
+        self.k_time, k_olon, k_olat, k_dlon, k_dlat = (where[c] for c in REQUIRED_COLUMNS)
+        self.k_dist = where.get("distance_km")
+        self.k_numbers = (k_olon, k_olat, k_dlon, k_dlat)  # in TripTable's order
+        self._row = _row_checks(self.k_time, self.k_numbers, self.k_dist)
         # one typed buffer per column: a row costs its 48 bytes of values,
         # not a tuple of Python objects
-        minute, dist_col = array("q"), array("d")
-        olon, olat, dlon, dlat = array("d"), array("d"), array("d"), array("d")
-        skipped = 0
-        for row in reader:
-            if not row:
+        self.columns = (array("q"),) + tuple(array("d") for _ in range(5))
+        self.skipped = 0
+
+    def table(self) -> TripTable:
+        # the columns are views of the buffers, not copies
+        minute, *values = self.columns
+        return TripTable(np.frombuffer(minute, dtype=np.int64),
+                         *(np.frombuffer(v, dtype=float) for v in values))
+
+    def read(self, fh, line: int) -> None:
+        """Append every record of ``fh`` from here on; ``line`` is the number
+        of the line it is at."""
+        pieces = []  # an unfinished line, split where the blocks were read
+        while chunk := fh.read(_BLOCK_CHARS):
+            if '"' in chunk:
+                text = "".join(pieces) + chunk + fh.readline()
+                self._rows(csv.reader(chain(io.StringIO(text, newline=""), fh)), line)
+                return
+            # a final carriage return may start a CRLF the next chunk ends
+            cut = max(chunk.rfind("\n"), chunk.rfind("\r", 0, len(chunk) - 1)) + 1
+            if not cut:
+                pieces.append(chunk)
                 continue
-            if len(row) < width:
-                skipped += 1
-                continue
-            try:
-                ts = fromisoformat(row[k_time])
-                text = row[k_dist] if has_distance and k_dist < len(row) else ""
-                dist = nan
-                if text:
-                    dist = float(text)
-                    if not 0.0 <= dist < inf:
-                        raise ValueError("distance_km must be finite and non-negative")
-                o_lon, o_lat = float(row[k_olon]), float(row[k_olat])
-                d_lon, d_lat = float(row[k_dlon]), float(row[k_dlat])
-            except ValueError:
-                skipped += 1
-                continue
-            if not (isfinite(o_lon) and isfinite(o_lat) and isfinite(d_lon) and isfinite(d_lat)):
-                skipped += 1
-                continue
-            minute.append(ts.weekday() * 1440 + ts.hour * 60 + ts.minute)
-            olon.append(o_lon)
-            olat.append(o_lat)
-            dlon.append(d_lon)
-            dlat.append(d_lat)
-            dist_col.append(dist)
-    # the columns are views of the buffers, not copies
-    table = TripTable(
-        minute=np.frombuffer(minute, dtype=np.int64),
-        origin_lon=np.frombuffer(olon, dtype=float),
-        origin_lat=np.frombuffer(olat, dtype=float),
-        dest_lon=np.frombuffer(dlon, dtype=float),
-        dest_lat=np.frombuffer(dlat, dtype=float),
-        distance_km=np.frombuffer(dist_col, dtype=float),
-    )
-    return ParseResult(table, skipped)
+            text = "".join(pieces) + chunk[:cut]
+            pieces = [chunk[cut:]]
+            self._block(text, line)
+            line += text.count("\n")
+        text = "".join(pieces)
+        if text:
+            self._block(text, line)
+
+    def _records(self, rows):
+        """The values of each row of a ``csv.reader`` that is not blank,
+        counting the malformed ones instead."""
+        for row in rows:
+            if row:
+                values = self._row(row)
+                if values is None:
+                    self.skipped += 1
+                else:
+                    yield values
+
+    def _rows(self, rows, line: int) -> None:
+        """Append the rows of a ``csv.reader`` whose first line is ``line``."""
+        records = self._records(rows)
+        try:
+            while batch := list(islice(records, 1024)):
+                for column, values in zip(self.columns, zip(*batch)):
+                    column.extend(values)
+        except csv.Error as exc:
+            raise ValueError(f"trips file line {line + rows.line_num - 1}: {exc}") from None
+
+    def _block(self, text: str, line: int) -> None:
+        """Append the records of whole lines of text; ``line`` is the number
+        of the first."""
+        raw = text.encode("ascii", "replace")  # one byte per character
+        buf = np.frombuffer(_PAD + raw + _PAD, dtype=np.uint8)
+        first = len(_PAD)
+        # line feeds, carriage returns and commas, found in one pass
+        marks = np.flatnonzero(buf[first:first + len(raw)] <= ord(",")) + first
+        kind = buf[marks]
+        ends, commas = marks[kind == ord("\n")], marks[kind == ord(",")]
+        if not raw.endswith(b"\n"):
+            ends = np.append(ends, first + len(raw))
+        starts = np.empty_like(ends)
+        starts[0] = first
+        starts[1:] = ends[:-1] + 1
+        stops = ends - (buf[ends - 1] == ord("\r"))  # a CRLF's CR is no field's
+        line_commas = np.diff(np.searchsorted(commas, ends), prepend=0)
+        canonical = ((line_commas == self.n_fields - 1)
+                     & (stops - starts <= csv.field_size_limit()))
+        cr = marks[kind == ord("\r")]
+        canonical[np.searchsorted(ends, cr[buf[cr + 1] != ord("\n")])] = False
+
+        # field bounds of the lines with the header's field count
+        lines = np.flatnonzero(canonical)
+        comma = commas[np.repeat(canonical, line_commas)].reshape(-1, self.n_fields - 1)
+
+        def field(k):
+            return (starts[lines] if k == 0 else comma[:, k - 1] + 1,
+                    stops[lines] if k == self.n_fields - 1 else comma[:, k])
+
+        minute, ok = _minute_of_week(buf, *field(self.k_time))
+        bounds = [field(k) for k in self.k_numbers]
+        if self.k_dist is not None:
+            bounds.append(field(self.k_dist))
+        # all numbers of the block at once, one field after another
+        values, number_ok = _decimals(buf, np.concatenate([b[0] for b in bounds]),
+                                      np.concatenate([b[1] for b in bounds]))
+        values = values.reshape(len(bounds), len(lines))
+        number_ok = number_ok.reshape(len(bounds), len(lines))
+        ok &= number_ok[:4].all(axis=0)
+        if self.k_dist is None:
+            dist = np.full(len(lines), math.nan)
+        else:
+            given = bounds[4][1] > bounds[4][0]
+            ok &= number_ok[4] | ~given
+            dist = np.where(given, values[4], math.nan)
+        canonical[lines[~ok]] = False
+        # a canonical row with a negative distance is malformed; -0.0 is not
+        keep = ok & ~(dist < 0.0)
+        self.skipped += int(np.count_nonzero(ok)) - int(np.count_nonzero(keep))
+        columns = [minute[keep], *(v[keep] for v in values[:4]), dist[keep]]
+
+        # every other line that is not blank goes through the row checks
+        other = np.flatnonzero(~canonical & (stops > starts))
+        if len(other):
+            at, records = [], []
+            for i in other.tolist():
+                piece = text[starts[i] - first:ends[i] - first + 1]
+                try:
+                    for values in self._records(csv.reader(io.StringIO(piece, newline=""))):
+                        at.append(i)
+                        records.append(values)
+                except csv.Error as exc:
+                    raise ValueError(f"trips file line {line + i}: {exc}") from None
+            if records:
+                at = np.searchsorted(lines[keep], at)
+                columns = [np.insert(c, at, v) for c, v in zip(columns, zip(*records))]
+        for buffer, column in zip(self.columns, columns):
+            buffer.frombytes(column.view(np.uint8))
+
+
+def _row_checks(k_time: int, k_numbers: tuple[int, ...], k_dist: int | None):
+    """The per-row checks, as a function from a parsed CSV row to its values
+    (minute of week, four coordinates, distance), or to None when the row is
+    malformed; ``k_*`` are the columns of the fields."""
+    k_olon, k_olat, k_dlon, k_dlat = k_numbers
+    width = max(k_time, *k_numbers) + 1
+    fromisoformat, isfinite = datetime.fromisoformat, math.isfinite
+    inf, nan = math.inf, math.nan
+
+    def values(row: list[str]) -> tuple | None:
+        if len(row) < width:
+            return None
+        try:
+            ts = fromisoformat(row[k_time])
+            text = row[k_dist] if k_dist is not None and k_dist < len(row) else ""
+            dist = nan
+            if text:
+                dist = float(text)
+                if not 0.0 <= dist < inf:
+                    raise ValueError("distance_km must be finite and non-negative")
+            o_lon, o_lat = float(row[k_olon]), float(row[k_olat])
+            d_lon, d_lat = float(row[k_dlon]), float(row[k_dlat])
+        except ValueError:
+            return None
+        if not (isfinite(o_lon) and isfinite(o_lat) and isfinite(d_lon) and isfinite(d_lat)):
+            return None
+        return (ts.weekday() * 1440 + ts.hour * 60 + ts.minute, o_lon, o_lat, d_lon, d_lat, dist)
+
+    return values
+
+
+def _words(buf: np.ndarray, offset: np.ndarray, n: int) -> np.ndarray:
+    """The ``n`` words from each offset of ``buf`` on, shape (len(offset), n)."""
+    windows = np.ndarray((len(buf) - 8 * n + 1,), dtype=f"V{8 * n}", buffer=buf, strides=(1,))
+    return windows[offset].view("<u8").reshape(-1, n)
+
+
+def _above(v: np.ndarray, limit) -> np.ndarray:
+    """The high bit of every byte of ``v`` greater than that byte of ``limit``."""
+    return (v + (0x7F * _ONES - limit)) & _HIGH
+
+
+def _eight_digits(v: np.ndarray) -> np.ndarray:
+    """The number whose decimal digits are the bytes (0-9) of each word,
+    lowest byte first."""
+    v = (v * 10 + (v >> 8)) & 0x00FF00FF00FF00FF
+    v = (v * 100 + (v >> 16)) & 0x0000FFFF0000FFFF
+    return (v * 10000 + (v >> 32)) & 0xFFFFFFFF
+
+
+def _minute_of_week(buf: np.ndarray, start: np.ndarray, stop: np.ndarray):
+    """Weekday-anchored minute of week of the fields ``buf[start:stop]`` that
+    are canonical start times, ``YYYY-MM-DDTHH:MM:SS`` on a calendar date,
+    and which are."""
+    v = _words(buf, start, 3) ^ _STAMP_ZERO  # digits 0-9, separators 0
+    above = _above(v, _STAMP_MAX)
+    ok = (stop - start == len(_STAMP)) & ((above[:, 0] | above[:, 1] | above[:, 2]) == 0)
+    ymd = _eight_digits(v[:, 0]).astype(np.int64)  # YYYY0MM0
+    dhm = _eight_digits(v[:, 1]).astype(np.int64)  # DD0HH0MM
+    year, month, day = ymd // 10000, ymd // 10 % 100, dhm // 1000000
+    hour, minute = dhm // 1000 % 100, dhm % 100
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.minimum(month, 13)] + (leap & (month == 2))
+    ok &= (year >= 1) & (1 <= day) & (day <= month_days) & (hour <= 23)
+    # days since 0000-03-01, a Wednesday, in the proleptic Gregorian
+    # calendar (Hinnant's days_from_civil)
+    era, year_of_era = np.divmod(year - (month <= 2), 400)
+    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = (era * 146097 + year_of_era * 365 + year_of_era // 4 - year_of_era // 100
+            + day_of_year)
+    return (days + 2) % 7 * 1440 + hour * 60 + minute, ok
+
+
+def _decimals(buf: np.ndarray, start: np.ndarray, stop: np.ndarray):
+    """Values of the fields ``buf[start:stop]`` that are canonical decimals,
+    an optional minus sign and then 1 to 15 digits with at most one point
+    among them, and which are."""
+    negative = buf[start] == ord("-")
+    v, points, after, ok = _digit_words(buf, start + negative, stop)
+    # reading the point as a 0 digit leaves the integer part ten times too
+    # large and the fraction digits as they are
+    v = _eight_digits(v)
+    spread = v[:, 0] * 100000000 + v[:, 1]
+    fraction = spread % _POW10[after]
+    mantissa = np.where(points > 0, (spread - fraction) // 10 + fraction, spread)
+    value = mantissa / _POW10_F[after]
+    np.negative(value, out=value, where=negative)
+    return value, ok
+
+
+def _digit_words(buf: np.ndarray, start: np.ndarray, stop: np.ndarray):
+    """The fields ``buf[start:stop]`` right-aligned in two words, digits as
+    bytes 0-9 and the point and everything before the field as 0; how many
+    points each holds, how many characters follow its point, and which are
+    1 to 15 digits with at most one point among them."""
+    length = stop - start
+    inside = _INSIDE.take(np.clip(length, 0, 16), axis=0)
+    v = _words(buf, stop - 16, 2) ^ (ord("0") * _ONES)  # digits become 0-9
+    non_digit = _above(v, 9 * _ONES) & inside
+    point = non_digit & ~_above(v ^ ((ord(".") ^ ord("0")) * _ONES), 0)
+    v &= inside & ~((non_digit >> 7) * 0xFF)
+    non_digit ^= point  # neither a digit nor the point
+    # the point marks, 0 or 1 a byte, summed into the top byte
+    points = (((point[:, 0] >> 7) + (point[:, 1] >> 7)) * _ONES >> 56).astype(np.int64)
+    # a lone point at window position p is the bit 2**(8p + 7) of the
+    # 128-bit window, and 15 - p characters follow it (16 % 16 = 0 without one)
+    bit = np.frexp(np.ldexp(point[:, 1].astype(float), 64) + point[:, 0])[1]
+    after = (16 - bit // 8) % 16
+    digits = length - points
+    ok = (((non_digit[:, 0] | non_digit[:, 1]) == 0) & (points <= 1) & (1 <= digits)
+          & (digits <= 15))
+    return v, points, after, ok
 
 
 @dataclass

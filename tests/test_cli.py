@@ -193,6 +193,22 @@ class TestIngest:
         summary = json.loads((out / "ingest_summary.json").read_text())
         assert (summary["records_read"], summary["skipped"]) == (50, 4)
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["blocks", "csv"])
+    def test_oversized_field_exit_2_and_nothing_written(self, tmp_path, capsys, quote):
+        # a field over csv's size limit, on a line longer than a read block;
+        # quoted, the csv module reads it, unquoted, the block reader
+        lines = TRIPS_50.read_text().splitlines()
+        huge = "1" * (csv.field_size_limit() + 1)
+        lines[3] = f"{lines[3].rsplit(',', 1)[0]},{quote}{huge}{quote}"
+        trips = tmp_path / "trips.csv"
+        trips.write_text("\n".join(lines) + "\n")
+        code, out = ingest(tmp_path, GRID_2X2, trips=trips)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "trips file line 4: field larger than field limit" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_centralized_solution_written(self, tmp_path, instance_file):
@@ -363,6 +379,7 @@ class TestSweepR:
         io.save_instance(inst, path)
         assert run("--out", str(tmp_path / "s"), "sweep-r", str(path),
                    "--r-values", "0,1") == EXIT_CONFIG
+        assert not (tmp_path / "s").exists()
 
     def test_no_price_to_widen_the_range_with_exit_2(self, tmp_path, capsys):
         # every pair is out of range, so no cost says what a kilometre costs
@@ -373,7 +390,7 @@ class TestSweepR:
         assert run("--out", str(tmp_path / "s"), "sweep-r", str(path),
                    "--r-values", "0,6") == EXIT_CONFIG
         assert "price_per_km" in capsys.readouterr().err
-        assert not (tmp_path / "s" / "sweep.csv").exists()
+        assert not (tmp_path / "s").exists()
 
 
 class TestReport:

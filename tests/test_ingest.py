@@ -8,12 +8,14 @@ import tracemalloc
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chargeplan import ingest
 from chargeplan.datagen import GenParams
 from chargeplan.ingest import (
     REQUIRED_COLUMNS,
@@ -79,9 +81,12 @@ def oracle_zone_of(spec, lon, lat):
     return r * spec.cols + c
 
 
+def oracle_minute_of_week(ts):
+    return ts.weekday() * 24 * 60 + ts.hour * 60 + ts.minute
+
+
 def oracle_slot_of(spec, ts):
-    minute_of_week = ts.weekday() * 24 * 60 + ts.hour * 60 + ts.minute
-    return (minute_of_week // spec.slot_minutes) % spec.n_slots
+    return (oracle_minute_of_week(ts) // spec.slot_minutes) % spec.n_slots
 
 
 def oracle_parse(path):
@@ -607,6 +612,111 @@ class TestColumnarMatchesRowByRow:
         np.testing.assert_array_equal(got.counts, counts)
         np.testing.assert_array_equal(got.imputed, imputed)
         np.testing.assert_allclose(got.distance, distance, rtol=1e-12, atol=0.0)
+
+
+# ------------------------------------------- block reader vs. row checks
+#
+# parse_trips parses canonical lines with array code over blocks of the file
+# and hands every other line to the per-row checks.  The DictReader oracle
+# reads everything row by row, so on any file the two must give the same
+# columns, bit for bit, and the same skip count.
+
+@st.composite
+def decimals(draw, min_digits, max_digits):
+    """``-?D+(.D*)?`` with ``min_digits`` to ``max_digits`` digits."""
+    digits = draw(st.text("0123456789", min_size=min_digits, max_size=max_digits))
+    cut = draw(st.integers(1, len(digits)))
+    point = "." if cut < len(digits) or draw(st.booleans()) else ""
+    return draw(st.sampled_from(["", "-"])) + digits[:cut] + point + digits[cut:]
+
+
+#: fields the block reader parses, by kind
+CANONICAL_FIELDS = {
+    "number": st.one_of(st.floats(-180.0, 180.0).map(lambda x: f"{x:.6f}"), decimals(1, 15)),
+    "stamp": st.datetimes(min_value=datetime(1, 1, 1),
+                          max_value=datetime(9999, 12, 31, 23, 59, 59))
+    .map(lambda ts: ts.replace(microsecond=0).isoformat()),
+    "note": st.sampled_from(["x", ""]),
+}
+
+#: fields it leaves to the row checks, some of which those accept
+ODD_FIELDS = {
+    "number": st.one_of(decimals(16, 17), st.sampled_from([
+        " 1.5", "1.5 ", "1e3", "1E-2", "1_0", "+1", ".5", "-.5", "nan", "inf", "-inf", "",
+        "-", ".", "1.2.3", "--1", "1-2", "\u0663", "\uff11.5", "1\u00b2",
+        # 16 digits, where mantissa / 10**k rounds twice and misses float()
+        "96.48064786969077", "-91128735.31840813",
+    ])),
+    "stamp": st.one_of(
+        # the canonical layout, mostly not on the calendar
+        st.tuples(*(st.integers(0, hi) for hi in (9999, 19, 39, 29, 69, 69)))
+        .map(lambda t: "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}".format(*t)),
+        st.sampled_from([
+            "2024-02-29T00:00:00", "2023-02-29T00:00:00", "2000-02-29T12:00:00",
+            "1900-02-29T12:00:00", "2024-03-04T24:00:00", "2024-03-04 08:10:00",
+            "2024-03-04T08:10", "2024-03-04T08:10:00.5", "2024-03-04T08:10:00+01:00",
+            "0000-01-01T00:00:00", "2024-04-31T00:00:00", "2024-03-04t08:10:00",
+            "\uff12024-03-04T08:10:00", "",
+        ]),
+    ),
+    # a lone CR ends a CSV row even inside a column nobody reads
+    "note": st.sampled_from(["\u00e9", "x\ry"]),
+}
+
+
+@st.composite
+def mixed_trips_files(draw):
+    """CSV text of canonical rows, some with one odd field, mixed with
+    blank, short, long and quoted rows, under any line ending."""
+    names = list(REQUIRED_COLUMNS) + ["distance_km"] * draw(st.booleans())
+    names = draw(st.permutations(names + ["note"] * draw(st.booleans())))
+    kinds = [{"start_time": "stamp", "note": "note"}.get(name, "number") for name in names]
+    text = ",".join(names)
+    for _ in range(draw(st.integers(0, 30))):
+        text += draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]))
+        shape = draw(st.sampled_from(["full"] * 4 + ["odd"] * 4
+                                     + ["blank", "short", "long", "quoted"]))
+        if shape == "blank":
+            continue
+        row = [draw(CANONICAL_FIELDS[kind]) for kind in kinds]
+        k = draw(st.integers(0, len(row) - 1))
+        if shape == "odd":
+            row[k] = draw(ODD_FIELDS[kinds[k]])
+        elif shape == "short":
+            row = row[:max(k, 1)]
+        elif shape == "long":
+            row.append(draw(CANONICAL_FIELDS["number"]))
+        elif shape == "quoted":
+            row[k] = '"' + row[k] + draw(st.sampled_from(["", "\n", ","])) + '"'
+        text += ",".join(row)
+    return text + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+class TestBlockReaderMatchesRowChecks:
+    @given(text=mixed_trips_files(), block=st.one_of(st.integers(1, 64), st.integers(64, 4096)))
+    @settings(max_examples=100, deadline=None)
+    def test_same_columns_bit_for_bit(self, text, block):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trips.csv"
+            path.write_text(text, newline="")
+            # small blocks, so lines straddle block boundaries, and blocks
+            # of many lines, so records of both kinds share a block
+            with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+                parsed = parse_trips(path)
+            records, skipped = oracle_parse(path)
+        assert parsed.skipped == skipped
+        expected = {
+            "minute": [oracle_minute_of_week(r.start_time) for r in records],
+            "origin_lon": [r.origin[0] for r in records],
+            "origin_lat": [r.origin[1] for r in records],
+            "dest_lon": [r.destination[0] for r in records],
+            "dest_lat": [r.destination[1] for r in records],
+            "distance_km": [math.nan if r.distance_km is None else r.distance_km
+                            for r in records],
+        }
+        for name, values in expected.items():
+            column = getattr(parsed.records, name)
+            assert column.tobytes() == np.array(values, dtype=column.dtype).tobytes(), name
 
 
 class TestAssembleInstance:
