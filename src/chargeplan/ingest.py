@@ -19,9 +19,10 @@ array code over each block's bytes, every other line by the per-row checks
 of the ``csv`` route; both give the same values, bit for bit.  Binning, the
 per-record distance fallback and the per-pair averages are array code over
 that table.  On a 2-vCPU x86-64 host with CPython 3.11, parsing a 100 000-row
-file takes about 0.15 s, grid binning and averaging about 0.02 s; a 1.5 M-row
-file parses in about 2.2 s and adds about 70 MB, the size of its columns, to
-the process's peak RSS.
+file of canonical lines takes about 0.10 s (0.17 s row by row), grid binning
+and averaging about 0.02 s; a file without canonical lines parses about 4 %
+slower than row by row; a 1.5 M-row file parses in about 1.3 s and adds
+about 70 MB, the size of its columns, to the process's peak RSS.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -237,6 +238,12 @@ def parse_trips(path) -> ParseResult:
 #: Characters read per block.  A block ends at a line end, so a longer line
 #: makes a longer block.
 _BLOCK_CHARS = 1 << 16
+#: Blocks read by the row checks alone after a block less than two thirds
+#: of whose lines were canonical.  Array code over a block of no canonical
+#: line costs about half of what the row checks cost for its lines, and
+#: merging the other lines back costs more; at about two thirds canonical
+#: the array code saves what it costs.  Now and then a block is tried again.
+_ROW_BLOCKS = 63
 
 # Fields are checked and converted eight characters at a time: each 64-bit
 # word holds eight consecutive bytes of a block, the first in its lowest
@@ -279,7 +286,9 @@ class _TripReader:
     a power of ten, also exact, so one correctly rounded division gives the
     bits ``float`` gives (Clinger's fast path).  Every other line goes
     through the per-row checks of :func:`_row_checks`, and the records keep
-    file order.  From the first block that holds a quote on, ``csv`` reads
+    file order.  After a block less than two thirds of whose lines are
+    canonical, the next ``_ROW_BLOCKS`` blocks go to the row checks whole,
+    without the array code.  From the first block that holds a quote on, ``csv`` reads
     the rest of the file row by row, because a quoted field may span lines.
     """
 
@@ -292,11 +301,12 @@ class _TripReader:
         self.k_time, k_olon, k_olat, k_dlon, k_dlat = (where[c] for c in REQUIRED_COLUMNS)
         self.k_dist = where.get("distance_km")
         self.k_numbers = (k_olon, k_olat, k_dlon, k_dlat)  # in TripTable's order
-        self._row = _row_checks(self.k_time, self.k_numbers, self.k_dist)
         # one typed buffer per column: a row costs its 48 bytes of values,
         # not a tuple of Python objects
-        self.columns = (array("q"),) + tuple(array("d") for _ in range(5))
+        self.columns = _new_columns()
+        self._append = self._appender(self.columns)
         self.skipped = 0
+        self.row_blocks = 0  # blocks the row checks alone are still to read
 
     def table(self) -> TripTable:
         # the columns are views of the buffers, not copies
@@ -320,36 +330,35 @@ class _TripReader:
                 continue
             text = "".join(pieces) + chunk[:cut]
             pieces = [chunk[cut:]]
-            self._block(text, line)
-            line += text.count("\n")
+            line += self._lines(text, line)
         text = "".join(pieces)
         if text:
-            self._block(text, line)
+            self._lines(text, line)
 
-    def _records(self, rows):
-        """The values of each row of a ``csv.reader`` that is not blank,
-        counting the malformed ones instead."""
-        for row in rows:
-            if row:
-                values = self._row(row)
-                if values is None:
-                    self.skipped += 1
-                else:
-                    yield values
+    def _lines(self, text: str, line: int) -> int:
+        """Append the records of whole lines of text, ``line`` the number of
+        the first; how many lines ``csv`` counts in the text."""
+        if self.row_blocks:
+            self.row_blocks -= 1
+            return self._rows(csv.reader(io.StringIO(text, newline="")), line)
+        return self._block(text, line)
 
-    def _rows(self, rows, line: int) -> None:
-        """Append the rows of a ``csv.reader`` whose first line is ``line``."""
-        records = self._records(rows)
+    def _appender(self, columns):
+        """:func:`_row_checks` for this file's header, appending to ``columns``."""
+        return _row_checks(self.k_time, self.k_numbers, self.k_dist, columns)
+
+    def _rows(self, rows, line: int) -> int:
+        """Append the rows of a ``csv.reader`` whose first line is ``line``;
+        how many lines it read."""
         try:
-            while batch := list(islice(records, 1024)):
-                for column, values in zip(self.columns, zip(*batch)):
-                    column.extend(values)
+            self.skipped += self._append(rows)
         except csv.Error as exc:
             raise ValueError(f"trips file line {line + rows.line_num - 1}: {exc}") from None
+        return rows.line_num
 
-    def _block(self, text: str, line: int) -> None:
-        """Append the records of whole lines of text; ``line`` is the number
-        of the first."""
+    def _block(self, text: str, line: int) -> int:
+        """Append the records of whole lines of text, ``line`` the number of
+        the first, with array code; how many lines ``csv`` counts in them."""
         raw = text.encode("ascii", "replace")  # one byte per character
         buf = np.frombuffer(_PAD + raw + _PAD, dtype=np.uint8)
         first = len(_PAD)
@@ -367,7 +376,12 @@ class _TripReader:
         canonical = ((line_commas == self.n_fields - 1)
                      & (stops - starts <= csv.field_size_limit()))
         cr = marks[kind == ord("\r")]
-        canonical[np.searchsorted(ends, cr[buf[cr + 1] != ord("\n")])] = False
+        lone_cr = cr[buf[cr + 1] != ord("\n")]
+        canonical[np.searchsorted(ends, lone_cr)] = False
+        # csv also ends a line at a lone carriage return, so one line may be
+        # several to csv; one ending the text ends its last line
+        csv_lines = np.bincount(np.searchsorted(ends, lone_cr), minlength=len(ends)) + 1
+        csv_lines[-1] -= raw.endswith(b"\r")
 
         # field bounds of the lines with the header's field count
         lines = np.flatnonzero(canonical)
@@ -378,6 +392,9 @@ class _TripReader:
                     stops[lines] if k == self.n_fields - 1 else comma[:, k])
 
         minute, ok = _minute_of_week(buf, *field(self.k_time))
+        if not ok.all():  # the numbers of these lines are not read here
+            canonical[lines[~ok]] = False
+            lines, comma, minute = lines[ok], comma[ok], minute[ok]
         bounds = [field(k) for k in self.k_numbers]
         if self.k_dist is not None:
             bounds.append(field(self.k_dist))
@@ -386,7 +403,7 @@ class _TripReader:
                                       np.concatenate([b[1] for b in bounds]))
         values = values.reshape(len(bounds), len(lines))
         number_ok = number_ok.reshape(len(bounds), len(lines))
-        ok &= number_ok[:4].all(axis=0)
+        ok = number_ok[:4].all(axis=0)
         if self.k_dist is None:
             dist = np.full(len(lines), math.nan)
         else:
@@ -399,54 +416,99 @@ class _TripReader:
         self.skipped += int(np.count_nonzero(ok)) - int(np.count_nonzero(keep))
         columns = [minute[keep], *(v[keep] for v in values[:4]), dist[keep]]
 
-        # every other line that is not blank goes through the row checks
-        other = np.flatnonzero(~canonical & (stops > starts))
-        if len(other):
-            at, records = [], []
-            for i in other.tolist():
-                piece = text[starts[i] - first:ends[i] - first + 1]
-                try:
-                    for values in self._records(csv.reader(io.StringIO(piece, newline=""))):
-                        at.append(i)
-                        records.append(values)
-                except csv.Error as exc:
-                    raise ValueError(f"trips file line {line + i}: {exc}") from None
-            if records:
+        if not canonical.all():
+            at, records = self._other_lines(text, line, starts - first, ends - first,
+                                            ~canonical, csv_lines)
+            if len(at):
                 at = np.searchsorted(lines[keep], at)
-                columns = [np.insert(c, at, v) for c, v in zip(columns, zip(*records))]
+                columns = [np.insert(c, at, np.frombuffer(v, dtype=c.dtype))
+                           for c, v in zip(columns, records)]
         for buffer, column in zip(self.columns, columns):
             buffer.frombytes(column.view(np.uint8))
+        if 3 * np.count_nonzero(canonical) < 2 * len(canonical):
+            self.row_blocks = _ROW_BLOCKS
+        return int(csv_lines.sum())
+
+    def _other_lines(self, text, line, starts, ends, other, csv_lines):
+        """The records of the lines of ``text`` marked ``other``: for each the
+        index of its line, and their values, one typed buffer per column.
+
+        ``starts`` and ``ends`` are the offsets of each line and of its line
+        feed (or of the end of the text), ``csv_lines`` how many lines
+        ``csv`` counts in each, and ``line`` the file line of the first.  One
+        ``csv.reader`` reads the marked lines joined."""
+        i = np.flatnonzero(other)
+        # runs of consecutive lines, each one slice of the text
+        run = np.flatnonzero(np.diff(i, prepend=-2) != 1)
+        lo = starts[i[run]].tolist()
+        hi = (ends[i[np.append(run[1:], len(i)) - 1]] + 1).tolist()
+        joined = "".join([text[a:b] for a, b in zip(lo, hi)])
+        owner = np.repeat(i, csv_lines[i])  # the line of each CSV line read
+        records, at = _new_columns(), []
+        reader = csv.reader(io.StringIO(joined, newline=""))
+        try:
+            # with no quote a row is one CSV line, a blank row an empty one
+            self.skipped += self._appender(records)(reader, at)
+        except csv.Error as exc:
+            k = reader.line_num - 1
+            j = owner[k]
+            at_line = line + csv_lines[:j].sum() + k - np.searchsorted(owner, j)
+            raise ValueError(f"trips file line {at_line}: {exc}") from None
+        return owner[np.array(at, dtype=np.intp) - 1], records
 
 
-def _row_checks(k_time: int, k_numbers: tuple[int, ...], k_dist: int | None):
-    """The per-row checks, as a function from a parsed CSV row to its values
-    (minute of week, four coordinates, distance), or to None when the row is
-    malformed; ``k_*`` are the columns of the fields."""
+def _new_columns() -> tuple[array, ...]:
+    """Empty typed buffers for :class:`TripTable`'s columns, in its order."""
+    return (array("q"),) + tuple(array("d") for _ in range(5))
+
+
+def _row_checks(k_time: int, k_numbers: tuple[int, ...], k_dist: int | None, columns):
+    """The per-row checks, as a function that appends the values (minute of
+    week, four coordinates, distance) of each well-formed one of parsed CSV
+    rows to ``columns`` and returns how many were malformed; a blank row is
+    neither.  Given a list ``at``, it appends there the ``line_num`` of
+    ``rows``, a ``csv.reader``, after each row whose values it appended.
+    ``k_*`` are the columns of the fields."""
     k_olon, k_olat, k_dlon, k_dlat = k_numbers
     width = max(k_time, *k_numbers) + 1
     fromisoformat, isfinite = datetime.fromisoformat, math.isfinite
     inf, nan = math.inf, math.nan
+    minute, o_lons, o_lats, d_lons, d_lats, distances = (c.append for c in columns)
 
-    def values(row: list[str]) -> tuple | None:
-        if len(row) < width:
-            return None
-        try:
-            ts = fromisoformat(row[k_time])
-            text = row[k_dist] if k_dist is not None and k_dist < len(row) else ""
-            dist = nan
-            if text:
-                dist = float(text)
-                if not 0.0 <= dist < inf:
-                    raise ValueError("distance_km must be finite and non-negative")
-            o_lon, o_lat = float(row[k_olon]), float(row[k_olat])
-            d_lon, d_lat = float(row[k_dlon]), float(row[k_dlat])
-        except ValueError:
-            return None
-        if not (isfinite(o_lon) and isfinite(o_lat) and isfinite(d_lon) and isfinite(d_lat)):
-            return None
-        return (ts.weekday() * 1440 + ts.hour * 60 + ts.minute, o_lon, o_lat, d_lon, d_lat, dist)
+    def append_rows(rows, at: list[int] | None = None) -> int:
+        skipped = 0
+        for row in rows:
+            if len(row) < width:
+                if row:
+                    skipped += 1
+                continue
+            try:
+                ts = fromisoformat(row[k_time])
+                text = row[k_dist] if k_dist is not None and k_dist < len(row) else ""
+                dist = nan
+                if text:
+                    dist = float(text)
+                    if not 0.0 <= dist < inf:
+                        raise ValueError("distance_km must be finite and non-negative")
+                o_lon, o_lat = float(row[k_olon]), float(row[k_olat])
+                d_lon, d_lat = float(row[k_dlon]), float(row[k_dlat])
+            except ValueError:
+                skipped += 1
+                continue
+            if not (isfinite(o_lon) and isfinite(o_lat) and isfinite(d_lon) and isfinite(d_lat)):
+                skipped += 1
+                continue
+            minute(ts.weekday() * 1440 + ts.hour * 60 + ts.minute)
+            o_lons(o_lon)
+            o_lats(o_lat)
+            d_lons(d_lon)
+            d_lats(d_lat)
+            distances(dist)
+            if at is not None:
+                at.append(rows.line_num)
+        return skipped
 
-    return values
+    return append_rows
 
 
 def _words(buf: np.ndarray, offset: np.ndarray, n: int) -> np.ndarray:

@@ -10,12 +10,14 @@ import tempfile
 import warnings
 from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chargeplan import ingest as ingest_module
 from chargeplan import io
 from chargeplan.central import solve_centralized
 from chargeplan.cli import (
@@ -193,19 +195,28 @@ class TestIngest:
         summary = json.loads((out / "ingest_summary.json").read_text())
         assert (summary["records_read"], summary["skipped"]) == (50, 4)
 
+    @pytest.mark.parametrize("block", [256, 1 << 20], ids=["small", "large"])
+    @pytest.mark.parametrize("ends", [("\n", "\n"), ("\r\n", "\r\n"), ("\r", "\r"), ("\r", "\n")],
+                             ids=["lf", "crlf", "cr", "cr-then-lf"])
     @pytest.mark.parametrize("quote", ["", '"'], ids=["blocks", "csv"])
-    def test_oversized_field_exit_2_and_nothing_written(self, tmp_path, capsys, quote):
-        # a field over csv's size limit, on a line longer than a read block;
-        # quoted, the csv module reads it, unquoted, the block reader
+    def test_oversized_field_exit_2_and_nothing_written(self, tmp_path, capsys, quote, ends,
+                                                        block):
+        # a field over csv's size limit on line 41: on a line longer than a
+        # read block, after lines that fill several blocks, or in a block
+        # after lines read by the row checks; quoted, the csv module reads
+        # it, unquoted, the block reader.  csv ends a line at a lone CR too,
+        # so the first 20 lines end with ends[0], the others with ends[1].
         lines = TRIPS_50.read_text().splitlines()
         huge = "1" * (csv.field_size_limit() + 1)
-        lines[3] = f"{lines[3].rsplit(',', 1)[0]},{quote}{huge}{quote}"
+        lines[40] = f"{lines[40].rsplit(',', 1)[0]},{quote}{huge}{quote}"
         trips = tmp_path / "trips.csv"
-        trips.write_text("\n".join(lines) + "\n")
-        code, out = ingest(tmp_path, GRID_2X2, trips=trips)
+        trips.write_text("".join(line + ends[k >= 20] for k, line in enumerate(lines)),
+                         newline="")
+        with mock.patch.object(ingest_module, "_BLOCK_CHARS", block):
+            code, out = ingest(tmp_path, GRID_2X2, trips=trips)
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "trips file line 4: field larger than field limit" in err
+        assert "trips file line 41: field larger than field limit" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -693,15 +693,19 @@ def mixed_trips_files(draw):
 
 
 class TestBlockReaderMatchesRowChecks:
-    @given(text=mixed_trips_files(), block=st.one_of(st.integers(1, 64), st.integers(64, 4096)))
+    @given(text=mixed_trips_files(), block=st.one_of(st.integers(1, 64), st.integers(64, 4096)),
+           row_blocks=st.sampled_from([0, 1, 15]))
     @settings(max_examples=100, deadline=None)
-    def test_same_columns_bit_for_bit(self, text, block):
+    def test_same_columns_bit_for_bit(self, text, block, row_blocks):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trips.csv"
             path.write_text(text, newline="")
             # small blocks, so lines straddle block boundaries, and blocks
-            # of many lines, so records of both kinds share a block
-            with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+            # of many lines, so records of both kinds share a block; after a
+            # block of mostly odd lines, none, one or many blocks read by the
+            # row checks alone
+            with mock.patch.object(ingest, "_BLOCK_CHARS", block), \
+                    mock.patch.object(ingest, "_ROW_BLOCKS", row_blocks):
                 parsed = parse_trips(path)
             records, skipped = oracle_parse(path)
         assert parsed.skipped == skipped
