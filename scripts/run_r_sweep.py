@@ -11,7 +11,7 @@ Usage:  python3 scripts/run_r_sweep.py [--r 0,1,3,5,7] [--seed 0]
 
 import argparse
 
-from chargeplan.central import SolverConfig, solve_base_model, solve_centralized
+from chargeplan.central import solve_base_model, solve_centralized
 from chargeplan.datagen import GenParams, generate_instance, with_range_limit
 
 
@@ -34,9 +34,8 @@ def main() -> int:
     print(f"baseline (no assignment): {base.cost.total:,.0f}")
     print(f"{'R_km':>6}  {'investment':>14}  {'assignment':>12}  "
           f"{'total':>14}  {'vs base':>8}")
-    solver = SolverConfig()
     for r in (float(v) for v in args.r.split(",")):
-        sol = solve_centralized(with_range_limit(inst, r), solver)
+        sol = solve_centralized(with_range_limit(inst, r))
         red = 100.0 * (base.cost.total - sol.cost.total) / base.cost.total
         if abs(red) < 1e-9:
             red = 0.0

@@ -9,7 +9,7 @@ cannot be pooled.
 """
 
 from .admm import AdmmConfig, ConvergenceReport, run_admm
-from .central import SolverConfig, build_lp, solve_base_model, solve_centralized
+from .central import build_lp, solve_base_model, solve_centralized
 from .datagen import GenParams, generate_instance, with_range_limit
 from .io import load_instance, load_solution, save_instance, save_solution
 from .model import (
@@ -26,6 +26,7 @@ from .model import (
     evaluate_objective,
 )
 from .mps import write_mps
+from .simplex import solve_simplex
 
 __version__ = "0.1.0"
 
@@ -42,7 +43,6 @@ __all__ = [
     "InvestmentPlan",
     "PlanningInstance",
     "Solution",
-    "SolverConfig",
     "build_lp",
     "check_feasibility",
     "evaluate_objective",
@@ -54,6 +54,7 @@ __all__ = [
     "save_solution",
     "solve_base_model",
     "solve_centralized",
+    "solve_simplex",
     "with_range_limit",
     "write_mps",
 ]

@@ -36,6 +36,7 @@ knapsack, solved by bisection on the budget multiplier).
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 
@@ -66,10 +67,10 @@ class AdmmConfig:
     threshold: float = 1e-4
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be finite and positive")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError("threshold must be finite and positive")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
 
@@ -250,10 +251,15 @@ def solve_master(
     w = instance.unit_investment_cost
     if float(w @ c_tilde) <= instance.budget + 1e-9 * max(1.0, instance.budget):
         return c_tilde, False
-    if float(w @ d) > instance.budget + 1e-9 * max(1.0, instance.budget):
+    floor = float(w @ d)
+    if floor > instance.budget + 1e-9 * max(1.0, instance.budget):
         raise InfeasibleProblemError(
             "master infeasible: demand floor alone exceeds the budget"
         )
+    if floor > instance.budget:
+        # within tolerance of the budget: no multiplier brings the priced
+        # entries below it, so they sit at the floor (the search's limit)
+        return np.where(w > 0, d, c_tilde), True
     lo, hi = 0.0, 1.0
     while float(w @ np.clip(c - (lam + hi * w) / rho, d, cap)) > instance.budget:
         hi *= 2.0

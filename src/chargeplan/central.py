@@ -1,4 +1,4 @@
-"""Centralized LP path: problem builder, solvers, and the no-assignment baseline.
+"""Centralized LP path: problem builder, HiGHS solve, and the no-assignment baseline.
 
 ``build_lp`` lowers a :class:`~chargeplan.model.PlanningInstance` to a sparse
 standard-form LP with numpy, from one array of free assignment cells.
@@ -7,9 +7,9 @@ elimination, never as rows, so the column space contains exactly the
 capacities plus the free assignment cells.  Rows the others imply are not
 written: the LP has ``1 + 2 * n * T`` rows.
 
-``solve_centralized`` runs scipy's HiGHS backend (the default) or, on
-request, the embedded dense revised simplex, a self-contained oracle for
-desk-tiny problems.
+``solve_centralized`` solves that LP with scipy's HiGHS backend.  The
+embedded dense simplex (:func:`chargeplan.simplex.solve_simplex`) is not a
+production backend; the tests use it as an independent oracle.
 """
 
 from __future__ import annotations
@@ -32,20 +32,6 @@ from .model import (
     check_feasibility,
     evaluate_objective,
 )
-from .simplex import solve_simplex
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Backend selection for the centralized solve.  ``max_iterations``
-    bounds only the dense simplex; HiGHS keeps its own iteration limit."""
-
-    backend: str = "highs"  # "highs" | "simplex" (dense, desk-tiny LPs only)
-    max_iterations: int = 20000
-
-    def __post_init__(self):
-        if self.backend not in ("highs", "simplex"):
-            raise ValueError(f"unknown backend: {self.backend!r}")
 
 
 @dataclass(frozen=True)
@@ -184,48 +170,32 @@ def _extract_plans(
     return InvestmentPlan(c), AssignmentPlan(graph, z)
 
 
-def solve_lp(lp: StandardFormLP, config: SolverConfig) -> tuple[np.ndarray, dict]:
-    """Solve a built LP, returning the primal point and solver statistics."""
+def solve_lp(lp: StandardFormLP) -> tuple[np.ndarray, dict]:
+    """Solve a built LP with HiGHS, returning the primal point and solver
+    statistics."""
     start = time.perf_counter()
-    if config.backend == "highs":
-        res = scipy.optimize.linprog(
-            lp.obj,
-            A_ub=lp.to_coo().tocsr(),
-            b_ub=lp.rhs,
-            bounds=np.column_stack([lp.lb, lp.ub]),
-            method="highs",
-            options={
-                "primal_feasibility_tolerance": 1e-8,
-                "dual_feasibility_tolerance": 1e-7,
-            },
-        )
-        if res.status == 2:
-            raise InfeasibleProblemError("LP is infeasible")
-        if res.status == 3:
-            raise RuntimeError("LP reported unbounded; costs should prevent this")
-        if not res.success:
-            raise ConvergenceError(f"LP solve failed: {res.message}")
-        x = np.asarray(res.x)
-        iterations = int(getattr(res, "nit", 0))
-    else:
-        # finite upper bounds become explicit rows x_k <= ub_k
-        bounded = np.isfinite(lp.ub)
-        A = np.vstack([lp.to_coo().toarray(), np.eye(lp.n_cols)[bounded]])
-        b = np.concatenate([lp.rhs, lp.ub[bounded]])
-        res = solve_simplex(lp.obj, A, b, max_iterations=config.max_iterations)
-        if res.status == "infeasible":
-            raise InfeasibleProblemError("LP is infeasible")
-        if res.status == "unbounded":
-            raise RuntimeError("LP reported unbounded; costs should prevent this")
-        if res.status == "iteration_limit":
-            raise ConvergenceError("simplex iteration limit exceeded")
-        x = res.x
-        iterations = res.iterations
-    wall_ms = 1000.0 * (time.perf_counter() - start)
+    res = scipy.optimize.linprog(
+        lp.obj,
+        A_ub=lp.to_coo().tocsr(),
+        b_ub=lp.rhs,
+        bounds=np.column_stack([lp.lb, lp.ub]),
+        method="highs",
+        options={
+            "primal_feasibility_tolerance": 1e-8,
+            "dual_feasibility_tolerance": 1e-7,
+        },
+    )
+    if res.status == 2:
+        raise InfeasibleProblemError("LP is infeasible")
+    if res.status == 3:
+        raise RuntimeError("LP reported unbounded; costs should prevent this")
+    if not res.success:
+        raise ConvergenceError(f"LP solve failed: {res.message}")
+    x = np.asarray(res.x)
     stats = {
-        "backend": config.backend,
-        "iterations": iterations,
-        "wall_ms": wall_ms,
+        "backend": "highs",
+        "iterations": int(getattr(res, "nit", 0)),
+        "wall_ms": 1000.0 * (time.perf_counter() - start),
         "lp_objective": float(lp.obj @ x),
         "n_rows": lp.n_rows,
         "n_cols": lp.n_cols,
@@ -233,13 +203,10 @@ def solve_lp(lp: StandardFormLP, config: SolverConfig) -> tuple[np.ndarray, dict
     return x, stats
 
 
-def solve_centralized(
-    instance: PlanningInstance, config: SolverConfig | None = None
-) -> Solution:
+def solve_centralized(instance: PlanningInstance) -> Solution:
     """Solve the joint investment-assignment problem in one LP."""
-    config = config or SolverConfig()
     lp = build_lp(instance)
-    x, stats = solve_lp(lp, config)
+    x, stats = solve_lp(lp)
     inv, asg = _extract_plans(instance, x)
     cost = evaluate_objective(instance, inv, asg)
     report = check_feasibility(instance, inv, asg, tol=1e-6)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import io
 from .admm import AdmmConfig, run_admm, write_convergence_csv
-from .central import SolverConfig, solve_base_model, solve_centralized
+from .central import solve_base_model, solve_centralized
 from .datagen import GenParams, generate_instance, with_range_limit
 from .ingest import (
     BinningSpec,
@@ -65,7 +65,7 @@ class SweepConfig:
             raise ValueError(f"r_values must be numbers, got {self.r_values!r}")
 
 
-_KNOWN_SECTIONS = {"generate", "solver", "admm", "binning", "econ", "sweep"}
+_KNOWN_SECTIONS = {"generate", "admm", "binning", "econ", "sweep"}
 
 
 def _load_config(path: str | None) -> dict:
@@ -179,25 +179,23 @@ def cmd_ingest(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _solve(instance, method: str, solver: SolverConfig, admm: AdmmConfig):
+def _solve(instance, method: str, admm: AdmmConfig):
     """Returns (solution, convergence-or-None) for one of :data:`METHODS`."""
     if method == "centralized":
-        return solve_centralized(instance, solver), None
+        return solve_centralized(instance), None
     if method == "base":
         return solve_base_model(instance), None
     return run_admm(instance, admm)
 
 
 def cmd_solve(args, config: dict) -> int:
-    solver = _section(config, "solver", SolverConfig)
     admm = _section(config, "admm", AdmmConfig)
     instance = io.load_instance(args.instance)
 
     out_dir = Path(args.out)
-    _write_resolved(out_dir, {"solver": dataclasses.asdict(solver),
-                              "admm": dataclasses.asdict(admm)})
+    _write_resolved(out_dir, {"admm": dataclasses.asdict(admm)})
     try:
-        solution, convergence = _solve(instance, args.method, solver, admm)
+        solution, convergence = _solve(instance, args.method, admm)
     except InfeasibleProblemError as exc:
         (out_dir / "infeasible.json").write_text(json.dumps({"reason": str(exc)}))
         raise
@@ -224,8 +222,7 @@ def restrict_range(instance: PlanningInstance, r_values) -> list[tuple[float, Pl
     return [(float(r), with_range_limit(instance, float(r))) for r in r_values]
 
 
-def sweep_range(restricted: list[tuple[float, PlanningInstance]],
-                solver: SolverConfig) -> list[dict]:
+def sweep_range(restricted: list[tuple[float, PlanningInstance]]) -> list[dict]:
     """Re-solve the joint model at each of :func:`restrict_range`'s limits.
 
     Each row reports investment, assignment, and total cost plus the
@@ -234,7 +231,7 @@ def sweep_range(restricted: list[tuple[float, PlanningInstance]],
     rows = []
     prev_total = None
     for r, instance in restricted:
-        solution = solve_centralized(instance, solver)
+        solution = solve_centralized(instance)
         reduction = (
             None if prev_total in (None, 0.0)
             else 100.0 * (prev_total - solution.cost.total) / prev_total
@@ -253,7 +250,6 @@ def sweep_range(restricted: list[tuple[float, PlanningInstance]],
 
 
 def cmd_sweep_r(args, config: dict) -> int:
-    solver = _section(config, "solver", SolverConfig)
     sweep = _section(config, "sweep", SweepConfig)
     if args.r_values:
         sweep = SweepConfig([float(v) for v in args.r_values.split(",") if v.strip()])
@@ -261,9 +257,8 @@ def cmd_sweep_r(args, config: dict) -> int:
     restricted = restrict_range(instance, sweep.r_values)
 
     out_dir = Path(args.out)
-    _write_resolved(out_dir, {"solver": dataclasses.asdict(solver),
-                              "sweep": dataclasses.asdict(sweep)})
-    rows = sweep_range(restricted, solver)
+    _write_resolved(out_dir, {"sweep": dataclasses.asdict(sweep)})
+    rows = sweep_range(restricted)
     path = out_dir / "sweep.csv"
     with open(path, "w") as fh:
         fh.write("R_km,investment,assignment,total,reduction_pct\n")
@@ -287,7 +282,13 @@ def cmd_report(args, config: dict) -> int:
 
     window = None
     if args.window:
-        lo, hi = (int(v) for v in args.window.split(":"))
+        try:
+            lo, hi = (int(v) for v in args.window.split(":"))
+        except ValueError:
+            raise ConfigError(f"--window takes lo:hi, got {args.window!r}") from None
+        if not 0 <= lo < hi <= instance.n_slots:
+            raise ConfigError(f"--window {args.window} is not a slot window "
+                              f"inside 0:{instance.n_slots}")
         window = (lo, hi)
     out_dir = Path(args.out)
     _write_resolved(out_dir, {})  # report reads no config section
@@ -302,7 +303,6 @@ def cmd_report(args, config: dict) -> int:
 
 
 def cmd_compare(args, config: dict) -> int:
-    solver = _section(config, "solver", SolverConfig)
     admm = _section(config, "admm", AdmmConfig)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods or not set(methods) <= set(METHODS):
@@ -311,13 +311,12 @@ def cmd_compare(args, config: dict) -> int:
     instance = io.load_instance(args.instance)
 
     out_dir = Path(args.out)
-    _write_resolved(out_dir, {"solver": dataclasses.asdict(solver),
-                              "admm": dataclasses.asdict(admm)})
+    _write_resolved(out_dir, {"admm": dataclasses.asdict(admm)})
     results = {}
     converged = {}
     for method in methods:
         try:
-            solution, convergence = _solve(instance, method, solver, admm)
+            solution, convergence = _solve(instance, method, admm)
         except (InfeasibleProblemError, ConvergenceError) as exc:
             raise type(exc)(f"{method}: {exc}") from exc
         results[method] = solution

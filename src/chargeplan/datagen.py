@@ -21,6 +21,7 @@ above), so callers can reconstruct the labeling without extra metadata.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,10 @@ class GenParams:
     speed_kmh: float = 30.0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and math.isnan(value):
+                raise ValueError(f"{f.name} must be a number")
         if self.alpha_a <= 0 or self.alpha_b <= 0:
             raise ValueError("Beta shape parameters must be positive")
         if self.location_cost_decay <= 0:

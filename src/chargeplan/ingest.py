@@ -65,7 +65,7 @@ class BinningSpec:
     Either a rectangular grid (``bbox`` as (min_lon, min_lat, max_lon,
     max_lat) with ``rows`` x ``cols`` cells) or an explicit, non-empty zone
     list (records snap to the nearest zone point, ties to the first listed).
-    Slot length must divide a day.
+    Slot length must be positive and divide a day.
     """
 
     bbox: tuple[float, float, float, float] | None = None
@@ -91,8 +91,8 @@ class BinningSpec:
                 raise ValueError("zone list must not be empty")
             if not all(math.isfinite(z.lon) and math.isfinite(z.lat) for z in self.zones):
                 raise ValueError("zone coordinates must be finite numbers")
-        if 24 * 60 % self.slot_minutes != 0:
-            raise ValueError("slot length must divide 24 hours")
+        if self.slot_minutes <= 0 or 24 * 60 % self.slot_minutes != 0:
+            raise ValueError("slot length must be positive and divide 24 hours")
         if self.n_slots <= 0:
             raise ValueError("n_slots must be positive")
 
@@ -662,20 +662,18 @@ def assemble_instance(
     distance: np.ndarray,
     params: GenParams,
     coordinates: np.ndarray | None = None,
-    center_index: int | None = None,
 ) -> PlanningInstance:
     """Combine binned flows, empirical distances, and economic parameters.
 
     Location costs decay exponentially with empirical distance from the
-    center zone (the busiest zone by total flow unless given explicitly);
+    center zone, the busiest zone by total flow;
     assignment costs, delays, and charging ratios follow the same rules as
     the synthetic generator.
     """
     T, n = flow.shape
     if distance.shape != (n, n):
         raise ValueError("flow and distance shapes are inconsistent")
-    if center_index is None:
-        center_index = int(np.argmax(flow.sum(axis=0)))
+    center_index = int(np.argmax(flow.sum(axis=0)))
     cost = assignment_costs(distance, params.assign_price_per_km, params.range_km)
     delay = travel_delays(distance, params.speed_kmh, T)
     location_cost = params.location_cost_scale * np.exp(

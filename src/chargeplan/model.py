@@ -108,33 +108,40 @@ class PlanningInstance:
             raise ValueError("capacity_max must have one entry per location")
         if self.recurrence.shape != (T,):
             raise ValueError("recurrence must have one entry per slot")
-        if np.any(self.flow < 0):
-            raise ValueError("flow entries must be non-negative")
-        if np.any((self.alpha < 0) | (self.alpha > 1)):
+        # every check is written so that NaN fails it; inf stays legal
+        # (FORBIDDEN, an unbounded budget or capacity)
+        if not np.all(self.flow >= 0):
+            raise ValueError("flow entries must be non-negative numbers")
+        if not np.all((self.alpha >= 0) & (self.alpha <= 1)):
             raise ValueError("alpha entries must lie in [0, 1]")
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
+        if not self.beta >= 0:
+            raise ValueError("beta must be a non-negative number")
         if np.any(np.diagonal(self.assign_cost) != 0):
             raise ValueError("assign_cost diagonal must be exactly 0")
-        finite = np.isfinite(self.assign_cost)
-        if np.any(self.assign_cost[finite] < 0):
-            raise ValueError("assign_cost entries must be non-negative")
+        if not np.all(self.assign_cost >= 0):
+            raise ValueError("assign_cost entries must be non-negative numbers")
         if np.any(np.diagonal(self.delay) != 0):
             raise ValueError("delay diagonal must be 0")
         if np.any(self.delay < 0) or np.any(self.delay >= self.n_slots):
             raise ValueError("delay entries must lie in [0, n_slots)")
-        if self.base_cost < 0 or np.any(self.location_cost < 0):
-            raise ValueError("investment costs must be non-negative")
-        if self.budget < 0:
-            raise ValueError("budget must be non-negative")
-        if np.any(self.capacity_max < 0):
-            raise ValueError("capacity_max must be non-negative")
-        if np.any(self.recurrence < 0):
-            raise ValueError("recurrence must be non-negative")
+        if not (self.base_cost >= 0 and np.all(self.location_cost >= 0)):
+            raise ValueError("investment costs must be non-negative numbers")
+        if not self.budget >= 0:
+            raise ValueError("budget must be a non-negative number")
+        if not np.all(self.capacity_max >= 0):
+            raise ValueError("capacity_max must be non-negative numbers")
+        if not np.all(self.recurrence >= 0):
+            raise ValueError("recurrence must be non-negative numbers")
+        if math.isnan(self.range_limit):
+            raise ValueError("range_limit must be a number")
         if self.distance is not None and self.distance.shape != (n, n):
             raise ValueError("distance must be square over locations")
+        if self.distance is not None and np.isnan(self.distance).any():
+            raise ValueError("distance entries must be numbers")
         if self.coordinates is not None and self.coordinates.shape != (n, 2):
             raise ValueError("coordinates must have shape (n_locations, 2)")
+        if self.coordinates is not None and np.isnan(self.coordinates).any():
+            raise ValueError("coordinates must be numbers")
 
     @property
     def charging_demand(self) -> np.ndarray:

@@ -32,9 +32,9 @@ def _kind_from_name(name: str) -> tuple:
     raise ValueError(f"unrecognized variable name: {name!r}")
 
 
-def write_mps(lp: StandardFormLP, path, name: str = "CHARGEPLAN") -> None:
+def write_mps(lp: StandardFormLP, path) -> None:
     """Write the LP as an MPS file; the triplet matrix round-trips exactly."""
-    lines = [f"NAME          {name}", "ROWS", f" N  {_OBJ_ROW}"]
+    lines = ["NAME          CHARGEPLAN", "ROWS", f" N  {_OBJ_ROW}"]
     lines += [f" L  {rname}" for rname in lp.row_names]
 
     # column-major entry lists, preserving row order within each column

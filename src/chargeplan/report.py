@@ -19,6 +19,9 @@ from .model import (
     evaluate_objective,
 )
 
+#: an aggregated flow of at most this many vehicles draws no line feature
+FLOW_ATOL = 1e-9
+
 
 def aggregate_flows(
     solution: Solution, window: tuple[int, int] | None = None
@@ -52,7 +55,6 @@ def solution_geojson(
     instance: PlanningInstance,
     solution: Solution,
     window: tuple[int, int] | None = None,
-    flow_atol: float = 1e-9,
 ) -> dict:
     """RFC 7946 feature collection for one solution.
 
@@ -78,7 +80,7 @@ def solution_geojson(
                 },
             }
         )
-    for e in np.flatnonzero(flows > flow_atol):
+    for e in np.flatnonzero(flows > FLOW_ATOL):
         i, j = int(graph.src[e]), int(graph.dst[e])
         features.append(
             {

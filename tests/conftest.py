@@ -8,7 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from chargeplan.model import FORBIDDEN, AssignmentPlan, PlanningInstance
+from chargeplan import solve_simplex
+from chargeplan.central import _extract_plans, build_lp
+from chargeplan.model import (
+    FORBIDDEN,
+    AssignmentPlan,
+    InfeasibleProblemError,
+    PlanningInstance,
+    Solution,
+    check_feasibility,
+    evaluate_objective,
+)
 
 
 def make_instance(
@@ -129,6 +139,23 @@ def plan_of(instance, z) -> AssignmentPlan:
     assert not z[:, forbidden(instance)].any(), "plan uses a forbidden pair"
     graph = instance.range_graph
     return AssignmentPlan(graph, z[:, graph.src, graph.dst])
+
+
+def solve_with_simplex(instance: PlanningInstance) -> Solution:
+    """The central LP solved by the embedded dense simplex, the oracle that
+    HiGHS is checked against.  Finite upper bounds become explicit rows
+    ``x_k <= ub_k``, since the simplex takes only ``x >= 0``."""
+    lp = build_lp(instance)
+    bounded = np.isfinite(lp.ub)
+    A = np.vstack([lp.to_coo().toarray(), np.eye(lp.n_cols)[bounded]])
+    b = np.concatenate([lp.rhs, lp.ub[bounded]])
+    res = solve_simplex(lp.obj, A, b)
+    if res.status == "infeasible":
+        raise InfeasibleProblemError("LP is infeasible")
+    assert res.status == "optimal", res.status
+    inv, asg = _extract_plans(instance, res.x)
+    return Solution(inv, asg, evaluate_objective(instance, inv, asg),
+                    check_feasibility(instance, inv, asg, tol=1e-6), {})
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ import scipy.optimize
 
 from chargeplan.admm import AdmmConfig, run_admm, solve_master
 from chargeplan.central import (
-    SolverConfig,
     build_lp,
     free_assignment_cells,
     solve_base_model,
@@ -29,7 +28,7 @@ from chargeplan.ingest import BinningSpec, build_distances, build_flows, parse_t
 from chargeplan.io import instance_from_dict
 from chargeplan.model import check_feasibility, delayed_inflow
 
-from conftest import forbidden, make_instance
+from conftest import forbidden, make_instance, solve_with_simplex
 
 DATA = Path(__file__).parent / "data"
 
@@ -111,8 +110,7 @@ def test_criterion_1_simplex_vs_golden_and_enumeration():
     for case in doc["cases"]:
         inst = instance_from_dict(case["instance"])
         golden = case["objective"]
-        sol = solve_centralized(inst, SolverConfig(backend="simplex"))
-        assert sol.stats["backend"] == "simplex"
+        sol = solve_with_simplex(inst)
         # route A (embedded simplex) against route B (MPS file -> HiGHS)
         assert sol.cost.total == pytest.approx(
             golden, rel=1e-6, abs=1e-6
@@ -167,7 +165,7 @@ def test_criterion_4_joint_beats_baseline(het_instance):
 def test_criterion_5_range_sweep_monotonicity(het_instance):
     """Widening the range limit never hurts: totals and investment are
     non-increasing, assignment is non-decreasing, and R=0 is the baseline."""
-    rows = sweep_range(restrict_range(het_instance, [0.0, 1.0, 3.0, 5.0, 7.0]), SolverConfig())
+    rows = sweep_range(restrict_range(het_instance, [0.0, 1.0, 3.0, 5.0, 7.0]))
     totals = [r["total"] for r in rows]
     invests = [r["investment"] for r in rows]
     assigns = [r["assignment"] for r in rows]

@@ -372,6 +372,18 @@ class TestSolveMaster:
                 inst, np.array([10.0]), np.zeros(1), inst.charging_demand, rho=0.1
             )
 
+    def test_floor_within_tolerance_above_budget_returns_floor(self):
+        inst = generate_instance(GenParams(n_locations=4, n_slots=8, seed=1))
+        net = inst.charging_demand
+        d = inst.beta * net.max(axis=0)
+        w = inst.unit_investment_cost
+        inst = dataclasses.replace(inst, budget=float(w @ d) * (1 - 3e-10))
+        # a multiplier search with no end would overflow: an error, not a hang
+        with np.errstate(over="raise"):
+            c_tilde, binding = solve_master(inst, 2 * d, np.zeros(4), net, rho=0.1)
+        assert binding
+        np.testing.assert_array_equal(c_tilde, d)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_projected_gradient_oracle(self, seed):
         # independent check: minimize the master objective by projected

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargeplan.central import (
-    SolverConfig,
     build_lp,
     free_assignment_cells,
     solve_base_model,
@@ -25,7 +24,7 @@ from chargeplan.model import (
     net_demand_matrix,
 )
 
-from conftest import forbidden, make_instance, random_instance
+from conftest import forbidden, make_instance, random_instance, solve_with_simplex
 
 
 def brute_force_integer(instance):
@@ -221,14 +220,9 @@ class TestSolveCentralized:
     def test_backends_agree(self, seed):
         rng = np.random.default_rng(100 + seed)
         inst = random_instance(rng)
-        a = solve_centralized(inst, SolverConfig(backend="simplex"))
-        b = solve_centralized(inst, SolverConfig(backend="highs"))
+        a = solve_with_simplex(inst)
+        b = solve_centralized(inst)
         assert a.cost.total == pytest.approx(b.cost.total, abs=1e-6, rel=1e-7)
-
-    def test_unknown_backend_rejected(self):
-        inst = make_instance([[1.0]])
-        with pytest.raises(ValueError, match="backend"):
-            solve_centralized(inst, SolverConfig(backend="quantum"))
 
     def test_infeasible_capacity_cap_raises(self):
         inst = make_instance([[10.0]], beta=2.0, capacity_max=[5.0])
@@ -275,13 +269,13 @@ class TestBackendsDifferential:
         n, T = inst.n_locations, inst.n_slots
         assert build_lp(inst).n_rows == 1 + 2 * n * T
 
-        def solve(backend):
+        def solve(solver):
             try:
-                return solve_centralized(inst, SolverConfig(backend=backend))
+                return solver(inst)
             except InfeasibleProblemError:
                 return None
 
-        a, b = solve("simplex"), solve("highs")
+        a, b = solve(solve_with_simplex), solve(solve_centralized)
         if a is None and b is None:
             return  # both backends call the draw infeasible
         assert a is not None and b is not None, "only one backend reports infeasible"

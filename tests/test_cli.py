@@ -6,6 +6,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import tempfile
 import warnings
 from io import StringIO
@@ -14,6 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -52,8 +54,15 @@ def instance_file(tmp_path):
     return out / "instance.json"
 
 
-#: forces the embedded simplex to give up after one pivot
-SIMPLEX_ONE_PIVOT = {"solver": {"backend": "simplex", "max_iterations": 1}}
+def highs_fails():
+    """Make every HiGHS solve stop short of optimality (status 1)."""
+    return mock.patch("scipy.optimize.linprog", return_value=scipy.optimize.OptimizeResult(
+        status=1, success=False, message="Iteration limit reached."))
+
+
+#: every key the retired ``solver`` config section ever took, with a value
+RETIRED_SOLVER_SECTION = {"backend": "highs", "max_iterations": 20000,
+                          "optimality_tol": 1e-7, "feasibility_tol": 1e-7}
 
 
 def fieldless_instance(tmp_path):
@@ -123,6 +132,15 @@ class TestGenerate:
         cfg = write_config(tmp_path, {"generate": {key: value}})
         assert run("--config", str(cfg), "--out", str(tmp_path / "x"), "generate") == EXIT_CONFIG
         assert f"{key} must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["budget", "city_size_km", "flow_noise"])
+    def test_nan_param_exit_2(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, {"generate": {key: math.nan}})
+        out = tmp_path / "x"
+        assert run("--config", str(cfg), "--out", str(out), "generate") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{key} must be a number" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 TRIPS_50 = Path(__file__).parent / "data" / "trips_50.csv"
@@ -288,7 +306,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("doc, method", [
         ({"admm": {"max_iterations": 10.0}}, "admm"),
-        ({"solver": {"backend": "simplex", "max_iterations": "x"}}, "centralized"),
+        ({"admm": {"max_iterations": "x"}}, "centralized"),
     ])
     def test_non_integer_max_iterations_exit_2(self, tmp_path, capsys, instance_file,
                                                doc, method):
@@ -309,13 +327,40 @@ class TestSolve:
         assert code == EXIT_CONFIG
         assert f"unknown keys in config section 'admm': ['{key}']" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["optimality_tol", "feasibility_tol"])
+    @pytest.mark.parametrize("key", sorted(RETIRED_SOLVER_SECTION))
     def test_retired_solver_key_exit_2(self, tmp_path, capsys, instance_file, key):
-        cfg = write_config(tmp_path, {"solver": {key: 1e-7}})
-        code = run("--config", str(cfg), "--out", str(tmp_path / "sol"),
-                   "solve", str(instance_file))
+        # HiGHS is the only LP backend: the whole solver section is retired
+        # from every command that read it
+        cfg = write_config(tmp_path, {"solver": {key: RETIRED_SOLVER_SECTION[key]}})
+        for command in ("solve", "sweep-r", "compare"):
+            out = tmp_path / command
+            assert run("--config", str(cfg), "--out", str(out),
+                       command, str(instance_file)) == EXIT_CONFIG, command
+            err = capsys.readouterr().err
+            assert "unknown config sections: ['solver']" in err and "Traceback" not in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("rho", math.nan), ("threshold", math.nan), ("rho", math.inf),
+    ])
+    def test_non_finite_admm_setting_exit_2(self, tmp_path, capsys, instance_file,
+                                            key, value):
+        cfg = write_config(tmp_path, {"admm": {key: value}})
+        out = tmp_path / "sol"
+        code = run("--config", str(cfg), "--out", str(out),
+                   "solve", str(instance_file), "--method", "admm")
         assert code == EXIT_CONFIG
-        assert f"unknown keys in config section 'solver': ['{key}']" in capsys.readouterr().err
+        assert f"{key} must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_instance_field_exit_2(self, tmp_path, capsys):
+        doc = io.instance_to_dict(make_instance(np.ones((2, 2))))
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(dict(doc, budget=math.nan)))
+        out = tmp_path / "sol"
+        assert run("--out", str(out), "solve", str(path), "--method", "base") == EXIT_CONFIG
+        assert "budget must be a non-negative number" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
         ("delay", [[0, 1.5], [1, 0]]), ("n_locations", 2.5), ("n_slots", 2.5),
@@ -329,13 +374,13 @@ class TestSolve:
         assert f"{field} must be" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_solver_config_section_respected(self, tmp_path, instance_file):
-        cfg = write_config(tmp_path, {"solver": {"backend": "highs"}})
+    def test_lp_failure_exit_4(self, tmp_path, capsys, instance_file):
         out = tmp_path / "sol"
-        assert run("--config", str(cfg), "--out", str(out),
-                   "solve", str(instance_file)) == EXIT_OK
-        sol = io.load_solution(out / "solution.json", io.load_instance(instance_file))
-        assert sol.stats["backend"] == "highs"
+        with highs_fails():
+            code = run("--out", str(out), "solve", str(instance_file))
+        assert code == EXIT_NO_CONVERGENCE
+        assert "no convergence: LP solve failed" in capsys.readouterr().err
+        assert not (out / "solution.json").exists()
 
 
 class TestSweepR:
@@ -371,11 +416,18 @@ class TestSweepR:
         assert run("--out", str(tmp_path / "s"), "sweep-r",
                    str(instance_file)) == EXIT_CONFIG
 
-    def test_simplex_iteration_limit_exit_4(self, tmp_path, instance_file):
-        cfg = write_config(tmp_path, SIMPLEX_ONE_PIVOT)
+    def test_nan_r_exit_2(self, tmp_path, capsys, instance_file):
+        out = tmp_path / "s"
+        assert run("--out", str(out), "sweep-r", str(instance_file),
+                   "--r-values", "0,nan") == EXIT_CONFIG
+        assert "range_limit must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lp_failure_exit_4(self, tmp_path, instance_file):
         out = tmp_path / "sweep"
-        code = run("--config", str(cfg), "--out", str(out), "sweep-r",
-                   str(instance_file), "--r-values", "0,3")
+        with highs_fails():
+            code = run("--out", str(out), "sweep-r", str(instance_file),
+                       "--r-values", "0,3")
         assert code == EXIT_NO_CONVERGENCE
         assert not (out / "sweep.csv").exists()
 
@@ -428,6 +480,17 @@ class TestReport:
         assert code == EXIT_OK
         assert (out / "locations.csv").exists()
         assert (out / "flows.csv").exists()
+
+    @pytest.mark.parametrize("window", ["0:9999", "5:3", "1:2:3", "a:b", "-1:4"])
+    def test_bad_window_exit_2_and_nothing_written(self, tmp_path, capsys, instance_file,
+                                                   window):
+        sol_path = self._solved(tmp_path, instance_file)
+        out = tmp_path / "rep"
+        assert run("--out", str(out), "report", str(sol_path), str(instance_file),
+                   f"--window={window}") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"--window {window}" in err or f"--window takes lo:hi, got '{window}'" in err
+        assert not out.exists()
 
     def test_checksum_mismatch_exit_2(self, tmp_path, instance_file):
         sol_path = self._solved(tmp_path, instance_file)
@@ -531,10 +594,10 @@ class TestCompare:
         path = fieldless_instance(tmp_path)
         assert run("--out", str(tmp_path / "c"), "compare", str(path)) == EXIT_CONFIG
 
-    def test_simplex_iteration_limit_exit_4(self, tmp_path, instance_file):
-        cfg = write_config(tmp_path, SIMPLEX_ONE_PIVOT)
-        code = run("--config", str(cfg), "--out", str(tmp_path / "c"), "compare",
-                   str(instance_file), "--methods", "centralized")
+    def test_lp_failure_exit_4(self, tmp_path, instance_file):
+        with highs_fails():
+            code = run("--out", str(tmp_path / "c"), "compare",
+                       str(instance_file), "--methods", "centralized")
         assert code == EXIT_NO_CONVERGENCE
 
     def test_non_integer_max_iterations_exit_2(self, tmp_path, instance_file):
@@ -571,13 +634,11 @@ class TestCompare:
 # ------------------------------------------------- malformed input, one exit code
 
 VALID_CONFIG = {
-    "solver": {"backend": "highs", "max_iterations": 20000},
     "admm": {"rho": 0.1, "max_iterations": 50, "threshold": 1e-4},
     "sweep": {"r_values": [0, 3]},
 }
 #: the commands that read each config section
-SECTION_READERS = {"solver": ("solve", "sweep-r", "compare"),
-                   "admm": ("solve", "compare"), "sweep": ("sweep-r",)}
+SECTION_READERS = {"admm": ("solve", "compare"), "sweep": ("sweep-r",)}
 INPUT_COMMANDS = ("solve", "sweep-r", "report", "compare")
 #: document fields whose absence is valid
 OPTIONAL_FIELDS = {"distance", "coordinates", "stats", "instance_checksum"}

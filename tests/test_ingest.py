@@ -282,6 +282,12 @@ class TestBinningSpec:
         with pytest.raises(ValueError, match="divide"):
             BinningSpec(bbox=(0, 0, 1, 1), rows=1, cols=1, slot_minutes=7)
 
+    @pytest.mark.parametrize("slot_minutes", [-15, 0])
+    def test_slot_length_must_be_positive(self, slot_minutes):
+        # 1440 % -15 == 0, and 1440 % 0 divides by zero
+        with pytest.raises(ValueError, match="positive"):
+            BinningSpec(bbox=(0, 0, 1, 1), rows=1, cols=1, slot_minutes=slot_minutes)
+
     @pytest.mark.parametrize("bbox", [(0, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1), (0, 0, math.inf, 1)])
     def test_degenerate_bbox_rejected(self, bbox):
         with pytest.raises(ValueError, match="bbox"):
@@ -739,13 +745,6 @@ class TestAssembleInstance:
         params = GenParams(n_locations=3, n_slots=8, seed=0)
         inst = assemble_instance(flow, distance, params)
         expected = 500.0 * np.exp(-0.3 * distance[2, :])
-        np.testing.assert_allclose(inst.location_cost, expected, rtol=1e-12)
-
-    def test_explicit_center_overrides(self):
-        flow, distance = self._small()
-        params = GenParams(n_locations=3, n_slots=8, seed=0)
-        inst = assemble_instance(flow, distance, params, center_index=0)
-        expected = 500.0 * np.exp(-0.3 * distance[0, :])
         np.testing.assert_allclose(inst.location_cost, expected, rtol=1e-12)
 
     def test_costs_and_delays_follow_generator_rules(self):

@@ -1,5 +1,7 @@
 """Core model types, objective evaluation, and feasibility residuals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,27 @@ class TestInstanceValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             make_instance(np.ones((2, 2)), alpha=np.ones((3, 2)))
+
+    @pytest.mark.parametrize("field, message", [
+        ("flow", "flow entries must be"), ("alpha", "alpha entries must lie"),
+        ("beta", "beta must be"), ("assign_cost", "assign_cost entries must be"),
+        ("base_cost", "investment costs must be"),
+        ("location_cost", "investment costs must be"), ("budget", "budget must be"),
+        ("capacity_max", "capacity_max must be"), ("recurrence", "recurrence must be"),
+        ("range_limit", "range_limit must be"), ("distance", "distance entries must be"),
+        ("coordinates", "coordinates must be"),
+    ])
+    def test_nan_rejected_in_every_numeric_field(self, field, message):
+        inst = make_instance(np.ones((2, 2)), distance=np.ones((2, 2)),
+                             coordinates=np.zeros((2, 2)))
+        value = getattr(inst, field)
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value.flat[1] = np.nan  # off the diagonal of a pair matrix
+        else:
+            value = np.nan
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(inst, **{field: value})
 
     def test_arrays_are_readonly(self):
         inst = make_instance([[1.0, 2.0]])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chargeplan.central import SolverConfig, build_lp, solve_lp
+from chargeplan.central import build_lp, solve_lp
 from chargeplan.mps import read_mps, write_mps
 
 from conftest import make_instance, random_instance
@@ -73,8 +73,8 @@ def test_round_trip_solves_to_same_objective(tmp_path):
     path = tmp_path / "solve.mps"
     write_mps(lp, path)
     back = read_mps(path)
-    x1, s1 = solve_lp(lp, SolverConfig())
-    x2, s2 = solve_lp(back, SolverConfig())
+    x1, s1 = solve_lp(lp)
+    x2, s2 = solve_lp(back)
     assert s1["lp_objective"] == pytest.approx(s2["lp_objective"], abs=1e-9)
 
 
