@@ -21,7 +21,10 @@ over-subscribe it.  The sweep is Jacobi: all subproblems in one iteration
 read the same frozen state, so they are independent of each other and of
 the order they run in; the loop runs them serially, in location order.
 
-Each subproblem is minimized exactly by a sweep over the sorted kinks of its
+The only variable bounds are the model's own, ``0 <= c_i <= capacity_max_i``
+(which may be infinite) and non-negative shipments, so the scheme solves the
+same problem as :func:`~chargeplan.central.build_lp`.  Each subproblem is
+minimized exactly by a sweep over the sorted kinks of its
 one-dimensional convex piecewise-quadratic objective (:class:`_LocationWorker`),
 which costs O(T m log(T m)) time and O(T m) memory for a location with ``m``
 in-range neighbors over ``T`` slots.  Each iterate's delayed inflow and net
@@ -52,10 +55,6 @@ from .model import (
     check_feasibility,
     evaluate_objective,
 )
-
-# practical variable bounds: installed capacity (kW) and vehicles per cell
-CAPACITY_CAP = 1e7
-ASSIGNMENT_CAP = 1e4
 
 
 @dataclass(frozen=True)
@@ -109,8 +108,7 @@ class _LocationWorker:
     With inflows frozen, the minimum-cost split of any required outflow over
     the in-range neighbors is a fractional knapsack: fill neighbors in
     ascending assignment-cost order up to each receiver's published capacity
-    slack, and never past the hard per-cell cap.
-    That collapses the subproblem to a one-dimensional convex
+    slack.  That collapses the subproblem to a one-dimensional convex
     piecewise-quadratic in ``c_i``, whose kinks are the capacities at which
     some slot's required outflow crosses a knapsack segment boundary.  A
     sweep over the sorted kinks that accumulates the slope finds the exact
@@ -130,7 +128,7 @@ class _LocationWorker:
         self.demand = instance.charging_demand[:, i].copy()  # (T,)
         self.recurrence = instance.recurrence
         self.invest_cost = float(instance.unit_investment_cost[i])
-        self.c_max = float(min(instance.capacity_max[i], CAPACITY_CAP))
+        self.c_max = float(instance.capacity_max[i])
         self.n_slots = T = instance.n_slots
         # (T, m): the slot in which a shipment leaving in slot t reaches each
         # sorted neighbor, for gathering per-receiver slack in arrival terms
@@ -145,16 +143,15 @@ class _LocationWorker:
 
     def solve(
         self, c_tilde: float, lam: float, inflow: np.ndarray, caps: np.ndarray
-    ) -> tuple[float, np.ndarray, float]:
-        """Minimize ``f_i - lam * c + (rho/2) * (c_tilde - c)^2``; (c_i, alloc, f_i).
+    ) -> tuple[float, np.ndarray]:
+        """Minimize ``f_i - lam * c + (rho/2) * (c_tilde - c)^2``; (c_i, alloc).
 
-        ``inflow`` is the (T,) frozen arrivals and ``caps`` a (T, m) matrix of
-        per-slot shipping limits on ``edges`` (receiver slack from the frozen
-        state), clipped to ``[0, ASSIGNMENT_CAP]``.  ``alloc`` is the (T, m)
-        shipment on ``edges``, ``f_i`` the unaugmented cost.
+        ``f_i`` is the location's investment plus shipping cost.  ``inflow``
+        is the (T,) frozen arrivals and ``caps`` a (T, m) non-negative matrix
+        of per-slot shipping limits on ``edges`` (receiver slack from the
+        frozen state).  ``alloc`` is the (T, m) shipment on ``edges``.
         """
         T, m = self.n_slots, len(self.neighbors)
-        caps = np.clip(caps, 0.0, ASSIGNMENT_CAP)
 
         # prefix quantities of the per-slot fractional knapsack
         qty = np.zeros((T, m + 1))
@@ -201,12 +198,10 @@ class _LocationWorker:
         c_opt = float(min(max(stationary[j], breaks[j]), breaks[j + 1]))
 
         alloc = np.zeros((T, m))
-        local_cost = self.invest_cost * c_opt
         if self.beta > 0 and m > 0:
             s = np.clip(need - c_opt / self.beta, 0.0, out_cap)  # (T,)
             alloc = np.clip(s[:, None] - qty[:, :-1], 0.0, caps)
-            local_cost += float(self.recurrence @ (alloc @ self.unit_costs))
-        return c_opt, alloc, local_cost
+        return c_opt, alloc
 
 
 def receiver_slack(
@@ -238,7 +233,7 @@ def solve_master(
     budget projection was active.
     """
     d = np.maximum(0.0, instance.beta * net.max(axis=0))
-    cap = np.minimum(instance.capacity_max, CAPACITY_CAP)
+    cap = instance.capacity_max
     if np.any(d > cap + 1e-9 * np.maximum(1.0, cap)):
         i = int(np.argmax(d - cap))
         raise InfeasibleProblemError(
@@ -318,8 +313,7 @@ def run_admm(
     # Anchor the auxiliary capacities at the no-assignment floor (each
     # location covers its own peak); the loop then ratchets capacity down
     # through published slack instead of bootstrapping from zero.
-    cap = np.minimum(instance.capacity_max, CAPACITY_CAP)
-    c_tilde = np.minimum(instance.beta * demand.max(axis=0), cap)
+    c_tilde = np.minimum(instance.beta * demand.max(axis=0), instance.capacity_max)
     lam = np.zeros(n)
     z = np.zeros((T, graph.n_edges))
     z_in = np.zeros((T, n))

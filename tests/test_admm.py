@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import chargeplan.admm
 from chargeplan.admm import (
-    ASSIGNMENT_CAP,
     AdmmConfig,
     _LocationWorker,
     receiver_slack,
@@ -31,6 +30,9 @@ from chargeplan.model import (
 )
 
 from conftest import dense, edge_cases, forbidden, make_instance, plan_of, random_instance
+
+# per-cell shipping limit high enough that no small case reaches it
+UNBOUNDED_CAPS = 1e4
 
 
 class TestTransformInflows:
@@ -75,31 +77,30 @@ def subproblem_rows(inst, i, c_tilde, lam, inflow, rho, receiver_caps=None):
 
     ``receiver_caps`` is a (T, n) per-slot slack matrix in arrival-slot terms,
     gathered onto the location's edges as ``run_admm`` does; without it only
-    the per-cell cap binds.
+    the sender's own demand binds.
     """
     worker = _LocationWorker(inst, i, rho)
     if receiver_caps is None:
-        receiver_caps = np.full((inst.n_slots, inst.n_locations), ASSIGNMENT_CAP)
+        receiver_caps = np.full((inst.n_slots, inst.n_locations), UNBOUNDED_CAPS)
     caps = receiver_caps[worker.arrival, worker.neighbors]
-    c, alloc, f = worker.solve(c_tilde, lam, inflow, caps)
+    c, alloc = worker.solve(c_tilde, lam, inflow, caps)
     rows = np.zeros((inst.n_slots, inst.n_locations))
     rows[:, worker.neighbors] = alloc
-    return c, rows, f
+    return c, rows
 
 
 class TestSolveSubproblem:
     def test_zero_demand_builds_nothing(self):
         # positive investment price dominates the pull toward c_tilde = 5
         inst = make_instance(np.zeros((2, 2)), base_cost=1.0)
-        c, z, f = subproblem_rows(inst, 0, 5.0, 0.0, np.zeros(2), rho=0.1)
+        c, z = subproblem_rows(inst, 0, 5.0, 0.0, np.zeros(2), rho=0.1)
         assert c == pytest.approx(0.0)
         assert np.all(z == 0)
-        assert f == pytest.approx(0.0)
 
     def test_large_multiplier_pushes_capacity_up(self):
         # lambda far above the investment price makes capacity profitable
         inst = make_instance(np.zeros((1, 2)), base_cost=1.0, capacity_max=[9.0, 9.0])
-        c, _, _ = subproblem_rows(inst, 0, 100.0, 50.0, np.zeros(1), rho=0.1)
+        c, _ = subproblem_rows(inst, 0, 100.0, 50.0, np.zeros(1), rho=0.1)
         assert c == pytest.approx(9.0)
 
     def test_must_cover_own_net_demand(self):
@@ -108,7 +109,7 @@ class TestSolveSubproblem:
         cost = np.full((2, 2), np.inf)
         np.fill_diagonal(cost, 0.0)
         inst = make_instance([[4.0, 0.0], [1.0, 0.0]], beta=2.0, assign_cost=cost)
-        c, z, _ = subproblem_rows(inst, 0, 0.0, 0.0, np.zeros(2), rho=0.1)
+        c, z = subproblem_rows(inst, 0, 0.0, 0.0, np.zeros(2), rho=0.1)
         assert c == pytest.approx(8.0)
         assert np.all(z == 0)
 
@@ -122,12 +123,12 @@ class TestSolveSubproblem:
     def test_receiver_caps_limit_shipments(self):
         inst = make_instance([[6.0, 0.0]], beta=1.0, base_cost=10.0,
                              assign_cost=[[0.0, 0.1], [0.1, 0.0]])
-        free_c, free_z, _ = subproblem_rows(inst, 0, 0.0, 0.0, np.zeros(1), rho=0.1)
+        free_c, free_z = subproblem_rows(inst, 0, 0.0, 0.0, np.zeros(1), rho=0.1)
         # uncapped, the expensive investment pushes all demand to location 2
         assert free_z[0, 1] == pytest.approx(6.0)
         caps = np.zeros((1, 2))
         caps[0, 1] = 2.0
-        capped_c, capped_z, _ = subproblem_rows(
+        capped_c, capped_z = subproblem_rows(
             inst, 0, 0.0, 0.0, np.zeros(1), rho=0.1, receiver_caps=caps
         )
         assert capped_z[0, 1] == pytest.approx(2.0)
@@ -172,7 +173,7 @@ class TestSolveSubproblem:
         inflow = rng.uniform(0.0, 2.0, size=3)
         rho = 0.1
 
-        c_opt, z_rows, f = subproblem_rows(inst, i, c_tilde, lam, inflow, rho)
+        c_opt, z_rows = subproblem_rows(inst, i, c_tilde, lam, inflow, rho)
 
         # the returned point must itself be feasible and correctly priced
         net = inst.charging_demand[:, i] + inflow - z_rows.sum(axis=1)
@@ -183,9 +184,6 @@ class TestSolveSubproblem:
         invest = float(inst.unit_investment_cost[i])
         unit = np.where(np.isfinite(inst.assign_cost[i]), inst.assign_cost[i], 0.0)
         ship = float(inst.recurrence @ (z_rows * unit[None, :]).sum(axis=1))
-        # f is the unaugmented local cost
-        assert f == pytest.approx(invest * c_opt + ship, rel=1e-9, abs=1e-9)
-
         value = (
             (invest - lam) * c_opt + 0.5 * rho * (c_tilde - c_opt) ** 2 + ship
         )
@@ -208,7 +206,7 @@ def grid_solve(worker, c_tilde, lam, inflow, caps):
     returns the best point seen.  O(T^2 m^2) time, so for small cases only.
     """
     T, m = worker.n_slots, len(worker.neighbors)
-    caps = np.clip(caps, 0.0, ASSIGNMENT_CAP)
+    caps = np.clip(caps, 0.0, UNBOUNDED_CAPS)
     qty = np.zeros((T, m + 1))
     np.cumsum(caps, axis=1, out=qty[:, 1:])
     cost_pfx = np.zeros((T, m + 1))
@@ -260,11 +258,9 @@ def grid_solve(worker, c_tilde, lam, inflow, caps):
     c_opt = float(all_c[int(np.argmin(all_v))])
 
     alloc = np.zeros((T, m))
-    local_cost = worker.invest_cost * c_opt
     if worker.beta > 0 and m > 0:
         alloc = np.clip(required_outflow(np.array([c_opt]))[0][:, None] - qty[:, :-1], 0.0, caps)
-        local_cost += float(worker.recurrence @ (alloc @ worker.unit_costs))
-    return c_opt, alloc, local_cost
+    return c_opt, alloc
 
 
 @st.composite
@@ -279,19 +275,20 @@ def subproblem_cases(draw):
     i = draw(st.integers(0, n - 1))
     inflow = rng.uniform(0.0, 3.0, size=T) * (rng.random(T) < 0.7)
     m = int((~forbidden(inst)[i]).sum())
-    caps = np.full((T, m), ASSIGNMENT_CAP)  # only the per-cell cap binds
+    caps = np.full((T, m), UNBOUNDED_CAPS)  # only the sender's own demand binds
     if draw(st.booleans()):
         caps = rng.uniform(0.0, 3.0, size=(T, m)) * (rng.random((T, m)) < 0.6)
     bound = draw(st.sampled_from(["loose", "tight", "random"]))
+    c_max = 1e7  # loose: far above any c_lb these small cases reach
     if bound != "loose":
         # c_lb: the capacity that covers the demand left after maximal outflow
         demand = inst.charging_demand[:, i]
         shipped = caps.sum(axis=1)
         c_lb = float(max(0.0, beta * np.max(demand + inflow - np.minimum(demand, shipped))))
         c_max = c_lb if bound == "tight" else float(rng.uniform(0.0, 2.0 * c_lb + 5.0))
-        capacity_max = inst.capacity_max.copy()
-        capacity_max[i] = c_max
-        inst = dataclasses.replace(inst, capacity_max=capacity_max)
+    capacity_max = inst.capacity_max.copy()
+    capacity_max[i] = c_max
+    inst = dataclasses.replace(inst, capacity_max=capacity_max)
     lam = draw(st.one_of(st.floats(-2.0, 2.0), st.floats(-1e6, 1e6)))
     c_tilde = draw(st.one_of(st.floats(-20.0, 40.0), st.sampled_from([-1e3, 1e8])))
     rho = draw(st.sampled_from([0.1, 1.0]))
@@ -312,21 +309,17 @@ class TestKinkSweep:
             with pytest.raises(InfeasibleProblemError):
                 worker.solve(c_tilde, lam, inflow, caps)
             return
-        c_opt, z_rows, f = worker.solve(c_tilde, lam, inflow, caps)
+        c_opt, z_rows = worker.solve(c_tilde, lam, inflow, caps)
         # The reference recovers an interior minimizer from objective values
         # at an interval's ends, up to c_max apart, which costs it about
         # eps * (c_max + |c_tilde| + |w - lam| / rho) of absolute accuracy;
-        # z and f inherit that error through slopes 1/beta and w + r.u/beta.
+        # z inherits that error through slope 1/beta.
         c_atol = 64 * np.finfo(float).eps * max(
             1.0, worker.c_max, abs(c_tilde), abs(worker.invest_cost - lam) / rho
         )
         z_atol = c_atol / inst.beta if inst.beta > 0 else 0.0
-        f_atol = worker.invest_cost * c_atol + z_atol * float(
-            inst.recurrence.sum() * worker.unit_costs.max(initial=0.0)
-        )
         assert c_opt == pytest.approx(ref[0], rel=1e-9, abs=c_atol)
         np.testing.assert_allclose(z_rows, ref[1], rtol=1e-9, atol=z_atol)
-        assert f == pytest.approx(ref[2], rel=1e-9, abs=f_atol)
 
 
 class TestSolveMaster:
@@ -475,6 +468,16 @@ class TestRunAdmm:
         assert conv.iterations == 1
         assert sol.cost.total == 0.0
         assert sol.feasibility.feasible
+
+    def test_capacity_above_ten_megawatts_is_allowed(self):
+        # a 3e4-vehicle peak at beta = 1000 kW needs 3e7 kW; the model puts
+        # no bound on capacity below capacity_max, and neither may ADMM
+        inst = make_instance([[3e4, 0.0]], beta=1000.0,
+                             assign_cost=[[0.0, 0.1], [0.1, 0.0]])
+        sol, conv = run_admm(inst)
+        assert conv.converged
+        assert sol.feasibility.feasible
+        assert sol.investment.capacity[0] == pytest.approx(3e7)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
