@@ -15,20 +15,20 @@ constraint row of the joint problem appears in each subproblem with the
 other locations' variables frozen; in particular the receivers' capacity-
 satisfaction rows bound a sender's shipments by the receivers' published
 slack (:func:`receiver_slack`), which is what lets the scheme discover
-capacity pooling across staggered demand peaks.  Slack is rationed equally
-among a receiver's potential senders so the senders cannot collectively
-over-subscribe it.  The sweep is Jacobi: all subproblems in one iteration
-read the same frozen state, so they are independent of each other and of
-the order they run in; the loop runs them serially, in location order.
+capacity pooling across staggered demand peaks.  Slack is measured against
+a receiver's gross load and rationed equally among its potential senders, so
+the senders cannot collectively over-subscribe it.  The sweep is Jacobi: all
+subproblems in one iteration read the same frozen state, so they are
+independent of each other and of the order they run in; the loop runs them
+serially, in location order.
 
-The only variable bounds are the model's own, ``0 <= c_i <= capacity_max_i``
-(which may be infinite) and non-negative shipments, so the scheme solves the
-same problem as :func:`~chargeplan.central.build_lp`.  Each subproblem is
-minimized exactly by a sweep over the sorted kinks of its
-one-dimensional convex piecewise-quadratic objective (:class:`_LocationWorker`),
-which costs O(T m log(T m)) time and O(T m) memory for a location with ``m``
-in-range neighbors over ``T`` slots.  Each iterate's delayed inflow and net
-demand are computed once and reused by the master and the next sweep.
+Each subproblem is minimized exactly, under the model's own bounds alone
+(``0 <= c_i <= capacity_max_i``, shipments non-negative), by a sweep over the
+sorted kinks of its one-dimensional convex piecewise-quadratic objective
+(:class:`_LocationWorker`), which costs O(T m log(T m)) time and O(T m)
+memory for a location with ``m`` in-range neighbors over ``T`` slots.  Each
+iterate's delayed inflow is computed once, for the master's net demand and
+the next sweep.
 
 The global budget couples locations and is therefore not enforced inside
 subproblems; the master checks it each iteration and, when binding, projects
@@ -205,15 +205,19 @@ class _LocationWorker:
 
 
 def receiver_slack(
-    instance: PlanningInstance, c_tilde: np.ndarray, net: np.ndarray
+    instance: PlanningInstance, c_tilde: np.ndarray, load: np.ndarray
 ) -> np.ndarray:
-    """Per-(slot, location) spare vehicle capacity under the frozen state.
+    """Spare vehicle capacity per (slot, location): ``c_tilde / beta - load``.
 
-    ``slack[t, j] = c_tilde_j / beta - net[t, j]`` for the frozen net demand
-    ``demand - outflow + inflow``; negative entries mean j is over-subscribed.
-    A sender must add back its own frozen shipments to j before capping.
+    ``run_admm`` passes the gross load ``demand + inflow``, leaving out the
+    receiver's outflow, which it may cut in the same sweep.  Rationed over
+    j's senders, each adding back its own frozen shipments, the caps into
+    (t, j) then sum to ``max(c_tilde_j / beta - demand, inflow)``.  So by
+    induction from zero inflow, ``demand + inflow <= capacity_max / beta``
+    wherever a location's own demand fits its cap, and unless the budget
+    binds neither the workers' nor the master's capacity check can fire.
     """
-    return c_tilde[None, :] / instance.beta - net
+    return c_tilde[None, :] / instance.beta - load
 
 
 def solve_master(
@@ -317,7 +321,6 @@ def run_admm(
     lam = np.zeros(n)
     z = np.zeros((T, graph.n_edges))
     z_in = np.zeros((T, n))
-    net = demand
     history: list[IterationRecord] = []
     w_cost = instance.unit_investment_cost
     in_degree = np.bincount(graph.dst, minlength=n)
@@ -333,7 +336,7 @@ def run_admm(
         # senders so the sweep cannot over-subscribe it; each sender's own
         # frozen shipments are added back since that share of the
         # receiver's inflow is its to reallocate.
-        slack = receiver_slack(instance, c_tilde, net)
+        slack = receiver_slack(instance, c_tilde, demand + z_in)
         shared = np.maximum(slack, 0.0) / np.maximum(in_degree, 1)[None, :]
         results = [
             w.solve(float(c_tilde[w.i]), float(lam[w.i]), z_in[:, w.i],

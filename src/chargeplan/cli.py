@@ -49,6 +49,9 @@ EXIT_NO_CONVERGENCE = 4
 
 METHODS = ("centralized", "admm", "base")
 
+#: the horizon an instance spans: travel delays convert km to slots over it
+_WEEK_MINUTES = 7 * 24 * 60
+
 
 class ConfigError(Exception):
     pass
@@ -152,6 +155,11 @@ def cmd_ingest(args, config: dict) -> int:
     # the JSON lists become the bbox tuple and the Zone tuple BinningSpec takes
     spec = _section(config, "binning", BinningSpec, bbox=tuple,
                     zones=lambda entries: tuple(Zone(**entry) for entry in entries))
+    if spec.n_slots * spec.slot_minutes != _WEEK_MINUTES:
+        raise ConfigError(
+            f"invalid config section 'binning': {spec.n_slots} slots of "
+            f"{spec.slot_minutes} minutes do not span one week ({_WEEK_MINUTES} minutes)"
+        )
     econ = _section(config, "econ", GenParams)
     if args.seed is not None:
         econ = dataclasses.replace(econ, seed=args.seed)

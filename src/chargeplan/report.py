@@ -20,6 +20,7 @@ from .model import (
 )
 
 #: an aggregated flow of at most this many vehicles draws no line feature
+#: and no flows.csv row
 FLOW_ATOL = 1e-9
 
 
@@ -136,7 +137,7 @@ def write_csv_tables(
     with open(flow_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["from", "to", "vehicles"])
-        for e in np.flatnonzero(flows > 1e-9):
+        for e in np.flatnonzero(flows > FLOW_ATOL):
             writer.writerow([graph.src[e], graph.dst[e], f"{flows[e]:.9g}"])
     return loc_path, flow_path
 

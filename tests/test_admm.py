@@ -557,3 +557,44 @@ class TestRunAdmm:
         invest = float(sol.investment.capacity @ inst.unit_investment_cost)
         assert invest <= 18.5 + 1e-6
         assert sol.feasibility.feasible
+
+
+def own_peak_caps(inst, scale):
+    """``inst`` with each location's capacity at ``scale`` times its own peak."""
+    own = inst.beta * inst.charging_demand.max(axis=0)
+    return dataclasses.replace(inst, capacity_max=scale * own)
+
+
+@st.composite
+def own_peak_cap_cases(draw):
+    """Caps between 1.0 and 1.3 times each location's own peak, with an
+    unbounded budget and delays that wrap the horizon: the zero-assignment
+    plan is feasible, so the instance is."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, T = draw(st.integers(2, 6)), draw(st.integers(2, 24))
+    delay = rng.integers(0, T, size=(n, n))
+    np.fill_diagonal(delay, 0)
+    inst = random_instance(rng, n=n, T=T, forbid_frac=draw(st.sampled_from([0.0, 0.3])),
+                           delay=delay, budget=np.inf)
+    return own_peak_caps(inst, rng.uniform(1.0, 1.3, size=n))
+
+
+class TestOwnPeakCaps:
+    """A receiver's slack is measured against its gross load, so one Jacobi
+    sweep cannot fill slack that the receiver's own outflow cut frees only
+    in the same sweep; no iterate then passes a cap its own peak fits."""
+
+    @given(inst=own_peak_cap_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_never_reports_a_feasible_instance_infeasible(self, inst):
+        sol, _ = run_admm(inst)  # raises InfeasibleProblemError on a false exit 3
+        assert sol.feasibility.feasible  # checked at 1e-4
+
+    def test_generated_instance_at_its_own_peaks(self):
+        inst = own_peak_caps(
+            generate_instance(GenParams(n_locations=6, n_slots=24, range_km=5.0, seed=0)), 1.0
+        )
+        sol, conv = run_admm(inst)
+        assert conv.converged
+        assert sol.feasibility.feasible
+        assert np.all(sol.investment.capacity <= inst.capacity_max * (1 + 1e-9))

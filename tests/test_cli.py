@@ -199,6 +199,17 @@ class TestIngest:
         assert "invalid config section 'binning'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_horizon_other_than_one_week_exit_2(self, tmp_path, capsys):
+        # 672 hourly slots span four weeks, while travel delays assume one
+        doc = {"binning": dict(GRID_2X2["binning"], slot_minutes=60)}
+        code, out = ingest(tmp_path, doc)
+        assert code == EXIT_CONFIG
+        assert "do not span one week" in capsys.readouterr().err
+        assert not out.exists()
+        doc["binning"]["n_slots"] = 168
+        code, _ = ingest(tmp_path, doc, name="hourly")
+        assert code == EXIT_OK
+
     @pytest.mark.parametrize("distance", ["nan", "-2.0"])
     def test_bad_distance_row_skipped_not_fatal(self, tmp_path, distance):
         lines = TRIPS_50.read_text().splitlines()
