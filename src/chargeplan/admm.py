@@ -216,7 +216,10 @@ def receiver_slack(
     induction from zero inflow, ``demand + inflow <= capacity_max / beta``
     wherever a location's own demand fits its cap, and unless the budget
     binds neither the workers' nor the master's capacity check can fire.
+    At ``beta == 0`` no capacity row can bind, so the slack is unbounded.
     """
+    if instance.beta == 0:
+        return np.full(load.shape, np.inf)
     return c_tilde[None, :] / instance.beta - load
 
 

@@ -30,7 +30,8 @@ import numpy as np
 from . import io
 from .admm import AdmmConfig, run_admm, write_convergence_csv
 from .central import solve_base_model, solve_centralized
-from .datagen import GenParams, generate_instance, with_range_limit
+from .datagen import (HORIZON_HOURS, EconParams, GenParams, generate_instance,
+                      with_range_limit)
 from .ingest import (
     BinningSpec,
     Zone,
@@ -48,9 +49,6 @@ EXIT_INFEASIBLE = 3
 EXIT_NO_CONVERGENCE = 4
 
 METHODS = ("centralized", "admm", "base")
-
-#: the horizon an instance spans: travel delays convert km to slots over it
-_WEEK_MINUTES = 7 * 24 * 60
 
 
 class ConfigError(Exception):
@@ -155,12 +153,13 @@ def cmd_ingest(args, config: dict) -> int:
     # the JSON lists become the bbox tuple and the Zone tuple BinningSpec takes
     spec = _section(config, "binning", BinningSpec, bbox=tuple,
                     zones=lambda entries: tuple(Zone(**entry) for entry in entries))
-    if spec.n_slots * spec.slot_minutes != _WEEK_MINUTES:
+    if spec.n_slots * spec.slot_minutes != 60 * HORIZON_HOURS:
         raise ConfigError(
             f"invalid config section 'binning': {spec.n_slots} slots of "
-            f"{spec.slot_minutes} minutes do not span one week ({_WEEK_MINUTES} minutes)"
+            f"{spec.slot_minutes} minutes do not span one week "
+            f"({60 * HORIZON_HOURS} minutes)"
         )
-    econ = _section(config, "econ", GenParams)
+    econ = _section(config, "econ", EconParams)
     if args.seed is not None:
         econ = dataclasses.replace(econ, seed=args.seed)
 

@@ -4,6 +4,7 @@ Locations are scattered uniformly over a square city; the designated center
 carries the highest land cost, decaying exponentially with distance.
 Charging ratios are Beta-distributed, assignment cost is priced per km with
 a hard range cutoff, and travel delays derive from a mean speed.
+:func:`build_instance` applies these rules, to ingested flows as well.
 
 Flow profiles are synthetic archetypes (residential / office / recreational)
 with weekday-weekend modulation; their shape constants are documented here
@@ -37,19 +38,17 @@ _PROFILE_SHAPE = {
     "recreational": (15.0, 3.5, 0.5, 1.6),
 }
 _PROFILE_BASE = 0.15
-_HORIZON_HOURS = 7 * 24.0
+#: the horizon of every instance, one week: flow profiles and travel delays span it
+HORIZON_HOURS = 7 * 24
 
 
-@dataclass(frozen=True)
-class GenParams:
-    """Generator knobs; defaults follow the case-study parameterization."""
+@dataclass(frozen=True, kw_only=True)
+class EconParams:
+    """The economics an instance is built with, from generated or ingested
+    flows; defaults follow the case-study parameterization.  ``seed`` seeds
+    the charging-share draw."""
 
-    n_locations: int = 20
-    n_slots: int = 672
     seed: int = 0
-    city_size_km: float = 10.0
-    flow_scale: float = 30.0
-    flow_noise: float = 0.05
     alpha_a: float = 10.0
     alpha_b: float = 90.0
     beta_kw: float = 250.0
@@ -74,6 +73,21 @@ class GenParams:
             raise ValueError("location cost decay rate must be positive")
         if self.speed_kmh <= 0:
             raise ValueError("travel speed must be positive")
+
+
+@dataclass(frozen=True, kw_only=True)
+class GenParams(EconParams):
+    """Generator knobs: the economics of :class:`EconParams` plus the
+    synthetic city and its flows."""
+
+    n_locations: int = 20
+    n_slots: int = 672
+    city_size_km: float = 10.0
+    flow_scale: float = 30.0
+    flow_noise: float = 0.05
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.n_locations <= 0 or self.n_slots <= 0:
             raise ValueError("n_locations and n_slots must be positive")
 
@@ -85,7 +99,7 @@ def archetype_of(i: int) -> str:
 def flow_profile(archetype: str, n_slots: int) -> np.ndarray:
     """Deterministic weekly demand shape for one archetype, one value per slot."""
     peak, sigma, wd, we = _PROFILE_SHAPE[archetype]
-    slot_hours = _HORIZON_HOURS / n_slots
+    slot_hours = HORIZON_HOURS / n_slots
     hours = (np.arange(n_slots) + 0.5) * slot_hours
     day = np.floor(hours / 24.0).astype(int)
     hour_of_day = hours % 24.0
@@ -117,43 +131,73 @@ def assignment_costs(
 
 
 def travel_delays(distance: np.ndarray, speed_kmh: float, n_slots: int) -> np.ndarray:
-    slot_hours = _HORIZON_HOURS / n_slots
+    slot_hours = HORIZON_HOURS / n_slots
     tau = np.rint(distance / speed_kmh / slot_hours).astype(int)
     np.fill_diagonal(tau, 0)
     return np.minimum(tau, n_slots - 1)
 
 
-def with_range_limit(
-    instance: PlanningInstance,
-    range_km: float,
-    price_per_km: float | None = None,
-) -> PlanningInstance:
+def with_range_limit(instance: PlanningInstance, range_km: float) -> PlanningInstance:
     """Rebuild an instance's assignment costs for a different range limit.
 
     Requires the raw distance matrix to be present.  The per-km price is
-    inferred from any priced off-diagonal cell when not given; when the
-    instance has none and the new range admits a pair, the price must be
-    given.
+    inferred from any priced off-diagonal cell, so an instance that prices
+    no pair can only be given a range that still admits none.
     """
     if instance.distance is None:
         raise ValueError("instance does not carry raw distances")
-    if price_per_km is None:
-        off = ~np.eye(instance.n_locations, dtype=bool)
-        finite = off & np.isfinite(instance.assign_cost) & (instance.distance > 0)
-        if finite.any():
-            i, j = np.argwhere(finite)[0]
-            price_per_km = float(
-                instance.assign_cost[i, j] / instance.distance[i, j]
-            )
-        elif np.any(off & (instance.distance < range_km)):
-            raise ValueError(
-                f"no priced pair to infer the per-km price from; a {range_km:g} km "
-                "range admits pairs, so pass price_per_km"
-            )
-        else:
-            price_per_km = 0.0  # every pair stays forbidden; no price is read
+    off = ~np.eye(instance.n_locations, dtype=bool)
+    finite = off & np.isfinite(instance.assign_cost) & (instance.distance > 0)
+    if finite.any():
+        i, j = np.argwhere(finite)[0]
+        price_per_km = float(instance.assign_cost[i, j] / instance.distance[i, j])
+    elif np.any(off & (instance.distance < range_km)):
+        raise ValueError(
+            f"the instance prices no pair, so it has no per-km price for the "
+            f"pairs a {range_km:g} km range admits"
+        )
+    else:
+        price_per_km = 0.0  # every pair stays forbidden; no price is read
     cost = assignment_costs(instance.distance, price_per_km, range_km)
     return dataclasses.replace(instance, assign_cost=cost, range_limit=range_km)
+
+
+def build_instance(
+    flow: np.ndarray,
+    alpha: np.ndarray,
+    distance: np.ndarray,
+    center_km: np.ndarray,
+    params: EconParams,
+    coordinates: np.ndarray | None = None,
+) -> PlanningInstance:
+    """The instance that ``params``' economic rules make of (T, n) flows and
+    charging shares and an (n, n) distance matrix.
+
+    Assignment is priced per km within the range and forbidden beyond it,
+    travel delays follow the mean speed, and each location's cost decays
+    exponentially with ``center_km``, its distance from the city center.
+    """
+    T, n = flow.shape
+    location_cost = params.location_cost_scale * np.exp(
+        -params.location_cost_decay * center_km
+    )
+    return PlanningInstance(
+        n_locations=n,
+        n_slots=T,
+        flow=flow,
+        alpha=alpha,
+        beta=params.beta_kw,
+        assign_cost=assignment_costs(distance, params.assign_price_per_km, params.range_km),
+        delay=travel_delays(distance, params.speed_kmh, T),
+        base_cost=params.base_cost,
+        location_cost=location_cost,
+        budget=params.budget,
+        capacity_max=np.full(n, params.capacity_max),
+        recurrence=np.full(T, params.recurrence),
+        range_limit=params.range_km,
+        distance=distance,
+        coordinates=coordinates,
+    )
 
 
 def generate_instance(params: GenParams) -> PlanningInstance:
@@ -174,30 +218,5 @@ def generate_instance(params: GenParams) -> PlanningInstance:
     flow *= noise
 
     alpha = rng.beta(params.alpha_a, params.alpha_b, size=(T, n))
-
-    distance = pairwise_distances(points)
-    cost = assignment_costs(distance, params.assign_price_per_km, params.range_km)
-    delay = travel_delays(distance, params.speed_kmh, T)
-
-    dist_center = np.sqrt(((points - center) ** 2).sum(axis=1))
-    location_cost = params.location_cost_scale * np.exp(
-        -params.location_cost_decay * dist_center
-    )
-
-    return PlanningInstance(
-        n_locations=n,
-        n_slots=T,
-        flow=flow,
-        alpha=alpha,
-        beta=params.beta_kw,
-        assign_cost=cost,
-        delay=delay,
-        base_cost=params.base_cost,
-        location_cost=location_cost,
-        budget=params.budget,
-        capacity_max=np.full(n, params.capacity_max),
-        recurrence=np.full(T, params.recurrence),
-        range_limit=params.range_km,
-        distance=distance,
-        coordinates=points,
-    )
+    center_km = np.sqrt(((points - center) ** 2).sum(axis=1))
+    return build_instance(flow, alpha, pairwise_distances(points), center_km, params, points)

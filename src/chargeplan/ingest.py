@@ -37,7 +37,7 @@ from itertools import chain
 
 import numpy as np
 
-from .datagen import GenParams, assignment_costs, sample_alpha, travel_delays
+from .datagen import EconParams, build_instance, sample_alpha
 from .model import PlanningInstance
 
 EARTH_RADIUS_KM = 6371.0088
@@ -660,39 +660,18 @@ def build_distances(
 def assemble_instance(
     flow: np.ndarray,
     distance: np.ndarray,
-    params: GenParams,
+    params: EconParams,
     coordinates: np.ndarray | None = None,
 ) -> PlanningInstance:
     """Combine binned flows, empirical distances, and economic parameters.
 
-    Location costs decay exponentially with empirical distance from the
-    center zone, the busiest zone by total flow;
-    assignment costs, delays, and charging ratios follow the same rules as
-    the synthetic generator.
+    The center is the busiest zone by total flow, and charging shares are
+    drawn from ``params.seed``; :func:`chargeplan.datagen.build_instance`
+    applies the same rules as to a synthetic instance.
     """
     T, n = flow.shape
     if distance.shape != (n, n):
         raise ValueError("flow and distance shapes are inconsistent")
-    center_index = int(np.argmax(flow.sum(axis=0)))
-    cost = assignment_costs(distance, params.assign_price_per_km, params.range_km)
-    delay = travel_delays(distance, params.speed_kmh, T)
-    location_cost = params.location_cost_scale * np.exp(
-        -params.location_cost_decay * distance[center_index, :]
-    )
-    return PlanningInstance(
-        n_locations=n,
-        n_slots=T,
-        flow=flow,
-        alpha=sample_alpha(params.alpha_a, params.alpha_b, params.seed, (T, n)),
-        beta=params.beta_kw,
-        assign_cost=cost,
-        delay=delay,
-        base_cost=params.base_cost,
-        location_cost=location_cost,
-        budget=params.budget,
-        capacity_max=np.full(n, params.capacity_max),
-        recurrence=np.full(T, params.recurrence),
-        range_limit=params.range_km,
-        distance=distance,
-        coordinates=coordinates,
-    )
+    center_km = distance[int(np.argmax(flow.sum(axis=0))), :]
+    alpha = sample_alpha(params.alpha_a, params.alpha_b, params.seed, (T, n))
+    return build_instance(flow, alpha, distance, center_km, params, coordinates)

@@ -132,8 +132,8 @@ class PlanningInstance:
             raise ValueError("capacity_max must be non-negative numbers")
         if not np.all(self.recurrence >= 0):
             raise ValueError("recurrence must be non-negative numbers")
-        if math.isnan(self.range_limit):
-            raise ValueError("range_limit must be a number")
+        if not self.range_limit >= 0:
+            raise ValueError("range_limit must be a number >= 0")
         if self.distance is not None and self.distance.shape != (n, n):
             raise ValueError("distance must be square over locations")
         if self.distance is not None and np.isnan(self.distance).any():

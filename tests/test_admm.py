@@ -1,6 +1,7 @@
 """Distributed consensus solver: components against oracles, then the loop."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -466,6 +467,19 @@ class TestRunAdmm:
         sol, conv = run_admm(inst)
         assert conv.converged
         assert conv.iterations == 1
+        assert sol.cost.total == 0.0
+        assert sol.feasibility.feasible
+
+    def test_zero_beta_builds_nothing_without_a_warning(self):
+        # at beta = 0 no capacity row can bind: the published slack is
+        # unbounded, not 0 / 0
+        inst = generate_instance(GenParams(n_locations=4, n_slots=8, seed=1, range_km=6.0,
+                                           beta_kw=0.0))
+        assert inst.range_graph.n_edges > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol, conv = run_admm(inst)
+        assert (conv.converged, conv.iterations) == (True, 1)
         assert sol.cost.total == 0.0
         assert sol.feasibility.feasible
 

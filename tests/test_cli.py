@@ -142,6 +142,13 @@ class TestGenerate:
         assert f"{key} must be a number" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_negative_range_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"generate": {"range_km": -1}})
+        out = tmp_path / "x"
+        assert run("--config", str(cfg), "--out", str(out), "generate") == EXIT_CONFIG
+        assert "range_limit must be a number >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 TRIPS_50 = Path(__file__).parent / "data" / "trips_50.csv"
 GRID_2X2 = {"binning": {"bbox": [0, 0, 1, 1], "rows": 2, "cols": 2}}
@@ -209,6 +216,20 @@ class TestIngest:
         doc["binning"]["n_slots"] = 168
         code, _ = ingest(tmp_path, doc, name="hourly")
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_locations", 3), ("n_slots", 96), ("city_size_km", 1),
+        ("flow_scale", 5), ("flow_noise", 0.5),
+    ])
+    def test_generator_only_econ_key_exit_2(self, tmp_path, capsys, key, value):
+        # the zones and slots come from the binning and the flows from the
+        # trips, so a generator knob in econ would be silently ignored
+        code, out = ingest(tmp_path, dict(GRID_2X2, econ={key: value}))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"unknown keys in config section 'econ': ['{key}']" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("distance", ["nan", "-2.0"])
     def test_bad_distance_row_skipped_not_fatal(self, tmp_path, distance):
@@ -373,6 +394,15 @@ class TestSolve:
         assert "budget must be a non-negative number" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_range_limit_exit_2(self, tmp_path, capsys):
+        doc = io.instance_to_dict(make_instance(np.ones((2, 2))))
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(dict(doc, range_limit=-1)))
+        out = tmp_path / "sol"
+        assert run("--out", str(out), "solve", str(path)) == EXIT_CONFIG
+        assert "range_limit must be a number >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [
         ("delay", [[0, 1.5], [1, 0]]), ("n_locations", 2.5), ("n_slots", 2.5),
     ])
@@ -434,6 +464,13 @@ class TestSweepR:
         assert "range_limit must be a number" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_r_exit_2(self, tmp_path, capsys, instance_file):
+        out = tmp_path / "s"
+        assert run("--out", str(out), "sweep-r", str(instance_file),
+                   "--r-values=0,-1") == EXIT_CONFIG
+        assert "range_limit must be a number >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lp_failure_exit_4(self, tmp_path, instance_file):
         out = tmp_path / "sweep"
         with highs_fails():
@@ -463,7 +500,7 @@ class TestSweepR:
         io.save_instance(inst, path)
         assert run("--out", str(tmp_path / "s"), "sweep-r", str(path),
                    "--r-values", "0,6") == EXIT_CONFIG
-        assert "price_per_km" in capsys.readouterr().err
+        assert "prices no pair" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
 
