@@ -67,7 +67,7 @@ def external_objective(instance: PlanningInstance, workdir: Path) -> float:
         back.obj,
         A_ub=back.to_coo().tocsr(),
         b_ub=back.rhs,
-        bounds=list(zip(back.lb, back.ub)),
+        bounds=[(0.0, u) for u in back.ub],
         method="highs",
     )
     if not res.success:

@@ -1,11 +1,11 @@
 """Centralized LP path: problem builder, HiGHS solve, and the no-assignment baseline.
 
 ``build_lp`` lowers a :class:`~chargeplan.model.PlanningInstance` to a sparse
-standard-form LP with numpy, from one array of free assignment cells.
-Structural zeros (diagonal and range-forbidden pairs) are realized by variable
-elimination, never as rows, so the column space contains exactly the
-capacities plus the free assignment cells.  Rows the others imply are not
-written: the LP has ``1 + 2 * n * T`` rows.
+standard-form LP with numpy, one assignment column per slot and edge of the
+instance's :class:`~chargeplan.model.RangeGraph`.  Structural zeros (diagonal
+and range-forbidden pairs) have no column and no row, so the column space
+holds exactly the capacities plus the in-range assignments.  Rows the others
+imply are not written: the LP has ``1 + 2 * n * T`` rows.
 
 ``solve_centralized`` solves that LP with scipy's HiGHS backend.  The
 embedded dense simplex (:func:`chargeplan.simplex.solve_simplex`) is not a
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.optimize
@@ -33,17 +32,20 @@ from .model import (
     evaluate_objective,
 )
 
+#: Most columns :func:`build_lp` lowers an instance to; a larger one is an
+#: input error, raised before anything of its size is allocated.
+MAX_LP_COLUMNS = 50_000_000
+
 
 @dataclass(frozen=True)
 class StandardFormLP:
-    """Sparse standard-form LP with a name map back to model variables.
+    """Sparse standard-form LP: ``min obj @ x`` over ``A x <= rhs``,
+    ``0 <= x <= ub``.
 
-    Constraint matrix given as parallel (row, col, value) triplet arrays.
-    Every row is one instance of a model constraint, and every row reads
-    ``<=``.  Columns are the ``n_locations`` capacities, then
-    one assignment per row of ``cells`` (``(t, i, j)``, see
-    :func:`free_assignment_cells`).  The MPS names are derived from that
-    layout on first access; solves never read them.
+    ``A`` is given as parallel (row, col, value) triplet arrays.  Columns are
+    the ``n_locations`` capacities, then one assignment per slot and edge,
+    slot-major, where ``edges`` holds the range graph's (E, 2) ``(src, dst)``
+    pairs.  :mod:`chargeplan.mps` names rows and columns from this layout.
     """
 
     n_rows: int
@@ -52,45 +54,16 @@ class StandardFormLP:
     cols: np.ndarray
     vals: np.ndarray
     rhs: np.ndarray
-    lb: np.ndarray
     ub: np.ndarray
     obj: np.ndarray
     n_locations: int
     n_slots: int
-    cells: np.ndarray = field(repr=False)
-
-    @cached_property
-    def col_names(self) -> list[str]:
-        """``C_<i>`` and ``Z_<i>_<j>_<t>``, 1-based."""
-        return [f"C_{k + 1}" for k in range(self.n_locations)] + [
-            f"Z_{a + 1}_{b + 1}_{s + 1}" for (s, a, b) in self.cells.tolist()
-        ]
-
-    @cached_property
-    def row_names(self) -> list[str]:
-        n, T = self.n_locations, self.n_slots
-        return (
-            ["BUDGET"]
-            + [f"FLOW_{a + 1}_{s + 1}" for a in range(n) for s in range(T)]
-            + [f"CAPU_{a + 1}_{s + 1}" for a in range(n) for s in range(T)]
-        )
+    edges: np.ndarray = field(repr=False)
 
     def to_coo(self) -> scipy.sparse.coo_matrix:
         return scipy.sparse.coo_matrix(
             (self.vals, (self.rows, self.cols)), shape=(self.n_rows, self.n_cols)
         )
-
-
-def free_assignment_cells(instance: PlanningInstance) -> np.ndarray:
-    """(K, 3) int array of the (t, i, j) cells that carry a decision variable.
-
-    Rows are in column order: slot-major, then the edges of the instance's
-    :class:`~chargeplan.model.RangeGraph`.
-    """
-    graph = instance.range_graph
-    T = instance.n_slots
-    slots = np.repeat(np.arange(T), graph.n_edges)
-    return np.column_stack([slots, np.tile(graph.src, T), np.tile(graph.dst, T)])
 
 
 def build_lp(instance: PlanningInstance) -> StandardFormLP:
@@ -104,19 +77,23 @@ def build_lp(instance: PlanningInstance) -> StandardFormLP:
     bounds fold into variable bounds.
     """
     n, T = instance.n_locations, instance.n_slots
+    graph = instance.range_graph
+    n_cols = n + T * graph.n_edges
+    if n_cols > MAX_LP_COLUMNS:
+        raise ValueError(
+            f"the LP would have {n_cols} columns, above the {MAX_LP_COLUMNS} supported"
+        )
+    n_rows = 1 + 2 * n * T
     demand = instance.charging_demand
     beta = instance.beta
-    cells = free_assignment_cells(instance)
-    t, i, j = cells.T
-    n_cols = n + len(cells)
-    if n_cols > 50_000_000:
-        raise OverflowError("instance exceeds supported index space")
-    n_rows = 1 + 2 * n * T
+    # assignment column k is slot t[k] on edge (i[k], j[k])
+    t = np.repeat(np.arange(T), graph.n_edges)
+    i, j = np.tile(graph.src, T), np.tile(graph.dst, T)
 
     # Row (location, slot) of each family sits at offset + location * T + slot.
     flow0, capu0 = 1, 1 + n * T
     loc = np.arange(n)
-    zcols = n + np.arange(len(cells))
+    zcols = np.arange(n, n_cols)
     w = instance.unit_investment_cost
     blocks = [
         # budget: sum_i w_i c_i <= budget
@@ -124,25 +101,24 @@ def build_lp(instance: PlanningInstance) -> StandardFormLP:
         # capacity upper side: -beta*outflow + beta*inflow - c_i <= -beta*demand
         (capu0 + np.arange(n * T), np.repeat(loc, T), np.full(n * T, -1.0)),
         # flow conservation: sum_j z[t,i,j] <= alpha*flow
-        (flow0 + i * T + t, zcols, np.ones(len(cells))),
+        (flow0 + i * T + t, zcols, np.ones(len(t))),
     ]
     if beta != 0.0:
         # departure relieves i in slot t; arrival loads j delay[i, j] slots
         # later (cyclic)
-        t_arr = (t + instance.delay[i, j]) % T
+        t_arr = (t + np.tile(graph.delay, T)) % T
         blocks += [
-            (capu0 + i * T + t, zcols, np.full(len(cells), -beta)),
-            (capu0 + j * T + t_arr, zcols, np.full(len(cells), beta)),
+            (capu0 + i * T + t, zcols, np.full(len(t), -beta)),
+            (capu0 + j * T + t_arr, zcols, np.full(len(t), beta)),
         ]
     rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
 
     rhs = np.concatenate(
         [[float(instance.budget)], demand.T.ravel(), (-beta * demand).T.ravel()]
     )
-    lb = np.zeros(n_cols)
     ub = np.full(n_cols, np.inf)
     ub[:n] = instance.capacity_max
-    obj = np.concatenate([w, instance.recurrence[t] * instance.assign_cost[i, j]])
+    obj = np.concatenate([w, np.outer(instance.recurrence, graph.cost).ravel()])
 
     return StandardFormLP(
         n_rows=n_rows,
@@ -151,12 +127,11 @@ def build_lp(instance: PlanningInstance) -> StandardFormLP:
         cols=cols,
         vals=vals,
         rhs=rhs,
-        lb=lb,
         ub=ub,
         obj=obj,
         n_locations=n,
         n_slots=T,
-        cells=cells,
+        edges=np.column_stack([graph.src, graph.dst]),
     )
 
 
@@ -178,7 +153,7 @@ def solve_lp(lp: StandardFormLP) -> tuple[np.ndarray, dict]:
         lp.obj,
         A_ub=lp.to_coo().tocsr(),
         b_ub=lp.rhs,
-        bounds=np.column_stack([lp.lb, lp.ub]),
+        bounds=np.column_stack([np.zeros(lp.n_cols), lp.ub]),
         method="highs",
         options={
             "primal_feasibility_tolerance": 1e-8,

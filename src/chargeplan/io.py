@@ -13,6 +13,7 @@ edges, so a nonzero one on a diagonal or out-of-range pair is an error.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -80,10 +81,31 @@ def _reading(doc, kind: str, version: str):
         raise ValueError(f"malformed {kind} document: {exc}") from exc
 
 
+def _numbers(value, name: str, ndim: int = 0) -> np.ndarray:
+    """``value``, a JSON number or lists of them ``ndim`` deep, as a float
+    array.  A string, boolean or null entry is an error, where ``float()``
+    would read ``"1"`` and ``true`` as 1.0."""
+    error = ValueError(f"{name} must be " + (
+        "a number" if ndim == 0 else f"a {ndim}-d array of numbers"))
+    leaves = [value]
+    for _ in range(ndim):
+        if not all(isinstance(v, list) for v in leaves):
+            raise error
+        leaves = list(itertools.chain.from_iterable(leaves))
+    kinds = set(map(type, leaves))
+    if bool in kinds or not all(issubclass(k, (int, float, np.number)) for k in kinds):
+        raise error
+    try:
+        return np.array(value, dtype=float)
+    except ValueError:  # ragged
+        raise error from None
+
+
 def _whole(value, name: str, ndim: int = 0) -> np.ndarray:
-    """``value`` as an ``ndim``-dimensional int array.  A fractional or
-    non-finite entry is an error, where ``astype(int)`` would truncate it."""
-    arr = np.asarray(value, dtype=float)
+    """``value`` as an ``ndim``-dimensional int array, read by :func:`_numbers`
+    unless it is an array already.  A fractional or non-finite entry is an
+    error, where ``astype(int)`` would truncate it."""
+    arr = value if isinstance(value, np.ndarray) else _numbers(value, name, ndim)
     if arr.ndim != ndim or not np.all(np.isfinite(arr) & (arr == np.trunc(arr))):
         shape = "a whole number" if ndim == 0 else f"a {ndim}-d array of whole numbers"
         raise ValueError(f"{name} must be {shape}")
@@ -92,26 +114,28 @@ def _whole(value, name: str, ndim: int = 0) -> np.ndarray:
 
 def instance_from_dict(doc: dict) -> PlanningInstance:
     with _reading(doc, "instance", INSTANCE_VERSION):
-        cost = np.array([[FORBIDDEN if v == "forbidden" else float(v) for v in row]
-                         for row in doc["assign_cost"]])
+        cost = [[FORBIDDEN if v == "forbidden" else v for v in row]
+                for row in doc["assign_cost"]]
+
+        def optional(field):
+            return _numbers(doc[field], field, ndim=2) if field in doc else None
+
         return PlanningInstance(
             n_locations=int(_whole(doc["n_locations"], "n_locations")),
             n_slots=int(_whole(doc["n_slots"], "n_slots")),
-            flow=np.array(doc["flow"], dtype=float),
-            alpha=np.array(doc["alpha"], dtype=float),
-            beta=float(doc["beta"]),
-            assign_cost=cost,
+            flow=_numbers(doc["flow"], "flow", ndim=2),
+            alpha=_numbers(doc["alpha"], "alpha", ndim=2),
+            beta=float(_numbers(doc["beta"], "beta")),
+            assign_cost=_numbers(cost, "assign_cost", ndim=2),
             delay=_whole(doc["delay"], "delay", ndim=2),
-            base_cost=float(doc["base_cost"]),
-            location_cost=np.array(doc["location_cost"], dtype=float),
-            budget=float(doc["budget"]),
-            capacity_max=np.array(doc["capacity_max"], dtype=float),
-            recurrence=np.array(doc["recurrence"], dtype=float),
-            range_limit=float(doc["range_limit"]),
-            distance=np.array(doc["distance"], dtype=float) if "distance" in doc else None,
-            coordinates=(
-                np.array(doc["coordinates"], dtype=float) if "coordinates" in doc else None
-            ),
+            base_cost=float(_numbers(doc["base_cost"], "base_cost")),
+            location_cost=_numbers(doc["location_cost"], "location_cost", ndim=1),
+            budget=float(_numbers(doc["budget"], "budget")),
+            capacity_max=_numbers(doc["capacity_max"], "capacity_max", ndim=1),
+            recurrence=_numbers(doc["recurrence"], "recurrence", ndim=1),
+            range_limit=float(_numbers(doc["range_limit"], "range_limit")),
+            distance=optional("distance"),
+            coordinates=optional("coordinates"),
         )
 
 
@@ -165,7 +189,7 @@ def solution_from_dict(doc: dict, instance: PlanningInstance) -> Solution:
         if (T, n) != (instance.n_slots, instance.n_locations):
             raise ValueError(f"solution is for {T} slots x {n} locations, the "
                              f"instance has {instance.n_slots} x {instance.n_locations}")
-        triplets = np.asarray(doc["assignments"], dtype=float)
+        triplets = _numbers(doc["assignments"], "assignments", ndim=2)
         if triplets.size and (triplets.ndim != 2 or triplets.shape[1] != 4):
             raise ValueError("assignments must be (t, i, j, value) triplets")
         triplets = triplets.reshape(-1, 4)
@@ -184,7 +208,7 @@ def solution_from_dict(doc: dict, instance: PlanningInstance) -> Solution:
         on = edges >= 0
         z = np.zeros((T, graph.n_edges))
         z[cells[on, 0], edges[on]] = triplets[on, 3]
-        capacity = np.array(doc["capacity"], dtype=float)
+        capacity = _numbers(doc["capacity"], "capacity", ndim=1)
         if capacity.shape != (n,):
             raise ValueError(f"capacity must have {n} entries, got shape {capacity.shape}")
         residuals = {

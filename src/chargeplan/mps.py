@@ -3,12 +3,14 @@
 Field-aligned MPS with widened value columns so coefficients round-trip at
 full double precision (classic 12-character value fields cannot represent a
 double exactly; modern solvers read the widened layout as free-format MPS).
-Variable names encode their model meaning losslessly: ``C_<i>`` for
-capacities and ``Z_<i>_<j>_<t>`` for assignment cells, 1-based.
+This module alone makes and reads the names, which encode their model meaning
+losslessly, 1-based: ``C_<i>`` for capacities and ``Z_<i>_<j>_<t>`` for
+assignments; ``BUDGET``, ``FLOW_<i>_<t>`` and ``CAPU_<i>_<t>`` for rows.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,34 +18,45 @@ import numpy as np
 from .central import StandardFormLP
 
 _OBJ_ROW = "COST"
+_FIRST_SLOT_Z = re.compile(r"Z_(\d+)_(\d+)_1")
 
 
 def _fmt(v: float) -> str:
     return np.format_float_scientific(v, precision=17, trim="-")
 
 
-def _kind_from_name(name: str) -> tuple:
-    parts = name.split("_")
-    if parts[0] == "C":
-        return ("c", int(parts[1]) - 1)
-    if parts[0] == "Z":
-        i, j, t = (int(p) - 1 for p in parts[1:4])
-        return ("z", t, i, j)
-    raise ValueError(f"unrecognized variable name: {name!r}")
+def col_names(lp: StandardFormLP) -> list[str]:
+    """The LP's column names in column order."""
+    edges = lp.edges.tolist()
+    return [f"C_{k + 1}" for k in range(lp.n_locations)] + [
+        f"Z_{a + 1}_{b + 1}_{s + 1}" for s in range(lp.n_slots) for a, b in edges
+    ]
+
+
+def row_names(lp: StandardFormLP) -> list[str]:
+    """The LP's row names in row order."""
+    n, T = lp.n_locations, lp.n_slots
+    return (
+        ["BUDGET"]
+        + [f"FLOW_{a + 1}_{s + 1}" for a in range(n) for s in range(T)]
+        + [f"CAPU_{a + 1}_{s + 1}" for a in range(n) for s in range(T)]
+    )
 
 
 def write_mps(lp: StandardFormLP, path) -> None:
     """Write the LP as an MPS file; the triplet matrix round-trips exactly."""
+    rnames = row_names(lp)
     lines = ["NAME          CHARGEPLAN", "ROWS", f" N  {_OBJ_ROW}"]
-    lines += [f" L  {rname}" for rname in lp.row_names]
+    lines += [f" L  {rname}" for rname in rnames]
 
     # column-major entry lists, preserving row order within each column
     by_col: list[list[tuple[str, float]]] = [[] for _ in range(lp.n_cols)]
     for r, c, v in zip(lp.rows, lp.cols, lp.vals):
-        by_col[int(c)].append((lp.row_names[int(r)], float(v)))
+        by_col[int(c)].append((rnames[int(r)], float(v)))
 
+    cnames = col_names(lp)
     lines.append("COLUMNS")
-    for k, cname in enumerate(lp.col_names):
+    for k, cname in enumerate(cnames):
         if lp.obj[k] != 0.0:
             lines.append(f"    {cname:<12}  {_OBJ_ROW:<12}  {_fmt(lp.obj[k])}")
         for rname, v in by_col[k]:
@@ -52,12 +65,10 @@ def write_mps(lp: StandardFormLP, path) -> None:
     lines.append("RHS")
     for r, b in enumerate(lp.rhs):
         if b != 0.0:
-            lines.append(f"    RHS           {lp.row_names[r]:<12}  {_fmt(b)}")
+            lines.append(f"    RHS           {rnames[r]:<12}  {_fmt(b)}")
 
     lines.append("BOUNDS")
-    for k, cname in enumerate(lp.col_names):
-        if lp.lb[k] != 0.0:
-            lines.append(f" LO BND           {cname:<12}  {_fmt(lp.lb[k])}")
+    for k, cname in enumerate(cnames):
         if np.isfinite(lp.ub[k]):
             lines.append(f" UP BND           {cname:<12}  {_fmt(lp.ub[k])}")
 
@@ -68,18 +79,20 @@ def write_mps(lp: StandardFormLP, path) -> None:
 def read_mps(path) -> StandardFormLP:
     """Parse a file produced by :func:`write_mps` back into a StandardFormLP.
 
-    Every row must be ``L`` (``<=``), as written; any other sense is an error.
+    Every row must be ``L`` (``<=``) and every bound ``UP``, as written, since
+    the LP's columns are bounded below by zero; any other row sense or bound
+    type is an error, and so are names off the layout of :func:`row_names`
+    and :func:`col_names`.
     """
-    row_names: list[str] = []
+    rnames: list[str] = []
     row_index: dict[str, int] = {}
-    col_names: list[str] = []
+    cnames: list[str] = []
     col_index: dict[str, int] = {}
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
     obj_entries: dict[int, float] = {}
     rhs_entries: dict[int, float] = {}
-    lo: dict[int, float] = {}
     up: dict[int, float] = {}
 
     section = None
@@ -96,13 +109,13 @@ def read_mps(path) -> StandardFormLP:
                 continue
             if sense != "L":
                 raise ValueError(f"row {rname}: unsupported sense {sense!r}, only L")
-            row_index[rname] = len(row_names)
-            row_names.append(rname)
+            row_index[rname] = len(rnames)
+            rnames.append(rname)
         elif section == "COLUMNS":
             cname, rname, value = fields
             if cname not in col_index:
-                col_index[cname] = len(col_names)
-                col_names.append(cname)
+                col_index[cname] = len(cnames)
+                cnames.append(cname)
             k = col_index[cname]
             if rname == _OBJ_ROW:
                 obj_entries[k] = float(value)
@@ -115,34 +128,30 @@ def read_mps(path) -> StandardFormLP:
             rhs_entries[row_index[rname]] = float(value)
         elif section == "BOUNDS":
             btype, _, cname, value = fields
-            k = col_index[cname]
-            if btype == "LO":
-                lo[k] = float(value)
-            elif btype == "UP":
-                up[k] = float(value)
-            else:
-                raise ValueError(f"unsupported bound type: {btype}")
+            if btype != "UP":
+                raise ValueError(f"unsupported bound type {btype!r}, only UP")
+            up[col_index[cname]] = float(value)
         elif section in ("NAME", "ENDATA"):
             continue
         else:
             raise ValueError(f"unexpected MPS section: {section}")
 
-    n_rows, n_cols = len(row_names), len(col_names)
+    n_rows, n_cols = len(rnames), len(cnames)
     rhs = np.zeros(n_rows)
     for r, v in rhs_entries.items():
         rhs[r] = v
     obj = np.zeros(n_cols)
     for k, v in obj_entries.items():
         obj[k] = v
-    lb = np.zeros(n_cols)
     ub = np.full(n_cols, np.inf)
-    for k, v in lo.items():
-        lb[k] = v
     for k, v in up.items():
         ub[k] = v
 
-    kinds = [_kind_from_name(name) for name in col_names]
-    n = sum(kind[0] == "c" for kind in kinds)
+    # the first slot's assignment names give the edges; the name check below
+    # holds every other name to the layout they imply
+    n = sum(name.startswith("C_") for name in cnames)
+    first_slot = filter(None, map(_FIRST_SLOT_Z.fullmatch, cnames[n:]))
+    edges = [(int(m[1]) - 1, int(m[2]) - 1) for m in first_slot]
     lp = StandardFormLP(
         n_rows=n_rows,
         n_cols=n_cols,
@@ -150,13 +159,12 @@ def read_mps(path) -> StandardFormLP:
         cols=np.array(cols, dtype=int),
         vals=np.array(vals, dtype=float),
         rhs=rhs,
-        lb=lb,
         ub=ub,
         obj=obj,
         n_locations=n,
         n_slots=(n_rows - 1) // (2 * n) if n else 0,
-        cells=np.array([kind[1:] for kind in kinds[n:]], dtype=int).reshape(-1, 3),
+        edges=np.array(edges, dtype=int).reshape(-1, 2),
     )
-    if lp.col_names != col_names or lp.row_names != row_names:
+    if col_names(lp) != cnames or row_names(lp) != rnames:
         raise ValueError("row or column names do not follow the chargeplan LP layout")
     return lp

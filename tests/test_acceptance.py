@@ -16,12 +16,7 @@ import pytest
 import scipy.optimize
 
 from chargeplan.admm import AdmmConfig, run_admm, solve_master
-from chargeplan.central import (
-    build_lp,
-    free_assignment_cells,
-    solve_base_model,
-    solve_centralized,
-)
+from chargeplan.central import build_lp, solve_base_model, solve_centralized
 from chargeplan.cli import restrict_range, sweep_range
 from chargeplan.datagen import GenParams, generate_instance, sample_alpha
 from chargeplan.ingest import BinningSpec, build_distances, build_flows, parse_trips
@@ -72,7 +67,8 @@ def brute_force_integer_optimum(instance) -> float:
     """Exhaustive integer-assignment enumeration, vectorised over combos."""
     T, n = instance.n_slots, instance.n_locations
     demand = instance.charging_demand
-    cells = free_assignment_cells(instance)
+    graph = instance.range_graph
+    cells = [(t, i, j) for t in range(T) for i, j in zip(graph.src, graph.dst)]
     ranges = [range(int(demand[t, i]) + 1) for (t, i, j) in cells]
     combos = np.array(list(itertools.product(*ranges)), dtype=float)
     K = combos.shape[0]

@@ -19,6 +19,7 @@ import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chargeplan import central
 from chargeplan import ingest as ingest_module
 from chargeplan import io
 from chargeplan.central import solve_centralized
@@ -422,6 +423,26 @@ class TestSolve:
         assert code == EXIT_NO_CONVERGENCE
         assert "no convergence: LP solve failed" in capsys.readouterr().err
         assert not (out / "solution.json").exists()
+
+    def test_lp_above_the_column_limit_exit_2(self, tmp_path, capsys, instance_file,
+                                              monkeypatch):
+        # the column count comes from the range graph, before the LP's arrays
+        monkeypatch.setattr(central, "MAX_LP_COLUMNS", 10)
+        out = tmp_path / "sol"
+        assert run("--out", str(out), "solve", str(instance_file)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "columns, above the 10 supported" in err and "Traceback" not in err
+        assert not (out / "solution.json").exists()
+
+    @pytest.mark.parametrize("field, value", [("beta", "250"), ("budget", True)])
+    def test_number_written_as_another_type_exit_2(self, tmp_path, capsys, field, value):
+        doc = io.instance_to_dict(make_instance(np.ones((2, 2))))
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps(dict(doc, **{field: value})))
+        out = tmp_path / "sol"
+        assert run("--out", str(out), "solve", str(path), "--method", "base") == EXIT_CONFIG
+        assert f"{field} must be a number" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepR:

@@ -105,8 +105,14 @@ class TestInstanceIO:
         with pytest.raises(ValueError, match=field):
             instance_from_dict(dict(doc, **{field: value}))
 
-    @pytest.mark.parametrize("field, value", [("beta", None), ("flow", None),
-                                              ("assign_cost", 5), ("beta", [1])])
+    @pytest.mark.parametrize("field, value", [
+        ("beta", None), ("flow", None), ("assign_cost", 5), ("beta", [1]),
+        # a number written as a string, a boolean or null is not read as one
+        ("beta", "1"), ("base_cost", "1"), ("n_locations", "2"), ("range_limit", "10"),
+        ("flow", [["1", "1"], ["1", "1"]]), ("assign_cost", [[0, "1"], ["1", 0]]),
+        ("budget", True), ("capacity_max", [1e9, False]), ("recurrence", [1, None]),
+        ("delay", [[0, True], [0, 0]]), ("n_slots", "2"),
+    ])
     def test_mistyped_field_is_a_value_error(self, field, value):
         doc = instance_to_dict(make_instance(np.ones((2, 2))))
         with pytest.raises(ValueError):
@@ -218,6 +224,17 @@ class TestSolutionIO:
     def test_non_object_root_rejected(self, root):
         with pytest.raises(ValueError, match="must be a JSON object"):
             solution_from_dict(root, make_instance(np.ones((1, 1))))
+
+    @pytest.mark.parametrize("field, value", [
+        ("capacity", ["1", 0, 0]), ("capacity", [True, 0, 0]), ("capacity", [None, 0, 0]),
+        ("assignments", [[0, 0, 1, "0.5"]]), ("assignments", [[0, 0, 1, True]]),
+        ("assignments", [[0, 0, 1, None]]), ("assignments", [[0, 0, 1, 0.5], [1, 0, 2]]),
+    ])
+    def test_mistyped_value_is_a_value_error(self, field, value):
+        inst = make_instance(np.ones((2, 3)))
+        doc = solution_to_dict(solve_centralized(inst))
+        with pytest.raises(ValueError, match=field):
+            solution_from_dict(dict(doc, **{field: value}), inst)
 
     @given(case=edge_cases(), seed=st.integers(0, 2**16))
     @settings(max_examples=150, deadline=None)

@@ -1,17 +1,33 @@
 """MPS export/import: exact round-trips and the variable-name contract."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from chargeplan.central import build_lp, solve_lp
-from chargeplan.mps import read_mps, write_mps
+from chargeplan.mps import col_names, read_mps, row_names, write_mps
 
-from conftest import make_instance, random_instance
+from conftest import edge_cases, make_instance, random_instance
 
 
 def triplet_set(lp):
     """The constraint matrix as a set of exact (row, col, value) triplets."""
     return {(int(r), int(c), float(v)) for r, c, v in zip(lp.rows, lp.cols, lp.vals)}
+
+
+def assert_same_lp(back, lp):
+    assert (back.n_rows, back.n_cols) == (lp.n_rows, lp.n_cols)
+    assert (back.n_locations, back.n_slots) == (lp.n_locations, lp.n_slots)
+    assert row_names(back) == row_names(lp)
+    assert col_names(back) == col_names(lp)
+    assert triplet_set(back) == triplet_set(lp)  # exact, not approximate
+    np.testing.assert_array_equal(back.rhs, lp.rhs)
+    np.testing.assert_array_equal(back.obj, lp.obj)
+    np.testing.assert_array_equal(back.ub, lp.ub)
+    np.testing.assert_array_equal(back.edges, lp.edges)
 
 
 def test_single_location_file_layout(tmp_path):
@@ -34,15 +50,16 @@ def test_single_location_file_layout(tmp_path):
 def test_variable_names_are_one_based(tmp_path):
     inst = make_instance(np.ones((2, 3)))
     lp = build_lp(inst)
-    assert lp.col_names[:3] == ["C_1", "C_2", "C_3"]
-    assert "Z_1_2_1" in lp.col_names
-    assert "Z_3_2_2" in lp.col_names
+    names = col_names(lp)
+    assert names[:3] == ["C_1", "C_2", "C_3"]
+    assert "Z_1_2_1" in names
+    assert "Z_3_2_2" in names
     # names decode back to model indices
     path = tmp_path / "named.mps"
     write_mps(lp, path)
     back = read_mps(path)
-    assert back.n_locations == 3
-    assert [0, 0, 1] in back.cells.tolist()  # Z_1_2_1: slot 0, origin 0, destination 1
+    assert (back.n_locations, back.n_slots) == (3, 2)
+    assert [0, 1] in back.edges.tolist()  # Z_1_2_1: origin 0, destination 1
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -56,14 +73,19 @@ def test_round_trip_preserves_every_coefficient(tmp_path, seed):
 
     assert back.n_rows == lp.n_rows
     assert back.n_cols == lp.n_cols
-    assert back.row_names == lp.row_names
-    assert back.col_names == lp.col_names
-    assert triplet_set(back) == triplet_set(lp)  # exact, not approximate
-    np.testing.assert_array_equal(back.rhs, lp.rhs)
-    np.testing.assert_array_equal(back.obj, lp.obj)
-    np.testing.assert_array_equal(back.lb, lp.lb)
-    np.testing.assert_array_equal(back.ub, lp.ub)
-    np.testing.assert_array_equal(back.cells, lp.cells)
+    assert_same_lp(back, lp)
+
+
+@given(case=edge_cases())
+@settings(max_examples=60, deadline=None)
+def test_round_trip_on_edge_cases(case):
+    # asymmetric and empty range graphs, an isolated location, wrapping delays
+    inst, _ = case
+    lp = build_lp(inst)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edge.mps"
+        write_mps(lp, path)
+        assert_same_lp(read_mps(path), lp)
 
 
 def test_round_trip_solves_to_same_objective(tmp_path):
@@ -101,6 +123,25 @@ def test_unknown_bound_type_rejected(tmp_path):
     text = path.read_text().replace(" UP BND", " FR BND")
     path.write_text(text)
     with pytest.raises(ValueError, match="bound"):
+        read_mps(path)
+
+
+def test_lower_bound_rejected(tmp_path):
+    # every column is bounded below by zero; a file that says otherwise is not
+    # this LP
+    path = tmp_path / "lo.mps"
+    write_mps(build_lp(make_instance([[1.0]], capacity_max=[4.0])), path)
+    text = path.read_text().replace("BOUNDS\n", "BOUNDS\n LO BND           C_1           1\n")
+    path.write_text(text)
+    with pytest.raises(ValueError, match="bound type 'LO'"):
+        read_mps(path)
+
+
+def test_names_off_the_layout_rejected(tmp_path):
+    path = tmp_path / "names.mps"
+    write_mps(build_lp(make_instance(np.ones((2, 2)))), path)
+    path.write_text(path.read_text().replace("Z_2_1_2", "Z_2_1_3"))
+    with pytest.raises(ValueError, match="layout"):
         read_mps(path)
 
 

@@ -1,6 +1,7 @@
 """The experiment scripts run end to end on tiny instances."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -35,3 +36,17 @@ def test_run_gap_experiment(tmp_path):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert [row["seed"] for row in rows] == ["0"]
+
+
+def test_make_golden_reproduces_the_committed_file(tmp_path):
+    # the only script that writes and reads MPS: its external solves must
+    # match the reference the acceptance suite checks the simplex against
+    out = tmp_path / "golden.json"
+    proc = run_script("make_golden.py", str(out))
+    assert proc.returncode == 0, proc.stderr
+    fresh = json.loads(out.read_text())["cases"]
+    committed = json.loads((ROOT / "tests" / "data" / "central_golden.json").read_text())
+    committed = committed["cases"]
+    assert [case["instance"] for case in fresh] == [case["instance"] for case in committed]
+    for new, old in zip(fresh, committed):
+        assert abs(new["objective"] - old["objective"]) <= 1e-12 * abs(old["objective"])
