@@ -22,6 +22,7 @@ from .model import (
     InvestmentPlan,
     PlanningInstance,
     Solution,
+    assess,
     check_feasibility,
     evaluate_objective,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "InvestmentPlan",
     "PlanningInstance",
     "Solution",
+    "assess",
     "build_lp",
     "check_feasibility",
     "evaluate_objective",

@@ -52,7 +52,7 @@ from .model import (
     PlanningInstance,
     RangeGraph,
     Solution,
-    check_feasibility,
+    assess,
     evaluate_objective,
 )
 
@@ -325,7 +325,6 @@ def run_admm(
     z = np.zeros((T, graph.n_edges))
     z_in = np.zeros((T, n))
     history: list[IterationRecord] = []
-    w_cost = instance.unit_investment_cost
     in_degree = np.bincount(graph.dst, minlength=n)
 
     start = time.perf_counter()
@@ -363,7 +362,8 @@ def run_admm(
         q_dual = step_dual if k == 1 else prev_step_dual
         prev_step_dual = step_dual
 
-        obj = float(w_cost @ c_tilde) + float(instance.recurrence @ (z @ graph.cost))
+        obj = evaluate_objective(instance, InvestmentPlan(c_tilde),
+                                 AssignmentPlan(graph, z)).total
         wall_ms = 1000.0 * (time.perf_counter() - it_start)
         history.append(IterationRecord(k, q_primal, q_dual, obj, wall_ms))
         if best is None or obj < best[0]:
@@ -374,10 +374,6 @@ def run_admm(
 
     _, c_final, z_final = (obj, c_tilde, z) if converged else best
 
-    inv = InvestmentPlan(c_final)
-    asg = AssignmentPlan(graph, z_final)
-    cost = evaluate_objective(instance, inv, asg)
-    report = check_feasibility(instance, inv, asg, tol=1e-4)
     wall = time.perf_counter() - start
     stats = {
         "method": "admm",
@@ -388,7 +384,8 @@ def run_admm(
         "wall_ms": 1000.0 * wall,
         "budget_binding": budget_binding,
     }
-    solution = Solution(inv, asg, cost, report, stats)
+    solution = assess(instance, InvestmentPlan(c_final), AssignmentPlan(graph, z_final),
+                      1e-4, stats)
     convergence = ConvergenceReport(
         converged=converged,
         iterations=k,

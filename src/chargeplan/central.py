@@ -10,6 +10,10 @@ imply are not written: the LP has ``1 + 2 * n * T`` rows.
 ``solve_centralized`` solves that LP with scipy's HiGHS backend.  The
 embedded dense simplex (:func:`chargeplan.simplex.solve_simplex`) is not a
 production backend; the tests use it as an independent oracle.
+
+``solve_base_model`` is the no-assignment baseline the joint plan is compared
+with.  Both return through :func:`chargeplan.model.assess`, so their costs
+and feasibility reports come from the same rule as every other plan's.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ from .model import (
     InvestmentPlan,
     PlanningInstance,
     Solution,
-    check_feasibility,
-    evaluate_objective,
+    assess,
 )
 
 #: Most columns :func:`build_lp` lowers an instance to; a larger one is an
@@ -180,13 +183,9 @@ def solve_lp(lp: StandardFormLP) -> tuple[np.ndarray, dict]:
 
 def solve_centralized(instance: PlanningInstance) -> Solution:
     """Solve the joint investment-assignment problem in one LP."""
-    lp = build_lp(instance)
-    x, stats = solve_lp(lp)
-    inv, asg = _extract_plans(instance, x)
-    cost = evaluate_objective(instance, inv, asg)
-    report = check_feasibility(instance, inv, asg, tol=1e-6)
+    x, stats = solve_lp(build_lp(instance))
     stats["method"] = "centralized"
-    return Solution(inv, asg, cost, report, stats)
+    return assess(instance, *_extract_plans(instance, x), 1e-6, stats)
 
 
 def solve_base_model(instance: PlanningInstance) -> Solution:
@@ -194,30 +193,26 @@ def solve_base_model(instance: PlanningInstance) -> Solution:
 
     With z fixed at zero the capacity constraint decouples per location and
     the optimum is ``c_i = beta * max_t(alpha * flow)``.  Equals the joint
-    model whenever every pair is out of range.
+    model whenever every pair is out of range.  The plan is judged like any
+    other, by :func:`~chargeplan.model.check_feasibility` at 1e-6; when that
+    report is infeasible (a cap below a location's own peak, or a budget
+    below the plan's investment), ``InfeasibleProblemError`` names the first
+    family over the tolerance, its residual with the unit and the location.
     """
     start = time.perf_counter()
     c = instance.beta * instance.charging_demand.max(axis=0)
-    over = c - instance.capacity_max
-    if np.any(over > 0):
-        i = int(np.argmax(over))
-        raise InfeasibleProblemError(
-            f"location {i} needs {c[i]:.6g} kW, above its maximum "
-            f"{instance.capacity_max[i]:.6g}"
-        )
-    invest = float(c @ instance.unit_investment_cost)
-    if invest > instance.budget:
-        raise InfeasibleProblemError(
-            f"baseline investment {invest:.6g} exceeds budget {instance.budget:.6g}"
-        )
-    inv = InvestmentPlan(c)
-    asg = AssignmentPlan.zeros(instance)
-    cost = evaluate_objective(instance, inv, asg)
-    report = check_feasibility(instance, inv, asg, tol=1e-6)
     stats = {
         "method": "base",
         "backend": "closed_form",
         "iterations": 0,
         "wall_ms": 1000.0 * (time.perf_counter() - start),
     }
-    return Solution(inv, asg, cost, report, stats)
+    solution = assess(instance, InvestmentPlan(c), AssignmentPlan.zeros(instance), 1e-6, stats)
+    report = solution.feasibility
+    if not report.feasible:
+        # with z = 0 and c at each own peak, only the budget or a cap can fail
+        name, r = next(item for item in report.residuals.items() if item[1].violation > report.tol)
+        unit, at = ("kW", f" at location {r.where[0]}") if r.where else ("currency", "")
+        raise InfeasibleProblemError(
+            f"the no-assignment plan breaks {name} by {r.violation:.6g} {unit}{at}")
+    return solution

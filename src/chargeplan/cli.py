@@ -11,7 +11,11 @@ and :func:`_section`, instance and solution files by
 turns an exception into an exit code, a stable contract: 0 success,
 2 config/input error (:class:`ConfigError`, ``ValueError``, ``OSError``),
 3 infeasible (``InfeasibleProblemError``), 4 non-convergence
-(``ConvergenceError``, raised after the best iterate is written).
+(``ConvergenceError``, raised after the best iterate is written).  Each
+command writes ``resolved_config.json`` just before its first output file,
+so a run that fails before it has a result writes nothing; the exceptions
+are ``solve``'s ``infeasible.json`` and a non-converged ADMM run's best
+iterate.
 
 Wall-clock timings never enter result files (only convergence logs), so
 reruns with the same config and seed are byte-identical.
@@ -41,7 +45,7 @@ from .ingest import (
     parse_trips,
 )
 from .model import ConvergenceError, InfeasibleProblemError, PlanningInstance, Solution
-from .report import round_assignments, write_csv_tables, write_geojson
+from .report import round_assignments, solution_geojson, write_csv_tables
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -200,13 +204,15 @@ def cmd_solve(args, config: dict) -> int:
     instance = io.load_instance(args.instance)
 
     out_dir = Path(args.out)
-    _write_resolved(out_dir, {"admm": dataclasses.asdict(admm)})
+    resolved = {"admm": dataclasses.asdict(admm)}
     try:
         solution, convergence = _solve(instance, args.method, admm)
     except InfeasibleProblemError as exc:
+        _write_resolved(out_dir, resolved)
         (out_dir / "infeasible.json").write_text(json.dumps({"reason": str(exc)}))
         raise
 
+    _write_resolved(out_dir, resolved)
     checksum = io.file_checksum(args.instance)
     io.save_solution(_clean_stats(solution), out_dir / "solution.json", checksum)
     if convergence is not None:
@@ -263,9 +269,9 @@ def cmd_sweep_r(args, config: dict) -> int:
     instance = io.load_instance(args.instance)
     restricted = restrict_range(instance, sweep.r_values)
 
+    rows = sweep_range(restricted)
     out_dir = Path(args.out)
     _write_resolved(out_dir, {"sweep": dataclasses.asdict(sweep)})
-    rows = sweep_range(restricted)
     path = out_dir / "sweep.csv"
     with open(path, "w") as fh:
         fh.write("R_km,investment,assignment,total,reduction_pct\n")
@@ -297,12 +303,13 @@ def cmd_report(args, config: dict) -> int:
             raise ConfigError(f"--window {args.window} is not a slot window "
                               f"inside 0:{instance.n_slots}")
         window = (lo, hi)
+    geojson = solution_geojson(instance, solution, window) if args.format == "geojson" else None
     out_dir = Path(args.out)
     _write_resolved(out_dir, {})  # report reads no config section
-    if args.format == "geojson":
-        write_geojson(instance, solution, out_dir / "solution.geojson", window)
-    else:
+    if geojson is None:
         write_csv_tables(instance, solution, out_dir, window)
+    else:
+        (out_dir / "solution.geojson").write_text(json.dumps(geojson))
     rounded = round_assignments(instance, solution)
     io.save_solution(_clean_stats(rounded), out_dir / "solution_rounded.json")
     _say(args, f"wrote report to {out_dir}")
@@ -317,8 +324,6 @@ def cmd_compare(args, config: dict) -> int:
                           f"got {args.methods!r}")
     instance = io.load_instance(args.instance)
 
-    out_dir = Path(args.out)
-    _write_resolved(out_dir, {"admm": dataclasses.asdict(admm)})
     results = {}
     converged = {}
     for method in methods:
@@ -343,6 +348,8 @@ def cmd_compare(args, config: dict) -> int:
         }
         for method, s in results.items()
     }
+    out_dir = Path(args.out)
+    _write_resolved(out_dir, {"admm": dataclasses.asdict(admm)})
     (out_dir / "comparison.json").write_text(json.dumps(doc, indent=1))
     with open(out_dir / "comparison.csv", "w") as fh:
         fh.write("method,investment,assignment,total,gap_to_best_pct,feasible\n")

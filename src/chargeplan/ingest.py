@@ -620,7 +620,7 @@ class DistanceResult:
 
 
 def build_distances(
-    trips: TripTable, spec: BinningSpec, dest_zone: np.ndarray | None = None
+    trips: TripTable, spec: BinningSpec, dest_zone: np.ndarray
 ) -> DistanceResult:
     """Average observed trip distance per (origin zone, destination zone).
 
@@ -630,19 +630,18 @@ def build_distances(
     diagonal is forced to zero.  No symmetry is imposed; empirical averages
     rarely are.  Sums accumulate in record order.  ``dest_zone`` is
     :attr:`FlowResult.dest_zone` of the same trips and spec, so that the
-    destinations are not looked up twice; without it they are looked up here.
+    destinations are not looked up twice.
     """
     n = spec.n_zones
     zi = spec.zones_of(trips.origin_lon, trips.origin_lat)
-    zj = spec.zones_of(trips.dest_lon, trips.dest_lat) if dest_zone is None else dest_zone
-    kept = (zi >= 0) & (zj >= 0)
+    kept = (zi >= 0) & (dest_zone >= 0)
     absent = kept & np.isnan(trips.distance_km)
     d = trips.distance_km.copy()
     d[absent] = haversine_km(
         trips.origin_lon[absent], trips.origin_lat[absent],
         trips.dest_lon[absent], trips.dest_lat[absent],
     )
-    pair = zi[kept] * n + zj[kept]
+    pair = zi[kept] * n + dest_zone[kept]
     total = np.bincount(pair, weights=d[kept], minlength=n * n).reshape(n, n)
     counts = np.bincount(pair, minlength=n * n).reshape(n, n)
     zones = spec.zone_registry()

@@ -101,6 +101,13 @@ def _numbers(value, name: str, ndim: int = 0) -> np.ndarray:
         raise error from None
 
 
+def _object(value, name: str) -> dict:
+    """``value``, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {type(value).__name__}")
+    return value
+
+
 def _whole(value, name: str, ndim: int = 0) -> np.ndarray:
     """``value`` as an ``ndim``-dimensional int array, read by :func:`_numbers`
     unless it is an array already.  A fractional or non-finite entry is an
@@ -211,16 +218,24 @@ def solution_from_dict(doc: dict, instance: PlanningInstance) -> Solution:
         capacity = _numbers(doc["capacity"], "capacity", ndim=1)
         if capacity.shape != (n,):
             raise ValueError(f"capacity must have {n} entries, got shape {capacity.shape}")
-        residuals = {
-            name: ConstraintResidual(r["violation"], tuple(r["where"]) if r["where"] else None)
-            for name, r in doc["feasibility"]["residuals"].items()
-        }
+        cost = _object(doc["cost"], "cost")
+        feasibility = _object(doc["feasibility"], "feasibility")
+        residuals = {}
+        for name, r in _object(feasibility["residuals"], "feasibility.residuals").items():
+            field = f"feasibility.residuals.{name}"
+            r = _object(r, field)
+            where = None if r["where"] is None else tuple(
+                _whole(r["where"], f"{field}.where", ndim=1).tolist())
+            residuals[name] = ConstraintResidual(
+                float(_numbers(r["violation"], f"{field}.violation")), where)
         return Solution(
             investment=InvestmentPlan(capacity),
             assignment=AssignmentPlan(graph, z),
-            cost=CostBreakdown(**doc["cost"]),
-            feasibility=FeasibilityReport(residuals, float(doc["feasibility"]["tol"])),
-            stats=dict(doc.get("stats", {})),
+            cost=CostBreakdown(*(float(_numbers(cost[key], f"cost.{key}"))
+                                 for key in ("investment", "assignment", "total"))),
+            feasibility=FeasibilityReport(
+                residuals, float(_numbers(feasibility["tol"], "feasibility.tol"))),
+            stats=dict(_object(doc.get("stats", {}), "stats")),
         )
 
 

@@ -227,10 +227,6 @@ class InvestmentPlan:
         if not np.all(np.isfinite(self.capacity)):
             raise ValueError("capacity entries must be finite")
 
-    @staticmethod
-    def zeros(instance: PlanningInstance) -> "InvestmentPlan":
-        return InvestmentPlan(np.zeros(instance.n_locations))
-
 
 @dataclass(frozen=True)
 class AssignmentPlan:
@@ -302,9 +298,6 @@ class FeasibilityReport:
     def __post_init__(self):
         ok = all(r.violation <= self.tol for r in self.residuals.values())
         object.__setattr__(self, "feasible", ok)
-
-    def max_violation(self) -> float:
-        return max(r.violation for r in self.residuals.values())
 
 
 @dataclass(frozen=True)
@@ -410,3 +403,13 @@ def check_feasibility(
     res["diagonal"] = res["range"] = ConstraintResidual(0.0, None)
 
     return FeasibilityReport(res, tol)
+
+
+def assess(instance: PlanningInstance, inv: InvestmentPlan, asg: AssignmentPlan,
+           tol: float, stats: dict) -> Solution:
+    """The plans with :func:`evaluate_objective`'s cost, :func:`check_feasibility`'s
+    report at ``tol`` and ``stats``.  Every solver, the no-assignment baseline and
+    the rounding report return through here, so one rule prices and judges them
+    all.  An infeasible report is returned, not raised; the caller decides."""
+    cost = evaluate_objective(instance, inv, asg)
+    return Solution(inv, asg, cost, check_feasibility(instance, inv, asg, tol), stats)

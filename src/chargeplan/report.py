@@ -6,18 +6,11 @@ Maps are emitted as data only (RFC 7946); drawing them is out of scope.
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 
 import numpy as np
 
-from .model import (
-    AssignmentPlan,
-    PlanningInstance,
-    Solution,
-    check_feasibility,
-    evaluate_objective,
-)
+from .model import AssignmentPlan, PlanningInstance, Solution, assess
 
 #: an aggregated flow of at most this many vehicles draws no line feature
 #: and no flows.csv row
@@ -96,10 +89,6 @@ def solution_geojson(
     return {"type": "FeatureCollection", "features": features}
 
 
-def write_geojson(instance, solution, path, window=None) -> None:
-    Path(path).write_text(json.dumps(solution_geojson(instance, solution, window)))
-
-
 def write_csv_tables(
     instance: PlanningInstance,
     solution: Solution,
@@ -148,10 +137,6 @@ def round_assignments(instance: PlanningInstance, solution: Solution) -> Solutio
     Capacities are kept; only z is rounded to the nearest integer, so the
     recheck quantifies how much feasibility degrades under integral flows.
     """
-    inv = solution.investment
     asg = AssignmentPlan(solution.assignment.graph, np.rint(solution.assignment.z))
-    cost = evaluate_objective(instance, inv, asg)
-    report = check_feasibility(instance, inv, asg, tol=solution.feasibility.tol)
-    stats = dict(solution.stats)
-    stats["rounded"] = True
-    return Solution(inv, asg, cost, report, stats)
+    return assess(instance, solution.investment, asg, solution.feasibility.tol,
+                  {**solution.stats, "rounded": True})

@@ -16,8 +16,7 @@ from chargeplan.model import (
     InfeasibleProblemError,
     PlanningInstance,
     Solution,
-    check_feasibility,
-    evaluate_objective,
+    assess,
 )
 
 
@@ -154,8 +153,7 @@ def solve_with_simplex(instance: PlanningInstance) -> Solution:
         raise InfeasibleProblemError("LP is infeasible")
     assert res.status == "optimal", res.status
     inv, asg = _extract_plans(instance, res.x)
-    return Solution(inv, asg, evaluate_objective(instance, inv, asg),
-                    check_feasibility(instance, inv, asg, tol=1e-6), {})
+    return assess(instance, inv, asg, 1e-6, {})
 
 
 @pytest.fixture

@@ -288,7 +288,7 @@ def test_criterion_8_trip_ingestion_exact_counts():
     np.testing.assert_array_equal(flows.flow, expected)
     assert flows.flow.sum() == len(parsed.records) - flows.dropped  # retained
 
-    distances = build_distances(parsed.records, spec)
+    distances = build_distances(parsed.records, spec, flows.dest_zone)
     assert distances.distance[0, 1] == pytest.approx(51.0 / 18.0, abs=1e-9)
     assert distances.distance[1, 2] == pytest.approx(5.0, abs=1e-9)
     assert distances.distance[2, 3] == pytest.approx(1.5, abs=1e-9)

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chargeplan.central import build_lp, solve_base_model, solve_centralized
@@ -333,6 +333,34 @@ class TestBaseModel:
         base = solve_base_model(inst)
         joint = solve_centralized(inst)
         assert joint.cost.total == pytest.approx(base.cost.total, abs=1e-9)
+
+    # one peak of 20 kW at a unit cost of 1, so the plan invests 20: a cap and
+    # a budget 5e-7 below it lie inside check_feasibility's 1e-6
+    @example(case=(make_instance([[10.0]], beta=2.0), None), cap_offset=-5e-7, budget_offset=1.0)
+    @example(case=(make_instance([[10.0]], beta=2.0), None), cap_offset=1.0, budget_offset=-5e-7)
+    @example(case=(make_instance([[10.0]], beta=2.0), None), cap_offset=-2e-6, budget_offset=1.0)
+    @given(case=edge_cases(),
+           cap_offset=st.one_of(st.floats(-3e-6, 3e-6), st.floats(-10.0, 10.0)),
+           budget_offset=st.one_of(st.floats(-3e-6, 3e-6), st.floats(-10.0, 10.0)))
+    @settings(max_examples=100, deadline=None)
+    def test_raises_exactly_when_its_plan_is_infeasible(self, case, cap_offset, budget_offset):
+        # caps and budget drawn around the own-peak plan c = beta * max demand, z = 0
+        inst, _ = case
+        peak = inst.beta * inst.charging_demand.max(axis=0)
+        invest = float(peak @ inst.unit_investment_cost)
+        inst = dataclasses.replace(inst, capacity_max=np.maximum(peak + cap_offset, 0.0),
+                                   budget=max(invest + budget_offset, 0.0))
+        inv, asg = InvestmentPlan(peak), AssignmentPlan.zeros(inst)
+        report = check_feasibility(inst, inv, asg, tol=1e-6)
+        if not report.feasible:
+            with pytest.raises(InfeasibleProblemError):
+                solve_base_model(inst)
+            return
+        base = solve_base_model(inst)
+        np.testing.assert_array_equal(base.investment.capacity, peak)
+        assert not base.assignment.z.any()
+        assert base.cost == evaluate_objective(inst, inv, asg)
+        assert base.feasibility == report
 
 
 class TestVerifiedAgainstCheck:

@@ -318,6 +318,7 @@ class TestSolve:
         code = run("--out", str(out), "solve", str(path))
         assert code == EXIT_INFEASIBLE
         assert (out / "infeasible.json").exists()
+        assert (out / "resolved_config.json").exists()
 
     def test_non_convergence_exit_4(self, tmp_path, capsys, instance_file):
         cfg = write_config(
@@ -422,7 +423,7 @@ class TestSolve:
             code = run("--out", str(out), "solve", str(instance_file))
         assert code == EXIT_NO_CONVERGENCE
         assert "no convergence: LP solve failed" in capsys.readouterr().err
-        assert not (out / "solution.json").exists()
+        assert not out.exists()
 
     def test_lp_above_the_column_limit_exit_2(self, tmp_path, capsys, instance_file,
                                               monkeypatch):
@@ -432,7 +433,7 @@ class TestSolve:
         assert run("--out", str(out), "solve", str(instance_file)) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "columns, above the 10 supported" in err and "Traceback" not in err
-        assert not (out / "solution.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [("beta", "250"), ("budget", True)])
     def test_number_written_as_another_type_exit_2(self, tmp_path, capsys, field, value):
@@ -498,7 +499,17 @@ class TestSweepR:
             code = run("--out", str(out), "sweep-r", str(instance_file),
                        "--r-values", "0,3")
         assert code == EXIT_NO_CONVERGENCE
-        assert not (out / "sweep.csv").exists()
+        assert not out.exists()
+
+    def test_lp_above_the_column_limit_exit_2(self, tmp_path, capsys, instance_file,
+                                              monkeypatch):
+        monkeypatch.setattr(central, "MAX_LP_COLUMNS", 10)
+        out = tmp_path / "sweep"
+        assert run("--out", str(out), "sweep-r", str(instance_file),
+                   "--r-values", "0,3") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "columns, above the 10 supported" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_unreadable_instance_exit_2(self, tmp_path):
         path = fieldless_instance(tmp_path)
@@ -559,6 +570,32 @@ class TestReport:
                    f"--window={window}") == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"--window {window}" in err or f"--window takes lo:hi, got '{window}'" in err
+        assert not out.exists()
+
+    def test_geojson_without_coordinates_exit_2_and_nothing_written(self, tmp_path, capsys,
+                                                                   instance_file):
+        doc = json.loads(instance_file.read_text())
+        del doc["coordinates"]
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(doc))
+        sol_path = self._solved(tmp_path, bare)
+        out = tmp_path / "rep"
+        assert run("--out", str(out), "report", str(sol_path), str(bare),
+                   "--format", "geojson") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "carries no coordinates" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_mistyped_cost_exit_2_and_nothing_written(self, tmp_path, capsys, instance_file):
+        sol_path = self._solved(tmp_path, instance_file)
+        doc = json.loads(sol_path.read_text())
+        doc["cost"]["total"] = "oops"
+        sol_path.write_text(json.dumps(doc))
+        out = tmp_path / "rep"
+        assert run("--out", str(out), "report", str(sol_path),
+                   str(instance_file)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cost.total must be a number" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_checksum_mismatch_exit_2(self, tmp_path, instance_file):
@@ -668,6 +705,17 @@ class TestCompare:
             code = run("--out", str(tmp_path / "c"), "compare",
                        str(instance_file), "--methods", "centralized")
         assert code == EXIT_NO_CONVERGENCE
+        assert not (tmp_path / "c").exists()
+
+    def test_lp_above_the_column_limit_exit_2(self, tmp_path, capsys, instance_file,
+                                              monkeypatch):
+        monkeypatch.setattr(central, "MAX_LP_COLUMNS", 10)
+        out = tmp_path / "c"
+        assert run("--out", str(out), "compare", str(instance_file),
+                   "--methods", "base,centralized") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "columns, above the 10 supported" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_non_integer_max_iterations_exit_2(self, tmp_path, instance_file):
         cfg = write_config(tmp_path, {"admm": {"max_iterations": 10.0}})
@@ -685,6 +733,7 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("infeasible: centralized: ")
         assert "Traceback" not in err
+        assert not (tmp_path / "c").exists()
 
     def test_non_converged_admm_exit_4_after_writing(self, tmp_path, instance_file):
         cfg = write_config(

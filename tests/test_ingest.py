@@ -429,6 +429,10 @@ class TestBuildFlows:
         np.testing.assert_array_equal(np.roll(f0, shift, axis=0), f1)
 
 
+def distances_on_grid(records):
+    return build_distances(records, GRID, GRID.zones_of(records.dest_lon, records.dest_lat))
+
+
 class TestBuildDistances:
     def test_mean_of_observed_distances(self):
         mon = datetime(2024, 3, 4, 8, 0)
@@ -436,7 +440,7 @@ class TestBuildDistances:
             trip(mon, (0.75, 0.25), origin=(0.25, 0.25), dist=2.0),
             trip(mon, (0.75, 0.25), origin=(0.25, 0.25), dist=4.0),
         ])
-        result = build_distances(records, GRID)
+        result = distances_on_grid(records)
         assert result.distance[0, 1] == pytest.approx(3.0)
         assert result.counts[0, 1] == 2
         assert not result.imputed[0, 1]
@@ -444,12 +448,12 @@ class TestBuildDistances:
     def test_haversine_fallback_per_record(self):
         mon = datetime(2024, 3, 4, 8, 0)
         records = table([trip(mon, (0.75, 0.25), origin=(0.25, 0.25))])
-        result = build_distances(records, GRID)
+        result = distances_on_grid(records)
         expected = haversine_km(0.25, 0.25, 0.75, 0.25)
         assert result.distance[0, 1] == pytest.approx(expected)
 
     def test_unobserved_pairs_imputed_from_centroids(self):
-        result = build_distances(table([]), GRID)
+        result = distances_on_grid(table([]))
         zones = GRID.zone_registry()
         expected = haversine_km(zones[0].lon, zones[0].lat, zones[3].lon, zones[3].lat)
         assert result.distance[0, 3] == pytest.approx(expected)
@@ -460,7 +464,7 @@ class TestBuildDistances:
         mon = datetime(2024, 3, 4, 8, 0)
         # a trip within one zone would otherwise leave a nonzero diagonal
         records = table([trip(mon, (0.3, 0.3), origin=(0.2, 0.2), dist=5.0)])
-        result = build_distances(records, GRID)
+        result = distances_on_grid(records)
         assert result.distance[0, 0] == 0.0
 
     def test_no_symmetry_imposed(self):
@@ -469,7 +473,7 @@ class TestBuildDistances:
             trip(mon, (0.75, 0.25), origin=(0.25, 0.25), dist=2.0),
             trip(mon, (0.25, 0.25), origin=(0.75, 0.25), dist=6.0),
         ])
-        result = build_distances(records, GRID)
+        result = distances_on_grid(records)
         assert result.distance[0, 1] == pytest.approx(2.0)
         assert result.distance[1, 0] == pytest.approx(6.0)
 
@@ -613,7 +617,7 @@ class TestColumnarMatchesRowByRow:
         np.testing.assert_array_equal(flows.flow, flow)
         assert flows.dropped == dropped
 
-        got = build_distances(trips, spec)
+        got = build_distances(trips, spec, flows.dest_zone)
         distance, counts, imputed = oracle_distances(records, spec)
         np.testing.assert_array_equal(got.counts, counts)
         np.testing.assert_array_equal(got.imputed, imputed)

@@ -1,6 +1,7 @@
 """JSON round-trips for instances and solutions, plus version handling."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,9 +27,7 @@ from chargeplan.model import (
     FORBIDDEN,
     AssignmentPlan,
     InvestmentPlan,
-    Solution,
-    check_feasibility,
-    evaluate_objective,
+    assess,
 )
 
 from conftest import dense, edge_cases, make_instance, random_instance
@@ -236,14 +235,32 @@ class TestSolutionIO:
         with pytest.raises(ValueError, match=field):
             solution_from_dict(dict(doc, **{field: value}), inst)
 
+    @pytest.mark.parametrize("path, value", [
+        (("feasibility", "tol"), "1e-6"), (("feasibility", "tol"), None),
+        (("cost", "total"), "oops"), (("cost", "investment"), True),
+        (("feasibility", "residuals", "budget", "violation"), "0"),
+        (("feasibility", "residuals", "budget", "where"), "ab"),
+        (("feasibility", "residuals", "budget", "where"), [0.5]),
+        (("feasibility", "residuals", "budget"), 0.0),
+        (("feasibility", "residuals"), []), (("cost",), 5), (("stats",), [["a", 1]]),
+    ])
+    def test_mistyped_nested_value_is_a_value_error(self, path, value):
+        inst = make_instance(np.ones((2, 3)))
+        doc = json.loads(json.dumps(solution_to_dict(solve_centralized(inst))))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValueError, match=re.escape(".".join(path))):
+            solution_from_dict(doc, inst)
+
     @given(case=edge_cases(), seed=st.integers(0, 2**16))
     @settings(max_examples=150, deadline=None)
     def test_save_then_load_is_the_identity(self, case, seed):
         inst, z_e = case
         capacity = np.random.default_rng(seed).uniform(-1.0, 5.0, inst.n_locations)
         inv, asg = InvestmentPlan(capacity), AssignmentPlan(inst.range_graph, z_e)
-        sol = Solution(inv, asg, evaluate_objective(inst, inv, asg),
-                       check_feasibility(inst, inv, asg), {"method": "manual"})
+        sol = assess(inst, inv, asg, 1e-6, {"method": "manual"})
         doc = json.loads(json.dumps(solution_to_dict(sol, "abc")))
         back = solution_from_dict(doc, inst)
         assert back.assignment.graph is inst.range_graph

@@ -8,18 +8,12 @@ import pytest
 
 from chargeplan.central import solve_base_model, solve_centralized
 from chargeplan.datagen import GenParams, generate_instance
-from chargeplan.model import (
-    InvestmentPlan,
-    Solution,
-    check_feasibility,
-    evaluate_objective,
-)
+from chargeplan.model import InvestmentPlan, assess
 from chargeplan.report import (
     aggregate_flows,
     round_assignments,
     solution_geojson,
     write_csv_tables,
-    write_geojson,
 )
 
 from conftest import make_instance, plan_of
@@ -45,13 +39,7 @@ def pooled():
     z[1, 1, 0] = 5.0
     inv = InvestmentPlan([5.0, 5.0])
     asg = plan_of(inst, z)
-    sol = Solution(
-        inv,
-        asg,
-        evaluate_objective(inst, inv, asg),
-        check_feasibility(inst, inv, asg),
-        {"method": "manual"},
-    )
+    sol = assess(inst, inv, asg, 1e-6, {"method": "manual"})
     return inst, sol
 
 
@@ -132,11 +120,9 @@ class TestGeojson:
         with pytest.raises(ValueError, match="match"):
             solution_geojson(inst, sol5)
 
-    def test_written_file_is_valid_json(self, tmp_path, pooled):
+    def test_document_is_strict_json(self, pooled):
         inst, sol = pooled
-        path = tmp_path / "out.geojson"
-        write_geojson(inst, sol, path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(json.dumps(solution_geojson(inst, sol), allow_nan=False))
         assert doc["type"] == "FeatureCollection"
 
 
