@@ -150,12 +150,14 @@ def _extract_plans(
 
 def solve_lp(lp: StandardFormLP) -> tuple[np.ndarray, dict]:
     """Solve a built LP with HiGHS, returning the primal point and solver
-    statistics."""
+    statistics.  A row with an infinite right-hand side (an unbounded
+    budget) binds nothing, so HiGHS gets only the finite rows."""
     start = time.perf_counter()
+    finite = np.isfinite(lp.rhs)
     res = scipy.optimize.linprog(
         lp.obj,
-        A_ub=lp.to_coo().tocsr(),
-        b_ub=lp.rhs,
+        A_ub=lp.to_coo().tocsr()[finite],
+        b_ub=lp.rhs[finite],
         bounds=np.column_stack([np.zeros(lp.n_cols), lp.ub]),
         method="highs",
         options={
@@ -165,8 +167,6 @@ def solve_lp(lp: StandardFormLP) -> tuple[np.ndarray, dict]:
     )
     if res.status == 2:
         raise InfeasibleProblemError("LP is infeasible")
-    if res.status == 3:
-        raise RuntimeError("LP reported unbounded; costs should prevent this")
     if not res.success:
         raise ConvergenceError(f"LP solve failed: {res.message}")
     x = np.asarray(res.x)

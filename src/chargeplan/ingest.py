@@ -288,8 +288,10 @@ class _TripReader:
     through the per-row checks of :func:`_row_checks`, and the records keep
     file order.  After a block less than two thirds of whose lines are
     canonical, the next ``_ROW_BLOCKS`` blocks go to the row checks whole,
-    without the array code.  From the first block that holds a quote on, ``csv`` reads
-    the rest of the file row by row, because a quoted field may span lines.
+    without the array code.  From the first block that holds a quote or a lone
+    carriage return on, ``csv`` reads the rest of the file row by row: a
+    quoted field may span lines, and a lone carriage return ends a line to
+    ``csv`` but not to the array code.
     """
 
     def __init__(self, header: list[str]):
@@ -319,12 +321,13 @@ class _TripReader:
         of the line it is at."""
         pieces = []  # an unfinished line, split where the blocks were read
         while chunk := fh.read(_BLOCK_CHARS):
-            if '"' in chunk:
+            if chunk.endswith("\r"):  # it may start a CRLF: keep the pair together
+                chunk += fh.read(1)
+            if '"' in chunk or chunk.count("\r") != chunk.count("\r\n"):
                 text = "".join(pieces) + chunk + fh.readline()
                 self._rows(csv.reader(chain(io.StringIO(text, newline=""), fh)), line)
                 return
-            # a final carriage return may start a CRLF the next chunk ends
-            cut = max(chunk.rfind("\n"), chunk.rfind("\r", 0, len(chunk) - 1)) + 1
+            cut = chunk.rfind("\n") + 1
             if not cut:
                 pieces.append(chunk)
                 continue
@@ -337,7 +340,7 @@ class _TripReader:
 
     def _lines(self, text: str, line: int) -> int:
         """Append the records of whole lines of text, ``line`` the number of
-        the first; how many lines ``csv`` counts in the text."""
+        the first; how many lines the text holds."""
         if self.row_blocks:
             self.row_blocks -= 1
             return self._rows(csv.reader(io.StringIO(text, newline="")), line)
@@ -358,11 +361,12 @@ class _TripReader:
 
     def _block(self, text: str, line: int) -> int:
         """Append the records of whole lines of text, ``line`` the number of
-        the first, with array code; how many lines ``csv`` counts in them."""
+        the first, with array code; how many lines the text holds.  Every
+        carriage return in it starts a CRLF."""
         raw = text.encode("ascii", "replace")  # one byte per character
         buf = np.frombuffer(_PAD + raw + _PAD, dtype=np.uint8)
         first = len(_PAD)
-        # line feeds, carriage returns and commas, found in one pass
+        # line feeds and commas, found in one pass
         marks = np.flatnonzero(buf[first:first + len(raw)] <= ord(",")) + first
         kind = buf[marks]
         ends, commas = marks[kind == ord("\n")], marks[kind == ord(",")]
@@ -375,13 +379,6 @@ class _TripReader:
         line_commas = np.diff(np.searchsorted(commas, ends), prepend=0)
         canonical = ((line_commas == self.n_fields - 1)
                      & (stops - starts <= csv.field_size_limit()))
-        cr = marks[kind == ord("\r")]
-        lone_cr = cr[buf[cr + 1] != ord("\n")]
-        canonical[np.searchsorted(ends, lone_cr)] = False
-        # csv also ends a line at a lone carriage return, so one line may be
-        # several to csv; one ending the text ends its last line
-        csv_lines = np.bincount(np.searchsorted(ends, lone_cr), minlength=len(ends)) + 1
-        csv_lines[-1] -= raw.endswith(b"\r")
 
         # field bounds of the lines with the header's field count
         lines = np.flatnonzero(canonical)
@@ -418,7 +415,7 @@ class _TripReader:
 
         if not canonical.all():
             at, records = self._other_lines(text, line, starts - first, ends - first,
-                                            ~canonical, csv_lines)
+                                            ~canonical)
             if len(at):
                 at = np.searchsorted(lines[keep], at)
                 columns = [np.insert(c, at, np.frombuffer(v, dtype=c.dtype))
@@ -427,34 +424,31 @@ class _TripReader:
             buffer.frombytes(column.view(np.uint8))
         if 3 * np.count_nonzero(canonical) < 2 * len(canonical):
             self.row_blocks = _ROW_BLOCKS
-        return int(csv_lines.sum())
+        return len(ends)
 
-    def _other_lines(self, text, line, starts, ends, other, csv_lines):
+    def _other_lines(self, text, line, starts, ends, other):
         """The records of the lines of ``text`` marked ``other``: for each the
         index of its line, and their values, one typed buffer per column.
 
         ``starts`` and ``ends`` are the offsets of each line and of its line
-        feed (or of the end of the text), ``csv_lines`` how many lines
-        ``csv`` counts in each, and ``line`` the file line of the first.  One
-        ``csv.reader`` reads the marked lines joined."""
+        feed (or of the end of the text), and ``line`` the file line of the
+        first.  One ``csv.reader`` reads the marked lines joined."""
         i = np.flatnonzero(other)
         # runs of consecutive lines, each one slice of the text
         run = np.flatnonzero(np.diff(i, prepend=-2) != 1)
         lo = starts[i[run]].tolist()
         hi = (ends[i[np.append(run[1:], len(i)) - 1]] + 1).tolist()
         joined = "".join([text[a:b] for a, b in zip(lo, hi)])
-        owner = np.repeat(i, csv_lines[i])  # the line of each CSV line read
         records, at = _new_columns(), []
         reader = csv.reader(io.StringIO(joined, newline=""))
         try:
-            # with no quote a row is one CSV line, a blank row an empty one
+            # with no quote and no lone carriage return a row is one CSV
+            # line, a blank row an empty one
             self.skipped += self._appender(records)(reader, at)
         except csv.Error as exc:
-            k = reader.line_num - 1
-            j = owner[k]
-            at_line = line + csv_lines[:j].sum() + k - np.searchsorted(owner, j)
-            raise ValueError(f"trips file line {at_line}: {exc}") from None
-        return owner[np.array(at, dtype=np.intp) - 1], records
+            raise ValueError(f"trips file line {line + i[reader.line_num - 1]}: "
+                             f"{exc}") from None
+        return i[np.array(at, dtype=np.intp) - 1], records
 
 
 def _new_columns() -> tuple[array, ...]:

@@ -8,6 +8,9 @@ store assignments sparsely as (t, i, j, value) triplets and embed a checksum
 of the instance file so mismatched reporting can be detected.  A solution is
 read against its instance: the triplets map onto the instance's range-graph
 edges, so a nonzero one on a diagonal or out-of-range pair is an error.
+Its ``cost`` block and ``feasibility`` residuals are outputs for people:
+reading a solution re-judges the plan it holds, so an edited plan gets the
+cost and verdict it earns, not the ones stored next to it.
 """
 
 from __future__ import annotations
@@ -24,12 +27,10 @@ import numpy as np
 from .model import (
     FORBIDDEN,
     AssignmentPlan,
-    ConstraintResidual,
-    CostBreakdown,
-    FeasibilityReport,
     InvestmentPlan,
     PlanningInstance,
     Solution,
+    assess,
 )
 
 INSTANCE_VERSION = "charge-plan-instance/1"
@@ -187,9 +188,12 @@ def solution_to_dict(solution: Solution, instance_checksum: str | None = None) -
 
 
 def solution_from_dict(doc: dict, instance: PlanningInstance) -> Solution:
-    """Read a solution document for ``instance``.  The document's counts must
-    be the instance's, every triplet must index a cell of the plan, and a
-    nonzero one must sit on an edge of the instance's range graph."""
+    """Read a solution document for ``instance`` and judge its plan there.
+    The document's counts must be the instance's, every triplet must index a
+    cell of the plan, and a nonzero one must sit on an edge of the instance's
+    range graph.  Cost and feasibility come from :func:`~chargeplan.model.assess`
+    at the stored ``feasibility.tol``; the stored ``cost`` and residuals are
+    not read."""
     with _reading(doc, "solution", SOLUTION_VERSION):
         n = int(_whole(doc["n_locations"], "n_locations"))
         T = int(_whole(doc["n_slots"], "n_slots"))
@@ -218,25 +222,10 @@ def solution_from_dict(doc: dict, instance: PlanningInstance) -> Solution:
         capacity = _numbers(doc["capacity"], "capacity", ndim=1)
         if capacity.shape != (n,):
             raise ValueError(f"capacity must have {n} entries, got shape {capacity.shape}")
-        cost = _object(doc["cost"], "cost")
         feasibility = _object(doc["feasibility"], "feasibility")
-        residuals = {}
-        for name, r in _object(feasibility["residuals"], "feasibility.residuals").items():
-            field = f"feasibility.residuals.{name}"
-            r = _object(r, field)
-            where = None if r["where"] is None else tuple(
-                _whole(r["where"], f"{field}.where", ndim=1).tolist())
-            residuals[name] = ConstraintResidual(
-                float(_numbers(r["violation"], f"{field}.violation")), where)
-        return Solution(
-            investment=InvestmentPlan(capacity),
-            assignment=AssignmentPlan(graph, z),
-            cost=CostBreakdown(*(float(_numbers(cost[key], f"cost.{key}"))
-                                 for key in ("investment", "assignment", "total"))),
-            feasibility=FeasibilityReport(
-                residuals, float(_numbers(feasibility["tol"], "feasibility.tol"))),
-            stats=dict(_object(doc.get("stats", {}), "stats")),
-        )
+        return assess(instance, InvestmentPlan(capacity), AssignmentPlan(graph, z),
+                      float(_numbers(feasibility["tol"], "feasibility.tol")),
+                      dict(_object(doc.get("stats", {}), "stats")))
 
 
 def save_solution(solution: Solution, path, instance_checksum: str | None = None) -> None:

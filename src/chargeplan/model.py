@@ -108,14 +108,14 @@ class PlanningInstance:
             raise ValueError("capacity_max must have one entry per location")
         if self.recurrence.shape != (T,):
             raise ValueError("recurrence must have one entry per slot")
-        # every check is written so that NaN fails it; inf stays legal
-        # (FORBIDDEN, an unbounded budget or capacity)
-        if not np.all(self.flow >= 0):
-            raise ValueError("flow entries must be non-negative numbers")
+        # every check is written so that NaN fails it; inf stays legal only
+        # where it means "none" (FORBIDDEN, an unbounded budget or capacity)
+        if not np.all(np.isfinite(self.flow) & (self.flow >= 0)):
+            raise ValueError("flow entries must be finite non-negative numbers")
         if not np.all((self.alpha >= 0) & (self.alpha <= 1)):
             raise ValueError("alpha entries must lie in [0, 1]")
-        if not self.beta >= 0:
-            raise ValueError("beta must be a non-negative number")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError("beta must be a finite non-negative number")
         if np.any(np.diagonal(self.assign_cost) != 0):
             raise ValueError("assign_cost diagonal must be exactly 0")
         if not np.all(self.assign_cost >= 0):
@@ -124,14 +124,17 @@ class PlanningInstance:
             raise ValueError("delay diagonal must be 0")
         if np.any(self.delay < 0) or np.any(self.delay >= self.n_slots):
             raise ValueError("delay entries must lie in [0, n_slots)")
-        if not (self.base_cost >= 0 and np.all(self.location_cost >= 0)):
-            raise ValueError("investment costs must be non-negative numbers")
+        if not 0 <= self.base_cost < math.inf:
+            raise ValueError("investment costs must be finite non-negative numbers: base_cost")
+        if not np.all(np.isfinite(self.location_cost) & (self.location_cost >= 0)):
+            raise ValueError("investment costs must be finite non-negative numbers: "
+                             "location_cost")
         if not self.budget >= 0:
             raise ValueError("budget must be a non-negative number")
         if not np.all(self.capacity_max >= 0):
             raise ValueError("capacity_max must be non-negative numbers")
-        if not np.all(self.recurrence >= 0):
-            raise ValueError("recurrence must be non-negative numbers")
+        if not np.all(np.isfinite(self.recurrence) & (self.recurrence >= 0)):
+            raise ValueError("recurrence must be finite non-negative numbers")
         if not self.range_limit >= 0:
             raise ValueError("range_limit must be a number >= 0")
         if self.distance is not None and self.distance.shape != (n, n):
@@ -140,8 +143,8 @@ class PlanningInstance:
             raise ValueError("distance entries must be numbers")
         if self.coordinates is not None and self.coordinates.shape != (n, 2):
             raise ValueError("coordinates must have shape (n_locations, 2)")
-        if self.coordinates is not None and np.isnan(self.coordinates).any():
-            raise ValueError("coordinates must be numbers")
+        if self.coordinates is not None and not np.isfinite(self.coordinates).all():
+            raise ValueError("coordinates must be finite numbers")
 
     @property
     def charging_demand(self) -> np.ndarray:

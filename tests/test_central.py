@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chargeplan.central import build_lp, solve_base_model, solve_centralized
+from chargeplan.datagen import GenParams, generate_instance
 from chargeplan.model import (
     FORBIDDEN,
     AssignmentPlan,
@@ -237,6 +238,15 @@ class TestSolveCentralized:
         inst = make_instance([[10.0]], beta=2.0, base_cost=10.0, budget=100.0)
         with pytest.raises(InfeasibleProblemError):
             solve_centralized(inst)
+
+    def test_unbounded_budget_solves_as_a_budget_that_never_binds(self):
+        inst = generate_instance(GenParams(n_locations=4, n_slots=8, seed=1, range_km=6.0))
+        a = solve_centralized(dataclasses.replace(inst, budget=np.inf))
+        b = solve_centralized(dataclasses.replace(inst, budget=1e30))
+        assert a.cost == b.cost
+        assert a.feasibility.feasible
+        np.testing.assert_array_equal(a.investment.capacity, b.investment.capacity)
+        np.testing.assert_array_equal(a.assignment.z, b.assignment.z)
 
     def test_duplicate_location_leaves_objective_unchanged(self):
         # splitting one location into two identical halves (each with half

@@ -254,9 +254,10 @@ class TestIngest:
                                                         block):
         # a field over csv's size limit on line 41: on a line longer than a
         # read block, after lines that fill several blocks, or in a block
-        # after lines read by the row checks; quoted, the csv module reads
-        # it, unquoted, the block reader.  csv ends a line at a lone CR too,
-        # so the first 20 lines end with ends[0], the others with ends[1].
+        # after lines read by the row checks; quoted or after a lone CR, the
+        # csv module reads it, otherwise the block reader.  csv ends a line at
+        # a lone CR too, so the first 20 lines end with ends[0], the others
+        # with ends[1].
         lines = TRIPS_50.read_text().splitlines()
         huge = "1" * (csv.field_size_limit() + 1)
         lines[40] = f"{lines[40].rsplit(',', 1)[0]},{quote}{huge}{quote}"
@@ -395,6 +396,23 @@ class TestSolve:
         assert run("--out", str(out), "solve", str(path), "--method", "base") == EXIT_CONFIG
         assert "budget must be a non-negative number" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["flow", "beta", "recurrence", "coordinates"])
+    def test_infinite_instance_value_exit_2(self, tmp_path, capsys, instance_file, field):
+        doc = json.loads(instance_file.read_text())
+        holder, key = doc, field
+        while isinstance(holder[key], list):  # down to the first entry
+            holder, key = holder[key], 0
+        holder[key] = math.inf
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc))
+        for method in ("centralized", "admm", "base"):
+            out = tmp_path / method
+            assert run("--out", str(out), "solve", str(path),
+                       "--method", method) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert field in err and "finite" in err and "Traceback" not in err
+            assert not out.exists()
 
     def test_negative_range_limit_exit_2(self, tmp_path, capsys):
         doc = io.instance_to_dict(make_instance(np.ones((2, 2))))
@@ -586,17 +604,21 @@ class TestReport:
         assert "carries no coordinates" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_mistyped_cost_exit_2_and_nothing_written(self, tmp_path, capsys, instance_file):
+    def test_stored_cost_is_not_read(self, tmp_path, instance_file):
+        # the file's cost block is an output: report re-judges the plan
         sol_path = self._solved(tmp_path, instance_file)
+        assert run("--out", str(tmp_path / "rep"), "report", str(sol_path),
+                   str(instance_file)) == EXIT_OK
         doc = json.loads(sol_path.read_text())
         doc["cost"]["total"] = "oops"
-        sol_path.write_text(json.dumps(doc))
-        out = tmp_path / "rep"
+        sol_path.write_text(json.dumps(doc, indent=1))
+        out = tmp_path / "edited"
         assert run("--out", str(out), "report", str(sol_path),
-                   str(instance_file)) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "cost.total must be a number" in err and "Traceback" not in err
-        assert not out.exists()
+                   str(instance_file)) == EXIT_OK
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "rep").iterdir())
+        for name in names:
+            assert (out / name).read_bytes() == (tmp_path / "rep" / name).read_bytes(), name
 
     def test_checksum_mismatch_exit_2(self, tmp_path, instance_file):
         sol_path = self._solved(tmp_path, instance_file)
@@ -688,6 +710,15 @@ class TestCompare:
             rows = list(csv.DictReader(fh))
         assert [r["method"] for r in rows] == ["base", "centralized", "admm"]
 
+    def test_unbounded_budget_exit_0(self, tmp_path, instance_file):
+        doc = json.loads(instance_file.read_text())
+        path = tmp_path / "unbounded.json"
+        path.write_text(json.dumps(dict(doc, budget=math.inf)))
+        out = tmp_path / "cmp"
+        assert run("--out", str(out), "compare", str(path)) == EXIT_OK
+        doc = json.loads((out / "comparison.json").read_text())
+        assert all(row["feasible"] for row in doc.values())
+
     def test_empty_method_list_exit_2(self, tmp_path, instance_file):
         assert run("--out", str(tmp_path / "c"), "compare", str(instance_file),
                    "--methods", ",") == EXIT_CONFIG
@@ -758,8 +789,8 @@ VALID_CONFIG = {
 #: the commands that read each config section
 SECTION_READERS = {"admm": ("solve", "compare"), "sweep": ("sweep-r",)}
 INPUT_COMMANDS = ("solve", "sweep-r", "report", "compare")
-#: document fields whose absence is valid
-OPTIONAL_FIELDS = {"distance", "coordinates", "stats", "instance_checksum"}
+#: document fields whose absence is valid (a solution's cost is not read)
+OPTIONAL_FIELDS = {"distance", "coordinates", "stats", "instance_checksum", "cost"}
 
 
 @functools.cache

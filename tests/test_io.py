@@ -28,9 +28,18 @@ from chargeplan.model import (
     AssignmentPlan,
     InvestmentPlan,
     assess,
+    check_feasibility,
+    evaluate_objective,
 )
 
 from conftest import dense, edge_cases, make_instance, random_instance
+
+
+def set_nested(doc: dict, path: tuple, value) -> None:
+    """Set ``doc[path[0]][path[1]]...`` to ``value``."""
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
 
 
 def assert_instances_equal(a, b):
@@ -237,22 +246,51 @@ class TestSolutionIO:
 
     @pytest.mark.parametrize("path, value", [
         (("feasibility", "tol"), "1e-6"), (("feasibility", "tol"), None),
+        (("stats",), [["a", 1]]),
+    ])
+    def test_mistyped_nested_value_is_a_value_error(self, path, value):
+        inst = make_instance(np.ones((2, 3)))
+        doc = json.loads(json.dumps(solution_to_dict(solve_centralized(inst))))
+        set_nested(doc, path, value)
+        with pytest.raises(ValueError, match=re.escape(".".join(path))):
+            solution_from_dict(doc, inst)
+
+    @pytest.mark.parametrize("path, value", [
         (("cost", "total"), "oops"), (("cost", "investment"), True),
         (("feasibility", "residuals", "budget", "violation"), "0"),
         (("feasibility", "residuals", "budget", "where"), "ab"),
         (("feasibility", "residuals", "budget", "where"), [0.5]),
         (("feasibility", "residuals", "budget"), 0.0),
-        (("feasibility", "residuals"), []), (("cost",), 5), (("stats",), [["a", 1]]),
+        (("feasibility", "residuals"), []), (("cost",), 5),
+        (("cost", "total"), 1e9), (("feasibility", "feasible"), False),
+        (("feasibility", "residuals", "budget", "violation"), 1e9),
     ])
-    def test_mistyped_nested_value_is_a_value_error(self, path, value):
+    def test_stored_cost_and_residuals_are_not_read(self, path, value):
         inst = make_instance(np.ones((2, 3)))
-        doc = json.loads(json.dumps(solution_to_dict(solve_centralized(inst))))
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        with pytest.raises(ValueError, match=re.escape(".".join(path))):
-            solution_from_dict(doc, inst)
+        sol = solve_centralized(inst)
+        doc = json.loads(json.dumps(solution_to_dict(sol)))
+        set_nested(doc, path, value)
+        back = solution_from_dict(doc, inst)
+        assert back.cost == sol.cost
+        assert back.feasibility == sol.feasibility
+
+    def test_an_edited_plan_is_judged_as_edited(self, tmp_path):
+        inst = generate_instance(GenParams(n_locations=4, n_slots=8, seed=1, range_km=6.0))
+        sol = solve_centralized(inst)
+        path = tmp_path / "solution.json"
+        save_solution(sol, path)
+        doc = json.loads(path.read_text())
+        big = int(np.argmax(doc["capacity"]))
+        doc["capacity"][big] /= 2
+        path.write_text(json.dumps(doc, indent=1))
+        back = load_solution(path, inst)
+        inv = InvestmentPlan(np.array(doc["capacity"]))
+        assert back.cost == evaluate_objective(inst, inv, sol.assignment)
+        assert back.cost.total < sol.cost.total
+        verdict = check_feasibility(inst, inv, sol.assignment, sol.feasibility.tol)
+        assert back.feasibility == verdict
+        assert not back.feasibility.feasible
+        assert back.feasibility.residuals["capacity_satisfaction"].violation > 0
 
     @given(case=edge_cases(), seed=st.integers(0, 2**16))
     @settings(max_examples=150, deadline=None)

@@ -47,6 +47,20 @@ def net_charging_demand(instance, asg, i, t):
     return float(demand)
 
 
+def with_entry(field: str, bad: float):
+    """A 2 x 2 instance with one entry of ``field`` (off the diagonal of a
+    pair matrix) set to ``bad``."""
+    inst = make_instance(np.ones((2, 2)), distance=np.ones((2, 2)),
+                         coordinates=np.zeros((2, 2)))
+    value = getattr(inst, field)
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value.flat[1] = bad
+    else:
+        value = bad
+    return dataclasses.replace(inst, **{field: value})
+
+
 class TestInstanceValidation:
     def test_negative_flow_rejected(self):
         with pytest.raises(ValueError, match="flow"):
@@ -78,16 +92,20 @@ class TestInstanceValidation:
         ("coordinates", "coordinates must be"),
     ])
     def test_nan_rejected_in_every_numeric_field(self, field, message):
-        inst = make_instance(np.ones((2, 2)), distance=np.ones((2, 2)),
-                             coordinates=np.zeros((2, 2)))
-        value = getattr(inst, field)
-        if isinstance(value, np.ndarray):
-            value = value.copy()
-            value.flat[1] = np.nan  # off the diagonal of a pair matrix
-        else:
-            value = np.nan
         with pytest.raises(ValueError, match=message):
-            dataclasses.replace(inst, **{field: value})
+            with_entry(field, np.nan)
+
+    @pytest.mark.parametrize("field", [
+        "flow", "beta", "base_cost", "location_cost", "recurrence", "coordinates",
+    ])
+    def test_inf_rejected_where_it_does_not_mean_unbounded(self, field):
+        with pytest.raises(ValueError, match="finite") as error:
+            with_entry(field, np.inf)
+        assert field in str(error.value)
+
+    @pytest.mark.parametrize("field", ["budget", "capacity_max", "range_limit"])
+    def test_inf_is_legal_where_it_means_unbounded(self, field):
+        assert np.isinf(getattr(with_entry(field, np.inf), field)).any()
 
     def test_arrays_are_readonly(self):
         inst = make_instance([[1.0, 2.0]])
