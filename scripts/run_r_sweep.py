@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the assignment range limit R and tabulate cost against the baseline.
 
-Generates one synthetic instance, re-solves the joint LP for each R, and
-prints investment/assignment/total cost plus the reduction against the
+Generates one synthetic instance, solves the joint LP at each R through
+``chargeplan.central.sweep_range`` (the path ``chargeplan sweep-r`` takes),
+and prints investment/assignment/total cost plus the reduction against the
 no-assignment baseline (R large enough that nothing is reachable is exactly
 that baseline).
 
@@ -11,8 +12,8 @@ Usage:  python3 scripts/run_r_sweep.py [--r 0,1,3,5,7] [--seed 0]
 
 import argparse
 
-from chargeplan.central import solve_base_model, solve_centralized
-from chargeplan.datagen import GenParams, generate_instance, with_range_limit
+from chargeplan.central import solve_base_model, sweep_range
+from chargeplan.datagen import GenParams, generate_instance
 
 
 def main() -> int:
@@ -34,14 +35,13 @@ def main() -> int:
     print(f"baseline (no assignment): {base.cost.total:,.0f}")
     print(f"{'R_km':>6}  {'investment':>14}  {'assignment':>12}  "
           f"{'total':>14}  {'vs base':>8}")
-    for r in (float(v) for v in args.r.split(",")):
-        sol = solve_centralized(with_range_limit(inst, r))
-        red = 100.0 * (base.cost.total - sol.cost.total) / base.cost.total
+    for row in sweep_range(inst, [float(v) for v in args.r.split(",")]):
+        red = 100.0 * (base.cost.total - row["total"]) / base.cost.total
         if abs(red) < 1e-9:
             red = 0.0
         print(
-            f"{r:6.1f}  {sol.cost.investment:14,.0f}  "
-            f"{sol.cost.assignment:12,.0f}  {sol.cost.total:14,.0f}  "
+            f"{row['R_km']:6.1f}  {row['investment']:14,.0f}  "
+            f"{row['assignment']:12,.0f}  {row['total']:14,.0f}  "
             f"{red:7.1f}%"
         )
     return 0

@@ -7,7 +7,15 @@ and range-forbidden pairs) have no column and no row, so the column space
 holds exactly the capacities plus the in-range assignments.  Rows the others
 imply are not written: the LP has ``1 + 2 * n * T`` rows.
 
-``solve_centralized`` solves that LP with scipy's HiGHS backend.  The
+Every solve goes through one HiGHS call path: :func:`highs_model` passes the
+LP to the HiGHS binding scipy bundles (``scipy.optimize._highspy``) once,
+and :func:`solve_lp` runs it and reads back the primal point and the simplex
+iteration count only.  ``scipy.optimize.linprog`` would also fill per-column
+bound multipliers in a Python loop after each solve, about 0.1 s at
+20 x 672, which nothing here reads.  ``solve_centralized`` is one build and
+one solve.  ``sweep_range`` solves the range study on one model: it builds
+the widest R's LP once, closes the columns out of each R's range with zero
+upper bounds, and lets HiGHS re-solve from the previous basis.  The
 embedded dense simplex (:func:`chargeplan.simplex.solve_simplex`) is not a
 production backend; the tests use it as an independent oracle.
 
@@ -22,9 +30,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
+from scipy.optimize._highspy import _core as highspy
 
+from .datagen import with_range_limit
 from .model import (
     AssignmentPlan,
     ConvergenceError,
@@ -148,31 +157,59 @@ def _extract_plans(
     return InvestmentPlan(c), AssignmentPlan(graph, z)
 
 
-def solve_lp(lp: StandardFormLP) -> tuple[np.ndarray, dict]:
-    """Solve a built LP with HiGHS, returning the primal point and solver
-    statistics.  A row with an infinite right-hand side (an unbounded
-    budget) binds nothing, so HiGHS gets only the finite rows."""
-    start = time.perf_counter()
+#: the options every solve runs with: presolve, the dual simplex, the
+#: feasibility tolerances, and no log
+_HIGHS_OPTIONS = {
+    "presolve": "on",
+    "simplex_strategy": int(highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+    "primal_feasibility_tolerance": 1e-8,
+    "dual_feasibility_tolerance": 1e-7,
+    "output_flag": False,
+}
+
+
+def highs_model(lp: StandardFormLP) -> highspy._Highs:
+    """A HiGHS handle holding ``lp``, ready to :func:`solve_lp`.
+
+    A row with an infinite right-hand side (an unbounded budget) binds
+    nothing, so HiGHS gets only the finite rows.  Bounds changed on the
+    handle afterwards keep the basis of its last solve, which the next
+    solve starts from.
+    """
     finite = np.isfinite(lp.rhs)
-    res = scipy.optimize.linprog(
-        lp.obj,
-        A_ub=lp.to_coo().tocsr()[finite],
-        b_ub=lp.rhs[finite],
-        bounds=np.column_stack([np.zeros(lp.n_cols), lp.ub]),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-8,
-            "dual_feasibility_tolerance": 1e-7,
-        },
-    )
-    if res.status == 2:
+    a = scipy.sparse.csc_array(lp.to_coo().tocsr()[finite])
+    model = highspy.HighsLp()
+    model.num_col_, model.num_row_ = a.shape[1], a.shape[0]
+    model.col_cost_, model.col_lower_, model.col_upper_ = lp.obj, np.zeros(lp.n_cols), lp.ub
+    model.row_lower_, model.row_upper_ = np.full(a.shape[0], -np.inf), lp.rhs[finite]
+    matrix = model.a_matrix_
+    matrix.format_ = highspy.MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = model.num_col_, model.num_row_
+    matrix.start_, matrix.index_, matrix.value_ = a.indptr, a.indices, a.data
+    highs = highspy._Highs()
+    for name, value in _HIGHS_OPTIONS.items():
+        highs.setOptionValue(name, value)
+    highs.passModel(model)
+    return highs
+
+
+def solve_lp(lp: StandardFormLP, highs: highspy._Highs | None = None) -> tuple[np.ndarray, dict]:
+    """Solve a built LP with HiGHS, returning the primal point and solver
+    statistics.  ``highs`` is a :func:`highs_model` handle of ``lp`` whose
+    column bounds may since have changed; by default one is made."""
+    start = time.perf_counter()
+    if highs is None:
+        highs = highs_model(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    if status == highspy.HighsModelStatus.kInfeasible:
         raise InfeasibleProblemError("LP is infeasible")
-    if not res.success:
-        raise ConvergenceError(f"LP solve failed: {res.message}")
-    x = np.asarray(res.x)
+    if status != highspy.HighsModelStatus.kOptimal:
+        raise ConvergenceError(f"LP solve failed: {highs.modelStatusToString(status)}")
+    x = np.array(highs.getSolution().col_value)
     stats = {
         "backend": "highs",
-        "iterations": int(getattr(res, "nit", 0)),
+        "iterations": int(highs.getInfo().simplex_iteration_count),
         "wall_ms": 1000.0 * (time.perf_counter() - start),
         "lp_objective": float(lp.obj @ x),
         "n_rows": lp.n_rows,
@@ -186,6 +223,59 @@ def solve_centralized(instance: PlanningInstance) -> Solution:
     x, stats = solve_lp(build_lp(instance))
     stats["method"] = "centralized"
     return assess(instance, *_extract_plans(instance, x), 1e-6, stats)
+
+
+def sweep_range(instance: PlanningInstance, r_values) -> list[dict]:
+    """Solve the joint model at each assignment-range limit (km) of
+    ``r_values``, in the order given, on one warm-started HiGHS model.
+
+    Every limit is applied (:func:`~chargeplan.datagen.with_range_limit`)
+    before anything is solved, so an R the instance cannot be widened to
+    raises first.  Each R's in-range graph is a subgraph of the widest R's,
+    with the same costs and delays, so the widest R's LP is built once and
+    each R closes the assignment columns of the edges out of its range with
+    a zero upper bound.  HiGHS re-solves from the previous R's basis.  Both
+    graphs are origin-major, so ``z[:, open_edges]`` is the plan on the R
+    instance's own graph, which it is priced and judged against.
+
+    Each row holds the R's ``solution`` and reports its investment,
+    assignment, and total cost plus the percentage total-cost reduction
+    relative to the previous row.  A failed solve raises with its R named.
+    """
+    restricted = [(float(r), with_range_limit(instance, float(r))) for r in r_values]
+    if not restricted:
+        return []
+    wide = max(restricted, key=lambda pair: pair[0])[1]
+    lp = build_lp(wide)
+    highs = highs_model(lp)
+    n, T, graph = wide.n_locations, wide.n_slots, wide.range_graph
+    zcols = np.arange(n, lp.n_cols, dtype=np.int32)
+    rows = []
+    prev_total = None
+    for r, inst in restricted:
+        open_edges = np.isfinite(inst.assign_cost[graph.src, graph.dst])
+        ub = np.where(np.tile(open_edges, T), highspy.kHighsInf, 0.0)
+        highs.changeColsBounds(len(zcols), zcols, np.zeros(len(zcols)), ub)
+        try:
+            x, stats = solve_lp(lp, highs)
+        except (InfeasibleProblemError, ConvergenceError) as exc:
+            raise type(exc)(f"R={r:g} km: {exc}") from exc
+        z = x[n:].reshape(T, graph.n_edges)[:, open_edges]
+        stats["method"] = "centralized"
+        solution = assess(inst, *_extract_plans(inst, np.concatenate([x[:n], z.ravel()])),
+                          1e-6, stats)
+        total = solution.cost.total
+        rows.append({
+            "R_km": r,
+            "solution": solution,
+            "investment": solution.cost.investment,
+            "assignment": solution.cost.assignment,
+            "total": total,
+            "reduction_pct": (None if prev_total in (None, 0.0)
+                              else 100.0 * (prev_total - total) / prev_total),
+        })
+        prev_total = total
+    return rows
 
 
 def solve_base_model(instance: PlanningInstance) -> Solution:

@@ -33,9 +33,8 @@ import numpy as np
 
 from . import io
 from .admm import AdmmConfig, run_admm, write_convergence_csv
-from .central import solve_base_model, solve_centralized
-from .datagen import (HORIZON_HOURS, EconParams, GenParams, generate_instance,
-                      with_range_limit)
+from .central import solve_base_model, solve_centralized, sweep_range
+from .datagen import HORIZON_HOURS, EconParams, GenParams, generate_instance
 from .ingest import (
     BinningSpec,
     Zone,
@@ -44,7 +43,7 @@ from .ingest import (
     build_flows,
     parse_trips,
 )
-from .model import ConvergenceError, InfeasibleProblemError, PlanningInstance, Solution
+from .model import ConvergenceError, InfeasibleProblemError, Solution
 from .report import round_assignments, solution_geojson, write_csv_tables
 
 EXIT_OK = 0
@@ -226,50 +225,13 @@ def cmd_solve(args, config: dict) -> int:
     return EXIT_OK
 
 
-def restrict_range(instance: PlanningInstance, r_values) -> list[tuple[float, PlanningInstance]]:
-    """The instance at each assignment-range limit (km), as (R, instance)
-    pairs; an R the instance cannot be widened to raises here, before
-    anything is solved or written."""
-    if not r_values:
-        raise ConfigError("empty R list")
-    return [(float(r), with_range_limit(instance, float(r))) for r in r_values]
-
-
-def sweep_range(restricted: list[tuple[float, PlanningInstance]]) -> list[dict]:
-    """Re-solve the joint model at each of :func:`restrict_range`'s limits.
-
-    Each row reports investment, assignment, and total cost plus the
-    percentage total-cost reduction relative to the previous (smaller) R.
-    """
-    rows = []
-    prev_total = None
-    for r, instance in restricted:
-        solution = solve_centralized(instance)
-        reduction = (
-            None if prev_total in (None, 0.0)
-            else 100.0 * (prev_total - solution.cost.total) / prev_total
-        )
-        rows.append(
-            {
-                "R_km": r,
-                "investment": solution.cost.investment,
-                "assignment": solution.cost.assignment,
-                "total": solution.cost.total,
-                "reduction_pct": reduction,
-            }
-        )
-        prev_total = solution.cost.total
-    return rows
-
-
 def cmd_sweep_r(args, config: dict) -> int:
     sweep = _section(config, "sweep", SweepConfig)
     if args.r_values:
         sweep = SweepConfig([float(v) for v in args.r_values.split(",") if v.strip()])
-    instance = io.load_instance(args.instance)
-    restricted = restrict_range(instance, sweep.r_values)
-
-    rows = sweep_range(restricted)
+    if not sweep.r_values:
+        raise ConfigError("empty R list")
+    rows = sweep_range(io.load_instance(args.instance), sweep.r_values)
     out_dir = Path(args.out)
     _write_resolved(out_dir, {"sweep": dataclasses.asdict(sweep)})
     path = out_dir / "sweep.csv"

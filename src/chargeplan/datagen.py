@@ -124,8 +124,13 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
 def assignment_costs(
     distance: np.ndarray, price_per_km: float, range_km: float
 ) -> np.ndarray:
-    """Piecewise assignment-cost rule: priced within range, forbidden beyond."""
-    cost = np.where(distance >= range_km, FORBIDDEN, price_per_km * distance)
+    """Piecewise assignment-cost rule: priced within range, forbidden beyond.
+
+    Only the in-range pairs are priced, so an infinite distance is never
+    multiplied by the price."""
+    cost = np.full(distance.shape, FORBIDDEN)
+    inside = distance < range_km
+    cost[inside] = price_per_km * distance[inside]
     np.fill_diagonal(cost, 0.0)
     return cost
 
@@ -141,15 +146,17 @@ def with_range_limit(instance: PlanningInstance, range_km: float) -> PlanningIns
     """Rebuild an instance's assignment costs for a different range limit.
 
     Requires the raw distance matrix to be present.  The per-km price is
-    inferred from any priced off-diagonal cell, so an instance that prices
-    no pair can only be given a range that still admits none.
+    inferred from any priced off-diagonal cell at a finite, positive
+    distance, so an instance that prices no such pair can only be given a
+    range that still admits none.
     """
     if instance.distance is None:
         raise ValueError("instance does not carry raw distances")
     off = ~np.eye(instance.n_locations, dtype=bool)
-    finite = off & np.isfinite(instance.assign_cost) & (instance.distance > 0)
-    if finite.any():
-        i, j = np.argwhere(finite)[0]
+    priced = (off & np.isfinite(instance.assign_cost) & np.isfinite(instance.distance)
+              & (instance.distance > 0))
+    if priced.any():
+        i, j = np.argwhere(priced)[0]
         price_per_km = float(instance.assign_cost[i, j] / instance.distance[i, j])
     elif np.any(off & (instance.distance < range_km)):
         raise ValueError(

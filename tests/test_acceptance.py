@@ -16,8 +16,7 @@ import pytest
 import scipy.optimize
 
 from chargeplan.admm import AdmmConfig, run_admm, solve_master
-from chargeplan.central import build_lp, solve_base_model, solve_centralized
-from chargeplan.cli import restrict_range, sweep_range
+from chargeplan.central import build_lp, solve_base_model, solve_centralized, sweep_range
 from chargeplan.datagen import GenParams, generate_instance, sample_alpha
 from chargeplan.ingest import BinningSpec, build_distances, build_flows, parse_trips
 from chargeplan.io import instance_from_dict
@@ -161,7 +160,7 @@ def test_criterion_4_joint_beats_baseline(het_instance):
 def test_criterion_5_range_sweep_monotonicity(het_instance):
     """Widening the range limit never hurts: totals and investment are
     non-increasing, assignment is non-decreasing, and R=0 is the baseline."""
-    rows = sweep_range(restrict_range(het_instance, [0.0, 1.0, 3.0, 5.0, 7.0]))
+    rows = sweep_range(het_instance, [0.0, 1.0, 3.0, 5.0, 7.0])
     totals = [r["total"] for r in rows]
     invests = [r["investment"] for r in rows]
     assigns = [r["assignment"] for r in rows]

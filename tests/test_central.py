@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chargeplan.central import build_lp, solve_base_model, solve_centralized
-from chargeplan.datagen import GenParams, generate_instance
+from chargeplan.central import build_lp, solve_base_model, solve_centralized, sweep_range
+from chargeplan.datagen import GenParams, generate_instance, with_range_limit
 from chargeplan.model import (
     FORBIDDEN,
     AssignmentPlan,
@@ -299,6 +299,68 @@ class TestBackendsDifferential:
             assert report.feasible, report.residuals
             # net demand >= 0 holds without a row of its own
             assert net_demand_matrix(inst, sol.assignment).min() >= -1e-6
+
+
+@st.composite
+def sweep_cases(draw):
+    """Small generated instances under delays that wrap the horizon, caps
+    and a budget around the no-assignment plan, and an R list (km) that may
+    be unordered, descending or repeat an R."""
+    n, T = draw(st.integers(2, 5)), draw(st.integers(2, 8))
+    inst = generate_instance(GenParams(n_locations=n, n_slots=T,
+                                       seed=draw(st.integers(0, 2**16)), range_km=20.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    delay = rng.integers(0, T, size=(n, n))
+    np.fill_diagonal(delay, 0)
+    peak = inst.beta * inst.charging_demand.max(axis=0)
+    inst = dataclasses.replace(
+        inst,
+        delay=delay,
+        capacity_max=peak * draw(st.floats(0.8, 1.3)),
+        budget=float(inst.unit_investment_cost @ peak) * draw(st.floats(0.8, 1.3)),
+    )
+    r_values = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, 4.0, 6.0, 9.0, 20.0])
+                             | st.floats(0.0, 15.0), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        r_values.sort(reverse=True)
+    return inst, r_values
+
+
+class TestRangeSweep:
+    @example(case=(generate_instance(GenParams(n_locations=9, n_slots=24, seed=0,
+                                               range_km=8.0)), [7.0, 0.0, 3.0, 3.0, 10.0, 1.0, 5.0]))
+    @given(case=sweep_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_warm_sweep_equals_cold_solves(self, case):
+        inst, r_values = case
+        cold = []
+        for r in r_values:
+            try:
+                cold.append(solve_centralized(with_range_limit(inst, r)))
+            except InfeasibleProblemError:
+                break
+        solved = r_values[:len(cold)]
+        if len(cold) < len(r_values):
+            # both routes stop at the same first infeasible R
+            with pytest.raises(InfeasibleProblemError,
+                               match=f"^R={r_values[len(cold)]:g} km: "):
+                sweep_range(inst, r_values)
+        rows = sweep_range(inst, solved)
+        assert [row["R_km"] for row in rows] == solved
+        for r, row, ref in zip(solved, rows, cold):
+            assert row["total"] == pytest.approx(ref.cost.total, rel=1e-9, abs=1e-9)
+            sol = row["solution"]
+            assert sol.cost.total == row["total"]
+            assert sol.feasibility.feasible and sol.feasibility.tol == 1e-6
+            # judged again on a freshly restricted instance's own graph
+            at_r = with_range_limit(inst, r)
+            plan = AssignmentPlan(at_r.range_graph, sol.assignment.z)
+            report = check_feasibility(at_r, sol.investment, plan, tol=1e-6)
+            assert report.feasible, (r, report.residuals)
+
+    def test_empty_r_list_solves_nothing(self):
+        inst = generate_instance(GenParams(n_locations=3, n_slots=4, seed=0))
+        assert sweep_range(inst, []) == []
 
 
 class TestBaseModel:

@@ -15,7 +15,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -56,9 +55,9 @@ def instance_file(tmp_path):
 
 
 def highs_fails():
-    """Make every HiGHS solve stop short of optimality (status 1)."""
-    return mock.patch("scipy.optimize.linprog", return_value=scipy.optimize.OptimizeResult(
-        status=1, success=False, message="Iteration limit reached."))
+    """Make every HiGHS solve stop short of optimality (iteration limit)."""
+    return mock.patch.object(central.highspy._Highs, "getModelStatus",
+                             return_value=central.highspy.HighsModelStatus.kIterationLimit)
 
 
 #: every key the retired ``solver`` config section ever took, with a value
@@ -509,6 +508,20 @@ class TestSweepR:
         assert run("--out", str(out), "sweep-r", str(instance_file),
                    "--r-values=0,-1") == EXIT_CONFIG
         assert "range_limit must be a number >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infeasible_r_is_named_and_nothing_written(self, tmp_path, capsys, instance_file):
+        # caps at 0.9 of each own peak: R = 7 can redirect the excess, R = 0
+        # cannot, and the sweep stops there
+        doc = json.loads(instance_file.read_text())
+        demand = np.asarray(doc["alpha"]) * np.asarray(doc["flow"])
+        doc["capacity_max"] = (0.9 * doc["beta"] * demand.max(axis=0)).tolist()
+        path = tmp_path / "tight.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sweep"
+        assert run("--out", str(out), "sweep-r", str(path),
+                   "--r-values", "7,0,3") == EXIT_INFEASIBLE
+        assert "infeasible: R=0 km: LP is infeasible" in capsys.readouterr().err
         assert not out.exists()
 
     def test_lp_failure_exit_4(self, tmp_path, instance_file):

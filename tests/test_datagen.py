@@ -1,5 +1,8 @@
 """Synthetic instance generator: pricing rules, profiles, determinism."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from chargeplan.datagen import (
     travel_delays,
     with_range_limit,
 )
-from chargeplan.io import instance_to_dict
+from chargeplan.io import instance_from_dict, instance_to_dict
 from chargeplan.model import FORBIDDEN
 
 
@@ -184,6 +187,22 @@ class TestWithRangeLimit:
         wide = with_range_limit(inst, 100.0)
         i, j = 0, 1
         assert wide.assign_cost[i, j] == pytest.approx(1.7 * inst.distance[i, j])
+
+    def test_price_is_read_from_a_pair_at_a_finite_distance(self):
+        # the first priced pair (0 -> 1) lies at an infinite distance in the
+        # file, so the price comes from another pair, and that pair alone
+        # stays forbidden at any range
+        inst = generate_instance(GenParams(n_locations=4, n_slots=8, seed=1, range_km=6.0))
+        doc = instance_to_dict(inst)
+        doc["distance"][0][1] = float("inf")
+        edited = instance_from_dict(json.loads(json.dumps(doc)))
+        assert np.isfinite(edited.assign_cost[0, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide = with_range_limit(edited, 100.0)
+        expected = 0.2 * inst.distance
+        expected[0, 1] = FORBIDDEN
+        np.testing.assert_allclose(wide.assign_cost, expected, rtol=1e-12)
 
     def test_unpriced_instance_needs_a_price_to_admit_pairs(self):
         inst = generate_instance(GenParams(n_locations=5, n_slots=24, seed=3,
