@@ -65,7 +65,7 @@ def external_objective(instance: PlanningInstance, workdir: Path) -> float:
     back = read_mps(mps_path)
     res = scipy.optimize.linprog(
         back.obj,
-        A_ub=back.to_coo().tocsr(),
+        A_ub=back.matrix(),
         b_ub=back.rhs,
         bounds=[(0.0, u) for u in back.ub],
         method="highs",

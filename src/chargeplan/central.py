@@ -5,19 +5,22 @@ standard-form LP with numpy, one assignment column per slot and edge of the
 instance's :class:`~chargeplan.model.RangeGraph`.  Structural zeros (diagonal
 and range-forbidden pairs) have no column and no row, so the column space
 holds exactly the capacities plus the in-range assignments.  Rows the others
-imply are not written: the LP has ``1 + 2 * n * T`` rows.
+imply are not written: the LP has ``1 + 2 * n * T`` rows.  The matrix is
+written straight into compressed sparse columns, the one layout that HiGHS
+and :mod:`chargeplan.mps` both read.
 
 Every solve goes through one HiGHS call path: :func:`highs_model` passes the
-LP to the HiGHS binding scipy bundles (``scipy.optimize._highspy``) once,
-and :func:`solve_lp` runs it and reads back the primal point and the simplex
-iteration count only.  ``scipy.optimize.linprog`` would also fill per-column
-bound multipliers in a Python loop after each solve, about 0.1 s at
-20 x 672, which nothing here reads.  ``solve_centralized`` is one build and
-one solve.  ``sweep_range`` solves the range study on one model: it builds
-the widest R's LP once, closes the columns out of each R's range with zero
-upper bounds, and lets HiGHS re-solve from the previous basis.  The
-embedded dense simplex (:func:`chargeplan.simplex.solve_simplex`) is not a
-production backend; the tests use it as an independent oracle.
+LP, every row of it and the column arrays as built, to the HiGHS binding
+scipy bundles (``scipy.optimize._highspy``) once, and :func:`solve_lp` runs
+it and reads back the primal point and the simplex iteration count only.
+``scipy.optimize.linprog`` would also fill per-column bound multipliers in a
+Python loop after each solve, about 0.1 s at 20 x 672, which nothing here
+reads.  ``solve_centralized`` is one build and one solve.  ``sweep_range``
+solves the range study on one model: it builds the widest R's LP once,
+closes the columns out of each R's range with zero upper bounds, and lets
+HiGHS re-solve from the previous basis.  The embedded dense simplex
+(:func:`chargeplan.simplex.solve_simplex`) is not a production backend; the
+tests use it as an independent oracle.
 
 ``solve_base_model`` is the no-assignment baseline the joint plan is compared
 with.  Both return through :func:`chargeplan.model.assess`, so their costs
@@ -54,16 +57,18 @@ class StandardFormLP:
     """Sparse standard-form LP: ``min obj @ x`` over ``A x <= rhs``,
     ``0 <= x <= ub``.
 
-    ``A`` is given as parallel (row, col, value) triplet arrays.  Columns are
-    the ``n_locations`` capacities, then one assignment per slot and edge,
-    slot-major, where ``edges`` holds the range graph's (E, 2) ``(src, dst)``
-    pairs.  :mod:`chargeplan.mps` names rows and columns from this layout.
+    ``A`` is held column-major, the layout HiGHS and MPS both use: column
+    ``k``'s entries are ``index[start[k]:start[k + 1]]`` (rows, ascending)
+    and ``vals[start[k]:start[k + 1]]``.  Columns are the ``n_locations``
+    capacities, then one assignment per slot and edge, slot-major, where
+    ``edges`` holds the range graph's (E, 2) ``(src, dst)`` pairs.
+    :mod:`chargeplan.mps` names rows and columns from this layout.
     """
 
     n_rows: int
     n_cols: int
-    rows: np.ndarray
-    cols: np.ndarray
+    start: np.ndarray
+    index: np.ndarray
     vals: np.ndarray
     rhs: np.ndarray
     ub: np.ndarray
@@ -72,14 +77,14 @@ class StandardFormLP:
     n_slots: int
     edges: np.ndarray = field(repr=False)
 
-    def to_coo(self) -> scipy.sparse.coo_matrix:
-        return scipy.sparse.coo_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self.n_rows, self.n_cols)
+    def matrix(self) -> scipy.sparse.csc_array:
+        return scipy.sparse.csc_array(
+            (self.vals, self.index, self.start), shape=(self.n_rows, self.n_cols)
         )
 
 
 def build_lp(instance: PlanningInstance) -> StandardFormLP:
-    """Lower the joint problem to standard form.
+    """Lower the joint problem to standard form, column by column.
 
     Rows: one budget row, one flow-conservation row per (location, slot)
     (``FLOW_i_t``: outflow fits under the demand), and one capacity row per
@@ -104,26 +109,25 @@ def build_lp(instance: PlanningInstance) -> StandardFormLP:
 
     # Row (location, slot) of each family sits at offset + location * T + slot.
     flow0, capu0 = 1, 1 + n * T
-    loc = np.arange(n)
-    zcols = np.arange(n, n_cols)
     w = instance.unit_investment_cost
-    blocks = [
-        # budget: sum_i w_i c_i <= budget
-        (np.zeros(n, dtype=int), loc, w),
-        # capacity upper side: -beta*outflow + beta*inflow - c_i <= -beta*demand
-        (capu0 + np.arange(n * T), np.repeat(loc, T), np.full(n * T, -1.0)),
-        # flow conservation: sum_j z[t,i,j] <= alpha*flow
-        (flow0 + i * T + t, zcols, np.ones(len(t))),
-    ]
+    # capacity column i: w_i in the budget row (sum_i w_i c_i <= budget), -1
+    # in each of its T CAPU rows (beta*(inflow - outflow) - c_i <= -beta*demand)
+    c_index = np.column_stack([np.zeros(n, dtype=int),
+                               capu0 + np.arange(n * T).reshape(n, T)])
+    c_vals = np.column_stack([w, np.full((n, T), -1.0)])
+    # assignment column: 1 in its FLOW row; unless beta = 0, also -beta in the
+    # origin's CAPU row at departure and beta in the destination's CAPU row
+    # delay[i, j] slots later (cyclic), the lower-numbered location first
+    z_index, z_vals = [flow0 + i * T + t], [np.ones(len(t))]
     if beta != 0.0:
-        # departure relieves i in slot t; arrival loads j delay[i, j] slots
-        # later (cyclic)
-        t_arr = (t + np.tile(graph.delay, T)) % T
-        blocks += [
-            (capu0 + i * T + t, zcols, np.full(len(t), -beta)),
-            (capu0 + j * T + t_arr, zcols, np.full(len(t), beta)),
-        ]
-    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+        out_row = capu0 + i * T + t
+        in_row = capu0 + j * T + (t + np.tile(graph.delay, T)) % T
+        first = i < j
+        z_index += [np.where(first, out_row, in_row), np.where(first, in_row, out_row)]
+        z_vals += [np.where(first, -beta, beta), np.where(first, beta, -beta)]
+    start = np.concatenate([np.arange(n) * (1 + T),
+                            n * (1 + T) + np.arange(len(t) + 1) * len(z_index)])
+    index = np.concatenate([c_index.ravel(), np.column_stack(z_index).ravel()])
 
     rhs = np.concatenate(
         [[float(instance.budget)], demand.T.ravel(), (-beta * demand).T.ravel()]
@@ -135,9 +139,9 @@ def build_lp(instance: PlanningInstance) -> StandardFormLP:
     return StandardFormLP(
         n_rows=n_rows,
         n_cols=n_cols,
-        rows=rows,
-        cols=cols,
-        vals=vals,
+        start=start.astype(np.int32),
+        index=index.astype(np.int32),
+        vals=np.concatenate([c_vals.ravel(), np.column_stack(z_vals).ravel()]),
         rhs=rhs,
         ub=ub,
         obj=obj,
@@ -169,27 +173,23 @@ _HIGHS_OPTIONS = {
 
 
 def highs_model(lp: StandardFormLP) -> highspy._Highs:
-    """A HiGHS handle holding ``lp``, ready to :func:`solve_lp`.
-
-    A row with an infinite right-hand side (an unbounded budget) binds
-    nothing, so HiGHS gets only the finite rows.  Bounds changed on the
-    handle afterwards keep the basis of its last solve, which the next
-    solve starts from.
+    """A HiGHS handle holding ``lp`` as it is: every row, in row order, and
+    the column-major arrays, which the binding reads in place rather than
+    copying element by element into a ``HighsLp``.  A row with an infinite
+    right-hand side (an unbounded budget) is free to HiGHS.  Bounds changed
+    on the handle afterwards keep the basis of its last solve, which the
+    next solve starts from.
     """
-    finite = np.isfinite(lp.rhs)
-    a = scipy.sparse.csc_array(lp.to_coo().tocsr()[finite])
-    model = highspy.HighsLp()
-    model.num_col_, model.num_row_ = a.shape[1], a.shape[0]
-    model.col_cost_, model.col_lower_, model.col_upper_ = lp.obj, np.zeros(lp.n_cols), lp.ub
-    model.row_lower_, model.row_upper_ = np.full(a.shape[0], -np.inf), lp.rhs[finite]
-    matrix = model.a_matrix_
-    matrix.format_ = highspy.MatrixFormat.kColwise
-    matrix.num_col_, matrix.num_row_ = model.num_col_, model.num_row_
-    matrix.start_, matrix.index_, matrix.value_ = a.indptr, a.indices, a.data
     highs = highspy._Highs()
     for name, value in _HIGHS_OPTIONS.items():
         highs.setOptionValue(name, value)
-    highs.passModel(model)
+    # the binding reads n_cols integrality flags: every column is continuous
+    highs.passModel(
+        lp.n_cols, lp.n_rows, len(lp.vals), highspy.MatrixFormat.kColwise,
+        highspy.ObjSense.kMinimize, 0.0, lp.obj, np.zeros(lp.n_cols), lp.ub,
+        np.full(lp.n_rows, -np.inf), lp.rhs, lp.start, lp.index, lp.vals,
+        np.zeros(lp.n_cols, dtype=np.int32),
+    )
     return highs
 
 

@@ -212,7 +212,8 @@ class ParseResult:
 
 
 def parse_trips(path) -> ParseResult:
-    """Read trip records from CSV; malformed rows are counted, not fatal.
+    """Read trip records from a UTF-8 CSV, with or without a byte-order
+    mark; malformed rows are counted, not fatal.
 
     Columns are found by header name (the last of duplicated names wins).
     Blank lines are ignored.  A row is malformed, and counted in
@@ -222,7 +223,7 @@ def parse_trips(path) -> ParseResult:
     empty or absent ``distance_km`` means the distance is not given.  A
     field longer than ``csv.field_size_limit()`` is an error naming its line.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

@@ -335,12 +335,6 @@ def _plan_graph(instance: PlanningInstance, asg: AssignmentPlan) -> RangeGraph:
     return graph
 
 
-def net_demand_matrix(instance: PlanningInstance, asg: AssignmentPlan) -> np.ndarray:
-    """Delay-aware net charging demand (EV counts) for every (slot, location)."""
-    graph = _plan_graph(instance, asg)
-    return instance.charging_demand - graph.outflow(asg.z) + graph.inflow(asg.z)
-
-
 def evaluate_objective(
     instance: PlanningInstance, inv: InvestmentPlan, asg: AssignmentPlan
 ) -> CostBreakdown:

@@ -6,6 +6,9 @@ double exactly; modern solvers read the widened layout as free-format MPS).
 This module alone makes and reads the names, which encode their model meaning
 losslessly, 1-based: ``C_<i>`` for capacities and ``Z_<i>_<j>_<t>`` for
 assignments; ``BUDGET``, ``FLOW_<i>_<t>`` and ``CAPU_<i>_<t>`` for rows.
+MPS lists the matrix column by column, as :class:`StandardFormLP` holds it:
+the writer walks the columns' ``start`` offsets, and the reader collects the
+entries in file order.
 """
 
 from __future__ import annotations
@@ -44,23 +47,19 @@ def row_names(lp: StandardFormLP) -> list[str]:
 
 
 def write_mps(lp: StandardFormLP, path) -> None:
-    """Write the LP as an MPS file; the triplet matrix round-trips exactly."""
+    """Write the LP as an MPS file; the matrix round-trips exactly, each
+    column's entries in the LP's (ascending) row order."""
     rnames = row_names(lp)
     lines = ["NAME          CHARGEPLAN", "ROWS", f" N  {_OBJ_ROW}"]
     lines += [f" L  {rname}" for rname in rnames]
-
-    # column-major entry lists, preserving row order within each column
-    by_col: list[list[tuple[str, float]]] = [[] for _ in range(lp.n_cols)]
-    for r, c, v in zip(lp.rows, lp.cols, lp.vals):
-        by_col[int(c)].append((rnames[int(r)], float(v)))
 
     cnames = col_names(lp)
     lines.append("COLUMNS")
     for k, cname in enumerate(cnames):
         if lp.obj[k] != 0.0:
             lines.append(f"    {cname:<12}  {_OBJ_ROW:<12}  {_fmt(lp.obj[k])}")
-        for rname, v in by_col[k]:
-            lines.append(f"    {cname:<12}  {rname:<12}  {_fmt(v)}")
+        for p in range(lp.start[k], lp.start[k + 1]):
+            lines.append(f"    {cname:<12}  {rnames[lp.index[p]]:<12}  {_fmt(lp.vals[p])}")
 
     lines.append("RHS")
     for r, b in enumerate(lp.rhs):
@@ -88,8 +87,8 @@ def read_mps(path) -> StandardFormLP:
     row_index: dict[str, int] = {}
     cnames: list[str] = []
     col_index: dict[str, int] = {}
-    rows: list[int] = []
-    cols: list[int] = []
+    start: list[int] = [0]
+    index: list[int] = []
     vals: list[float] = []
     obj_entries: dict[int, float] = {}
     rhs_entries: dict[int, float] = {}
@@ -116,13 +115,15 @@ def read_mps(path) -> StandardFormLP:
             if cname not in col_index:
                 col_index[cname] = len(cnames)
                 cnames.append(cname)
-            k = col_index[cname]
+                start.append(start[-1])
+            elif cname != cnames[-1]:
+                raise ValueError(f"column {cname}: its entries are not contiguous")
             if rname == _OBJ_ROW:
-                obj_entries[k] = float(value)
+                obj_entries[col_index[cname]] = float(value)
             else:
-                rows.append(row_index[rname])
-                cols.append(k)
+                index.append(row_index[rname])
                 vals.append(float(value))
+                start[-1] += 1
         elif section == "RHS":
             _, rname, value = fields
             rhs_entries[row_index[rname]] = float(value)
@@ -155,8 +156,8 @@ def read_mps(path) -> StandardFormLP:
     lp = StandardFormLP(
         n_rows=n_rows,
         n_cols=n_cols,
-        rows=np.array(rows, dtype=int),
-        cols=np.array(cols, dtype=int),
+        start=np.array(start, dtype=np.int32),
+        index=np.array(index, dtype=np.int32),
         vals=np.array(vals, dtype=float),
         rhs=rhs,
         ub=ub,

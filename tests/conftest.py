@@ -16,6 +16,7 @@ from chargeplan.model import (
     InfeasibleProblemError,
     PlanningInstance,
     Solution,
+    _plan_graph,
     assess,
 )
 
@@ -140,13 +141,19 @@ def plan_of(instance, z) -> AssignmentPlan:
     return AssignmentPlan(graph, z[:, graph.src, graph.dst])
 
 
+def net_demand_matrix(instance: PlanningInstance, asg: AssignmentPlan) -> np.ndarray:
+    """Delay-aware net charging demand (EV counts) for every (slot, location)."""
+    graph = _plan_graph(instance, asg)
+    return instance.charging_demand - graph.outflow(asg.z) + graph.inflow(asg.z)
+
+
 def solve_with_simplex(instance: PlanningInstance) -> Solution:
     """The central LP solved by the embedded dense simplex, the oracle that
     HiGHS is checked against.  Finite upper bounds become explicit rows
     ``x_k <= ub_k``, since the simplex takes only ``x >= 0``."""
     lp = build_lp(instance)
     bounded = np.isfinite(lp.ub)
-    A = np.vstack([lp.to_coo().toarray(), np.eye(lp.n_cols)[bounded]])
+    A = np.vstack([lp.matrix().toarray(), np.eye(lp.n_cols)[bounded]])
     b = np.concatenate([lp.rhs, lp.ub[bounded]])
     res = solve_simplex(lp.obj, A, b)
     if res.status == "infeasible":

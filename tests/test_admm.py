@@ -27,10 +27,17 @@ from chargeplan.model import (
     InfeasibleProblemError,
     RangeGraph,
     delayed_inflow,
-    net_demand_matrix,
 )
 
-from conftest import dense, edge_cases, forbidden, make_instance, plan_of, random_instance
+from conftest import (
+    dense,
+    edge_cases,
+    forbidden,
+    make_instance,
+    net_demand_matrix,
+    plan_of,
+    random_instance,
+)
 
 # per-cell shipping limit high enough that no small case reaches it
 UNBOUNDED_CAPS = 1e4

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chargeplan.central import build_lp, solve_base_model, solve_centralized, sweep_range
+from chargeplan.central import (
+    build_lp,
+    highs_model,
+    solve_base_model,
+    solve_centralized,
+    sweep_range,
+)
 from chargeplan.datagen import GenParams, generate_instance, with_range_limit
 from chargeplan.model import (
     FORBIDDEN,
@@ -18,7 +24,6 @@ from chargeplan.model import (
     check_feasibility,
     delayed_inflow,
     evaluate_objective,
-    net_demand_matrix,
 )
 
 from chargeplan.mps import col_names, row_names
@@ -27,6 +32,7 @@ from conftest import (
     edge_cases,
     forbidden,
     make_instance,
+    net_demand_matrix,
     random_instance,
     solve_with_simplex,
 )
@@ -135,7 +141,7 @@ class TestBuildLp:
             np.ones((1, 2)), base_cost=500.0, location_cost=[0.0, 100.0]
         )
         lp = build_lp(inst)
-        A = lp.to_coo().toarray()
+        A = lp.matrix().toarray()
         np.testing.assert_allclose(A[0, :2], [500.0, 600.0])
         np.testing.assert_allclose(A[0, 2:], 0.0)
         assert lp.rhs[0] == inst.budget
@@ -144,7 +150,7 @@ class TestBuildLp:
         delay = np.array([[0, 1], [0, 0]])
         inst = make_instance(np.full((2, 2), 4.0), beta=2.0, delay=delay)
         lp = build_lp(inst)
-        A = lp.to_coo().toarray()
+        A = lp.matrix().toarray()
         names = {n: k for k, n in enumerate(row_names(lp))}
         col = col_names(lp).index("Z_1_2_1")  # 1 -> 2 departing slot 1
         # departure relieves location 1 in slot 1
@@ -169,6 +175,43 @@ class TestBuildLp:
         inst = make_instance([[1.0]], capacity_max=[42.0])
         lp = build_lp(inst)
         assert lp.ub[0] == 42.0
+
+
+class TestHighsModel:
+    """The HiGHS handle holds the LP exactly: every row in row order, the
+    bounds and costs, and the column-major arrays as built."""
+
+    @staticmethod
+    def assert_holds(lp):
+        model = highs_model(lp).getLp()
+        assert (model.num_row_, model.num_col_) == (lp.n_rows, lp.n_cols)
+        np.testing.assert_array_equal(model.row_upper_, lp.rhs)  # inf kept
+        np.testing.assert_array_equal(model.row_lower_, np.full(lp.n_rows, -np.inf))
+        np.testing.assert_array_equal(model.col_lower_, np.zeros(lp.n_cols))
+        np.testing.assert_array_equal(model.col_upper_, lp.ub)
+        np.testing.assert_array_equal(model.col_cost_, lp.obj)
+        matrix = model.a_matrix_
+        np.testing.assert_array_equal(matrix.start_, lp.start)
+        np.testing.assert_array_equal(matrix.index_, lp.index)
+        np.testing.assert_array_equal(matrix.value_, lp.vals)
+
+    @given(case=edge_cases(), unbounded=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_handle_holds_the_lp(self, case, unbounded):
+        inst, _ = case
+        if unbounded:
+            inst = dataclasses.replace(inst, budget=np.inf)
+        self.assert_holds(build_lp(inst))
+
+    def test_unbounded_budget_keeps_its_row(self):
+        # row k of HiGHS is row k of the LP, so row duals read in row_names order
+        inst = generate_instance(GenParams(n_locations=4, n_slots=8, seed=1, range_km=6.0))
+        lp = build_lp(dataclasses.replace(inst, budget=np.inf))
+        assert lp.rhs[0] == np.inf
+        self.assert_holds(lp)
+        highs = highs_model(lp)
+        highs.run()
+        assert len(highs.getSolution().row_dual) == lp.n_rows == len(row_names(lp))
 
 
 class TestSolveCentralized:

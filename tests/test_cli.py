@@ -174,6 +174,18 @@ class TestIngest:
         assert summary == {"records_read": 50, "skipped": 3, "dropped": 4,
                            "retained": 43, "zones": 4, "imputed_pairs": 8}
 
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        # a UTF-8 trips file that starts with a byte-order mark reads as the
+        # same file without one
+        trips = tmp_path / "bom.csv"
+        trips.write_bytes(b"\xef\xbb\xbf" + TRIPS_50.read_bytes())
+        code, plain = ingest(tmp_path, GRID_2X2)
+        assert code == EXIT_OK
+        code, bom = ingest(tmp_path, GRID_2X2, trips=trips, name="bom")
+        assert code == EXIT_OK
+        for name in ("instance.json", "ingest_summary.json"):
+            assert (bom / name).read_bytes() == (plain / name).read_bytes()
+
     def test_zone_list_config_round_trips(self, tmp_path):
         code, out = ingest(tmp_path, THREE_ZONES)
         assert code == EXIT_OK

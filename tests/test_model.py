@@ -14,10 +14,17 @@ from chargeplan.model import (
     check_feasibility,
     delayed_inflow,
     evaluate_objective,
-    net_demand_matrix,
 )
 
-from conftest import dense, edge_cases, forbidden, make_instance, plan_of, random_instance
+from conftest import (
+    dense,
+    edge_cases,
+    forbidden,
+    make_instance,
+    net_demand_matrix,
+    plan_of,
+    random_instance,
+)
 
 
 def loop_delayed_inflow(z, delay):

@@ -13,9 +13,10 @@ from chargeplan.mps import col_names, read_mps, row_names, write_mps
 from conftest import edge_cases, make_instance, random_instance
 
 
-def triplet_set(lp):
-    """The constraint matrix as a set of exact (row, col, value) triplets."""
-    return {(int(r), int(c), float(v)) for r, c, v in zip(lp.rows, lp.cols, lp.vals)}
+def assert_same_matrix(back, lp):
+    """The column-major arrays agree exactly, not approximately."""
+    for name in ("start", "index", "vals"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(lp, name))
 
 
 def assert_same_lp(back, lp):
@@ -23,7 +24,7 @@ def assert_same_lp(back, lp):
     assert (back.n_locations, back.n_slots) == (lp.n_locations, lp.n_slots)
     assert row_names(back) == row_names(lp)
     assert col_names(back) == col_names(lp)
-    assert triplet_set(back) == triplet_set(lp)  # exact, not approximate
+    assert_same_matrix(back, lp)
     np.testing.assert_array_equal(back.rhs, lp.rhs)
     np.testing.assert_array_equal(back.obj, lp.obj)
     np.testing.assert_array_equal(back.ub, lp.ub)
@@ -112,7 +113,7 @@ def test_awkward_doubles_survive(tmp_path):
     path = tmp_path / "awkward.mps"
     write_mps(lp, path)
     back = read_mps(path)
-    assert triplet_set(back) == triplet_set(lp)
+    assert_same_matrix(back, lp)
     np.testing.assert_array_equal(back.rhs, lp.rhs)
 
 
@@ -142,6 +143,17 @@ def test_names_off_the_layout_rejected(tmp_path):
     write_mps(build_lp(make_instance(np.ones((2, 2)))), path)
     path.write_text(path.read_text().replace("Z_2_1_2", "Z_2_1_3"))
     with pytest.raises(ValueError, match="layout"):
+        read_mps(path)
+
+
+def test_column_listed_in_two_places_rejected(tmp_path):
+    # MPS lists each column's entries together; an entry of C_1 after other
+    # columns' would otherwise be read into the last column
+    path = tmp_path / "split.mps"
+    write_mps(build_lp(make_instance(np.ones((2, 2)))), path)
+    extra = "    C_1           FLOW_1_1      1\nRHS\n"
+    path.write_text(path.read_text().replace("RHS\n", extra))
+    with pytest.raises(ValueError, match="C_1: its entries are not contiguous"):
         read_mps(path)
 
 
