@@ -95,6 +95,14 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                str: ((str,), "a string"), tuple: ((list,), "a list")}
 
 
+def _check_type(value, kind: type, name: str):
+    """``value``, if its JSON type suits a field ``name`` of type ``kind``."""
+    types, what = _JSON_TYPES[kind]
+    if type(value) not in types:
+        raise TypeError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def _section(config: dict, name: str, cls, **convert):
     """Build a config dataclass from one section, rejecting unknown keys and
     values of the wrong JSON type.  ``convert`` maps a key to the function
@@ -106,14 +114,10 @@ def _section(config: dict, name: str, cls, **convert):
     unknown = set(data) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    for f in fields:
-        types, what = _JSON_TYPES.get(type(f.default), (None, None))
-        if types and f.name in data and type(data[f.name]) not in types:
-            raise ConfigError(
-                f"invalid config section {name!r}: {f.name} must be {what}, "
-                f"got {data[f.name]!r}"
-            )
     try:
+        for f in fields:
+            if type(f.default) in _JSON_TYPES and f.name in data:
+                _check_type(data[f.name], type(f.default), f.name)
         return cls(**{
             key: convert[key](value) if key in convert and value is not None else value
             for key, value in data.items()
@@ -152,10 +156,20 @@ def cmd_generate(args, config: dict) -> int:
     return EXIT_OK
 
 
+def _zone(k: int, entry: dict) -> Zone:
+    zone = Zone(**entry)
+    for name, kind in (("label", str), ("lon", float), ("lat", float)):
+        _check_type(getattr(zone, name), kind, f"zones[{k}].{name}")
+    return zone
+
+
 def cmd_ingest(args, config: dict) -> int:
     # the JSON lists become the bbox tuple and the Zone tuple BinningSpec takes
-    spec = _section(config, "binning", BinningSpec, bbox=tuple,
-                    zones=lambda entries: tuple(Zone(**entry) for entry in entries))
+    spec = _section(config, "binning", BinningSpec,
+                    bbox=lambda xs: tuple(_check_type(x, float, f"bbox[{k}]")
+                                          for k, x in enumerate(_check_type(xs, tuple, "bbox"))),
+                    zones=lambda zs: tuple(_zone(k, z)
+                                           for k, z in enumerate(_check_type(zs, tuple, "zones"))))
     if spec.n_slots * spec.slot_minutes != 60 * HORIZON_HOURS:
         raise ConfigError(
             f"invalid config section 'binning': {spec.n_slots} slots of "

@@ -16,13 +16,16 @@ views of those buffers, so a parsed row costs its 48 bytes of values, and
 the parse adds about 1 MB of per-block arrays at its peak.  Canonical lines
 (ISO start times without zone or fraction, plain decimals) are parsed by
 array code over each block's bytes, every other line by the per-row checks
-of the ``csv`` route; both give the same values, bit for bit.  Binning, the
-per-record distance fallback and the per-pair averages are array code over
-that table.  On a 2-vCPU x86-64 host with CPython 3.11, parsing a 100 000-row
-file of canonical lines takes about 0.10 s (0.17 s row by row), grid binning
-and averaging about 0.02 s; a file without canonical lines parses about 4 %
-slower than row by row; a 1.5 M-row file parses in about 1.3 s and adds
-about 70 MB, the size of its columns, to the process's peak RSS.
+of the ``csv`` route; both give the same values, bit for bit.  From a block
+with a quote or a lone CR, or after one of mostly other lines, ``csv`` reads
+the rest of the file.  Binning, the per-record distance fallback and the
+per-pair averages are array code over that table.  On a 2-vCPU x86-64 host
+with CPython 3.11, parsing a 100 000-row file of canonical lines takes about
+0.10 s (0.17 s row by row), grid binning and averaging about 0.02 s; a file
+whose first block is mostly odd lines parses row by row, canonical lines
+after it included (20 000 odd lines, then 80 000 canonical ones: about twice
+the time of canonical lines alone); a 1.5 M-row file parses in about 1.3 s
+and adds about 70 MB, the size of its columns, to the process's peak RSS.
 """
 
 from __future__ import annotations
@@ -239,12 +242,6 @@ def parse_trips(path) -> ParseResult:
 #: Characters read per block.  A block ends at a line end, so a longer line
 #: makes a longer block.
 _BLOCK_CHARS = 1 << 16
-#: Blocks read by the row checks alone after a block less than two thirds
-#: of whose lines were canonical.  Array code over a block of no canonical
-#: line costs about half of what the row checks cost for its lines, and
-#: merging the other lines back costs more; at about two thirds canonical
-#: the array code saves what it costs.  Now and then a block is tried again.
-_ROW_BLOCKS = 63
 
 # Fields are checked and converted eight characters at a time: each 64-bit
 # word holds eight consecutive bytes of a block, the first in its lowest
@@ -287,12 +284,13 @@ class _TripReader:
     a power of ten, also exact, so one correctly rounded division gives the
     bits ``float`` gives (Clinger's fast path).  Every other line goes
     through the per-row checks of :func:`_row_checks`, and the records keep
-    file order.  After a block less than two thirds of whose lines are
-    canonical, the next ``_ROW_BLOCKS`` blocks go to the row checks whole,
-    without the array code.  From the first block that holds a quote or a lone
-    carriage return on, ``csv`` reads the rest of the file row by row: a
-    quoted field may span lines, and a lone carriage return ends a line to
-    ``csv`` but not to the array code.
+    file order.  ``csv`` reads the rest of the file row by row from the first
+    block that holds a quote or a lone carriage return, since a quoted field
+    may span lines and a lone carriage return ends a line to ``csv`` but not
+    to the array code, and after the first block less than two thirds of
+    whose lines are canonical, where the array code and the merge of the
+    other lines cost more than they save; so a file whose odd lines come
+    first is read row by row to its end.
     """
 
     def __init__(self, header: list[str]):
@@ -307,9 +305,8 @@ class _TripReader:
         # one typed buffer per column: a row costs its 48 bytes of values,
         # not a tuple of Python objects
         self.columns = _new_columns()
-        self._append = self._appender(self.columns)
+        self._append = _row_checks(self.k_time, self.k_numbers, self.k_dist, self.columns)
         self.skipped = 0
-        self.row_blocks = 0  # blocks the row checks alone are still to read
 
     def table(self) -> TripTable:
         # the columns are views of the buffers, not copies
@@ -321,10 +318,11 @@ class _TripReader:
         """Append every record of ``fh`` from here on; ``line`` is the number
         of the line it is at."""
         pieces = []  # an unfinished line, split where the blocks were read
+        mostly_odd = False  # whether the last block was
         while chunk := fh.read(_BLOCK_CHARS):
             if chunk.endswith("\r"):  # it may start a CRLF: keep the pair together
                 chunk += fh.read(1)
-            if '"' in chunk or chunk.count("\r") != chunk.count("\r\n"):
+            if mostly_odd or '"' in chunk or chunk.count("\r") != chunk.count("\r\n"):
                 text = "".join(pieces) + chunk + fh.readline()
                 self._rows(csv.reader(chain(io.StringIO(text, newline=""), fh)), line)
                 return
@@ -334,36 +332,23 @@ class _TripReader:
                 continue
             text = "".join(pieces) + chunk[:cut]
             pieces = [chunk[cut:]]
-            line += self._lines(text, line)
+            n_lines, mostly_odd = self._block(text, line)
+            line += n_lines
         text = "".join(pieces)
         if text:
-            self._lines(text, line)
+            self._block(text, line)
 
-    def _lines(self, text: str, line: int) -> int:
-        """Append the records of whole lines of text, ``line`` the number of
-        the first; how many lines the text holds."""
-        if self.row_blocks:
-            self.row_blocks -= 1
-            return self._rows(csv.reader(io.StringIO(text, newline="")), line)
-        return self._block(text, line)
-
-    def _appender(self, columns):
-        """:func:`_row_checks` for this file's header, appending to ``columns``."""
-        return _row_checks(self.k_time, self.k_numbers, self.k_dist, columns)
-
-    def _rows(self, rows, line: int) -> int:
-        """Append the rows of a ``csv.reader`` whose first line is ``line``;
-        how many lines it read."""
+    def _rows(self, rows, line: int) -> None:
+        """Append the rows of a ``csv.reader`` whose first line is ``line``."""
         try:
             self.skipped += self._append(rows)
         except csv.Error as exc:
             raise ValueError(f"trips file line {line + rows.line_num - 1}: {exc}") from None
-        return rows.line_num
 
-    def _block(self, text: str, line: int) -> int:
+    def _block(self, text: str, line: int) -> tuple[int, bool]:
         """Append the records of whole lines of text, ``line`` the number of
-        the first, with array code; how many lines the text holds.  Every
-        carriage return in it starts a CRLF."""
+        the first, with array code; how many lines it holds, and whether
+        under two thirds of them are canonical.  Each CR in it starts a CRLF."""
         raw = text.encode("ascii", "replace")  # one byte per character
         buf = np.frombuffer(_PAD + raw + _PAD, dtype=np.uint8)
         first = len(_PAD)
@@ -423,9 +408,7 @@ class _TripReader:
                            for c, v in zip(columns, records)]
         for buffer, column in zip(self.columns, columns):
             buffer.frombytes(column.view(np.uint8))
-        if 3 * np.count_nonzero(canonical) < 2 * len(canonical):
-            self.row_blocks = _ROW_BLOCKS
-        return len(ends)
+        return len(ends), 3 * np.count_nonzero(canonical) < 2 * len(canonical)
 
     def _other_lines(self, text, line, starts, ends, other):
         """The records of the lines of ``text`` marked ``other``: for each the
@@ -445,7 +428,8 @@ class _TripReader:
         try:
             # with no quote and no lone carriage return a row is one CSV
             # line, a blank row an empty one
-            self.skipped += self._appender(records)(reader, at)
+            append = _row_checks(self.k_time, self.k_numbers, self.k_dist, records)
+            self.skipped += append(reader, at)
         except csv.Error as exc:
             raise ValueError(f"trips file line {line + i[reader.line_num - 1]}: "
                              f"{exc}") from None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -145,6 +146,44 @@ def net_demand_matrix(instance: PlanningInstance, asg: AssignmentPlan) -> np.nda
     """Delay-aware net charging demand (EV counts) for every (slot, location)."""
     graph = _plan_graph(instance, asg)
     return instance.charging_demand - graph.outflow(asg.z) + graph.inflow(asg.z)
+
+
+def brute_force_integer_optimum(instance) -> float:
+    """The least total cost over integer assignments, by exhaustive
+    enumeration vectorised over combos: an exponential oracle for tiny
+    instances.  Every integer point of the assignment grid that respects
+    flow conservation is sized in closed form, c_i = beta * peak net demand;
+    the LP relaxation can only do better."""
+    T, n = instance.n_slots, instance.n_locations
+    demand = instance.charging_demand
+    graph = instance.range_graph
+    cells = [(t, i, j) for t in range(T) for i, j in zip(graph.src, graph.dst)]
+    ranges = [range(int(demand[t, i]) + 1) for (t, i, j) in cells]
+    combos = np.array(list(itertools.product(*ranges)), dtype=float)
+    K = combos.shape[0]
+    z = np.zeros((K, T, n, n))
+    for k, (t, i, j) in enumerate(cells):
+        z[:, t, i, j] = combos[:, k]
+
+    outflow = z.sum(axis=3)
+    ok = np.all(outflow <= demand[None] + 1e-9, axis=(1, 2))
+    inflow = np.zeros((K, T, n))
+    base = np.arange(T)
+    for j in range(n):
+        for i in range(n):
+            tau = int(instance.delay[j, i])
+            inflow[:, :, i] += z[:, (base - tau) % T, j, i]
+    net = demand[None] - outflow + inflow
+    ok &= np.all(net >= -1e-9, axis=(1, 2))
+    c = instance.beta * np.maximum(net, 0.0).max(axis=1)
+    w = instance.unit_investment_cost
+    ok &= np.all(c <= instance.capacity_max[None] + 1e-9, axis=1)
+    invest = c @ w
+    ok &= invest <= instance.budget + 1e-9
+    cost_mat = np.where(forbidden(instance), 0.0, instance.assign_cost)
+    assign = np.einsum("ktij,ij,t->k", z, cost_mat, instance.recurrence)
+    totals = np.where(ok, invest + assign, np.inf)
+    return float(totals.min())
 
 
 def solve_with_simplex(instance: PlanningInstance) -> Solution:

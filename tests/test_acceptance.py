@@ -6,7 +6,6 @@ Criterion 2/3/6 share one set of reference runs via a module-scoped
 fixture; everything else is self-contained.
 """
 
-import itertools
 import json
 import time
 from pathlib import Path
@@ -20,9 +19,9 @@ from chargeplan.central import build_lp, solve_base_model, solve_centralized, sw
 from chargeplan.datagen import GenParams, generate_instance, sample_alpha
 from chargeplan.ingest import BinningSpec, build_distances, build_flows, parse_trips
 from chargeplan.io import instance_from_dict
-from chargeplan.model import check_feasibility, delayed_inflow
+from chargeplan.model import check_feasibility
 
-from conftest import forbidden, make_instance, solve_with_simplex
+from conftest import brute_force_integer_optimum, make_instance, solve_with_simplex
 
 DATA = Path(__file__).parent / "data"
 
@@ -60,40 +59,6 @@ def family_runs():
 @pytest.fixture(scope="module")
 def het_instance():
     return generate_instance(HET_PARAMS)
-
-
-def brute_force_integer_optimum(instance) -> float:
-    """Exhaustive integer-assignment enumeration, vectorised over combos."""
-    T, n = instance.n_slots, instance.n_locations
-    demand = instance.charging_demand
-    graph = instance.range_graph
-    cells = [(t, i, j) for t in range(T) for i, j in zip(graph.src, graph.dst)]
-    ranges = [range(int(demand[t, i]) + 1) for (t, i, j) in cells]
-    combos = np.array(list(itertools.product(*ranges)), dtype=float)
-    K = combos.shape[0]
-    z = np.zeros((K, T, n, n))
-    for k, (t, i, j) in enumerate(cells):
-        z[:, t, i, j] = combos[:, k]
-
-    outflow = z.sum(axis=3)
-    ok = np.all(outflow <= demand[None] + 1e-9, axis=(1, 2))
-    inflow = np.zeros((K, T, n))
-    base = np.arange(T)
-    for j in range(n):
-        for i in range(n):
-            tau = int(instance.delay[j, i])
-            inflow[:, :, i] += z[:, (base - tau) % T, j, i]
-    net = demand[None] - outflow + inflow
-    ok &= np.all(net >= -1e-9, axis=(1, 2))
-    c = instance.beta * np.maximum(net, 0.0).max(axis=1)
-    w = instance.unit_investment_cost
-    ok &= np.all(c <= instance.capacity_max[None] + 1e-9, axis=1)
-    invest = c @ w
-    ok &= invest <= instance.budget + 1e-9
-    cost_mat = np.where(forbidden(instance), 0.0, instance.assign_cost)
-    assign = np.einsum("ktij,ij,t->k", z, cost_mat, instance.recurrence)
-    totals = np.where(ok, invest + assign, np.inf)
-    return float(totals.min())
 
 
 def test_criterion_1_simplex_vs_golden_and_enumeration():

@@ -1,7 +1,6 @@
 """Centralized LP path: builder structure, solvers, baseline, invariances."""
 
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
@@ -22,13 +21,13 @@ from chargeplan.model import (
     InfeasibleProblemError,
     InvestmentPlan,
     check_feasibility,
-    delayed_inflow,
     evaluate_objective,
 )
 
 from chargeplan.mps import col_names, row_names
 
 from conftest import (
+    brute_force_integer_optimum,
     edge_cases,
     forbidden,
     make_instance,
@@ -36,41 +35,6 @@ from conftest import (
     random_instance,
     solve_with_simplex,
 )
-
-
-def brute_force_integer(instance):
-    """Enumerate integer assignments and size capacity in closed form.
-
-    Exponential oracle for desk-tiny instances: every integer z grid point
-    respecting flow conservation, with c_i = beta * peak net demand.  The LP
-    relaxation can only do better.
-    """
-    T = instance.n_slots
-    demand = instance.charging_demand
-    graph = instance.range_graph
-    cells = [(t, i, j) for t in range(T) for i, j in zip(graph.src, graph.dst)]
-    w = instance.unit_investment_cost
-    rec = instance.recurrence
-    best = np.inf
-    ranges = [range(int(np.floor(demand[t, i])) + 1) for (t, i, j) in cells]
-    for combo in itertools.product(*ranges):
-        z = np.zeros((T, instance.n_locations, instance.n_locations))
-        for (t, i, j), v in zip(cells, combo):
-            z[t, i, j] = v
-        if np.any(z.sum(axis=2) > demand + 1e-12):
-            continue
-        net = demand - z.sum(axis=2) + delayed_inflow(z, instance.delay)
-        if np.any(net < -1e-12):  # lower capacity-satisfaction side
-            continue
-        c = instance.beta * np.maximum(net, 0.0).max(axis=0)
-        if np.any(c > instance.capacity_max + 1e-12):
-            continue
-        if float(c @ w) > instance.budget + 1e-9:
-            continue
-        cost_mat = np.where(forbidden(instance), 0.0, instance.assign_cost)
-        total = float(c @ w) + float(rec @ np.einsum("tij,ij->t", z, cost_mat))
-        best = min(best, total)
-    return best
 
 
 @st.composite
@@ -260,7 +224,7 @@ class TestSolveCentralized:
         rng = np.random.default_rng(seed)
         inst = random_instance(rng, n=2, T=2)
         sol = solve_centralized(inst)
-        best_int = brute_force_integer(inst)
+        best_int = brute_force_integer_optimum(inst)
         assert sol.cost.total <= best_int + 1e-7 * max(1.0, abs(best_int))
         assert sol.feasibility.feasible
 

@@ -199,17 +199,41 @@ class TestIngest:
         for name in ("resolved_config.json", "instance.json", "ingest_summary.json"):
             assert (again / name).read_bytes() == (out / name).read_bytes()
 
-    @pytest.mark.parametrize("zones", [
-        [{"label": "a", "lon": 0.1}],  # no lat
-        [{"label": "a", "lon": 0.1, "lat": 0.2, "height": 3}],  # unknown key
-        [{"label": "a", "lon": "east", "lat": 0.2}],  # not a number
-        ["a"],  # not an object
-        [],
-        5,
-    ])
-    def test_malformed_zone_list_exit_2(self, tmp_path, zones):
-        code, _ = ingest(tmp_path, {"binning": {"zones": zones}})
+    @pytest.mark.parametrize("zones, message", [
+        ([{"label": "a", "lon": 0.1}], "'lat'"),  # no lat
+        ([{"label": "a", "lon": 0.1, "lat": 0.2, "height": 3}], "'height'"),  # unknown key
+        ([{"label": "a", "lon": "east", "lat": 0.2}], "zones[0].lon must be a number, got 'east'"),
+        (["a"], "mapping"),  # not an object
+        ([], "zone list must not be empty"),
+        (5, "zones must be a list, got 5"),
+        ([{"label": "a", "lon": True, "lat": 0.2}], "zones[0].lon must be a number, got True"),
+        ([{"label": "a", "lon": 0.1, "lat": 0.2}, {"label": "b", "lon": 0.5, "lat": "0.3"}],
+         "zones[1].lat must be a number, got '0.3'"),
+        ([{"label": 7, "lon": 0.1, "lat": 0.2}], "zones[0].label must be a string, got 7"),
+    ], ids=["zones0", "zones1", "zones2", "zones3", "zones4", "5",
+            "boolean-lon", "string-lat", "number-label"])
+    def test_malformed_zone_list_exit_2(self, tmp_path, capsys, zones, message):
+        code, out = ingest(tmp_path, {"binning": {"zones": zones}})
         assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "invalid config section 'binning'" in err
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bbox, message", [
+        ([0, 0, True, 1], "bbox[2] must be a number, got True"),
+        ([0, "0", 1, 1], "bbox[1] must be a number, got '0'"),
+        ([0, 0, 1, None], "bbox[3] must be a number, got None"),
+        ([0, 0, 1], "bbox needs four finite numbers"),
+        ("0,0,1,1", "bbox must be a list, got '0,0,1,1'"),
+    ], ids=["boolean", "string", "null", "three-numbers", "not-a-list"])
+    def test_malformed_bbox_exit_2(self, tmp_path, capsys, bbox, message):
+        code, out = ingest(tmp_path, {"binning": dict(GRID_2X2["binning"], bbox=bbox)})
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "invalid config section 'binning'" in err
+        assert message in err
+        assert not out.exists()
 
     def test_zero_slot_minutes_exit_2(self, tmp_path, capsys):
         doc = {"binning": dict(GRID_2X2["binning"], slot_minutes=0)}
@@ -264,11 +288,11 @@ class TestIngest:
     def test_oversized_field_exit_2_and_nothing_written(self, tmp_path, capsys, quote, ends,
                                                         block):
         # a field over csv's size limit on line 41: on a line longer than a
-        # read block, after lines that fill several blocks, or in a block
-        # after lines read by the row checks; quoted or after a lone CR, the
-        # csv module reads it, otherwise the block reader.  csv ends a line at
-        # a lone CR too, so the first 20 lines end with ends[0], the others
-        # with ends[1].
+        # read block, after lines that fill several blocks, or in one block
+        # that holds the whole file; quoted or after a lone CR, the csv route
+        # for the rest of the file reads it, otherwise the block reader hands
+        # its line to the row checks.  csv ends a line at a lone CR too, so
+        # the first 20 lines end with ends[0], the others with ends[1].
         lines = TRIPS_50.read_text().splitlines()
         huge = "1" * (csv.field_size_limit() + 1)
         lines[40] = f"{lines[40].rsplit(',', 1)[0]},{quote}{huge}{quote}"

@@ -703,19 +703,16 @@ def mixed_trips_files(draw):
 
 
 class TestBlockReaderMatchesRowChecks:
-    @given(text=mixed_trips_files(), block=st.one_of(st.integers(1, 64), st.integers(64, 4096)),
-           row_blocks=st.sampled_from([0, 1, 15]))
+    @given(text=mixed_trips_files(), block=st.one_of(st.integers(1, 64), st.integers(64, 4096)))
     @settings(max_examples=100, deadline=None)
-    def test_same_columns_bit_for_bit(self, text, block, row_blocks):
+    def test_same_columns_bit_for_bit(self, text, block):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trips.csv"
             path.write_text(text, newline="")
-            # small blocks, so lines straddle block boundaries, and blocks
-            # of many lines, so records of both kinds share a block; after a
-            # block of mostly odd lines, none, one or many blocks read by the
-            # row checks alone
-            with mock.patch.object(ingest, "_BLOCK_CHARS", block), \
-                    mock.patch.object(ingest, "_ROW_BLOCKS", row_blocks):
+            # small blocks, so lines straddle block boundaries and a block
+            # of mostly odd lines hands the rest of the file to csv, and
+            # blocks of many lines, so records of both kinds share a block
+            with mock.patch.object(ingest, "_BLOCK_CHARS", block):
                 parsed = parse_trips(path)
             records, skipped = oracle_parse(path)
         assert parsed.skipped == skipped
@@ -731,6 +728,28 @@ class TestBlockReaderMatchesRowChecks:
         for name, values in expected.items():
             column = getattr(parsed.records, name)
             assert column.tobytes() == np.array(values, dtype=column.dtype).tobytes(), name
+
+    def test_csv_reads_the_rest_after_a_mostly_odd_block(self, tmp_path):
+        # 100 lines with space-separated start times, which the array code
+        # leaves to the row checks, then 2000 canonical lines
+        start = datetime(2024, 3, 4)
+        rows = [f"{(start + timedelta(minutes=7 * k)).isoformat(' ' if k < 100 else 'T')},"
+                f"0.{k:04d},0.2,0.3,0.4,{k % 5}" for k in range(2100)]
+        path = write_csv(tmp_path, rows)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 256), \
+                mock.patch.object(ingest._TripReader, "_block", autospec=True,
+                                  side_effect=ingest._TripReader._block) as block:
+            parsed = parse_trips(path)
+        # the first block holds odd lines alone; no block after it is read
+        # by the array code
+        assert block.call_count == 1
+        whole = parse_trips(path)  # in two blocks, each of mostly canonical lines
+        assert (parsed.skipped, whole.skipped) == (0, 0)
+        for name in ("minute", "origin_lon", "origin_lat", "dest_lon", "dest_lat",
+                     "distance_km"):
+            column = getattr(parsed.records, name)
+            assert len(column) == 2100
+            assert column.tobytes() == getattr(whole.records, name).tobytes(), name
 
 
 class TestAssembleInstance:
