@@ -198,7 +198,7 @@ def cmd_ingest(args, config: dict) -> int:
         "zones": spec.n_zones,
         "imputed_pairs": int(distances.imputed.sum()),
     }
-    (out_dir / "ingest_summary.json").write_text(json.dumps(summary, indent=1))
+    (out_dir / "ingest_summary.json").write_text(io.dumps(summary))
     _say(args, f"wrote {out_dir / 'instance.json'} ({summary['retained']} trips retained)")
     return EXIT_OK
 
@@ -214,7 +214,7 @@ def _solve(instance, method: str, admm: AdmmConfig):
 
 def cmd_solve(args, config: dict) -> int:
     admm = _section(config, "admm", AdmmConfig)
-    instance = io.load_instance(args.instance)
+    instance, checksum = io.read_instance(args.instance)
 
     out_dir = Path(args.out)
     resolved = {"admm": dataclasses.asdict(admm)}
@@ -226,7 +226,6 @@ def cmd_solve(args, config: dict) -> int:
         raise
 
     _write_resolved(out_dir, resolved)
-    checksum = io.file_checksum(args.instance)
     io.save_solution(_clean_stats(solution), out_dir / "solution.json", checksum)
     if convergence is not None:
         write_convergence_csv(convergence.history, out_dir / "convergence.csv")
@@ -262,11 +261,11 @@ def cmd_sweep_r(args, config: dict) -> int:
 
 
 def cmd_report(args, config: dict) -> int:
-    instance = io.load_instance(args.instance)
+    instance, checksum = io.read_instance(args.instance)
     doc = json.loads(Path(args.solution).read_text())
     solution = io.solution_from_dict(doc, instance)
     stored = doc.get("instance_checksum")
-    if stored is not None and stored != io.file_checksum(args.instance):
+    if stored is not None and stored != checksum:
         raise ValueError("solution was produced from a different instance file")
 
     window = None
@@ -326,7 +325,7 @@ def cmd_compare(args, config: dict) -> int:
     }
     out_dir = Path(args.out)
     _write_resolved(out_dir, {"admm": dataclasses.asdict(admm)})
-    (out_dir / "comparison.json").write_text(json.dumps(doc, indent=1))
+    (out_dir / "comparison.json").write_text(io.dumps(doc))
     with open(out_dir / "comparison.csv", "w") as fh:
         fh.write("method,investment,assignment,total,gap_to_best_pct,feasible\n")
         for method, row in doc.items():

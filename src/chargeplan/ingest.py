@@ -322,7 +322,8 @@ class _TripReader:
         while chunk := fh.read(_BLOCK_CHARS):
             if chunk.endswith("\r"):  # it may start a CRLF: keep the pair together
                 chunk += fh.read(1)
-            if mostly_odd or '"' in chunk or chunk.count("\r") != chunk.count("\r\n"):
+            if (mostly_odd or '"' in chunk
+                    or "\r" in chunk and chunk.count("\r") != chunk.count("\r\n")):
                 text = "".join(pieces) + chunk + fh.readline()
                 self._rows(csv.reader(chain(io.StringIO(text, newline=""), fh)), line)
                 return

@@ -11,6 +11,10 @@ edges, so a nonzero one on a diagonal or out-of-range pair is an error.
 Its ``cost`` block and ``feasibility`` residuals are outputs for people:
 reading a solution re-judges the plan it holds, so an edited plan gets the
 cost and verdict it earns, not the ones stored next to it.
+
+Every indented document is written by :func:`dumps`, which gives the bytes
+``json.dumps`` gives with an indent of 1 but hands each list of numbers, and
+each matrix of them, to the C encoder in one call.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import itertools
 import json
 import math
 from contextlib import contextmanager
+from io import BytesIO, TextIOWrapper
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +41,53 @@ from .model import (
 
 INSTANCE_VERSION = "charge-plan-instance/1"
 SOLUTION_VERSION = "charge-plan-solution/1"
+
+_NUMBERS = {int, float}
+
+
+def dumps(doc) -> str:
+    """``doc`` as JSON indented by one space per level: the same text as
+    ``json.dumps`` with an indent of 1, written faster.
+
+    That call runs ``json``'s pure-Python encoder over every element.  Here
+    a list of numbers, or a non-empty list of non-empty lists of them, is
+    written by one compact ``json.dumps`` call, which runs the C encoder and
+    formats numbers alike (``repr``, ``NaN``, ``Infinity``), and then laid
+    out by replacing its separators, which no number contains.  Dicts with
+    string keys and other lists are written item by item, strings, numbers,
+    ``null`` and booleans directly; anything else (a non-string key, a numpy
+    scalar, a tuple) goes to ``json.dumps`` itself and is re-indented, which
+    is safe because JSON text holds a newline only between tokens.
+    ``resolved_config.json`` is written with sorted keys by ``json.dumps``
+    itself: it is small, and sorting here would be an option only it uses.
+    """
+    return _dumps(doc, "\n")
+
+
+def _dumps(node, pad: str) -> str:
+    """:func:`dumps` of ``node``, whose closing bracket goes after ``pad``,
+    a newline and the indentation of the line ``node`` starts on."""
+    kind = type(node)
+    inner = pad + " "
+    if kind is list and node:
+        kinds = set(map(type, node))
+        if kinds <= _NUMBERS:
+            return "[" + inner + json.dumps(node)[1:-1].replace(", ", "," + inner) + pad + "]"
+        if (kinds == {list} and all(node)
+                and set(map(type, itertools.chain.from_iterable(node))) <= _NUMBERS):
+            deeper = inner + " "
+            rows = (json.dumps(node)[2:-2].replace("], [", inner + "]," + inner + "[" + deeper)
+                    .replace(", ", "," + deeper))
+            return "[" + inner + "[" + deeper + rows + inner + "]" + pad + "]"
+        return "[" + inner + ("," + inner).join(_dumps(v, inner) for v in node) + pad + "]"
+    if kind is dict and node and all(type(k) is str for k in node):
+        return "{" + inner + ("," + inner).join(
+            _quote(k) + ": " + _dumps(v, inner) for k, v in node.items()) + pad + "}"
+    if kind is str:
+        return _quote(node)
+    if kind in _NUMBERS or kind is bool or node is None:
+        return json.dumps(node)
+    return json.dumps(node, indent=1).replace("\n", pad)
 
 
 def instance_to_dict(instance: PlanningInstance) -> dict:
@@ -148,11 +201,26 @@ def instance_from_dict(doc: dict) -> PlanningInstance:
 
 
 def save_instance(instance: PlanningInstance, path) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(instance), indent=1))
+    Path(path).write_text(dumps(instance_to_dict(instance)))
+
+
+def _instance_from_bytes(data: bytes) -> PlanningInstance:
+    # decoded, and its line ends translated, as ``Path.read_text`` does, so
+    # a JSON error names the position it named when the file was read as text
+    text = TextIOWrapper(BytesIO(data), encoding="utf-8").read()
+    return instance_from_dict(json.loads(text))
 
 
 def load_instance(path) -> PlanningInstance:
-    return instance_from_dict(json.loads(Path(path).read_text()))
+    return _instance_from_bytes(Path(path).read_bytes())
+
+
+def read_instance(path) -> tuple[PlanningInstance, str]:
+    """The instance in file ``path`` and the sha256 checksum of the bytes it
+    was read from.  The file is read once, so the checksum describes the
+    instance returned even when the file is rewritten meanwhile."""
+    data = Path(path).read_bytes()
+    return _instance_from_bytes(data), hashlib.sha256(data).hexdigest()
 
 
 def file_checksum(path) -> str:
@@ -229,9 +297,7 @@ def solution_from_dict(doc: dict, instance: PlanningInstance) -> Solution:
 
 
 def save_solution(solution: Solution, path, instance_checksum: str | None = None) -> None:
-    Path(path).write_text(
-        json.dumps(solution_to_dict(solution, instance_checksum), indent=1)
-    )
+    Path(path).write_text(dumps(solution_to_dict(solution, instance_checksum)))
 
 
 def load_solution(path, instance: PlanningInstance) -> Solution:

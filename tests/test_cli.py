@@ -72,6 +72,21 @@ def fieldless_instance(tmp_path):
     return path
 
 
+@contextlib.contextmanager
+def opens_of(path):
+    """Collect the modes ``path`` is opened in through ``pathlib`` meanwhile."""
+    opens = []
+    original = Path.open
+
+    def spy(self, mode="r", *args, **kwargs):
+        if self == path:
+            opens.append(mode)
+        return original(self, mode, *args, **kwargs)
+
+    with mock.patch.object(Path, "open", spy):
+        yield opens
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -320,6 +335,16 @@ class TestSolve:
         assert doc["instance_checksum"] == io.file_checksum(instance_file)
         # no wall-clock noise in result files
         assert not any("wall" in k for k in doc["stats"])
+
+    def test_instance_file_read_once(self, tmp_path, instance_file):
+        # the checksum is of the bytes that were solved: a rewrite of the file
+        # during the solve cannot make the two disagree
+        out = tmp_path / "sol"
+        with opens_of(instance_file) as opens:
+            assert run("--out", str(out), "solve", str(instance_file)) == EXIT_OK
+        assert len(opens) == 1
+        doc = json.loads((out / "solution.json").read_text())
+        assert doc["instance_checksum"] == hashlib.sha256(instance_file.read_bytes()).hexdigest()
 
     def test_solve_reruns_byte_identical(self, tmp_path, instance_file):
         a, b = tmp_path / "sa", tmp_path / "sb"
@@ -668,6 +693,13 @@ class TestReport:
         assert names == sorted(p.name for p in (tmp_path / "rep").iterdir())
         for name in names:
             assert (out / name).read_bytes() == (tmp_path / "rep" / name).read_bytes(), name
+
+    def test_instance_file_read_once(self, tmp_path, instance_file):
+        sol_path = self._solved(tmp_path, instance_file)
+        with opens_of(instance_file) as opens:
+            assert run("--out", str(tmp_path / "rep"), "report", str(sol_path),
+                       str(instance_file)) == EXIT_OK
+        assert len(opens) == 1
 
     def test_checksum_mismatch_exit_2(self, tmp_path, instance_file):
         sol_path = self._solved(tmp_path, instance_file)

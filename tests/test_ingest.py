@@ -714,7 +714,13 @@ class TestBlockReaderMatchesRowChecks:
             # blocks of many lines, so records of both kinds share a block
             with mock.patch.object(ingest, "_BLOCK_CHARS", block):
                 parsed = parse_trips(path)
-            records, skipped = oracle_parse(path)
+            self.assert_oracle_columns(parsed, path)
+
+    @staticmethod
+    def assert_oracle_columns(parsed, path):
+        """``parsed`` holds the records and skip count of the row-by-row
+        oracle's parse of ``path``, bit for bit."""
+        records, skipped = oracle_parse(path)
         assert parsed.skipped == skipped
         expected = {
             "minute": [oracle_minute_of_week(r.start_time) for r in records],
@@ -729,6 +735,46 @@ class TestBlockReaderMatchesRowChecks:
             column = getattr(parsed.records, name)
             assert column.tobytes() == np.array(values, dtype=column.dtype).tobytes(), name
 
+    @staticmethod
+    def spied_parse(path):
+        """Parse ``path`` in blocks of 256 characters; the parse and the
+        spies on the array-code and ``csv`` routes."""
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 256), \
+                mock.patch.object(ingest._TripReader, "_block", autospec=True,
+                                  side_effect=ingest._TripReader._block) as block, \
+                mock.patch.object(ingest._TripReader, "_rows", autospec=True,
+                                  side_effect=ingest._TripReader._rows) as rows:
+            return parse_trips(path), block, rows
+
+    @staticmethod
+    def canonical_lines(n):
+        start = datetime(2024, 3, 4)
+        return [f"{(start + timedelta(minutes=7 * k)).isoformat()},0.{k:04d},0.2,0.3,0.4,{k % 5}"
+                for k in range(n)]
+
+    def test_array_code_reads_every_block_of_a_crlf_file(self, tmp_path):
+        path = tmp_path / "trips.csv"
+        body = "".join(line + "\r\n" for line in self.canonical_lines(2000))
+        path.write_text(HEADER + "\r\n" + body, newline="")
+        parsed, block, rows = self.spied_parse(path)
+        # every CR starts a CRLF, so no block goes to csv
+        assert rows.call_count == 0
+        assert block.call_count >= len(body) // 257
+        self.assert_oracle_columns(parsed, path)
+
+    def test_csv_reads_the_rest_from_the_block_with_a_lone_cr(self, tmp_path):
+        path = tmp_path / "trips.csv"
+        lines = self.canonical_lines(2000)
+        body = "\n".join(lines[:1000]) + "\r" + "\n".join(lines[1000:]) + "\n"
+        path.write_text(HEADER + "\n" + body, newline="")
+        parsed, block, rows = self.spied_parse(path)
+        # the blocks before the one holding the CR are read by the array code
+        assert body.index("\r") >= 3 * 256
+        assert block.call_count == body.index("\r") // 256
+        assert rows.call_count == 1
+        assert len(parsed.records.minute) == 2000
+        self.assert_oracle_columns(parsed, path)
+
     def test_csv_reads_the_rest_after_a_mostly_odd_block(self, tmp_path):
         # 100 lines with space-separated start times, which the array code
         # leaves to the row checks, then 2000 canonical lines
@@ -736,10 +782,7 @@ class TestBlockReaderMatchesRowChecks:
         rows = [f"{(start + timedelta(minutes=7 * k)).isoformat(' ' if k < 100 else 'T')},"
                 f"0.{k:04d},0.2,0.3,0.4,{k % 5}" for k in range(2100)]
         path = write_csv(tmp_path, rows)
-        with mock.patch.object(ingest, "_BLOCK_CHARS", 256), \
-                mock.patch.object(ingest._TripReader, "_block", autospec=True,
-                                  side_effect=ingest._TripReader._block) as block:
-            parsed = parse_trips(path)
+        parsed, block, _ = self.spied_parse(path)
         # the first block holds odd lines alone; no block after it is read
         # by the array code
         assert block.call_count == 1

@@ -1,11 +1,12 @@
 """JSON round-trips for instances and solutions, plus version handling."""
 
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chargeplan.central import solve_centralized
@@ -13,11 +14,13 @@ from chargeplan.datagen import GenParams, generate_instance
 from chargeplan.io import (
     INSTANCE_VERSION,
     SOLUTION_VERSION,
+    dumps,
     file_checksum,
     instance_from_dict,
     instance_to_dict,
     load_instance,
     load_solution,
+    read_instance,
     save_instance,
     save_solution,
     solution_from_dict,
@@ -131,6 +134,20 @@ class TestInstanceIO:
         del doc["budget"]
         with pytest.raises(ValueError, match="no field 'budget'"):
             instance_from_dict(doc)
+
+    @pytest.mark.parametrize("data", [b'{\r\n "version": 1,\r\n x}', b'{\r "a": 1\r,}',
+                                      b"\xff{}", b"\xef\xbb\xbf{}"])
+    def test_unreadable_file_fails_as_when_read_as_text(self, tmp_path, data):
+        # read_instance parses the bytes it hashes, with the decoding and
+        # line-end translation of Path.read_text, so messages name the same
+        # position
+        path = tmp_path / "instance.json"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as as_text:
+            instance_from_dict(json.loads(path.read_text(encoding="utf-8")))
+        for load in (load_instance, read_instance):
+            with pytest.raises(type(as_text.value), match=re.escape(str(as_text.value))):
+                load(path)
 
     def test_save_is_deterministic(self, tmp_path, rng):
         inst = random_instance(rng)
@@ -307,3 +324,70 @@ class TestSolutionIO:
         assert back.cost == sol.cost
         assert back.feasibility == sol.feasibility
         assert back.stats == sol.stats
+
+
+#: numbers as the documents hold them, with the values ``json`` spells its
+#: own way and ints beyond 64 bits
+numbers = st.one_of(st.floats(), st.integers(), st.integers(2**63, 2**70).map(lambda v: -v),
+                    st.sampled_from([float("nan"), float("inf"), -float("inf"), 2**64]))
+#: strings that hold the separators the writer replaces, line ends and
+#: characters outside ASCII
+texts = st.one_of(st.text(), st.sampled_from([", ", "], [", "[1, 2]", "a\nb", "\u00e9\u8def", ""]))
+leaves = st.one_of(st.none(), st.booleans(), numbers, texts, st.floats().map(np.float64))
+json_trees = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(texts, children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=2),
+        st.lists(numbers, max_size=5),
+        st.lists(st.lists(numbers, min_size=1, max_size=4), max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestDumps:
+    """:func:`dumps` writes exactly what ``json.dumps`` writes at indent 1."""
+
+    @given(doc=json_trees)
+    @example(doc=[1, True])
+    @example(doc=[[], {}, [[]], {"a": {}}, [[1.0]], [[1, 2], []]])
+    @example(doc={"m": [[1, 2.5], [float("nan"), -float("inf")]], "s": "], [, "})
+    @settings(max_examples=1000, deadline=None)
+    def test_generic_trees(self, doc):
+        assert dumps(doc) == json.dumps(doc, indent=1)
+
+    @given(case=edge_cases(), unbounded=st.booleans(), located=st.booleans(),
+           empty_plan=st.booleans(), stats=st.dictionaries(texts, json_trees, max_size=3))
+    @example(case=(make_instance([[2.0]]), np.zeros((1, 0))), unbounded=True, located=True,
+             empty_plan=True, stats={})
+    @settings(max_examples=200, deadline=None)
+    def test_instance_and_solution_documents(self, case, unbounded, located, empty_plan,
+                                             stats):
+        inst, z_e = case
+        n, rng = inst.n_locations, np.random.default_rng(inst.n_slots)
+        if unbounded:
+            inst = dataclasses.replace(inst, budget=np.inf, capacity_max=np.full(n, np.inf))
+        if located:
+            inst = dataclasses.replace(inst, distance=rng.uniform(0.0, 9.0, (n, n)),
+                                       coordinates=rng.uniform(-1.0, 1.0, (n, 2)))
+        if empty_plan:
+            z_e = np.zeros_like(z_e)
+        doc = instance_to_dict(inst)
+        assert dumps(doc) == json.dumps(doc, indent=1)
+        capacity = rng.uniform(0.0, 5.0, n)
+        sol = assess(inst, InvestmentPlan(capacity), AssignmentPlan(inst.range_graph, z_e),
+                     1e-6, dict(stats, method="manual"))
+        doc = solution_to_dict(sol, "abc")
+        assert dumps(doc) == json.dumps(doc, indent=1)
+
+    def test_saved_files_are_the_documents(self, tmp_path):
+        inst = generate_instance(GenParams(n_locations=4, n_slots=12, seed=2))
+        save_instance(inst, tmp_path / "instance.json")
+        assert ((tmp_path / "instance.json").read_text()
+                == json.dumps(instance_to_dict(inst), indent=1))
+        sol = solve_centralized(inst)
+        save_solution(sol, tmp_path / "solution.json", "abc")
+        assert ((tmp_path / "solution.json").read_text()
+                == json.dumps(solution_to_dict(sol, "abc"), indent=1))
