@@ -21,11 +21,11 @@ with a quote or a lone CR, or after one of mostly other lines, ``csv`` reads
 the rest of the file.  Binning, the per-record distance fallback and the
 per-pair averages are array code over that table.  On a 2-vCPU x86-64 host
 with CPython 3.11, parsing a 100 000-row file of canonical lines takes about
-0.10 s (0.17 s row by row), grid binning and averaging about 0.02 s; a file
+0.1 s (0.2 s row by row), grid binning and averaging about 0.02 s; a file
 whose first block is mostly odd lines parses row by row, canonical lines
 after it included (20 000 odd lines, then 80 000 canonical ones: about twice
-the time of canonical lines alone); a 1.5 M-row file parses in about 1.3 s
-and adds about 70 MB, the size of its columns, to the process's peak RSS.
+the time of canonical lines alone); a 1.5 M-row file parses in about 1.25 s
+and adds about 71 MB, the size of its columns, to the process's peak RSS.
 """
 
 from __future__ import annotations
@@ -240,8 +240,13 @@ def parse_trips(path) -> ParseResult:
 
 
 #: Characters read per block.  A block ends at a line end, so a longer line
-#: makes a longer block.
-_BLOCK_CHARS = 1 << 16
+#: makes a longer block.  Each block pays a fixed cost in array calls, so
+#: larger blocks parse faster: the ingest-trips benchmark's op takes about
+#: 0.19 s at 2**16 characters, 0.14 s at 2**18 and 0.13 s at 2**19.  A block's
+#: working set grows with it: a parse of the 20 000-row file of the memory
+#: test peaks at 66, 100 and 155 bytes a row, against a bound of 150
+#: (``BENCH_block.json``).
+_BLOCK_CHARS = 1 << 18
 
 # Fields are checked and converted eight characters at a time: each 64-bit
 # word holds eight consecutive bytes of a block, the first in its lowest
@@ -266,8 +271,8 @@ _STAMP_MAX = np.frombuffer(bytes([9, 9, 9, 9, 0, 1, 9, 0, 3, 9, 0, 2, 9, 0, 5, 9
 #: days per month, by month number; 0 where the number is not a month
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
 
-#: bytes around a block, so every field window lies inside the buffer
-_PAD = b" " * 24
+#: characters around a block, so every field window lies inside its bytes
+_PAD = " " * 24
 
 
 class _TripReader:
@@ -319,25 +324,26 @@ class _TripReader:
         of the line it is at."""
         pieces = []  # an unfinished line, split where the blocks were read
         mostly_odd = False  # whether the last block was
-        while chunk := fh.read(_BLOCK_CHARS):
+        while chunk := _read(fh, _BLOCK_CHARS):
             if chunk.endswith("\r"):  # it may start a CRLF: keep the pair together
                 chunk += fh.read(1)
             if (mostly_odd or '"' in chunk
                     or "\r" in chunk and chunk.count("\r") != chunk.count("\r\n")):
-                text = "".join(pieces) + chunk + fh.readline()
-                self._rows(csv.reader(chain(io.StringIO(text, newline=""), fh)), line)
+                pieces.append(chunk + fh.readline())
+                del chunk  # its text is in pieces
+                self._rows(csv.reader(chain(_lines("".join(pieces).encode()), fh)), line)
                 return
             cut = chunk.rfind("\n") + 1
             if not cut:
                 pieces.append(chunk)
                 continue
-            text = "".join(pieces) + chunk[:cut]
+            block = "".join([_PAD, *pieces, chunk[:cut], _PAD]).encode()
             pieces = [chunk[cut:]]
-            n_lines, mostly_odd = self._block(text, line)
+            del chunk  # only the block's bytes are held while they are parsed
+            n_lines, mostly_odd = self._block(block, line)
             line += n_lines
-        text = "".join(pieces)
-        if text:
-            self._block(text, line)
+        if any(pieces):
+            self._block("".join([_PAD, *pieces, _PAD]).encode(), line)
 
     def _rows(self, rows, line: int) -> None:
         """Append the rows of a ``csv.reader`` whose first line is ``line``."""
@@ -346,19 +352,26 @@ class _TripReader:
         except csv.Error as exc:
             raise ValueError(f"trips file line {line + rows.line_num - 1}: {exc}") from None
 
-    def _block(self, text: str, line: int) -> tuple[int, bool]:
-        """Append the records of whole lines of text, ``line`` the number of
-        the first, with array code; how many lines it holds, and whether
-        under two thirds of them are canonical.  Each CR in it starts a CRLF."""
-        raw = text.encode("ascii", "replace")  # one byte per character
-        buf = np.frombuffer(_PAD + raw + _PAD, dtype=np.uint8)
-        first = len(_PAD)
-        # line feeds and commas, found in one pass
-        marks = np.flatnonzero(buf[first:first + len(raw)] <= ord(",")) + first
+    def _block(self, block: bytes, line: int) -> tuple[int, bool]:
+        """Append the records of whole lines, ``line`` the number of the
+        first, with array code; how many lines they are, and whether under
+        two thirds of them are canonical.  ``block`` is their text in UTF-8
+        between two ``_PAD``; each CR in it starts a CRLF."""
+        buf = np.frombuffer(block, dtype=np.uint8)
+        if not block.isascii():
+            # the word arithmetic needs every byte below 0x80; a field with
+            # another character is not canonical anyway
+            buf = np.minimum(buf, 0x7F)
+        first, last = len(_PAD), len(buf) - len(_PAD)
+        # line feeds and commas, found in one pass; arrays no later step
+        # reads are dropped, since the block's peak is the parse's
+        marks = np.flatnonzero(buf[first:last] <= ord(","))
+        marks += first
         kind = buf[marks]
         ends, commas = marks[kind == ord("\n")], marks[kind == ord(",")]
-        if not raw.endswith(b"\n"):
-            ends = np.append(ends, first + len(raw))
+        del marks, kind
+        if buf[last - 1] != ord("\n"):
+            ends = np.append(ends, last)
         starts = np.empty_like(ends)
         starts[0] = first
         starts[1:] = ends[:-1] + 1
@@ -370,39 +383,34 @@ class _TripReader:
         # field bounds of the lines with the header's field count
         lines = np.flatnonzero(canonical)
         comma = commas[np.repeat(canonical, line_commas)].reshape(-1, self.n_fields - 1)
+        del commas, line_commas
 
         def field(k):
             return (starts[lines] if k == 0 else comma[:, k - 1] + 1,
                     stops[lines] if k == self.n_fields - 1 else comma[:, k])
 
         minute, ok = _minute_of_week(buf, *field(self.k_time))
-        if not ok.all():  # the numbers of these lines are not read here
-            canonical[lines[~ok]] = False
-            lines, comma, minute = lines[ok], comma[ok], minute[ok]
-        bounds = [field(k) for k in self.k_numbers]
-        if self.k_dist is not None:
-            bounds.append(field(self.k_dist))
-        # all numbers of the block at once, one field after another
-        values, number_ok = _decimals(buf, np.concatenate([b[0] for b in bounds]),
-                                      np.concatenate([b[1] for b in bounds]))
-        values = values.reshape(len(bounds), len(lines))
-        number_ok = number_ok.reshape(len(bounds), len(lines))
-        ok = number_ok[:4].all(axis=0)
+        # the numbers, one field at a time; the distance last, NaN where
+        # the line gives none
+        values = np.empty((5, len(lines)))
+        for k, out in zip(self.k_numbers, values):
+            ok &= _decimals(buf, *field(k), out)
+        dist = values[4]
         if self.k_dist is None:
-            dist = np.full(len(lines), math.nan)
+            dist.fill(math.nan)
         else:
-            given = bounds[4][1] > bounds[4][0]
-            ok &= number_ok[4] | ~given
-            dist = np.where(given, values[4], math.nan)
+            start, stop = field(self.k_dist)
+            absent = stop == start
+            ok &= _decimals(buf, start, stop, dist) | absent
+            dist[absent] = math.nan
         canonical[lines[~ok]] = False
         # a canonical row with a negative distance is malformed; -0.0 is not
         keep = ok & ~(dist < 0.0)
         self.skipped += int(np.count_nonzero(ok)) - int(np.count_nonzero(keep))
-        columns = [minute[keep], *(v[keep] for v in values[:4]), dist[keep]]
+        columns = [minute[keep], *(v[keep] for v in values)]
 
         if not canonical.all():
-            at, records = self._other_lines(text, line, starts - first, ends - first,
-                                            ~canonical)
+            at, records = self._other_lines(block, line, starts, ends, ~canonical)
             if len(at):
                 at = np.searchsorted(lines[keep], at)
                 columns = [np.insert(c, at, np.frombuffer(v, dtype=c.dtype))
@@ -411,21 +419,22 @@ class _TripReader:
             buffer.frombytes(column.view(np.uint8))
         return len(ends), 3 * np.count_nonzero(canonical) < 2 * len(canonical)
 
-    def _other_lines(self, text, line, starts, ends, other):
-        """The records of the lines of ``text`` marked ``other``: for each the
+    def _other_lines(self, block, line, starts, ends, other):
+        """The records of the lines of ``block`` marked ``other``: for each the
         index of its line, and their values, one typed buffer per column.
 
         ``starts`` and ``ends`` are the offsets of each line and of its line
-        feed (or of the end of the text), and ``line`` the file line of the
+        feed (or of the end of its text), and ``line`` the file line of the
         first.  One ``csv.reader`` reads the marked lines joined."""
         i = np.flatnonzero(other)
-        # runs of consecutive lines, each one slice of the text
+        # runs of consecutive lines, each one slice of the block
         run = np.flatnonzero(np.diff(i, prepend=-2) != 1)
         lo = starts[i[run]].tolist()
         hi = (ends[i[np.append(run[1:], len(i)) - 1]] + 1).tolist()
-        joined = "".join([text[a:b] for a, b in zip(lo, hi)])
+        # without the end pad, which a last line with no line feed runs into
+        text = memoryview(block)[:len(block) - len(_PAD)]
         records, at = _new_columns(), []
-        reader = csv.reader(io.StringIO(joined, newline=""))
+        reader = csv.reader(_lines(b"".join([text[a:b] for a, b in zip(lo, hi)])))
         try:
             # with no quote and no lone carriage return a row is one CSV
             # line, a blank row an empty one
@@ -435,6 +444,23 @@ class _TripReader:
             raise ValueError(f"trips file line {line + i[reader.line_num - 1]}: "
                              f"{exc}") from None
         return i[np.array(at, dtype=np.intp) - 1], records
+
+
+def _read(fh, n: int) -> str:
+    """Up to ``n`` characters of the text file ``fh``, read 8192 at a time: a
+    text file holds the characters of one read until the next, so a single
+    read of a block would keep a second copy of it while it is parsed."""
+    parts = []
+    while n > 0 and (part := fh.read(min(n, 8192))):
+        parts.append(part)
+        n -= len(part)
+    return "".join(parts)
+
+
+def _lines(data: bytes):
+    """The lines of UTF-8 text, as a file opened with ``newline=""`` reads
+    them; an ``io.StringIO`` would hold four bytes a character."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
 
 
 def _new_columns() -> tuple[array, ...]:
@@ -533,10 +559,10 @@ def _minute_of_week(buf: np.ndarray, start: np.ndarray, stop: np.ndarray):
     return (days + 2) % 7 * 1440 + hour * 60 + minute, ok
 
 
-def _decimals(buf: np.ndarray, start: np.ndarray, stop: np.ndarray):
-    """Values of the fields ``buf[start:stop]`` that are canonical decimals,
-    an optional minus sign and then 1 to 15 digits with at most one point
-    among them, and which are."""
+def _decimals(buf: np.ndarray, start: np.ndarray, stop: np.ndarray, out: np.ndarray):
+    """Which of the fields ``buf[start:stop]`` are canonical decimals, an
+    optional minus sign and then 1 to 15 digits with at most one point among
+    them; their values go to ``out``."""
     negative = buf[start] == ord("-")
     v, points, after, ok = _digit_words(buf, start + negative, stop)
     # reading the point as a 0 digit leaves the integer part ten times too
@@ -545,9 +571,9 @@ def _decimals(buf: np.ndarray, start: np.ndarray, stop: np.ndarray):
     spread = v[:, 0] * 100000000 + v[:, 1]
     fraction = spread % _POW10[after]
     mantissa = np.where(points > 0, (spread - fraction) // 10 + fraction, spread)
-    value = mantissa / _POW10_F[after]
-    np.negative(value, out=value, where=negative)
-    return value, ok
+    np.divide(mantissa, _POW10_F[after], out=out)
+    np.negative(out, out=out, where=negative)
+    return ok
 
 
 def _digit_words(buf: np.ndarray, start: np.ndarray, stop: np.ndarray):
@@ -556,7 +582,7 @@ def _digit_words(buf: np.ndarray, start: np.ndarray, stop: np.ndarray):
     points each holds, how many characters follow its point, and which are
     1 to 15 digits with at most one point among them."""
     length = stop - start
-    inside = _INSIDE.take(np.clip(length, 0, 16), axis=0)
+    inside = _INSIDE.take(np.minimum(length, 16), axis=0)  # no length is negative
     v = _words(buf, stop - 16, 2) ^ (ord("0") * _ONES)  # digits become 0-9
     non_digit = _above(v, 9 * _ONES) & inside
     point = non_digit & ~_above(v ^ ((ord(".") ^ ord("0")) * _ONES), 0)

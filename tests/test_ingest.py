@@ -270,6 +270,34 @@ class TestParseTrips:
         assert (len(parsed.records), parsed.skipped) == (n, 0)
         assert peak / n <= 150
 
+    @pytest.mark.parametrize("sep", ["T", " "], ids=["canonical", "space-separated"])
+    def test_block_working_set_does_not_grow_with_the_file(self, tmp_path, sep):
+        # beyond the columns' 48 bytes a row, a parse holds one block's
+        # working set, whatever the file's length, on the array code's route
+        # and on csv's (no line with a space-separated start time is
+        # canonical); the allowance covers the columns' buffers, which run
+        # up to 1/16 ahead of their rows (240 kB at 80 000 rows)
+        def working_set(n):
+            rng = np.random.default_rng(n)
+            start = datetime(2024, 3, 4)
+            rows = [f"{(start + timedelta(minutes=int(m))).isoformat(sep)},"
+                    f"{c[0]:.6f},{c[1]:.6f},{c[2]:.6f},{c[3]:.6f},{d:.3f}"
+                    for m, c, d in zip(rng.integers(0, 7 * 1440, n),
+                                       rng.uniform(0.0, 1.0, (n, 4)),
+                                       rng.uniform(0.0, 30.0, n))]
+            path = write_csv(tmp_path, rows)
+            assert path.stat().st_size >= 4 * ingest._BLOCK_CHARS
+            tracemalloc.start()
+            try:
+                parsed = parse_trips(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(parsed.records) == n
+            return peak - 48 * n
+
+        assert abs(working_set(80_000) - working_set(20_000)) <= 512 * 1024
+
 
 class TestBinningSpec:
     def test_grid_or_zones_exactly_one(self):
@@ -653,7 +681,7 @@ CANONICAL_FIELDS = {
 ODD_FIELDS = {
     "number": st.one_of(decimals(16, 17), st.sampled_from([
         " 1.5", "1.5 ", "1e3", "1E-2", "1_0", "+1", ".5", "-.5", "nan", "inf", "-inf", "",
-        "-", ".", "1.2.3", "--1", "1-2", "\u0663", "\uff11.5", "1\u00b2",
+        "-", ".", "1.2.3", "--1", "1-2", "\u0663", "\uff11.5", "1\u00b2", "5\u00e9",
         # 16 digits, where mantissa / 10**k rounds twice and misses float()
         "96.48064786969077", "-91128735.31840813",
     ])),
@@ -736,10 +764,10 @@ class TestBlockReaderMatchesRowChecks:
             assert column.tobytes() == np.array(values, dtype=column.dtype).tobytes(), name
 
     @staticmethod
-    def spied_parse(path):
-        """Parse ``path`` in blocks of 256 characters; the parse and the
-        spies on the array-code and ``csv`` routes."""
-        with mock.patch.object(ingest, "_BLOCK_CHARS", 256), \
+    def spied_parse(path, chars=256):
+        """Parse ``path`` in blocks of ``chars`` characters; the parse and
+        the spies on the array-code and ``csv`` routes."""
+        with mock.patch.object(ingest, "_BLOCK_CHARS", chars), \
                 mock.patch.object(ingest._TripReader, "_block", autospec=True,
                                   side_effect=ingest._TripReader._block) as block, \
                 mock.patch.object(ingest._TripReader, "_rows", autospec=True,
@@ -775,6 +803,46 @@ class TestBlockReaderMatchesRowChecks:
         assert len(parsed.records.minute) == 2000
         self.assert_oracle_columns(parsed, path)
 
+    def test_default_blocks_with_scattered_odd_lines(self, tmp_path):
+        # blocks of the real size, each merging thousands of canonical
+        # lines with the few odd ones: about 1% of the lines carry a defect
+        # or a character beyond ASCII, and off-grid points are scattered too
+        rng = np.random.default_rng(5)
+        n = 24_000
+        start = datetime(2024, 3, 4)
+        rows = []
+        for k in range(n):
+            lon, lat = rng.uniform(13.3, 13.5, 2), rng.uniform(52.45, 52.55, 2)
+            if k % 53 == 0:  # off the grid: east of it, or west of the meridian
+                lon[1] = rng.choice([13.55, -0.05])
+            row = [(start + timedelta(seconds=int(rng.integers(28 * 86400)))).isoformat(),
+                   f"{lon[0]:.6f}", f"{lat[0]:.6f}", f"{lon[1]:.6f}", f"{lat[1]:.6f}",
+                   f"{rng.uniform(0, 30):.3f}" if k % 2 else ""]
+            if k % 97 == 13:  # the benchmark's defects, and two beyond ASCII
+                field, value = [(0, "2024-02-30T25:00:00"), (3, "n/a"), (2, "nan"),
+                                (1, "\u0663.5"), (4, "5\u00e9")][k % 5]
+                row[field] = value
+            rows.append(",".join(row))
+        path = write_csv(tmp_path, rows)
+        assert path.stat().st_size >= 4 * ingest._BLOCK_CHARS
+        parsed, block, csv_rest = self.spied_parse(path, ingest._BLOCK_CHARS)
+        # every block is read by the array code, none by csv alone
+        assert block.call_count >= 4 and csv_rest.call_count == 0
+        assert parsed.skipped > 0
+        self.assert_oracle_columns(parsed, path)
+
+    def test_odd_last_line_without_a_line_feed(self, tmp_path):
+        # the row checks read an odd last line up to the end of the file,
+        # not into the padding after its block: a trailing space would make
+        # its start time malformed
+        path = tmp_path / "trips.csv"
+        path.write_text("origin_lng,origin_lat,dest_lng,dest_lat,start_time\n"
+                        "0.5,0.1,0.2,0.3,2024-03-04T08:10:00\n"
+                        "1e3,0.1,0.2,0.3,2024-03-04T08:10:00")
+        parsed = parse_trips(path)
+        assert (len(parsed.records), parsed.skipped) == (2, 0)
+        self.assert_oracle_columns(parsed, path)
+
     def test_csv_reads_the_rest_after_a_mostly_odd_block(self, tmp_path):
         # 100 lines with space-separated start times, which the array code
         # leaves to the row checks, then 2000 canonical lines
@@ -786,7 +854,7 @@ class TestBlockReaderMatchesRowChecks:
         # the first block holds odd lines alone; no block after it is read
         # by the array code
         assert block.call_count == 1
-        whole = parse_trips(path)  # in two blocks, each of mostly canonical lines
+        whole = parse_trips(path)  # in one block of mostly canonical lines
         assert (parsed.skipped, whole.skipped) == (0, 0)
         for name in ("minute", "origin_lon", "origin_lat", "dest_lon", "dest_lat",
                      "distance_km"):
