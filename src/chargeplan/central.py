@@ -15,7 +15,10 @@ scipy bundles (``scipy.optimize._highspy``) once, and :func:`solve_lp` runs
 it and reads back the primal point and the simplex iteration count only.
 ``scipy.optimize.linprog`` would also fill per-column bound multipliers in a
 Python loop after each solve, about 0.1 s at 20 x 672, which nothing here
-reads.  ``solve_centralized`` is one build and one solve.  ``sweep_range``
+reads.  HiGHS runs its dual simplex on the LP exactly as built, with no
+presolve (see ``_HIGHS_OPTIONS``), so every solve, cold or warm, works on
+the rows and columns ``build_lp`` wrote.  ``solve_centralized`` is one
+build and one solve.  ``sweep_range``
 solves the range study on one model: it builds the widest R's LP once,
 closes the columns out of each R's range with zero upper bounds, and lets
 HiGHS re-solve from the previous basis.  The embedded dense simplex
@@ -161,10 +164,15 @@ def _extract_plans(
     return InvestmentPlan(c), AssignmentPlan(graph, z)
 
 
-#: the options every solve runs with: presolve, the dual simplex, the
-#: feasibility tolerances, and no log
+#: the options every solve runs with: no presolve, the dual simplex, the
+#: feasibility tolerances, and no log.  ``build_lp`` writes no implied row,
+#: so presolve found little to remove: the FLOW rows of locations with at
+#: most one out-edge and the CAPU rows no edge touches, 4 032 of 26 881 rows
+#: at 20 x 672.  Its reduced copy of the LP held about 20 MB at 20 x 672 and
+#: 90 MB at 40 x 672, and the simplex took about as many iterations without
+#: it (3 498 against 3 479 at 20 x 672; ``BENCH_presolve.json``)
 _HIGHS_OPTIONS = {
-    "presolve": "on",
+    "presolve": "off",
     "simplex_strategy": int(highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
     "primal_feasibility_tolerance": 1e-8,
     "dual_feasibility_tolerance": 1e-7,

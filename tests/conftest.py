@@ -189,11 +189,13 @@ def brute_force_integer_optimum(instance) -> float:
 def solve_with_simplex(instance: PlanningInstance) -> Solution:
     """The central LP solved by the embedded dense simplex, the oracle that
     HiGHS is checked against.  Finite upper bounds become explicit rows
-    ``x_k <= ub_k``, since the simplex takes only ``x >= 0``."""
+    ``x_k <= ub_k``, since the simplex takes only ``x >= 0``; a row with an
+    infinite right-hand side (an unbounded budget) is free, and left out."""
     lp = build_lp(instance)
     bounded = np.isfinite(lp.ub)
-    A = np.vstack([lp.matrix().toarray(), np.eye(lp.n_cols)[bounded]])
-    b = np.concatenate([lp.rhs, lp.ub[bounded]])
+    rows = np.isfinite(lp.rhs)
+    A = np.vstack([lp.matrix().toarray()[rows], np.eye(lp.n_cols)[bounded]])
+    b = np.concatenate([lp.rhs[rows], lp.ub[bounded]])
     res = solve_simplex(lp.obj, A, b)
     if res.status == "infeasible":
         raise InfeasibleProblemError("LP is infeasible")

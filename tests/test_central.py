@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize._highspy import _core as highspy
 
 from chargeplan.central import (
     build_lp,
@@ -167,6 +168,13 @@ class TestHighsModel:
             inst = dataclasses.replace(inst, budget=np.inf)
         self.assert_holds(build_lp(inst))
 
+    def test_runs_the_dual_simplex_without_presolve(self):
+        # build_lp writes no implied row, so HiGHS solves the LP as built
+        highs = highs_model(build_lp(make_instance([[3.0, 1.0]])))
+        assert highs.getOptionValue("presolve")[1] == "off"
+        assert highs.getOptionValue("simplex_strategy")[1] == int(
+            highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+
     def test_unbounded_budget_keeps_its_row(self):
         # row k of HiGHS is row k of the LP, so row duals read in row_names order
         inst = generate_instance(GenParams(n_locations=4, n_slots=8, seed=1, range_km=6.0))
@@ -281,6 +289,60 @@ class TestSolveCentralized:
         a = solve_centralized(inst)
         b = solve_centralized(split)
         assert b.cost.total == pytest.approx(a.cost.total, abs=1e-6)
+
+
+class TestRowsPresolveWouldRemove:
+    """Without presolve HiGHS also solves the rows presolve would have
+    removed: the FLOW rows of location 1, which has no out-edge, and of
+    location 0, which has one; and the CAPU rows of location 3, which no
+    edge touches (and of every location when beta = 0).  Location 2 has two
+    out-edges.  HiGHS must agree with the dense simplex on each case, and
+    on which cases are infeasible."""
+
+    FLOW = [[9.0, 1.0, 2.0, 4.0], [1.0, 8.0, 7.0, 5.0], [3.0, 2.0, 9.0, 1.0]]
+    COST = [[0.0, 0.3, FORBIDDEN, FORBIDDEN],
+            [FORBIDDEN, 0.0, FORBIDDEN, FORBIDDEN],
+            [0.2, 0.5, 0.0, FORBIDDEN],
+            [FORBIDDEN, FORBIDDEN, FORBIDDEN, 0.0]]
+    #: the investment of the optimum with an unbounded budget and no cap
+    INVESTMENT = 92.625
+
+    @pytest.mark.parametrize("budget", [0.99, 0.9, np.inf], ids=["budget", "low", "unbounded"])
+    @pytest.mark.parametrize("beta", [1.5, 0.0])
+    @pytest.mark.parametrize("capped, cap", [(None, 1.0), (0, 0.5), (1, 0.8), (3, 0.8)],
+                             ids=["uncapped", "one-edge", "no-out-edge", "untouched"])
+    def test_highs_equals_the_simplex(self, budget, beta, capped, cap):
+        flow = np.array(self.FLOW)
+        capacity_max = np.full(4, 1e9)
+        if capped is not None:
+            # below the location's own peak at beta 1.5: only shipping
+            # vehicles out helps
+            capacity_max[capped] = cap * 1.5 * flow[:, capped].max()
+        inst = make_instance(
+            flow, beta=beta, assign_cost=self.COST,
+            delay=[[0, 1, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0]],
+            base_cost=2.0, location_cost=[0.5, 0.0, 1.0, 0.25],
+            budget=budget * self.INVESTMENT, capacity_max=capacity_max,
+        )
+
+        def solve(solver):
+            try:
+                return solver(inst)
+            except InfeasibleProblemError:
+                return None
+
+        a, b = solve(solve_with_simplex), solve(solve_centralized)
+        # with beta = 0 no capacity is needed; otherwise the budget below
+        # the optimum's investment, or a cap below the own peak of a
+        # location that cannot ship, leaves no plan
+        infeasible = beta > 0 and (budget == 0.9 or capped in (1, 3))
+        assert (a is None, b is None) == (infeasible, infeasible)
+        if infeasible:
+            return
+        assert a.cost.total == pytest.approx(b.cost.total, abs=1e-6, rel=1e-7)
+        for sol in (a, b):
+            report = check_feasibility(inst, sol.investment, sol.assignment, tol=1e-6)
+            assert report.feasible, report.residuals
 
 
 class TestBackendsDifferential:

@@ -275,8 +275,10 @@ class TestParseTrips:
         # beyond the columns' 48 bytes a row, a parse holds one block's
         # working set, whatever the file's length, on the array code's route
         # and on csv's (no line with a space-separated start time is
-        # canonical); the allowance covers the columns' buffers, which run
-        # up to 1/16 ahead of their rows (240 kB at 80 000 rows)
+        # canonical); the allowance covers the columns' buffers, which hold
+        # room for up to 1/16 more rows than they end with, reserved from
+        # the bytes left in the file or grown by csv's appends (240 kB at
+        # 80 000 rows)
         def working_set(n):
             rng = np.random.default_rng(n)
             start = datetime(2024, 3, 4)

@@ -38,6 +38,23 @@ def test_run_gap_experiment(tmp_path):
     assert [row["seed"] for row in rows] == ["0"]
 
 
+def test_run_ladder(tmp_path):
+    out = tmp_path / "ladder.json"
+    proc = run_script("run_ladder.py", "--sizes", "3x4", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    committed = json.loads((ROOT / "BENCH_ladder.json").read_text())
+    assert doc.keys() == committed.keys()
+    [rung] = doc["ladder"]
+    assert rung.keys() == committed["ladder"][0].keys()
+    assert (rung["size"], rung["lp_rows"]) == ("3 x 4", 1 + 2 * 3 * 4)
+    for figure in ("central", "admm"):
+        assert rung[figure].keys() == committed["ladder"][0][figure].keys()
+        assert rung[figure]["feasible"] and rung[figure]["rss_mb"] > 0
+    gap = 100 * (rung["admm"]["total"] - rung["central"]["total"]) / rung["central"]["total"]
+    assert rung["admm_above_lp_pct"] == round(gap, 2)
+
+
 def test_make_golden_reproduces_the_committed_file(tmp_path):
     # the only script that writes and reads MPS: its external solves must
     # match the reference the acceptance suite checks the simplex against
