@@ -308,6 +308,12 @@ def run_admm(
     runs out (in which case the best iterate seen is returned with
     ``converged=False``).  The solution capacity is read from the auxiliary
     (master-feasible) side.
+
+    ``converged`` means both residuals reached the threshold: the workers'
+    capacities and the master's agree, which certifies consensus, not
+    optimality.  On the default generated instances ADMM stops 14-31% above
+    the LP optimum, and on two locations with staggered peaks (each covering
+    its own) it converges after one iteration 100% above it.
     """
     cfg = config or AdmmConfig()
     n, T = instance.n_locations, instance.n_slots

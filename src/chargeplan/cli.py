@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import io
+from . import central, io
 from .admm import AdmmConfig, run_admm, write_convergence_csv
 from .central import solve_base_model, solve_centralized, sweep_range
 from .datagen import HORIZON_HOURS, EconParams, GenParams, generate_instance
@@ -175,6 +175,13 @@ def cmd_ingest(args, config: dict) -> int:
             f"invalid config section 'binning': {spec.n_slots} slots of "
             f"{spec.slot_minutes} minutes do not span one week "
             f"({60 * HORIZON_HOURS} minutes)"
+        )
+    if spec.n_zones ** 2 > central.MAX_LP_COLUMNS:
+        # refused before the trips are read or an n x n matrix is built
+        raise ConfigError(
+            f"invalid config section 'binning': {spec.n_zones} zones give "
+            f"{spec.n_zones ** 2} zone pairs, above the {central.MAX_LP_COLUMNS} "
+            f"LP columns supported"
         )
     econ = _section(config, "econ", EconParams)
     if args.seed is not None:

@@ -137,9 +137,10 @@ def assignment_costs(
 
 def travel_delays(distance: np.ndarray, speed_kmh: float, n_slots: int) -> np.ndarray:
     slot_hours = HORIZON_HOURS / n_slots
-    tau = np.rint(distance / speed_kmh / slot_hours).astype(int)
+    # saturate before the cast: a huge or infinite distance is n_slots - 1
+    tau = np.minimum(np.rint(distance / speed_kmh / slot_hours), n_slots - 1).astype(int)
     np.fill_diagonal(tau, 0)
-    return np.minimum(tau, n_slots - 1)
+    return tau
 
 
 def with_range_limit(instance: PlanningInstance, range_km: float) -> PlanningInstance:

@@ -11,22 +11,22 @@ length, folded cyclically onto the horizon, so multi-week data accumulate
 onto one representative cycle and binning stays shift-equivariant.
 
 The CSV is read once, in blocks of whole lines, straight into one typed
-buffer per column (``array.array``), with room reserved from the bytes left
-in the file; the :class:`TripTable` columns are numpy views of those
-buffers, so a parsed row costs its 48 bytes of values, and the parse adds
-about 1 MB of per-block arrays at its peak.  Canonical lines (ISO start
-times without zone or fraction, plain decimals) are parsed by array code
-over each block's bytes, every other line by the per-row checks of the
-``csv`` route; both give the same values, bit for bit.  From a block with a
-quote or a lone CR, or after one of mostly other lines, ``csv`` reads the
-rest of the file.  Binning, the per-record distance fallback and the
+buffer per column (``array.array``), which grows by appending each block's
+records; the :class:`TripTable` columns are numpy views of those buffers,
+so a parsed row costs its 48 bytes of values, and the parse adds about 1 MB
+of per-block arrays at its peak.  Canonical lines (ISO start times without
+zone or fraction, plain decimals) are parsed by array code over each
+block's bytes, every other line by the per-row checks of the ``csv`` route;
+both give the same values, bit for bit.  From a block with a quote or a
+lone CR, or after one of mostly other lines, ``csv`` reads the rest of the
+file.  Binning, the per-record distance fallback and the
 per-pair averages are array code over that table.  On a 2-vCPU x86-64 host
 with CPython 3.11, parsing a 100 000-row file of canonical lines takes about
 0.1 s (0.2 s row by row), grid binning and averaging about 0.02 s; a file
 whose first block is mostly odd lines parses row by row, canonical lines
 after it included (20 000 odd lines, then 80 000 canonical ones: about twice
-the time of canonical lines alone); a 1.5 M-row file parses in about 1.25 s
-and adds about 71 MB, the size of its columns, to the process's peak RSS.
+the time of canonical lines alone); a 1.5 M-row file parses in 1.3-1.9 s
+and adds about 70 MB, the size of its columns, to the process's peak RSS.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 from array import array
 from dataclasses import dataclass
 from datetime import datetime
@@ -310,15 +309,13 @@ class _TripReader:
         self.k_dist = where.get("distance_km")
         self.k_numbers = (k_olon, k_olat, k_dlon, k_dlat)  # in TripTable's order
         # one typed buffer per column: a row costs its 48 bytes of values,
-        # not a tuple of Python objects.  The array code fills room reserved
-        # ahead of its rows, so the first ``n`` entries are the records.
+        # not a tuple of Python objects
         self.columns = _new_columns()
-        self.n = 0
+        self._append = _row_checks(self.k_time, self.k_numbers, self.k_dist, self.columns)
         self.skipped = 0
 
     def table(self) -> TripTable:
         # the columns are views of the buffers, not copies
-        self._trim()
         minute, *values = self.columns
         return TripTable(np.frombuffer(minute, dtype=np.int64),
                          *(np.frombuffer(v, dtype=float) for v in values))
@@ -328,7 +325,6 @@ class _TripReader:
         of the line it is at."""
         pieces = []  # an unfinished line, split where the blocks were read
         mostly_odd = False  # whether the last block was
-        left = os.fstat(fh.fileno()).st_size  # about the bytes after the last block
         while chunk := _read(fh, _BLOCK_CHARS):
             if chunk.endswith("\r"):  # it may start a CRLF: keep the pair together
                 chunk += fh.read(1)
@@ -345,33 +341,23 @@ class _TripReader:
             block = "".join([_PAD, *pieces, chunk[:cut], _PAD]).encode()
             pieces = [chunk[cut:]]
             del chunk  # only the block's bytes are held while they are parsed
-            left -= len(block) - 2 * len(_PAD)
-            n_lines, mostly_odd = self._block(block, line, left)
+            n_lines, mostly_odd = self._block(block, line)
             line += n_lines
         if any(pieces):
-            self._block("".join([_PAD, *pieces, _PAD]).encode(), line, 0)
+            self._block("".join([_PAD, *pieces, _PAD]).encode(), line)
 
     def _rows(self, rows, line: int) -> None:
         """Append the rows of a ``csv.reader`` whose first line is ``line``."""
-        self._trim()
         try:
-            self.skipped += _row_checks(self.k_time, self.k_numbers, self.k_dist,
-                                        self.columns)(rows)
+            self.skipped += self._append(rows)
         except csv.Error as exc:
             raise ValueError(f"trips file line {line + rows.line_num - 1}: {exc}") from None
-        self.n = len(self.columns[0])
 
-    def _trim(self) -> None:
-        """Drop the room reserved past the records."""
-        for buffer in self.columns:
-            del buffer[self.n:]
-
-    def _block(self, block: bytes, line: int, left: int) -> tuple[int, bool]:
+    def _block(self, block: bytes, line: int) -> tuple[int, bool]:
         """Append the records of whole lines, ``line`` the number of the
         first, with array code; how many lines they are, and whether under
         two thirds of them are canonical.  ``block`` is their text in UTF-8
-        between two ``_PAD``; each CR in it starts a CRLF.  About ``left``
-        bytes of the file follow it."""
+        between two ``_PAD``; each CR in it starts a CRLF."""
         buf = np.frombuffer(block, dtype=np.uint8)
         if not block.isascii():
             # the word arithmetic needs every byte below 0x80; a field with
@@ -430,19 +416,9 @@ class _TripReader:
                 at = np.searchsorted(lines[keep], at)
                 columns = [np.insert(c, at, np.frombuffer(v, dtype=c.dtype))
                            for c, v in zip(columns, records)]
-        mostly_odd = 3 * np.count_nonzero(canonical) < 2 * len(canonical)
-        n, k = self.n, len(columns[0])
-        if n + k > len(self.columns[0]):
-            # room for the rest of the file at this block's records per
-            # byte, and 1/16 more, so the columns are seldom copied; csv
-            # appends the rest of the file after a mostly odd block
-            rest = 0 if mostly_odd else k * max(left, 0) // len(block)
-            rows = (n + k + rest) * 17 // 16
-            self.columns = tuple(_grown(buffer, rows) for buffer in self.columns)
         for buffer, column in zip(self.columns, columns):
-            np.frombuffer(buffer, column.dtype)[n:n + k] = column
-        self.n = n + k
-        return len(ends), mostly_odd
+            buffer.frombytes(column.view(np.uint8))
+        return len(ends), 3 * np.count_nonzero(canonical) < 2 * len(canonical)
 
     def _other_lines(self, block, line, starts, ends, other):
         """The records of the lines of ``block`` marked ``other``: for each the
@@ -491,13 +467,6 @@ def _lines(data: bytes):
 def _new_columns() -> tuple[array, ...]:
     """Empty typed buffers for :class:`TripTable`'s columns, in its order."""
     return (array("q"),) + tuple(array("d") for _ in range(5))
-
-
-def _grown(buffer: array, size: int) -> array:
-    """A buffer of ``size`` entries that starts with those of ``buffer``."""
-    grown = array(buffer.typecode, [0]) * size
-    grown[:len(buffer)] = buffer
-    return grown
 
 
 def _row_checks(k_time: int, k_numbers: tuple[int, ...], k_dist: int | None, columns):

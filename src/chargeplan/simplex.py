@@ -110,11 +110,23 @@ def solve_simplex(
     max_iterations: int = 20000,
     tol: float = 1e-9,
 ) -> SimplexResult:
-    """Two-phase revised simplex for ``min c @ x, A x <= b, x >= 0``."""
+    """Two-phase revised simplex for ``min c @ x, A x <= b, x >= 0``.
+
+    Raises ``ValueError``, naming the argument, unless ``A`` is an
+    ``(m, n)`` matrix, ``c`` has ``n`` entries and ``b`` has ``m``, all finite.
+    """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float).copy()
     b = np.asarray(b, dtype=float).copy()
+    if A.ndim != 2:
+        raise ValueError(f"A must be a matrix, got shape {A.shape}")
     m, n = A.shape
+    for name, value, shape in (("c", c, (n,)), ("b", b, (m,))):
+        if value.shape != shape:
+            raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+    for name, value in (("c", c), ("A", A), ("b", b)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} has a non-finite entry")
 
     # Row equilibration: dividing an inequality by a positive constant leaves
     # the feasible set untouched but keeps rows with wildly different units

@@ -296,6 +296,35 @@ class TestIngest:
         summary = json.loads((out / "ingest_summary.json").read_text())
         assert (summary["records_read"], summary["skipped"]) == (50, 4)
 
+    def test_huge_distance_saturates_the_delay(self, tmp_path):
+        # 1e308 km is a valid record; its pair's delay is the last slot and
+        # the pair is beyond any range, so forbidden
+        lines = TRIPS_50.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",1e308"
+        trips = tmp_path / "trips.csv"
+        trips.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = ingest(tmp_path, GRID_2X2, trips=trips)
+        assert code == EXIT_OK
+        spec = ingest_module.BinningSpec(bbox=(0, 0, 1, 1), rows=2, cols=2)
+        origin_lon, origin_lat, dest_lon, dest_lat = (float(x) for x in lines[1].split(",")[1:5])
+        i = spec.zones_of(np.array([origin_lon]), np.array([origin_lat]))[0]
+        j = spec.zones_of(np.array([dest_lon]), np.array([dest_lat]))[0]
+        instance = io.load_instance(out / "instance.json")
+        assert instance.delay[i, j] == instance.n_slots - 1
+        assert not np.isfinite(instance.assign_cost[i, j])
+
+    def test_grid_above_the_lp_column_limit_exit_2(self, tmp_path, capsys):
+        # 10^10 zones: refused by name before any per-zone array is built
+        doc = {"binning": dict(GRID_2X2["binning"], rows=100_000, cols=100_000)}
+        code, out = ingest(tmp_path, doc)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "10000000000 zones" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("block", [256, 1 << 20], ids=["small", "large"])
     @pytest.mark.parametrize("ends", [("\n", "\n"), ("\r\n", "\r\n"), ("\r", "\r"), ("\r", "\n")],
                              ids=["lf", "crlf", "cr", "cr-then-lf"])

@@ -56,6 +56,16 @@ class TestTravelDelays:
         tau = travel_delays(dist, speed_kmh=30.0, n_slots=4)
         assert tau[0, 1] == 3
 
+    @pytest.mark.parametrize("km", [1e308, np.inf])
+    def test_saturates_before_the_integer_cast(self, km):
+        # a distance past int64's range saturates; it must not reach the
+        # integer cast, which warns and returns garbage
+        dist = np.array([[0.0, km], [km, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau = travel_delays(dist, speed_kmh=30.0, n_slots=672)
+        np.testing.assert_array_equal(tau, [[0, 671], [671, 0]])
+
     def test_diagonal_zero(self):
         tau = travel_delays(np.full((2, 2), 50.0), 30.0, 672)
         assert tau[0, 0] == 0 and tau[1, 1] == 0

@@ -270,15 +270,38 @@ class TestParseTrips:
         assert (len(parsed.records), parsed.skipped) == (n, 0)
         assert peak / n <= 150
 
+    def test_peak_memory_per_row_when_later_rows_are_wider(self, tmp_path):
+        # a block of 38-character rows, then 40 000 of about 200 characters
+        # (a long note column): the columns hold room for the rows read,
+        # not for the rest of the file at the first block's rows per byte
+        start = datetime(2024, 3, 4)
+        n_short, n_wide = ingest._BLOCK_CHARS // 38, 40_000
+        rng = np.random.default_rng(1)
+        times = [(start + timedelta(minutes=int(m))).isoformat()
+                 for m in rng.integers(0, 7 * 1440, n_short + n_wide)]
+        short = [f"{t},0.1,0.2,0.8,0.9,1," for t in times[:n_short]]
+        wide = [f"{t},{c[0]:.6f},{c[1]:.6f},{c[2]:.6f},{c[3]:.6f},{d:.3f},{'x' * 140}"
+                for t, c, d in zip(times[n_short:], rng.uniform(0.0, 1.0, (n_wide, 4)),
+                                   rng.uniform(0.0, 30.0, n_wide))]
+        path = write_csv(tmp_path, short + wide, header=f"{HEADER},note")
+        tracemalloc.start()
+        try:
+            parsed = parse_trips(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = n_short + n_wide
+        assert (len(parsed.records), parsed.skipped) == (n, 0)
+        assert peak / n <= 150
+
     @pytest.mark.parametrize("sep", ["T", " "], ids=["canonical", "space-separated"])
     def test_block_working_set_does_not_grow_with_the_file(self, tmp_path, sep):
         # beyond the columns' 48 bytes a row, a parse holds one block's
         # working set, whatever the file's length, on the array code's route
         # and on csv's (no line with a space-separated start time is
-        # canonical); the allowance covers the columns' buffers, which hold
-        # room for up to 1/16 more rows than they end with, reserved from
-        # the bytes left in the file or grown by csv's appends (240 kB at
-        # 80 000 rows)
+        # canonical); the allowance covers the columns' buffers, which grow
+        # by appending and so hold room for up to 1/16 more rows than they
+        # end with (240 kB at 80 000 rows)
         def working_set(n):
             rng = np.random.default_rng(n)
             start = datetime(2024, 3, 4)

@@ -1,10 +1,15 @@
 """The embedded two-phase simplex against hand solutions and scipy."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
 
+from chargeplan.central import build_lp
 from chargeplan.simplex import solve_simplex
+
+from conftest import make_instance
 
 
 def test_textbook_maximization_as_min():
@@ -35,6 +40,29 @@ def test_infeasible_detected():
     res = solve_simplex(np.array([1.0]), A, b)
     assert res.status == "infeasible"
     assert res.x is None
+
+
+def test_unbounded_budget_row_refused_by_name():
+    # the LP of an instance with an unbounded budget has an infinite rhs,
+    # which the simplex cannot take: refused by name before any arithmetic
+    lp = build_lp(make_instance([[3.0, 0.0], [0.0, 3.0]], budget=np.inf))
+    assert np.isinf(lp.rhs).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^b has a non-finite entry"):
+            solve_simplex(lp.obj, lp.matrix().toarray(), lp.rhs)
+
+
+@pytest.mark.parametrize("c, A, b, message", [
+    ([1.0], [[1.0]], [1.0, 2.0], r"^b has shape \(2,\), expected \(1,\)"),
+    ([1.0, 1.0], [[1.0]], [1.0], r"^c has shape \(2,\), expected \(1,\)"),
+    ([1.0], [1.0], [1.0], "^A must be a matrix"),
+    ([np.nan], [[1.0]], [1.0], "^c has a non-finite entry"),
+    ([1.0], [[np.inf]], [1.0], "^A has a non-finite entry"),
+], ids=["b-length", "c-length", "A-vector", "c-nan", "A-inf"])
+def test_bad_input_refused_by_name(c, A, b, message):
+    with pytest.raises(ValueError, match=message):
+        solve_simplex(np.array(c), np.array(A), np.array(b))
 
 
 def test_unbounded_detected():
