@@ -2,10 +2,11 @@
 """Regenerate the golden LP reference file used by the acceptance suite.
 
 Builds a fixed family of 25 desk-tiny instances, lowers each to an LP,
-round-trips it through the MPS writer/reader, and solves the re-imported
-model with scipy's HiGHS backend.  The stored objectives are therefore an
-external reference independent of the embedded simplex: the acceptance
-suite re-solves the same instances with the embedded simplex and compares.
+writes it as an MPS file, and has HiGHS (the binding scipy bundles) read
+that file with its own MPS reader and solve it.  The stored objectives are
+therefore an external reference independent of the embedded simplex: the
+acceptance suite re-solves the same instances with the embedded simplex and
+compares.
 
 Usage:  python3 scripts/make_golden.py [out.json]
 """
@@ -16,12 +17,12 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import scipy.optimize
+from scipy.optimize._highspy import _core as highspy
 
 from chargeplan.central import build_lp
 from chargeplan.io import instance_to_dict
 from chargeplan.model import FORBIDDEN, PlanningInstance
-from chargeplan.mps import read_mps, write_mps
+from chargeplan.mps import write_mps
 
 N_CASES = 25
 
@@ -58,21 +59,18 @@ def golden_instance(case: int) -> PlanningInstance:
 
 
 def external_objective(instance: PlanningInstance, workdir: Path) -> float:
-    """Objective via the MPS file route and scipy's HiGHS solver."""
-    lp = build_lp(instance)
+    """Objective of the MPS file, as HiGHS reads and solves it."""
     mps_path = workdir / "model.mps"
-    write_mps(lp, mps_path)
-    back = read_mps(mps_path)
-    res = scipy.optimize.linprog(
-        back.obj,
-        A_ub=back.matrix(),
-        b_ub=back.rhs,
-        bounds=[(0.0, u) for u in back.ub],
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"external solve failed: {res.message}")
-    return float(res.fun)
+    write_mps(build_lp(instance), mps_path)
+    highs = highspy._Highs()
+    highs.setOptionValue("output_flag", False)
+    if highs.readModel(str(mps_path)) != highspy.HighsStatus.kOk:
+        raise RuntimeError(f"HiGHS did not read {mps_path} cleanly")
+    highs.run()
+    status = highs.getModelStatus()
+    if status != highspy.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"external solve failed: {highs.modelStatusToString(status)}")
+    return float(highs.getInfo().objective_function_value)
 
 
 def main() -> int:

@@ -7,7 +7,7 @@ and range-forbidden pairs) have no column and no row, so the column space
 holds exactly the capacities plus the in-range assignments.  Rows the others
 imply are not written: the LP has ``1 + 2 * n * T`` rows.  The matrix is
 written straight into compressed sparse columns, the one layout that HiGHS
-and :mod:`chargeplan.mps` both read.
+reads and :mod:`chargeplan.mps` writes.
 
 Every solve goes through one HiGHS call path: :func:`highs_model` passes the
 LP, every row of it and the column arrays as built, to the HiGHS binding
@@ -65,7 +65,8 @@ class StandardFormLP:
     and ``vals[start[k]:start[k + 1]]``.  Columns are the ``n_locations``
     capacities, then one assignment per slot and edge, slot-major, where
     ``edges`` holds the range graph's (E, 2) ``(src, dst)`` pairs.
-    :mod:`chargeplan.mps` names rows and columns from this layout.
+    :mod:`chargeplan.mps` names rows and columns from this layout and writes
+    it out; it reads nothing back.
     """
 
     n_rows: int

@@ -8,6 +8,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.optimize._highspy import _core as highspy
 
 from chargeplan import solve_simplex
 from chargeplan.central import _extract_plans, build_lp
@@ -119,6 +120,16 @@ def edge_cases(draw):
     E = inst.range_graph.n_edges
     z_e = rng.uniform(0.0, 3.0, size=(T, E)) * (rng.random((T, E)) < 0.7)
     return inst, z_e
+
+
+def highs_read(path) -> highspy._Highs:
+    """A HiGHS handle holding the model HiGHS's own MPS reader read from
+    ``path``: an external reading of a file :func:`chargeplan.write_mps` wrote."""
+    highs = highspy._Highs()
+    highs.setOptionValue("output_flag", False)
+    status = highs.readModel(str(path))
+    assert status == highspy.HighsStatus.kOk, status
+    return highs
 
 
 def forbidden(instance) -> np.ndarray:

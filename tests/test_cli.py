@@ -165,6 +165,15 @@ class TestGenerate:
         assert not out.exists()
 
 
+    def test_degenerate_geometry_exit_2(self, tmp_path, capsys):
+        # a city of size 0 puts every location on one point
+        cfg = write_config(tmp_path, {"generate": {"n_locations": 3, "city_size_km": 0.0}})
+        out = tmp_path / "x"
+        assert run("--config", str(cfg), "--out", str(out), "generate") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "degenerate geometry: all locations coincide" in err and "Traceback" not in err
+        assert not out.exists()
+
 TRIPS_50 = Path(__file__).parent / "data" / "trips_50.csv"
 GRID_2X2 = {"binning": {"bbox": [0, 0, 1, 1], "rows": 2, "cols": 2}}
 THREE_ZONES = {"binning": {"zones": [
@@ -352,6 +361,42 @@ class TestIngest:
         assert not out.exists()
 
 
+    def test_seed_flag_is_the_econ_seed(self, tmp_path):
+        # --seed seeds ingest's charging-share draw as econ.seed does
+        flag = tmp_path / "flag"
+        assert run("--config", str(write_config(tmp_path, GRID_2X2)), "--seed", "5",
+                   "--out", str(flag), "ingest", str(TRIPS_50)) == EXIT_OK
+        code, econ = ingest(tmp_path, dict(GRID_2X2, econ={"seed": 5}), name="econ")
+        assert code == EXIT_OK
+        code, default = ingest(tmp_path, GRID_2X2, name="default")
+        assert code == EXIT_OK
+        assert (flag / "instance.json").read_bytes() == (econ / "instance.json").read_bytes()
+        alpha = json.loads((flag / "instance.json").read_text())["alpha"]
+        assert alpha != json.loads((default / "instance.json").read_text())["alpha"]
+
+    @pytest.mark.parametrize("key, message", [
+        ("rows", "grid needs positive rows and cols"),
+        ("n_slots", "n_slots must be positive"),
+    ])
+    def test_zero_grid_rows_or_slots_exit_2(self, tmp_path, capsys, key, message):
+        code, out = ingest(tmp_path, {"binning": dict(GRID_2X2["binning"], **{key: 0})})
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "invalid config section 'binning'" in err and message in err
+        assert not out.exists()
+
+    def test_oversized_header_field_exit_2(self, tmp_path, capsys):
+        lines = TRIPS_50.read_text().splitlines()
+        lines[0] += "," + "x" * (csv.field_size_limit() + 1)
+        trips = tmp_path / "trips.csv"
+        trips.write_text("\n".join(lines) + "\n")
+        code, out = ingest(tmp_path, GRID_2X2, trips=trips)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "trips file line 1: field larger than field limit" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 class TestSolve:
     def test_centralized_solution_written(self, tmp_path, instance_file):
         out = tmp_path / "sol"
@@ -512,6 +557,41 @@ class TestSolve:
         assert "range_limit must be a number >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_locations", 0, "n_locations and n_slots must be positive"),
+        ("flow", [[1.0, 1.0]], "flow must have shape (3, 2), got (1, 2)"),
+        ("alpha", [[1.0, 1.0, 1.0]] * 2, "alpha must have shape (3, 2), got (2, 3)"),
+        ("assign_cost", [[0.0, 1.0]], "assign_cost must be square over locations"),
+        ("delay", [[0, 0, 0], [0, 0, 0]], "delay must be square over locations"),
+        ("location_cost", [0.0], "location_cost must have one entry per location"),
+        ("capacity_max", [1.0, 1.0, 1.0], "capacity_max must have one entry per location"),
+        ("recurrence", [1.0, 1.0], "recurrence must have one entry per slot"),
+        ("delay", [[1, 0], [0, 0]], "delay diagonal must be 0"),
+        ("distance", [[0.0, 1.0]], "distance must be square over locations"),
+        ("coordinates", [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
+         "coordinates must have shape (n_locations, 2)"),
+    ], ids=["zero-locations", "flow", "alpha", "assign_cost", "delay", "location_cost",
+            "capacity_max", "recurrence", "delay-diagonal", "distance", "coordinates"])
+    def test_instance_of_the_wrong_shape_exit_2(self, tmp_path, capsys, field, value,
+                                                message):
+        inst = make_instance(np.ones((3, 2)), distance=np.ones((2, 2)),
+                             coordinates=np.zeros((2, 2)))
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(dict(io.instance_to_dict(inst), **{field: value})))
+        out = tmp_path / "sol"
+        assert run("--out", str(out), "solve", str(path), "--method", "base") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_zero_max_iterations_exit_2(self, tmp_path, capsys, instance_file):
+        cfg = write_config(tmp_path, {"admm": {"max_iterations": 0}})
+        out = tmp_path / "sol"
+        assert run("--config", str(cfg), "--out", str(out), "solve", str(instance_file),
+                   "--method", "admm") == EXIT_CONFIG
+        assert "max_iterations must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [
         ("delay", [[0, 1.5], [1, 0]]), ("n_locations", 2.5), ("n_slots", 2.5),
     ])
@@ -598,6 +678,14 @@ class TestSweepR:
         assert run("--out", str(out), "sweep-r", str(instance_file),
                    "--r-values=0,-1") == EXIT_CONFIG
         assert "range_limit must be a number >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_string_r_in_config_exit_2(self, tmp_path, capsys, instance_file):
+        cfg = write_config(tmp_path, {"sweep": {"r_values": [0, "5"]}})
+        out = tmp_path / "s"
+        assert run("--config", str(cfg), "--out", str(out),
+                   "sweep-r", str(instance_file)) == EXIT_CONFIG
+        assert "r_values must be numbers, got [0, '5']" in capsys.readouterr().err
         assert not out.exists()
 
     def test_infeasible_r_is_named_and_nothing_written(self, tmp_path, capsys, instance_file):
@@ -767,6 +855,37 @@ class TestReport:
         err = capsys.readouterr().err
         assert "(0, 0, 1) is on a diagonal or out-of-range pair" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell, message", [
+        (("capacity", 0), "capacity entries must be finite"),
+        (("assignments", 0, 3), "z entries must be finite"),
+    ], ids=["capacity", "assignment"])
+    def test_infinite_plan_entry_exit_2_and_nothing_written(self, tmp_path, capsys,
+                                                            instance_file, cell, message):
+        sol_path = self._solved(tmp_path, instance_file)
+        doc = json.loads(sol_path.read_text())
+        holder = doc
+        for key in cell[:-1]:
+            holder = holder[key]
+        holder[cell[-1]] = math.inf
+        sol_path.write_text(json.dumps(doc))  # written as Infinity, which json reads
+        out = tmp_path / "rep"
+        assert run("--out", str(out), "report", str(sol_path),
+                   str(instance_file)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_capacity_of_the_wrong_length_exit_2(self, tmp_path, capsys, instance_file):
+        sol_path = self._solved(tmp_path, instance_file)
+        doc = json.loads(sol_path.read_text())
+        doc["capacity"].pop()
+        sol_path.write_text(json.dumps(doc))
+        out = tmp_path / "rep"
+        assert run("--out", str(out), "report", str(sol_path),
+                   str(instance_file)) == EXIT_CONFIG
+        assert "capacity must have 5 entries, got shape (4,)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rounded_solution_is_integral(self, tmp_path, instance_file):
