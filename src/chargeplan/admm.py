@@ -30,6 +30,16 @@ memory for a location with ``m`` in-range neighbors over ``T`` slots.  Each
 iterate's delayed inflow is computed once, for the master's net demand and
 the next sweep.
 
+What the loop reads but never changes is built once per run, not once per
+iteration.  :func:`_location_workers` sorts every origin's edges by cost
+with one stable ``lexsort`` into an :class:`_EdgeTable` that also holds the
+arrival slots and the knapsack slope steps, and each worker holds its
+origin's block of it.  Each sweep gathers every edge's receiver cap with one
+fancy index and hands each worker its column block.  The range graph builds
+its delayed-arrival gather index and bincount bins on its first
+:meth:`~chargeplan.model.RangeGraph.inflow` or ``outflow`` call, so each
+exchange is one gather and one ``bincount``.
+
 The global budget couples locations and is therefore not enforced inside
 subproblems; the master checks it each iteration and, when binding, projects
 the auxiliary capacities onto the budget simplex (weighted quadratic
@@ -42,6 +52,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,8 +113,29 @@ def transform_inflows(z: np.ndarray, graph: RangeGraph) -> np.ndarray:
     return graph.inflow(z)
 
 
+class _EdgeTable(NamedTuple):
+    """One run's in-range edges, cost-ascending within each origin's block.
+
+    Built once per run by :func:`_location_workers`; origin ``i``'s block is
+    ``graph.offsets[i]:graph.offsets[i + 1]``, as on the graph itself.
+    """
+
+    edges: np.ndarray  # (E,) graph edge of each table column
+    receivers: np.ndarray  # (E,) its destination
+    unit_costs: np.ndarray  # (E,) its assignment cost
+    # (T, E): the slot in which a shipment leaving in slot t reaches the
+    # receiver, for gathering per-receiver slack in arrival terms
+    arrival: np.ndarray
+    # (T, E): how much the shipping-cost slope in c falls while slot t's
+    # required outflow lies past the start of the edge's knapsack segment
+    # (costs ascend within a block, so every entry is non-negative); None
+    # at beta = 0, where no capacity row binds
+    slope_steps: np.ndarray | None
+
+
 class _LocationWorker:
-    """Static data and exact solver for one location's subproblem.
+    """Exact solver for one location's subproblem, on its block of the run's
+    :class:`_EdgeTable`.
 
     With inflows frozen, the minimum-cost split of any required outflow over
     the in-range neighbors is a fractional knapsack: fill neighbors in
@@ -113,33 +145,29 @@ class _LocationWorker:
     some slot's required outflow crosses a knapsack segment boundary.  A
     sweep over the sorted kinks that accumulates the slope finds the exact
     minimizer in O(T m log(T m)) time and O(T m) memory, with ``m`` the
-    number of in-range neighbors: its graph ``edges`` sorted by cost.
+    number of in-range neighbors.  ``neighbors``, ``unit_costs``,
+    ``arrival`` and ``slope_steps`` are views of the location's ``block`` of
+    the tables :func:`_location_workers` builds once per run, so a worker
+    costs a few slices to make.
     """
 
-    def __init__(self, instance: PlanningInstance, i: int, rho: float):
+    def __init__(self, instance: PlanningInstance, table: _EdgeTable, i: int, rho: float,
+                 demand: np.ndarray, invest_cost: float):
+        graph = instance.range_graph
         self.i = i
         self.rho = rho
         self.beta = instance.beta
-        graph = instance.range_graph
-        lo, hi = graph.offsets[i], graph.offsets[i + 1]
-        self.edges = lo + np.argsort(graph.cost[lo:hi], kind="stable")
-        self.neighbors = graph.dst[self.edges]
-        self.unit_costs = graph.cost[self.edges]
-        self.demand = instance.charging_demand[:, i].copy()  # (T,)
+        self.block = block = slice(graph.offsets[i], graph.offsets[i + 1])
+        self.neighbors = table.receivers[block]
+        self.unit_costs = table.unit_costs[block]
+        self.arrival = table.arrival[:, block]
+        if table.slope_steps is not None:
+            self.slope_steps = table.slope_steps[:, block]
+        self.demand = demand  # (T,)
         self.recurrence = instance.recurrence
-        self.invest_cost = float(instance.unit_investment_cost[i])
+        self.invest_cost = invest_cost
         self.c_max = float(instance.capacity_max[i])
-        self.n_slots = T = instance.n_slots
-        # (T, m): the slot in which a shipment leaving in slot t reaches each
-        # sorted neighbor, for gathering per-receiver slack in arrival terms
-        self.arrival = (np.arange(T)[:, None] + graph.delay[self.edges]) % T
-        # (T, m): how much the shipping-cost slope in c falls while slot t's
-        # required outflow lies past the start of knapsack segment k
-        # (unit costs ascend, so every entry is non-negative)
-        if self.beta > 0:
-            self.slope_steps = np.outer(
-                self.recurrence / self.beta, np.diff(self.unit_costs, prepend=0.0)
-            )
+        self.n_slots = instance.n_slots
 
     def solve(
         self, c_tilde: float, lam: float, inflow: np.ndarray, caps: np.ndarray
@@ -148,8 +176,8 @@ class _LocationWorker:
 
         ``f_i`` is the location's investment plus shipping cost.  ``inflow``
         is the (T,) frozen arrivals and ``caps`` a (T, m) non-negative matrix
-        of per-slot shipping limits on ``edges`` (receiver slack from the
-        frozen state).  ``alloc`` is the (T, m) shipment on ``edges``.
+        of per-slot shipping limits on ``neighbors`` (receiver slack from the
+        frozen state).  ``alloc`` is the (T, m) shipment to ``neighbors``.
         """
         T, m = self.n_slots, len(self.neighbors)
 
@@ -181,8 +209,9 @@ class _LocationWorker:
             kinks = self.beta * (need[:, None] - qty[:, :-1])
             active = kinks > c_lb
             inside = active & (kinks < self.c_max)
-            order = np.argsort(kinks[inside])
-            breaks = np.concatenate([[c_lb], kinks[inside][order], [self.c_max]])
+            crossed = kinks[inside]
+            order = np.argsort(crossed)
+            breaks = np.concatenate([[c_lb], crossed[order], [self.c_max]])
             steps = self.slope_steps[inside][order]
             slope0 -= float(self.slope_steps[active].sum())
             slopes = slope0 + np.concatenate([[0.0], np.cumsum(steps)])
@@ -197,11 +226,42 @@ class _LocationWorker:
         j = int(hits[0]) if hits.size else len(slopes) - 1
         c_opt = float(min(max(stationary[j], breaks[j]), breaks[j + 1]))
 
-        alloc = np.zeros((T, m))
         if self.beta > 0 and m > 0:
-            s = np.clip(need - c_opt / self.beta, 0.0, out_cap)  # (T,)
-            alloc = np.clip(s[:, None] - qty[:, :-1], 0.0, caps)
+            s = np.minimum(np.maximum(need - c_opt / self.beta, 0.0), out_cap)  # (T,)
+            alloc = np.minimum(np.maximum(s[:, None] - qty[:, :-1], 0.0), caps)
+        else:
+            alloc = np.zeros((T, m))
         return c_opt, alloc
+
+
+def _location_workers(
+    instance: PlanningInstance, rho: float
+) -> tuple[_EdgeTable, list[_LocationWorker]]:
+    """The run's :class:`_EdgeTable` and one worker per location, in order.
+
+    One stable ``lexsort`` orders every origin's edges by cost (ties keep
+    graph order); the arrival slots, the knapsack slope steps and the
+    per-location data are then built once for all locations, and each
+    worker holds its origin's slices of them.
+    """
+    graph = instance.range_graph
+    T, beta = instance.n_slots, instance.beta
+    edges = np.lexsort((graph.cost, graph.src))
+    unit_costs = graph.cost[edges]
+    slope_steps = None
+    if beta > 0:
+        # a block's steps are its cost increments, the first its cheapest cost
+        increments = np.diff(unit_costs, prepend=0.0)
+        firsts = graph.offsets[:-1][np.diff(graph.offsets) > 0]
+        increments[firsts] = unit_costs[firsts]
+        slope_steps = np.outer(instance.recurrence / beta, increments)
+    table = _EdgeTable(edges, graph.dst[edges], unit_costs,
+                       (np.arange(T)[:, None] + graph.delay[edges]) % T, slope_steps)
+    demand = instance.charging_demand.T.copy()  # (n, T)
+    invest = instance.unit_investment_cost
+    workers = [_LocationWorker(instance, table, i, rho, demand[i], float(invest[i]))
+               for i in range(instance.n_locations)]
+    return table, workers
 
 
 def receiver_slack(
@@ -318,9 +378,7 @@ def run_admm(
     cfg = config or AdmmConfig()
     n, T = instance.n_locations, instance.n_slots
     graph = instance.range_graph
-    workers = [_LocationWorker(instance, i, cfg.rho) for i in range(n)]
-    # where the workers' allocations, taken in location order, sit in z
-    sweep_edges = np.concatenate([w.edges for w in workers])
+    table, workers = _location_workers(instance, cfg.rho)
     demand = instance.charging_demand
 
     # Anchor the auxiliary capacities at the no-assignment floor (each
@@ -329,6 +387,7 @@ def run_admm(
     c_tilde = np.minimum(instance.beta * demand.max(axis=0), instance.capacity_max)
     lam = np.zeros(n)
     z = np.zeros((T, graph.n_edges))
+    z_sweep = z  # the iterate in table order: the workers' blocks side by side
     z_in = np.zeros((T, n))
     history: list[IterationRecord] = []
     in_degree = np.bincount(graph.dst, minlength=n)
@@ -346,14 +405,19 @@ def run_admm(
         # receiver's inflow is its to reallocate.
         slack = receiver_slack(instance, c_tilde, demand + z_in)
         shared = np.maximum(slack, 0.0) / np.maximum(in_degree, 1)[None, :]
-        results = [
-            w.solve(float(c_tilde[w.i]), float(lam[w.i]), z_in[:, w.i],
-                    shared[w.arrival, w.neighbors] + z[:, w.edges])
-            for w in workers
-        ]
-        c = np.array([r[0] for r in results])
+        # every edge's cap in table order; each worker's shipments then
+        # overwrite its own block, which no other worker reads, so the
+        # buffer ends the sweep as the new iterate in table order
+        caps = shared[table.arrival, table.receivers]
+        caps += z_sweep
+        c = np.empty(n)
+        for w in workers:
+            block = caps[:, w.block]
+            c[w.i], block[...] = w.solve(float(c_tilde[w.i]), float(lam[w.i]),
+                                         z_in[:, w.i], block)
+        z_sweep = caps
         z = np.empty((T, graph.n_edges))
-        z[:, sweep_edges] = np.concatenate([r[1] for r in results], axis=1)
+        z[:, table.edges] = z_sweep
 
         z_in = transform_inflows(z, graph)
         net = demand - graph.outflow(z) + z_in

@@ -188,17 +188,28 @@ def highs_model(lp: StandardFormLP) -> highspy._Highs:
     right-hand side (an unbounded budget) is free to HiGHS.  Bounds changed
     on the handle afterwards keep the basis of its last solve, which the
     next solve starts from.
+
+    HiGHS takes the model only with a warning when it drops a matrix entry
+    at or below its ``small_matrix_value`` (1e-9), and refuses it when an
+    entry reaches ``large_matrix_value`` (1e15); either status raises
+    ``ValueError``, as the LP HiGHS would solve is not the one built.
     """
     highs = highspy._Highs()
     for name, value in _HIGHS_OPTIONS.items():
         highs.setOptionValue(name, value)
     # the binding reads n_cols integrality flags: every column is continuous
-    highs.passModel(
+    status = highs.passModel(
         lp.n_cols, lp.n_rows, len(lp.vals), highspy.MatrixFormat.kColwise,
         highspy.ObjSense.kMinimize, 0.0, lp.obj, np.zeros(lp.n_cols), lp.ub,
         np.full(lp.n_rows, -np.inf), lp.rhs, lp.start, lp.index, lp.vals,
         np.zeros(lp.n_cols, dtype=np.int32),
     )
+    if status != highspy.HighsStatus.kOk:
+        raise ValueError(
+            f"HiGHS does not take the LP as built ({status.name}): a nonzero unit "
+            "investment cost or beta at or below 1e-9, or one at or above 1e15, is "
+            "outside the matrix values it accepts"
+        )
     return highs
 
 

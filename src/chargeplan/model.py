@@ -4,7 +4,8 @@ The planning problem couples a one-time capacity investment decision ``c_i``
 (kW at each location) with recurring assignment decisions ``z[t, i, j]``
 (EVs redirected from location ``i`` to ``j`` in slot ``t``).  All types here
 are immutable after construction and all operations are pure functions, so
-they are safe to share across threads.
+they are safe to share across threads (a :class:`RangeGraph` fills its index
+cache on first use, and two threads filling it store equal arrays).
 
 Pairs that are out of assignment range are marked by the ``FORBIDDEN`` cost
 (``math.inf``) rather than big-M costs, which keeps the resulting LP well
@@ -169,18 +170,21 @@ class PlanningInstance:
                           self.delay[src, dst], offsets)
 
 
-def _slot_sums(values: np.ndarray, loc: np.ndarray, n: int) -> np.ndarray:
-    """``out[t, k]``: the sum of ``values[t, e]`` over ``loc[e] == k``, in edge order."""
-    T = values.shape[0]
-    bins = (np.arange(T)[:, None] * n + loc).ravel()
-    return np.bincount(bins, weights=values.ravel(), minlength=T * n).reshape(T, n)
+def _slot_bins(T: int, loc: np.ndarray, n: int) -> np.ndarray:
+    """Flat bincount bins of a (T, E) array: entry (t, e) falls in ``t * n + loc[e]``."""
+    return (np.arange(T)[:, None] * n + loc).ravel()
 
 
-def _delayed_sums(z_e: np.ndarray, dst: np.ndarray, delay: np.ndarray, n: int) -> np.ndarray:
-    """(T, n) arrivals of shipments ``z_e[t, e]`` to ``dst[e]``, ``delay[e]`` slots on."""
-    T = z_e.shape[0]
-    arrived = np.take_along_axis(z_e, np.subtract.outer(np.arange(T), delay) % T, axis=0)
-    return _slot_sums(arrived, dst, n)
+def _arrival_gather(T: int, delay: np.ndarray) -> np.ndarray:
+    """Flat take index of a (T, E) plan: entry (t, e) reads the shipment on
+    edge ``e`` that left ``delay[e]`` slots before ``t``, cyclically."""
+    E = len(delay)
+    return ((np.subtract.outer(np.arange(T), delay) % T) * E + np.arange(E)).ravel()
+
+
+def _binned_sums(values: np.ndarray, bins: np.ndarray, T: int, n: int) -> np.ndarray:
+    """``out[t, k]``: the sum of the flat ``values`` in bin ``t * n + k``, in order."""
+    return np.bincount(bins, weights=values, minlength=T * n).reshape(T, n)
 
 
 @dataclass(frozen=True)
@@ -198,6 +202,9 @@ class RangeGraph:
     cost: np.ndarray
     delay: np.ndarray
     offsets: np.ndarray
+    # slot count -> (arrival gather, inflow bins, outflow bins); left writable,
+    # since np.take copies a read-only index on every call
+    _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a in (self.src, self.dst, self.cost, self.delay, self.offsets):
@@ -207,14 +214,29 @@ class RangeGraph:
     def n_edges(self) -> int:
         return len(self.src)
 
+    def _plan_index(self, z_e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cached indices for plans with ``z_e``'s slot count; a plan
+        of another width is refused, as ``take`` would read it flat."""
+        T = z_e.shape[0]
+        if z_e.shape != (T, self.n_edges):
+            raise ValueError("z_e must have shape (n_slots, n_edges)")
+        index = self._index.get(T)
+        if index is None:
+            n = self.n_locations
+            index = self._index[T] = (_arrival_gather(T, self.delay),
+                                      _slot_bins(T, self.dst, n), _slot_bins(T, self.src, n))
+        return index
+
     def outflow(self, z_e: np.ndarray) -> np.ndarray:
         """(T, n) vehicles leaving each location per slot."""
-        return _slot_sums(z_e, self.src, self.n_locations)
+        _, _, bins = self._plan_index(z_e)
+        return _binned_sums(z_e.ravel(), bins, z_e.shape[0], self.n_locations)
 
     def inflow(self, z_e: np.ndarray) -> np.ndarray:
         """(T, n) delayed arrivals, equal to :func:`delayed_inflow` of the
         dense plan with ``z_e`` on the edges and zeros elsewhere."""
-        return _delayed_sums(z_e, self.dst, self.delay, self.n_locations)
+        gather, bins, _ = self._plan_index(z_e)
+        return _binned_sums(z_e.take(gather), bins, z_e.shape[0], self.n_locations)
 
 
 @dataclass(frozen=True)
@@ -323,8 +345,8 @@ def delayed_inflow(z: np.ndarray, delay: np.ndarray) -> np.ndarray:
     cycle, so departures late in the horizon arrive at its start.
     """
     T, n, _ = z.shape
-    dst = np.tile(np.arange(n), n)
-    return _delayed_sums(z.reshape(T, n * n), dst, np.asarray(delay).ravel(), n)
+    arrived = z.take(_arrival_gather(T, np.asarray(delay).ravel()))
+    return _binned_sums(arrived, _slot_bins(T, np.tile(np.arange(n), n), n), T, n)
 
 
 def _plan_graph(instance: PlanningInstance, asg: AssignmentPlan) -> RangeGraph:

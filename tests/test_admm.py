@@ -1,6 +1,7 @@
 """Distributed consensus solver: components against oracles, then the loop."""
 
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import chargeplan.admm
 from chargeplan.admm import (
     AdmmConfig,
-    _LocationWorker,
+    _location_workers,
     receiver_slack,
     residuals,
     run_admm,
@@ -87,7 +88,7 @@ def subproblem_rows(inst, i, c_tilde, lam, inflow, rho, receiver_caps=None):
     gathered onto the location's edges as ``run_admm`` does; without it only
     the sender's own demand binds.
     """
-    worker = _LocationWorker(inst, i, rho)
+    worker = _location_workers(inst, rho)[1][i]
     if receiver_caps is None:
         receiver_caps = np.full((inst.n_slots, inst.n_locations), UNBOUNDED_CAPS)
     caps = receiver_caps[worker.arrival, worker.neighbors]
@@ -310,7 +311,7 @@ class TestKinkSweep:
     @settings(max_examples=400, deadline=None)
     def test_matches_grid_evaluation(self, case):
         inst, i, rho, c_tilde, lam, inflow, caps = case
-        worker = _LocationWorker(inst, i, rho)
+        worker = _location_workers(inst, rho)[1][i]
         try:
             ref = grid_solve(worker, c_tilde, lam, inflow, caps)
         except InfeasibleProblemError:
@@ -578,6 +579,45 @@ class TestRunAdmm:
         invest = float(sol.investment.capacity @ inst.unit_investment_cost)
         assert invest <= 18.5 + 1e-6
         assert sol.feasibility.feasible
+
+
+FAMILY_96 = dict(n_locations=20, n_slots=96, range_km=3.7, alpha_a=1000.0,
+                 alpha_b=9000.0, assign_price_per_km=80.0)
+
+
+class TestPinnedOutput:
+    """``run_admm``'s iteration count, total and plan, bit for bit.  The
+    values were recorded before the loop's index tables were built once per
+    run; a speed-up of the loop that moves any of them fails here."""
+
+    CASES = {
+        "family-0": (lambda: generate_instance(GenParams(seed=0, **FAMILY_96)), 5,
+                     "0x1.962daa2ce4074p+23",
+                     "3cbf2db9a272cc840ecb28e738778934f388124b7c090caba4c3b0c17ef84e7d"),
+        "family-1": (lambda: generate_instance(GenParams(seed=1, **FAMILY_96)), 5,
+                     "0x1.b0122ed21510bp+23",
+                     "21efa48b0e5dfa42f7e440b84991c762c0d60d95c2c00d47599a182c05d27c42"),
+        "family-2": (lambda: generate_instance(GenParams(seed=2, **FAMILY_96)), 3,
+                     "0x1.c8d385ab60a15p+23",
+                     "f6c41db8e48a175c8810ed603f66b9fa5bf9b9a8cfd7c766beb5f5abedcf5365"),
+        "defaults-0": (lambda: generate_instance(GenParams(n_locations=20, n_slots=96,
+                                                           seed=0)), 6,
+                       "0x1.54a1edd2e8b97p+23",
+                       "25e699772ee1a77a5a50814855c8f58962bf553eca5e859116d3babc841a2b5c"),
+        "staggered-peaks": (lambda: make_instance([[10.0, 0.0], [0.0, 10.0]], beta=1.0,
+                                                  base_cost=1.0,
+                                                  assign_cost=[[0.0, 0.1], [0.1, 0.0]]), 3,
+                            "0x1.0666666666666p+4",
+                            "3526e044854fd2fe9b6abfa1d8c95269c18f15184a5b2b6e6e0cef4e64e1a0c2"),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_iterations_total_and_plan_unchanged(self, name):
+        build, iterations, total, plan_sha = self.CASES[name]
+        sol, conv = run_admm(build())
+        assert conv.iterations == iterations
+        assert sol.cost.total.hex() == total
+        assert hashlib.sha256(sol.assignment.z.tobytes()).hexdigest() == plan_sha
 
 
 def own_peak_caps(inst, scale):

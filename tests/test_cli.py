@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -455,6 +456,17 @@ class TestSolve:
         assert (out / "infeasible.json").exists()
         assert (out / "resolved_config.json").exists()
 
+    def test_investment_cost_below_highs_matrix_values_exit_2(self, tmp_path, capsys):
+        # HiGHS would drop the 1e-17 budget-row entries and solve another LP
+        inst = make_instance([[3.0, 1.0]], base_cost=1e-17)
+        path = tmp_path / "tiny.json"
+        io.save_instance(inst, path)
+        out = tmp_path / "sol"
+        assert run("--out", str(out), "solve", str(path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "at or below 1e-9" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_non_convergence_exit_4(self, tmp_path, capsys, instance_file):
         cfg = write_config(
             tmp_path, {"admm": {"max_iterations": 1, "threshold": 1e-12}}
@@ -718,6 +730,16 @@ class TestSweepR:
                    "--r-values", "0,3") == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "columns, above the 10 supported" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_beta_below_highs_matrix_values_exit_2(self, tmp_path, capsys, instance_file):
+        inst = io.load_instance(instance_file)
+        path = tmp_path / "tiny-beta.json"
+        io.save_instance(dataclasses.replace(inst, beta=1e-10), path)
+        out = tmp_path / "s"
+        assert run("--out", str(out), "sweep-r", str(path), "--r-values", "0,3") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "at or below 1e-9" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_unreadable_instance_exit_2(self, tmp_path):
