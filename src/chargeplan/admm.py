@@ -26,7 +26,11 @@ Each subproblem is minimized exactly, under the model's own bounds alone
 (``0 <= c_i <= capacity_max_i``, shipments non-negative), by a sweep over the
 sorted kinks of its one-dimensional convex piecewise-quadratic objective
 (:class:`_LocationWorker`), which costs O(T m log(T m)) time and O(T m)
-memory for a location with ``m`` in-range neighbors over ``T`` slots.  Each
+memory for a location with ``m`` in-range neighbors over ``T`` slots.
+Neither a subproblem nor the master raises when the frozen state leaves it
+no feasible point: each clamps to its bounds, and an iterate that fails the
+plan check cannot end the run as converged.  The one infeasibility verdict
+is a proof taken before the loop, from locations that can ship nothing.  Each
 iterate's delayed inflow is computed once, for the master's net demand and
 the next sweep.
 
@@ -191,11 +195,8 @@ class _LocationWorker:
             c_lb = float(max(0.0, self.beta * np.max(need - out_cap)))
         else:
             c_lb = 0.0
-        if c_lb > self.c_max + 1e-9 * max(1.0, self.c_max):
-            raise InfeasibleProblemError(
-                f"location {self.i}: demand net of maximal outflow needs "
-                f"{c_lb:.6g} kW, above the {self.c_max:.6g} kW bound"
-            )
+        # a frozen state with no feasible point (inflow or tight receiver
+        # slack can cause one) gets the bound and the maximal outflow
         c_lb = min(c_lb, self.c_max)
 
         # Between adjacent kinks the right-derivative of the objective is
@@ -264,6 +265,35 @@ def _location_workers(
     return table, workers
 
 
+def _refuse_proven_infeasible(instance: PlanningInstance) -> None:
+    """Raise :class:`InfeasibleProblemError` on a proof, from the locations
+    that can ship nothing, that the instance has no plan.
+
+    A location with no out-edge keeps all of its own demand, and inflow only
+    adds to it, so it needs at least its own peak, ``beta * max_t demand``.
+    Such a floor above the location's ``capacity_max``, or the investment in
+    those floors alone above the budget, proves the model infeasible.  These
+    are the only cases :func:`run_admm` reports as infeasible; an instance it
+    cannot solve otherwise ends as not converged.
+    """
+    peak = instance.beta * instance.charging_demand.max(axis=0)
+    floor = np.where(np.diff(instance.range_graph.offsets) == 0, peak, 0.0)
+    cap = instance.capacity_max
+    over = floor > cap + 1e-9 * np.maximum(1.0, cap)
+    if over.any():
+        i = int(np.argmax(over))
+        raise InfeasibleProblemError(
+            f"location {i} has no location in range, and its own peak needs "
+            f"{floor[i]:.6g} kW, above its {cap[i]:.6g} kW bound"
+        )
+    invest = float(instance.unit_investment_cost @ floor)
+    if invest > instance.budget + 1e-9 * max(1.0, instance.budget):
+        raise InfeasibleProblemError(
+            f"the own peaks of the locations with no location in range cost "
+            f"{invest:.6g}, above the {instance.budget:.6g} budget"
+        )
+
+
 def receiver_slack(
     instance: PlanningInstance, c_tilde: np.ndarray, load: np.ndarray
 ) -> np.ndarray:
@@ -274,8 +304,8 @@ def receiver_slack(
     j's senders, each adding back its own frozen shipments, the caps into
     (t, j) then sum to ``max(c_tilde_j / beta - demand, inflow)``.  So by
     induction from zero inflow, ``demand + inflow <= capacity_max / beta``
-    wherever a location's own demand fits its cap, and unless the budget
-    binds neither the workers' nor the master's capacity check can fire.
+    wherever a location's own demand fits its cap: unless the budget binds,
+    inflow alone never pushes a location's floor past its bound.
     At ``beta == 0`` no capacity row can bind, so the slack is unbounded.
     """
     if instance.beta == 0:
@@ -297,30 +327,20 @@ def solve_master(
     the quadratic master objective is ``max(c_i - lambda_i / rho, D_i)``
     clipped to the capacity ceiling.  ``net`` is Z's (T, n) net demand
     ``demand - outflow + inflow``.  Returns the update and whether the
-    budget projection was active.
+    budget projection was active.  Nothing here raises: a floor above the
+    ceiling is clipped to it, and priced floors over the budget are returned
+    as they are, so such an iterate fails the plan check and the loop goes on.
     """
-    d = np.maximum(0.0, instance.beta * net.max(axis=0))
     cap = instance.capacity_max
-    if np.any(d > cap + 1e-9 * np.maximum(1.0, cap)):
-        i = int(np.argmax(d - cap))
-        raise InfeasibleProblemError(
-            f"master infeasible: location {i} requires {d[i]:.6g} kW, "
-            f"above its {cap[i]:.6g} kW bound"
-        )
-    d = np.minimum(d, cap)
+    d = np.minimum(np.maximum(0.0, instance.beta * net.max(axis=0)), cap)
     c_tilde = np.clip(c - lam / rho, d, cap)
 
     w = instance.unit_investment_cost
     if float(w @ c_tilde) <= instance.budget + 1e-9 * max(1.0, instance.budget):
         return c_tilde, False
-    floor = float(w @ d)
-    if floor > instance.budget + 1e-9 * max(1.0, instance.budget):
-        raise InfeasibleProblemError(
-            "master infeasible: demand floor alone exceeds the budget"
-        )
-    if floor > instance.budget:
-        # within tolerance of the budget: no multiplier brings the priced
-        # entries below it, so they sit at the floor (the search's limit)
+    if float(w @ d) > instance.budget:
+        # no multiplier brings the priced entries below the floor, so they
+        # sit at it (the search's limit)
         return np.where(w > 0, d, c_tilde), True
     lo, hi = 0.0, 1.0
     while float(w @ np.clip(c - (lam + hi * w) / rho, d, cap)) > instance.budget:
@@ -367,15 +387,22 @@ def run_admm(
     Stops when both residuals fall to the threshold or the iteration budget
     runs out (in which case the best iterate seen is returned with
     ``converged=False``).  The solution capacity is read from the auxiliary
-    (master-feasible) side.
+    (master) side.
 
-    ``converged`` means both residuals reached the threshold: the workers'
-    capacities and the master's agree, which certifies consensus, not
-    optimality.  On the default generated instances ADMM stops 14-31% above
-    the LP optimum, and on two locations with staggered peaks (each covering
-    its own) it converges after one iteration 100% above it.
+    ``converged`` means both residuals reached the threshold, so the
+    workers' capacities and the master's agree, and the agreed plan passes
+    :func:`~chargeplan.model.check_feasibility` at 1e-4.  Agreement on a
+    plan that fails the check ends the run with ``converged=False``.  This
+    certifies consensus, not optimality.  On the default generated
+    instances ADMM stops 11-31% above the LP optimum, and on two locations
+    with staggered peaks (each covering its own) it converges after one
+    iteration 100% above it.
+
+    Raises :class:`~chargeplan.model.InfeasibleProblemError` only on
+    :func:`_refuse_proven_infeasible`'s proof, before the first iteration.
     """
     cfg = config or AdmmConfig()
+    _refuse_proven_infeasible(instance)
     n, T = instance.n_locations, instance.n_slots
     graph = instance.range_graph
     table, workers = _location_workers(instance, cfg.rho)
@@ -393,7 +420,7 @@ def run_admm(
     in_degree = np.bincount(graph.dst, minlength=n)
 
     start = time.perf_counter()
-    converged = False
+    consensus = False
     budget_binding = False
     best = None  # (objective, c_tilde, z)
     for k in range(1, cfg.max_iterations + 1):
@@ -439,16 +466,16 @@ def run_admm(
         if best is None or obj < best[0]:
             best = (obj, c_tilde, z)
         if q_primal <= cfg.threshold and q_dual <= cfg.threshold:
-            converged = True
+            consensus = True
             break
 
-    _, c_final, z_final = (obj, c_tilde, z) if converged else best
+    _, c_final, z_final = (obj, c_tilde, z) if consensus else best
 
     wall = time.perf_counter() - start
     stats = {
         "method": "admm",
         "iterations": k,
-        "converged": converged,
+        "converged": False,
         "rho": cfg.rho,
         "threshold": cfg.threshold,
         "wall_ms": 1000.0 * wall,
@@ -456,6 +483,7 @@ def run_admm(
     }
     solution = assess(instance, InvestmentPlan(c_final), AssignmentPlan(graph, z_final),
                       1e-4, stats)
+    converged = stats["converged"] = consensus and solution.feasibility.feasible
     convergence = ConvergenceReport(
         converged=converged,
         iterations=k,

@@ -36,7 +36,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 from scipy.optimize._highspy import _core as highspy
 
 from .datagen import with_range_limit
@@ -80,11 +79,6 @@ class StandardFormLP:
     n_locations: int
     n_slots: int
     edges: np.ndarray = field(repr=False)
-
-    def matrix(self) -> scipy.sparse.csc_array:
-        return scipy.sparse.csc_array(
-            (self.vals, self.index, self.start), shape=(self.n_rows, self.n_cols)
-        )
 
 
 def build_lp(instance: PlanningInstance) -> StandardFormLP:

@@ -238,9 +238,10 @@ def cmd_solve(args, config: dict) -> int:
     if convergence is not None:
         write_convergence_csv(convergence.history, out_dir / "convergence.csv")
         if not convergence.converged:
+            failing = "" if solution.feasibility.feasible else ", which fails the check at 1e-4"
             raise ConvergenceError(
                 f"best iterate after {convergence.iterations} iterations "
-                f"(Q_primal={convergence.q_primal:.3g})"
+                f"(Q_primal={convergence.q_primal:.3g}){failing}"
             )
     _say(args, f"total cost {solution.cost.total:.6g}")
     return EXIT_OK

@@ -417,10 +417,6 @@ def check_feasibility(
         neg = ConstraintResidual(neg.violation, (t, int(graph.src[e]), int(graph.dst[e])))
     res["non_negativity"] = neg
 
-    # kept for the solution file format: the plan has no diagonal or
-    # out-of-range cell, so these are zero by construction
-    res["diagonal"] = res["range"] = ConstraintResidual(0.0, None)
-
     return FeasibilityReport(res, tol)
 
 

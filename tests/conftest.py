@@ -12,6 +12,7 @@ from scipy.optimize._highspy import _core as highspy
 
 from chargeplan import solve_simplex
 from chargeplan.central import _extract_plans, build_lp
+from chargeplan.datagen import GenParams, generate_instance
 from chargeplan.model import (
     FORBIDDEN,
     AssignmentPlan,
@@ -122,6 +123,29 @@ def edge_cases(draw):
     return inst, z_e
 
 
+#: The delayed family's clocks, (n_slots, speed_kmh): a slot is 7 h at
+#: 0.5 km/h or 1.75 h at 2 km/h, so a pair 1.75 km or more apart takes at
+#: least one slot to cross, and the 8 km range admits delays of 1 and 2
+DELAYED_CLOCKS = ((24, 0.5), (96, 2.0))
+#: seeds at which no two of the six locations lie under 1.75 km apart
+DELAYED_SEEDS = (0, 2, 3, 7, 8)
+
+
+@pytest.fixture(params=[(T, speed, seed) for T, speed in DELAYED_CLOCKS
+                        for seed in DELAYED_SEEDS],
+                ids=lambda p: f"T{p[0]}-seed{p[2]}")
+def delayed(request) -> PlanningInstance:
+    """Each generated 6-location instance of the delayed family in turn:
+    every in-range pair has a delay of at least one slot, which generated
+    instances at the default 30 km/h almost never have."""
+    n_slots, speed_kmh, seed = request.param
+    inst = generate_instance(GenParams(n_locations=6, n_slots=n_slots, seed=seed,
+                                       range_km=8.0, speed_kmh=speed_kmh))
+    graph = inst.range_graph
+    assert graph.n_edges > 0 and graph.delay.min() >= 1, "an in-range pair without delay"
+    return inst
+
+
 def highs_read(path) -> highspy._Highs:
     """A HiGHS handle holding the model HiGHS's own MPS reader read from
     ``path``: an external reading of a file :func:`chargeplan.write_mps` wrote."""
@@ -197,6 +221,14 @@ def brute_force_integer_optimum(instance) -> float:
     return float(totals.min())
 
 
+def lp_matrix(lp) -> np.ndarray:
+    """The LP's (n_rows, n_cols) constraint matrix, dense, from its compressed
+    sparse columns ``(start, index, vals)``; repeated entries add up."""
+    A = np.zeros((lp.n_rows, lp.n_cols))
+    np.add.at(A, (lp.index, np.repeat(np.arange(lp.n_cols), np.diff(lp.start))), lp.vals)
+    return A
+
+
 def solve_with_simplex(instance: PlanningInstance) -> Solution:
     """The central LP solved by the embedded dense simplex, the oracle that
     HiGHS is checked against.  Finite upper bounds become explicit rows
@@ -205,7 +237,7 @@ def solve_with_simplex(instance: PlanningInstance) -> Solution:
     lp = build_lp(instance)
     bounded = np.isfinite(lp.ub)
     rows = np.isfinite(lp.rhs)
-    A = np.vstack([lp.matrix().toarray()[rows], np.eye(lp.n_cols)[bounded]])
+    A = np.vstack([lp_matrix(lp)[rows], np.eye(lp.n_cols)[bounded]])
     b = np.concatenate([lp.rhs[rows], lp.ub[bounded]])
     res = solve_simplex(lp.obj, A, b)
     if res.status == "infeasible":

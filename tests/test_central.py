@@ -31,6 +31,7 @@ from conftest import (
     brute_force_integer_optimum,
     edge_cases,
     forbidden,
+    lp_matrix,
     make_instance,
     net_demand_matrix,
     random_instance,
@@ -106,7 +107,7 @@ class TestBuildLp:
             np.ones((1, 2)), base_cost=500.0, location_cost=[0.0, 100.0]
         )
         lp = build_lp(inst)
-        A = lp.matrix().toarray()
+        A = lp_matrix(lp)
         np.testing.assert_allclose(A[0, :2], [500.0, 600.0])
         np.testing.assert_allclose(A[0, 2:], 0.0)
         assert lp.rhs[0] == inst.budget
@@ -115,7 +116,7 @@ class TestBuildLp:
         delay = np.array([[0, 1], [0, 0]])
         inst = make_instance(np.full((2, 2), 4.0), beta=2.0, delay=delay)
         lp = build_lp(inst)
-        A = lp.matrix().toarray()
+        A = lp_matrix(lp)
         names = {n: k for k, n in enumerate(row_names(lp))}
         col = col_names(lp).index("Z_1_2_1")  # 1 -> 2 departing slot 1
         # departure relieves location 1 in slot 1

@@ -358,8 +358,6 @@ class TestCheckFeasibility:
             "flow_conservation",
             "capacity_satisfaction",
             "non_negativity",
-            "diagonal",
-            "range",
         }
 
     def test_capacity_satisfaction_violation_measured_in_kw(self):
@@ -400,9 +398,6 @@ class TestCheckFeasibility:
         # the worst cell is named as (t, i, j), the first one in that order
         assert report.residuals["non_negativity"].violation == pytest.approx(3.0)
         assert report.residuals["non_negativity"].where == (0, 1, 0)
-        # a plan has no diagonal or out-of-range cell to violate
-        assert report.residuals["diagonal"].violation == 0.0
-        assert report.residuals["range"].violation == 0.0
 
     def test_tolerance_controls_the_verdict(self):
         inst = make_instance([[4.0]], beta=2.0)

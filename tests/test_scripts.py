@@ -21,13 +21,6 @@ def run_script(name, *argv):
     )
 
 
-def test_run_r_sweep():
-    proc = run_script("run_r_sweep.py", "--n-locations", "3", "--n-slots", "4")
-    assert proc.returncode == 0, proc.stderr
-    # the baseline line, the header and one row per default R value
-    assert len(proc.stdout.splitlines()) == 2 + 5
-
-
 def test_run_gap_experiment(tmp_path):
     out = tmp_path / "gaps.csv"
     proc = run_script("run_gap_experiment.py", "--seeds", "1", "--n-locations", "3",

@@ -9,7 +9,7 @@ import scipy.optimize
 from chargeplan.central import build_lp
 from chargeplan.simplex import solve_simplex
 
-from conftest import make_instance
+from conftest import lp_matrix, make_instance
 
 
 def test_textbook_maximization_as_min():
@@ -50,7 +50,7 @@ def test_unbounded_budget_row_refused_by_name():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^b has a non-finite entry"):
-            solve_simplex(lp.obj, lp.matrix().toarray(), lp.rhs)
+            solve_simplex(lp.obj, lp_matrix(lp), lp.rhs)
 
 
 @pytest.mark.parametrize("c, A, b, message", [
