@@ -12,7 +12,7 @@ import argparse
 import csv
 import time
 
-from chargeplan.admm import AdmmConfig, run_admm
+from chargeplan.admm import run_admm
 from chargeplan.central import solve_centralized
 from chargeplan.datagen import GenParams, generate_instance
 
@@ -41,7 +41,7 @@ def main() -> int:
         t0 = time.perf_counter()
         central = solve_centralized(inst)
         t1 = time.perf_counter()
-        sol, conv = run_admm(inst, AdmmConfig(rho=0.1, threshold=1e-4))
+        sol, conv = run_admm(inst)
         t2 = time.perf_counter()
         gap = 100.0 * (sol.cost.total - central.cost.total) / central.cost.total
         rows.append(

@@ -8,7 +8,7 @@ times ``solve_centralized`` (build, HiGHS solve and assessment), another
 times ``run_admm`` at ``AdmmConfig()`` defaults.  Instance generation is not
 timed, but it is part of each process's peak RSS.
 
-Usage:  python3 scripts/run_ladder.py [--sizes 20x96,20x672,40x672,60x672]
+Usage:  python3 scripts/run_ladder.py [--sizes 20x96,20x672,40x672,60x672,80x672,100x672]
                                       [--out BENCH_ladder.json]
         python3 scripts/run_ladder.py --figure central --sizes 20x96
 
@@ -133,7 +133,7 @@ def ladder(sizes) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--sizes", default="20x96,20x672,40x672,60x672")
+    parser.add_argument("--sizes", default="20x96,20x672,40x672,60x672,80x672,100x672")
     parser.add_argument("--out", default="BENCH_ladder.json")
     parser.add_argument("--figure", choices=FIGURES)
     args = parser.parse_args()

@@ -384,15 +384,16 @@ def run_admm(
 ) -> tuple[Solution, ConvergenceReport]:
     """Full consensus loop: subproblems, inflow exchange, master, dual step.
 
-    Stops when both residuals fall to the threshold or the iteration budget
-    runs out (in which case the best iterate seen is returned with
-    ``converged=False``).  The solution capacity is read from the auxiliary
-    (master) side.
+    Stops when both residuals fall to the threshold, returning the agreed
+    iterate, or when the iteration budget runs out, returning the best
+    iterate seen with ``converged=False``.  The solution capacity is read
+    from the auxiliary (master) side.
 
     ``converged`` means both residuals reached the threshold, so the
     workers' capacities and the master's agree, and the agreed plan passes
     :func:`~chargeplan.model.check_feasibility` at 1e-4.  Agreement on a
-    plan that fails the check ends the run with ``converged=False``.  This
+    plan that fails the check ends the run with ``converged=False``, and
+    the agreed iterate, not the best one, is returned.  This
     certifies consensus, not optimality.  On the default generated
     instances ADMM stops 11-31% above the LP optimum, and on two locations
     with staggered peaks (each covering its own) it converges after one

@@ -11,11 +11,13 @@ and :func:`_section`, instance and solution files by
 turns an exception into an exit code, a stable contract: 0 success,
 2 config/input error (:class:`ConfigError`, ``ValueError``, ``OSError``),
 3 infeasible (``InfeasibleProblemError``), 4 non-convergence
-(``ConvergenceError``, raised after the best iterate is written).  Each
-command writes ``resolved_config.json`` just before its first output file,
-so a run that fails before it has a result writes nothing; the exceptions
-are ``solve``'s ``infeasible.json`` and a non-converged ADMM run's best
-iterate.
+(``ConvergenceError``, raised after a non-converged ADMM run's plan is
+written: its best iterate when it ran out of iterations, its agreed iterate
+when the residuals reached the threshold on a plan that fails the check).
+Each command writes ``resolved_config.json`` just before its first output
+file, so a run that fails before it has a result writes nothing; the
+exceptions are ``solve``'s ``infeasible.json`` and a non-converged ADMM
+run's plan.
 
 Wall-clock timings never enter result files (only convergence logs), so
 reruns with the same config and seed are byte-identical.
@@ -238,10 +240,12 @@ def cmd_solve(args, config: dict) -> int:
     if convergence is not None:
         write_convergence_csv(convergence.history, out_dir / "convergence.csv")
         if not convergence.converged:
+            # residuals at the threshold: run_admm returns the agreed iterate
+            agreed = max(convergence.q_primal, convergence.q_dual) <= admm.threshold
             failing = "" if solution.feasibility.feasible else ", which fails the check at 1e-4"
             raise ConvergenceError(
-                f"best iterate after {convergence.iterations} iterations "
-                f"(Q_primal={convergence.q_primal:.3g}){failing}"
+                f"{'agreed' if agreed else 'best'} iterate after {convergence.iterations} "
+                f"iterations (Q_primal={convergence.q_primal:.3g}){failing}"
             )
     _say(args, f"total cost {solution.cost.total:.6g}")
     return EXIT_OK

@@ -32,7 +32,11 @@ class InfeasibleProblemError(Exception):
 
 
 class ConvergenceError(Exception):
-    """Raised when an iterative solver exhausts its iteration budget."""
+    """Raised when a solve ends without a plan it can vouch for: ADMM runs
+    out of iterations, ADMM's residuals reach the threshold on a plan that
+    fails the feasibility check at 1e-4 (both raised by the CLI once the
+    plan is written), or HiGHS stops short of an optimum
+    (:func:`chargeplan.central.solve_lp`)."""
 
 
 def _readonly(a, dtype=float) -> np.ndarray:

@@ -156,6 +156,12 @@ def highs_read(path) -> highspy._Highs:
     return highs
 
 
+def own_peak_caps(inst, scale):
+    """``inst`` with each location's capacity at ``scale`` times its own peak."""
+    own = inst.beta * inst.charging_demand.max(axis=0)
+    return dataclasses.replace(inst, capacity_max=scale * own)
+
+
 def forbidden(instance) -> np.ndarray:
     """(n, n) mask of the pairs no plan may use: out of range, or on the diagonal."""
     return ~np.isfinite(instance.assign_cost) | np.eye(instance.n_locations, dtype=bool)

@@ -36,6 +36,7 @@ from conftest import (
     forbidden,
     make_instance,
     net_demand_matrix,
+    own_peak_caps,
     plan_of,
     random_instance,
 )
@@ -625,12 +626,6 @@ class TestPinnedOutput:
         assert hashlib.sha256(sol.assignment.z.tobytes()).hexdigest() == plan_sha
 
 
-def own_peak_caps(inst, scale):
-    """``inst`` with each location's capacity at ``scale`` times its own peak."""
-    own = inst.beta * inst.charging_demand.max(axis=0)
-    return dataclasses.replace(inst, capacity_max=scale * own)
-
-
 @st.composite
 def own_peak_cap_cases(draw):
     """Caps between 0.7 and 1.3 times each location's own peak, with an
@@ -687,10 +682,10 @@ class TestOwnPeakCaps:
         assert not conv.converged and sol.stats["converged"] is False
 
     def test_generated_instance_at_its_own_peaks(self):
-        inst = own_peak_caps(
-            generate_instance(GenParams(n_locations=6, n_slots=24, range_km=5.0, seed=0)), 1.0
-        )
-        sol, conv = run_admm(inst)
-        assert conv.converged
-        assert sol.feasibility.feasible
-        assert np.all(sol.investment.capacity <= inst.capacity_max * (1 + 1e-9))
+        inst = generate_instance(GenParams(n_locations=6, n_slots=24, range_km=5.0, seed=0))
+        for scale in (1.0, 1.2):
+            capped = own_peak_caps(inst, scale)
+            sol, conv = run_admm(capped)
+            assert conv.converged, scale
+            assert sol.feasibility.feasible, scale
+            assert np.all(sol.investment.capacity <= capped.capacity_max * (1 + 1e-9)), scale

@@ -308,7 +308,8 @@ class TestRowsPresolveWouldRemove:
     #: the investment of the optimum with an unbounded budget and no cap
     INVESTMENT = 92.625
 
-    @pytest.mark.parametrize("budget", [0.99, 0.9, np.inf], ids=["budget", "low", "unbounded"])
+    @pytest.mark.parametrize("budget", [0.99, 0.9, np.inf, 0.0],
+                             ids=["budget", "low", "unbounded", "zero"])
     @pytest.mark.parametrize("beta", [1.5, 0.0])
     @pytest.mark.parametrize("capped, cap", [(None, 1.0), (0, 0.5), (1, 0.8), (3, 0.8)],
                              ids=["uncapped", "one-edge", "no-out-edge", "untouched"])
@@ -333,10 +334,10 @@ class TestRowsPresolveWouldRemove:
                 return None
 
         a, b = solve(solve_with_simplex), solve(solve_centralized)
-        # with beta = 0 no capacity is needed; otherwise the budget below
-        # the optimum's investment, or a cap below the own peak of a
-        # location that cannot ship, leaves no plan
-        infeasible = beta > 0 and (budget == 0.9 or capped in (1, 3))
+        # with beta = 0 no capacity is needed; otherwise a budget below
+        # the optimum's investment (a zero one included), or a cap below
+        # the own peak of a location that cannot ship, leaves no plan
+        infeasible = beta > 0 and (budget in (0.9, 0.0) or capped in (1, 3))
         assert (a is None, b is None) == (infeasible, infeasible)
         if infeasible:
             return

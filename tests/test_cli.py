@@ -32,7 +32,7 @@ from chargeplan.cli import (
 )
 from chargeplan.datagen import GenParams, generate_instance
 
-from conftest import make_instance
+from conftest import make_instance, own_peak_caps
 
 
 def run(*argv):
@@ -480,6 +480,21 @@ class TestSolve:
         assert (out / "convergence.csv").exists()
         assert "no convergence: best iterate after 1 iterations" in capsys.readouterr().err
 
+    def test_agreement_on_a_failing_plan_exit_4_names_the_agreed_iterate(self, tmp_path,
+                                                                         capsys):
+        # at 0.7 times its own peaks the residuals reach the threshold on a
+        # plan that breaks a cap, and run_admm returns that agreed iterate
+        inst = generate_instance(GenParams(n_locations=6, n_slots=24, range_km=5.0, seed=1))
+        path = tmp_path / "low.json"
+        io.save_instance(own_peak_caps(inst, 0.7), path)
+        out = tmp_path / "sol"
+        assert run("--out", str(out), "solve", str(path),
+                   "--method", "admm") == EXIT_NO_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("no convergence: agreed iterate after ")
+        assert err.rstrip().endswith(", which fails the check at 1e-4")
+        assert (out / "solution.json").exists()
+
     def test_unreadable_instance_exit_2(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{}")
@@ -823,15 +838,16 @@ class TestReport:
         assert run("--out", str(tmp_path / "rep"), "report", str(sol_path),
                    str(instance_file)) == EXIT_OK
         doc = json.loads(sol_path.read_text())
-        doc["cost"]["total"] = "oops"
-        sol_path.write_text(json.dumps(doc, indent=1))
-        out = tmp_path / "edited"
-        assert run("--out", str(out), "report", str(sol_path),
-                   str(instance_file)) == EXIT_OK
-        names = sorted(p.name for p in out.iterdir())
-        assert names == sorted(p.name for p in (tmp_path / "rep").iterdir())
-        for name in names:
-            assert (out / name).read_bytes() == (tmp_path / "rep" / name).read_bytes(), name
+        for k, total in enumerate(["oops", -1.0]):
+            doc["cost"]["total"] = total
+            sol_path.write_text(json.dumps(doc, indent=1))
+            out = tmp_path / f"edited-{k}"
+            assert run("--out", str(out), "report", str(sol_path),
+                       str(instance_file)) == EXIT_OK
+            names = sorted(p.name for p in out.iterdir())
+            assert names == sorted(p.name for p in (tmp_path / "rep").iterdir())
+            for name in names:
+                assert (out / name).read_bytes() == (tmp_path / "rep" / name).read_bytes(), name
 
     def test_instance_file_read_once(self, tmp_path, instance_file):
         sol_path = self._solved(tmp_path, instance_file)
@@ -943,6 +959,11 @@ class TestResolvedConfig:
                    *argv) == EXIT_OK
         assert (again / "resolved_config.json").read_bytes() == (
             first / "resolved_config.json").read_bytes()
+        # every JSON document the command wrote is laid out as json.dumps
+        # lays it out at indent 1 (solution.geojson is compact)
+        for path in first.glob("*.json"):
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=1), path.name
 
 
 class TestCompare:
