@@ -5,8 +5,10 @@ For each size n x T the instance is ``GenParams(n_locations=n, n_slots=T,
 seed=0)``, defaults otherwise.  Each figure comes from its own fresh Python
 process, so one figure's peak memory never includes another's: one process
 times ``solve_centralized`` (build, HiGHS solve and assessment), another
-times ``run_admm`` at ``AdmmConfig()`` defaults.  Instance generation is not
-timed, but it is part of each process's peak RSS.
+times ``run_admm`` at ``AdmmConfig()`` defaults.  Both return a judged
+``Solution``; iteration counts and ADMM's ``converged`` verdict are read
+from its ``stats``.  Instance generation is not timed, but it is part of
+each process's peak RSS.
 
 Usage:  python3 scripts/run_ladder.py [--sizes 20x96,20x672,40x672,60x672,80x672,100x672]
                                       [--out BENCH_ladder.json]
@@ -56,9 +58,9 @@ def measure(figure: str, n: int, T: int) -> dict:
         out["iterations"] = sol.stats["iterations"]
     else:
         t0 = time.perf_counter()
-        sol, conv = run_admm(inst)
+        sol, _ = run_admm(inst)
         out["seconds"] = time.perf_counter() - t0
-        out["iterations"], out["converged"] = conv.iterations, conv.converged
+        out["iterations"], out["converged"] = sol.stats["iterations"], sol.stats["converged"]
     out["rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     out["total"] = sol.cost.total
     out["feasible"] = sol.feasibility.feasible
@@ -122,8 +124,8 @@ def ladder(sizes) -> dict:
             "central: lp = build_lp(inst); rows, cols = lp.n_rows, lp.n_cols; del lp; "
             "t0 = perf_counter(); sol = solve_centralized(inst); seconds = perf_counter() - t0; "
             "iterations = sol.stats['iterations']",
-            "admm: t0 = perf_counter(); sol, conv = run_admm(inst); "
-            "seconds = perf_counter() - t0; iterations = conv.iterations",
+            "admm: t0 = perf_counter(); sol, history = run_admm(inst); "
+            "seconds = perf_counter() - t0; iterations = sol.stats['iterations']",
             "rss_mb = resource.getrusage(RUSAGE_SELF).ru_maxrss / 1024",
         ],
         "ladder": rungs,

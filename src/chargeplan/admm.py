@@ -98,17 +98,6 @@ class IterationRecord:
     wall_ms: float
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    converged: bool
-    iterations: int
-    q_primal: float
-    q_dual: float
-    history: list[IterationRecord]
-    wall_time_s: float
-    budget_binding: bool = False
-
-
 def transform_inflows(z: np.ndarray, graph: RangeGraph) -> np.ndarray:
     """(T, n) delayed inflow of (T, E) edge assignments: one gather, one bincount.
 
@@ -381,13 +370,16 @@ def write_convergence_csv(history: list[IterationRecord], path) -> None:
 
 def run_admm(
     instance: PlanningInstance, config: AdmmConfig | None = None
-) -> tuple[Solution, ConvergenceReport]:
+) -> tuple[Solution, list[IterationRecord]]:
     """Full consensus loop: subproblems, inflow exchange, master, dual step.
 
     Stops when both residuals fall to the threshold, returning the agreed
     iterate, or when the iteration budget runs out, returning the best
     iterate seen with ``converged=False``.  The solution capacity is read
-    from the auxiliary (master) side.
+    from the auxiliary (master) side.  Returns the judged solution and one
+    :class:`IterationRecord` per iteration; the run's outcome lives in
+    ``solution.stats`` (``converged``, ``iterations``, ``budget_binding``,
+    ``wall_ms``) and its final residuals in the last record.
 
     ``converged`` means both residuals reached the threshold, so the
     workers' capacities and the master's agree, and the agreed plan passes
@@ -472,26 +464,16 @@ def run_admm(
 
     _, c_final, z_final = (obj, c_tilde, z) if consensus else best
 
-    wall = time.perf_counter() - start
     stats = {
         "method": "admm",
         "iterations": k,
         "converged": False,
         "rho": cfg.rho,
         "threshold": cfg.threshold,
-        "wall_ms": 1000.0 * wall,
+        "wall_ms": 1000.0 * (time.perf_counter() - start),
         "budget_binding": budget_binding,
     }
     solution = assess(instance, InvestmentPlan(c_final), AssignmentPlan(graph, z_final),
                       1e-4, stats)
-    converged = stats["converged"] = consensus and solution.feasibility.feasible
-    convergence = ConvergenceReport(
-        converged=converged,
-        iterations=k,
-        q_primal=q_primal,
-        q_dual=q_dual,
-        history=history,
-        wall_time_s=wall,
-        budget_binding=budget_binding,
-    )
-    return solution, convergence
+    stats["converged"] = consensus and solution.feasibility.feasible
+    return solution, history

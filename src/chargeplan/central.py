@@ -20,14 +20,15 @@ presolve (see ``_HIGHS_OPTIONS``), so every solve, cold or warm, works on
 the rows and columns ``build_lp`` wrote.  ``solve_centralized`` is one
 build and one solve.  ``sweep_range``
 solves the range study on one model: it builds the widest R's LP once,
-closes the columns out of each R's range with zero upper bounds, and lets
-HiGHS re-solve from the previous basis.  The embedded dense simplex
+closes the columns out of each R's range with zero upper bounds, lets
+HiGHS re-solve from the previous basis, and returns one
+:class:`~chargeplan.model.Solution` per R.  The embedded dense simplex
 (:func:`chargeplan.simplex.solve_simplex`) is not a production backend; the
 tests use it as an independent oracle.
 
 ``solve_base_model`` is the no-assignment baseline the joint plan is compared
-with.  Both return through :func:`chargeplan.model.assess`, so their costs
-and feasibility reports come from the same rule as every other plan's.
+with.  Every solution here returns through :func:`chargeplan.model.assess`, so
+its cost and feasibility report come from the same rule as every other plan's.
 """
 
 from __future__ import annotations
@@ -232,14 +233,19 @@ def solve_lp(lp: StandardFormLP, highs: highspy._Highs | None = None) -> tuple[n
     return x, stats
 
 
-def solve_centralized(instance: PlanningInstance) -> Solution:
-    """Solve the joint investment-assignment problem in one LP."""
-    x, stats = solve_lp(build_lp(instance))
+def _judge(instance: PlanningInstance, x: np.ndarray, stats: dict) -> Solution:
+    """The LP point ``x`` of ``instance``'s own columns as a centralized
+    solution, priced and judged at 1e-6."""
     stats["method"] = "centralized"
     return assess(instance, *_extract_plans(instance, x), 1e-6, stats)
 
 
-def sweep_range(instance: PlanningInstance, r_values) -> list[dict]:
+def solve_centralized(instance: PlanningInstance) -> Solution:
+    """Solve the joint investment-assignment problem in one LP."""
+    return _judge(instance, *solve_lp(build_lp(instance)))
+
+
+def sweep_range(instance: PlanningInstance, r_values) -> list[Solution]:
     """Solve the joint model at each assignment-range limit (km) of
     ``r_values``, in the order given, on one warm-started HiGHS model.
 
@@ -252,9 +258,8 @@ def sweep_range(instance: PlanningInstance, r_values) -> list[dict]:
     graphs are origin-major, so ``z[:, open_edges]`` is the plan on the R
     instance's own graph, which it is priced and judged against.
 
-    Each row holds the R's ``solution`` and reports its investment,
-    assignment, and total cost plus the percentage total-cost reduction
-    relative to the previous row.  A failed solve raises with its R named.
+    Returns one judged solution per R, in the order given.  A failed solve
+    raises with its R named.
     """
     restricted = [(float(r), with_range_limit(instance, float(r))) for r in r_values]
     if not restricted:
@@ -264,8 +269,7 @@ def sweep_range(instance: PlanningInstance, r_values) -> list[dict]:
     highs = highs_model(lp)
     n, T, graph = wide.n_locations, wide.n_slots, wide.range_graph
     zcols = np.arange(n, lp.n_cols, dtype=np.int32)
-    rows = []
-    prev_total = None
+    solutions = []
     for r, inst in restricted:
         open_edges = np.isfinite(inst.assign_cost[graph.src, graph.dst])
         ub = np.where(np.tile(open_edges, T), highspy.kHighsInf, 0.0)
@@ -275,21 +279,8 @@ def sweep_range(instance: PlanningInstance, r_values) -> list[dict]:
         except (InfeasibleProblemError, ConvergenceError) as exc:
             raise type(exc)(f"R={r:g} km: {exc}") from exc
         z = x[n:].reshape(T, graph.n_edges)[:, open_edges]
-        stats["method"] = "centralized"
-        solution = assess(inst, *_extract_plans(inst, np.concatenate([x[:n], z.ravel()])),
-                          1e-6, stats)
-        total = solution.cost.total
-        rows.append({
-            "R_km": r,
-            "solution": solution,
-            "investment": solution.cost.investment,
-            "assignment": solution.cost.assignment,
-            "total": total,
-            "reduction_pct": (None if prev_total in (None, 0.0)
-                              else 100.0 * (prev_total - total) / prev_total),
-        })
-        prev_total = total
-    return rows
+        solutions.append(_judge(inst, np.concatenate([x[:n], z.ravel()]), stats))
+    return solutions
 
 
 def solve_base_model(instance: PlanningInstance) -> Solution:

@@ -19,6 +19,10 @@ file, so a run that fails before it has a result writes nothing; the
 exceptions are ``solve``'s ``infeasible.json`` and a non-converged ADMM
 run's plan.
 
+Solvers return judged :class:`~chargeplan.model.Solution` objects: ``solve``
+and ``compare`` read an ADMM run's outcome from its ``stats`` and its last
+iteration record, and ``sweep-r`` computes ``reduction_pct`` as it writes.
+
 Wall-clock timings never enter result files (only convergence logs), so
 reruns with the same config and seed are byte-identical.
 """
@@ -214,7 +218,7 @@ def cmd_ingest(args, config: dict) -> int:
 
 
 def _solve(instance, method: str, admm: AdmmConfig):
-    """Returns (solution, convergence-or-None) for one of :data:`METHODS`."""
+    """(solution, ADMM iteration history or None) for one of :data:`METHODS`."""
     if method == "centralized":
         return solve_centralized(instance), None
     if method == "base":
@@ -229,7 +233,7 @@ def cmd_solve(args, config: dict) -> int:
     out_dir = Path(args.out)
     resolved = {"admm": dataclasses.asdict(admm)}
     try:
-        solution, convergence = _solve(instance, args.method, admm)
+        solution, history = _solve(instance, args.method, admm)
     except InfeasibleProblemError as exc:
         _write_resolved(out_dir, resolved)
         (out_dir / "infeasible.json").write_text(json.dumps({"reason": str(exc)}))
@@ -237,15 +241,16 @@ def cmd_solve(args, config: dict) -> int:
 
     _write_resolved(out_dir, resolved)
     io.save_solution(_clean_stats(solution), out_dir / "solution.json", checksum)
-    if convergence is not None:
-        write_convergence_csv(convergence.history, out_dir / "convergence.csv")
-        if not convergence.converged:
+    if history is not None:
+        write_convergence_csv(history, out_dir / "convergence.csv")
+        if not solution.stats["converged"]:
             # residuals at the threshold: run_admm returns the agreed iterate
-            agreed = max(convergence.q_primal, convergence.q_dual) <= admm.threshold
+            last = history[-1]
+            agreed = max(last.q_primal, last.q_dual) <= admm.threshold
             failing = "" if solution.feasibility.feasible else ", which fails the check at 1e-4"
             raise ConvergenceError(
-                f"{'agreed' if agreed else 'best'} iterate after {convergence.iterations} "
-                f"iterations (Q_primal={convergence.q_primal:.3g}){failing}"
+                f"{'agreed' if agreed else 'best'} iterate after {solution.stats['iterations']} "
+                f"iterations (Q_primal={last.q_primal:.3g}){failing}"
             )
     _say(args, f"total cost {solution.cost.total:.6g}")
     return EXIT_OK
@@ -257,18 +262,21 @@ def cmd_sweep_r(args, config: dict) -> int:
         sweep = SweepConfig([float(v) for v in args.r_values.split(",") if v.strip()])
     if not sweep.r_values:
         raise ConfigError("empty R list")
-    rows = sweep_range(io.load_instance(args.instance), sweep.r_values)
+    solutions = sweep_range(io.load_instance(args.instance), sweep.r_values)
     out_dir = Path(args.out)
     _write_resolved(out_dir, {"sweep": dataclasses.asdict(sweep)})
     path = out_dir / "sweep.csv"
     with open(path, "w") as fh:
         fh.write("R_km,investment,assignment,total,reduction_pct\n")
-        for row in rows:
-            red = "" if row["reduction_pct"] is None else f"{row['reduction_pct']:.6g}"
+        prev = None
+        for r, cost in zip(sweep.r_values, (s.cost for s in solutions)):
+            # against the previous R's total; none at the first R or after a 0
+            red = "" if prev in (None, 0.0) else f"{100.0 * (prev - cost.total) / prev:.6g}"
             fh.write(
-                f"{row['R_km']:g},{row['investment']:.12g},"
-                f"{row['assignment']:.12g},{row['total']:.12g},{red}\n"
+                f"{float(r):g},{cost.investment:.12g},"
+                f"{cost.assignment:.12g},{cost.total:.12g},{red}\n"
             )
+            prev = cost.total
     _say(args, f"wrote {path}")
     return EXIT_OK
 
@@ -313,14 +321,11 @@ def cmd_compare(args, config: dict) -> int:
     instance = io.load_instance(args.instance)
 
     results = {}
-    converged = {}
     for method in methods:
         try:
-            solution, convergence = _solve(instance, method, admm)
+            results[method], _ = _solve(instance, method, admm)
         except (InfeasibleProblemError, ConvergenceError) as exc:
             raise type(exc)(f"{method}: {exc}") from exc
-        results[method] = solution
-        converged[method] = convergence is None or convergence.converged
     reference = min(s.cost.total for s in results.values())
     doc = {
         method: {
@@ -332,7 +337,7 @@ def cmd_compare(args, config: dict) -> int:
                 else 100.0 * (s.cost.total - reference) / reference
             ),
             "feasible": s.feasibility.feasible,
-            "converged": converged[method],
+            "converged": s.stats.get("converged", True),
         }
         for method, s in results.items()
     }
@@ -347,7 +352,7 @@ def cmd_compare(args, config: dict) -> int:
                 f"{row['total']:.9g},{row['gap_to_best_pct']:.6g},{row['feasible']}\n"
             )
     _say(args, f"wrote comparison to {out_dir}")
-    stalled = [method for method, ok in converged.items() if not ok]
+    stalled = [method for method, row in doc.items() if not row["converged"]]
     if stalled:
         raise ConvergenceError(", ".join(stalled))
     return EXIT_OK

@@ -36,7 +36,7 @@ import io
 import math
 from array import array
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import date, datetime, time
 from itertools import chain
 
 import numpy as np
@@ -222,7 +222,8 @@ def parse_trips(path) -> ParseResult:
     Columns are found by header name (the last of duplicated names wins).
     Blank lines are ignored.  A row is malformed, and counted in
     ``skipped``, when it is too short to hold every required column, its
-    start time is not ISO 8601, a coordinate is not a finite number, or it
+    start time is not ISO 8601 with ``T`` or a space between date and time
+    (or a date alone), a coordinate is not a finite number, or it
     gives a ``distance_km`` that is not a finite non-negative number.  An
     empty or absent ``distance_km`` means the distance is not given.  A
     field longer than ``csv.field_size_limit()`` is an error naming its line.
@@ -499,6 +500,7 @@ def _row_checks(k_time: int, k_numbers: tuple[int, ...], k_dist: int | None, col
                         raise ValueError("distance_km must be finite and non-negative")
                 o_lon, o_lat = float(row[k_olon]), float(row[k_olat])
                 d_lon, d_lat = float(row[k_dlon]), float(row[k_dlat])
+                _check_separator(row[k_time], ts)
             except ValueError:
                 skipped += 1
                 continue
@@ -516,6 +518,20 @@ def _row_checks(k_time: int, k_numbers: tuple[int, ...], k_dist: int | None, col
         return skipped
 
     return append_rows
+
+
+def _check_separator(text: str, ts: datetime) -> None:
+    """Raise ``ValueError`` unless ``text``, which ``datetime.fromisoformat``
+    read as ``ts``, has ``T`` or a space between its date and its time.
+
+    CPython 3.11 takes any one character there (``2024-03-04?08:10``).  No
+    ISO date holds a ``T`` or a space, so the text is split at its first
+    one, and its two sides, each read on its own, must give ``ts`` again; a
+    text with neither must be a date alone."""
+    head = text.replace(" ", "T").partition("T")[0]
+    clock = time.fromisoformat(text[len(head) + 1:]) if len(head) < len(text) else time()
+    if datetime.combine(date.fromisoformat(head), clock) != ts:
+        raise ValueError(f"no T or space between the date and time of {text!r}")
 
 
 def _words(buf: np.ndarray, offset: np.ndarray, n: int) -> np.ndarray:

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import strategies as st
 from scipy.optimize._highspy import _core as highspy
 
-from chargeplan import solve_simplex
 from chargeplan.central import _extract_plans, build_lp
 from chargeplan.datagen import GenParams, generate_instance
 from chargeplan.model import (
@@ -22,6 +21,7 @@ from chargeplan.model import (
     _plan_graph,
     assess,
 )
+from chargeplan.simplex import solve_simplex
 
 
 def make_instance(

@@ -465,22 +465,22 @@ class TestInflowReuse:
                             lambda graph, z: outflows.append(z.shape) or outflow(graph, z))
         rng = np.random.default_rng(2)
         inst = random_instance(rng, n=4, T=6, forbid_frac=0.2)
-        _, conv = run_admm(inst, AdmmConfig(max_iterations=40))
-        assert conv.iterations >= 2
+        sol, _ = run_admm(inst, AdmmConfig(max_iterations=40))
+        assert sol.stats["iterations"] >= 2
         # the exchange, once per iteration, is the only gather, and each
         # iterate's net demand is computed once, on the (T, E) edge array;
         # the final feasibility check sums the returned plan's outflow once more
         E = inst.range_graph.n_edges
-        assert gathers == [(inst.n_slots, E)] * conv.iterations
-        assert outflows == [(inst.n_slots, E)] * (conv.iterations + 1)
+        assert gathers == [(inst.n_slots, E)] * sol.stats["iterations"]
+        assert outflows == [(inst.n_slots, E)] * (sol.stats["iterations"] + 1)
 
 
 class TestRunAdmm:
     def test_zero_flow_converges_immediately(self):
         inst = make_instance(np.zeros((2, 2)))
-        sol, conv = run_admm(inst)
-        assert conv.converged
-        assert conv.iterations == 1
+        sol, _ = run_admm(inst)
+        assert sol.stats["converged"]
+        assert sol.stats["iterations"] == 1
         assert sol.cost.total == 0.0
         assert sol.feasibility.feasible
 
@@ -492,8 +492,8 @@ class TestRunAdmm:
         assert inst.range_graph.n_edges > 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol, conv = run_admm(inst)
-        assert (conv.converged, conv.iterations) == (True, 1)
+            sol, _ = run_admm(inst)
+        assert (sol.stats["converged"], sol.stats["iterations"]) == (True, 1)
         assert sol.cost.total == 0.0
         assert sol.feasibility.feasible
 
@@ -502,8 +502,8 @@ class TestRunAdmm:
         # no bound on capacity below capacity_max, and neither may ADMM
         inst = make_instance([[3e4, 0.0]], beta=1000.0,
                              assign_cost=[[0.0, 0.1], [0.1, 0.0]])
-        sol, conv = run_admm(inst)
-        assert conv.converged
+        sol, _ = run_admm(inst)
+        assert sol.stats["converged"]
         assert sol.feasibility.feasible
         assert sol.investment.capacity[0] == pytest.approx(3e7)
 
@@ -517,8 +517,7 @@ class TestRunAdmm:
         # by construction Q_dual[k+1] = rho * Q_primal[k] exactly
         rng = np.random.default_rng(2)
         inst = random_instance(rng, n=4, T=6, forbid_frac=0.2)
-        _, conv = run_admm(inst, AdmmConfig(max_iterations=40))
-        hist = conv.history
+        _, hist = run_admm(inst, AdmmConfig(max_iterations=40))
         assert len(hist) >= 2
         for prev, cur in zip(hist, hist[1:]):
             assert cur.q_dual == pytest.approx(0.1 * prev.q_primal, abs=1e-9, rel=1e-9)
@@ -527,19 +526,17 @@ class TestRunAdmm:
         rng = np.random.default_rng(5)
         inst = random_instance(rng, n=3, T=4, forbid_frac=0.2)
         cfg = AdmmConfig(threshold=1e-5)
-        sol, conv = run_admm(inst, cfg)
-        assert conv.converged
-        assert conv.q_primal <= cfg.threshold
-        assert conv.q_dual <= cfg.threshold
+        sol, history = run_admm(inst, cfg)
+        assert history[-1].q_primal <= cfg.threshold
+        assert history[-1].q_dual <= cfg.threshold
         assert sol.stats["converged"] is True
 
     def test_iteration_budget_exhaustion_returns_best_iterate(self):
         rng = np.random.default_rng(9)
         inst = random_instance(rng, n=4, T=6, forbid_frac=0.2)
-        sol, conv = run_admm(inst, AdmmConfig(max_iterations=1, threshold=1e-12))
-        assert not conv.converged
-        assert conv.iterations == 1
+        sol, _ = run_admm(inst, AdmmConfig(max_iterations=1, threshold=1e-12))
         assert sol.stats["converged"] is False
+        assert sol.stats["iterations"] == 1
         # the best iterate is still a usable plan
         assert sol.feasibility.feasible
 
@@ -547,12 +544,12 @@ class TestRunAdmm:
     def test_solution_is_feasible_and_near_centralized(self, seed):
         rng = np.random.default_rng(30 + seed)
         inst = random_instance(rng, n=4, T=6, forbid_frac=0.3)
-        sol, conv = run_admm(inst)
+        sol, history = run_admm(inst)
         central = solve_centralized(inst)
         assert sol.feasibility.feasible
         assert sol.cost.total >= central.cost.total - 1e-6
         # history is monotone in k and records positive wall times
-        ks = [rec.k for rec in conv.history]
+        ks = [rec.k for rec in history]
         assert ks == list(range(1, len(ks) + 1))
 
     def test_equals_baseline_when_every_pair_is_forbidden(self):
@@ -560,9 +557,9 @@ class TestRunAdmm:
             generate_instance(GenParams(n_locations=5, n_slots=12, seed=3)), 0.0
         )
         assert inst.range_graph.n_edges == 0
-        sol, conv = run_admm(inst)
+        sol, _ = run_admm(inst)
         base = solve_base_model(inst)
-        assert conv.converged
+        assert sol.stats["converged"]
         np.testing.assert_allclose(
             sol.investment.capacity, base.investment.capacity, rtol=1e-12
         )
@@ -580,8 +577,8 @@ class TestRunAdmm:
             assign_cost=[[0.0, 0.1], [0.1, 0.0]],
             budget=18.5,
         )
-        sol, conv = run_admm(inst)
-        assert conv.converged
+        sol, _ = run_admm(inst)
+        assert sol.stats["converged"]
         invest = float(sol.investment.capacity @ inst.unit_investment_cost)
         assert invest <= 18.5 + 1e-6
         assert sol.feasibility.feasible
@@ -620,8 +617,8 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("name", CASES)
     def test_iterations_total_and_plan_unchanged(self, name):
         build, iterations, total, plan_sha = self.CASES[name]
-        sol, conv = run_admm(build())
-        assert conv.iterations == iterations
+        sol, _ = run_admm(build())
+        assert sol.stats["iterations"] == iterations
         assert sol.cost.total.hex() == total
         assert hashlib.sha256(sol.assignment.z.tobytes()).hexdigest() == plan_sha
 
@@ -658,13 +655,13 @@ class TestOwnPeakCaps:
         except InfeasibleProblemError:
             lp_feasible = False
         try:
-            sol, conv = run_admm(inst)
+            sol, _ = run_admm(inst)
         except InfeasibleProblemError:
             assert not lp_feasible
             return
         # checked at 1e-4: converged only on a plan that passes, and a plan
         # that passes wherever every cap fits its own peak
-        assert sol.feasibility.feasible or not conv.converged
+        assert sol.feasibility.feasible or not sol.stats["converged"]
         own = inst.beta * inst.charging_demand.max(axis=0)
         if np.all(inst.capacity_max >= own):
             assert sol.feasibility.feasible
@@ -676,16 +673,16 @@ class TestOwnPeakCaps:
             generate_instance(GenParams(n_locations=6, n_slots=24, range_km=5.0, seed=1)), 0.7
         )
         assert solve_centralized(inst).feasibility.feasible
-        sol, conv = run_admm(inst)
-        assert max(conv.q_primal, conv.q_dual) <= AdmmConfig().threshold
+        sol, history = run_admm(inst)
+        assert max(history[-1].q_primal, history[-1].q_dual) <= AdmmConfig().threshold
         assert not sol.feasibility.feasible
-        assert not conv.converged and sol.stats["converged"] is False
+        assert sol.stats["converged"] is False
 
     def test_generated_instance_at_its_own_peaks(self):
         inst = generate_instance(GenParams(n_locations=6, n_slots=24, range_km=5.0, seed=0))
         for scale in (1.0, 1.2):
             capped = own_peak_caps(inst, scale)
-            sol, conv = run_admm(capped)
-            assert conv.converged, scale
+            sol, _ = run_admm(capped)
+            assert sol.stats["converged"], scale
             assert sol.feasibility.feasible, scale
             assert np.all(sol.investment.capacity <= capped.capacity_max * (1 + 1e-9)), scale

@@ -416,12 +416,10 @@ class TestRangeSweep:
             with pytest.raises(InfeasibleProblemError,
                                match=f"^R={r_values[len(cold)]:g} km: "):
                 sweep_range(inst, r_values)
-        rows = sweep_range(inst, solved)
-        assert [row["R_km"] for row in rows] == solved
-        for r, row, ref in zip(solved, rows, cold):
-            assert row["total"] == pytest.approx(ref.cost.total, rel=1e-9, abs=1e-9)
-            sol = row["solution"]
-            assert sol.cost.total == row["total"]
+        solutions = sweep_range(inst, solved)
+        assert len(solutions) == len(solved)
+        for r, sol, ref in zip(solved, solutions, cold):
+            assert sol.cost.total == pytest.approx(ref.cost.total, rel=1e-9, abs=1e-9)
             assert sol.feasibility.feasible and sol.feasibility.tol == 1e-6
             # judged again on a freshly restricted instance's own graph
             at_r = with_range_limit(inst, r)

@@ -680,6 +680,31 @@ class TestSweepR:
         assert totals[0] == pytest.approx(base.cost.total, rel=1e-9)
         assert rows[0]["reduction_pct"] == ""
 
+    def test_reduction_pct_against_the_previous_row(self, tmp_path, instance_file):
+        out = tmp_path / "sweep"
+        assert run("--out", str(out), "sweep-r", str(instance_file),
+                   "--r-values", "0,1,3,5,7") == EXIT_OK
+        with open(out / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["reduction_pct"] == ""
+        for prev, row in zip(rows, rows[1:]):
+            before, total = float(prev["total"]), float(row["total"])
+            assert float(row["reduction_pct"]) == pytest.approx(
+                100.0 * (before - total) / before, rel=1e-5, abs=1e-9)
+
+    def test_no_reduction_after_a_zero_total(self, tmp_path):
+        # with no flow every total is 0, so no row has a reduction to report
+        inst = generate_instance(GenParams(n_locations=5, n_slots=24, seed=3, range_km=6.0))
+        path = tmp_path / "idle.json"
+        io.save_instance(dataclasses.replace(inst, flow=np.zeros_like(inst.flow)), path)
+        out = tmp_path / "sweep"
+        assert run("--out", str(out), "sweep-r", str(path),
+                   "--r-values", "0,1,3,5,7") == EXIT_OK
+        with open(out / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["total"]) for r in rows] == [0.0] * 5
+        assert [r["reduction_pct"] for r in rows] == [""] * 5
+
     def test_r_values_from_config(self, tmp_path, instance_file):
         cfg = write_config(tmp_path, {"sweep": {"r_values": [0, 5]}})
         out = tmp_path / "sweep"

@@ -3,6 +3,7 @@
 import csv
 import functools
 import math
+import re
 import tempfile
 import tracemalloc
 from dataclasses import dataclass
@@ -46,7 +47,12 @@ def write_csv(tmp_path, rows, header=HEADER):
 # The row-by-row pipeline that the columnar one replaced, kept as a test
 # oracle: csv.DictReader, one record object per row, scalar zone and slot
 # lookups, and the math-module haversine.  It also skips a row whose
-# distance_km is given but not a finite non-negative number.
+# distance_km is given but not a finite non-negative number, or whose start
+# time is not an ISO date alone or one followed by T or a space.
+
+#: an ISO 8601 calendar or week date, alone or followed by T or a space
+ISO_DATE_THEN_T_OR_SPACE = re.compile(
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2}|[0-9]{8}|[0-9]{4}-?W[0-9]{2}(-?[0-9])?)([T ].*)?", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,8 @@ def oracle_parse(path):
         for row in reader:
             try:
                 ts = datetime.fromisoformat(row["start_time"])
+                if not ISO_DATE_THEN_T_OR_SPACE.fullmatch(row["start_time"]):
+                    raise ValueError("no T or space between date and time")
                 origin = (float(row["origin_lng"]), float(row["origin_lat"]))
                 dest = (float(row["dest_lng"]), float(row["dest_lat"]))
                 dist = None
@@ -187,6 +195,22 @@ class TestParseTrips:
         result = parse_trips(path)
         assert len(result.records) == 1
         assert result.skipped == 3
+
+    @pytest.mark.parametrize("sep", ["?", "x", "t", "1", "_"])
+    def test_date_and_time_separated_by_t_or_space_only(self, tmp_path, sep):
+        # datetime.fromisoformat on CPython 3.11 takes any character there
+        path = write_csv(tmp_path, [
+            "2024-03-04T08:10:00,0.1,0.2,0.8,0.9,",
+            "2024-03-04 08:20:00,0.1,0.2,0.8,0.9,",
+            "2024-03-05,0.1,0.2,0.8,0.9,",
+            f"2024-03-04{sep}08:30:00,0.1,0.2,0.8,0.9,",
+            f"2024-W10-1{sep}08:40,0.1,0.2,0.8,0.9,",
+            f"2024-03-04{sep}08:50:00+01:00,0.1,0.2,0.8,0.9,",
+            f"2024-03-04{sep}09:00:00 +01:00,0.1,0.2,0.8,0.9,",
+        ])
+        result = parse_trips(path)
+        assert result.records.minute.tolist() == [490, 500, 1440]
+        assert result.skipped == 4
 
     @pytest.mark.parametrize("distance", ["nan", "inf", "-inf", "-2.0"])
     def test_non_finite_or_negative_distance_skipped(self, tmp_path, distance):
@@ -719,6 +743,7 @@ ODD_FIELDS = {
             "1900-02-29T12:00:00", "2024-03-04T24:00:00", "2024-03-04 08:10:00",
             "2024-03-04T08:10", "2024-03-04T08:10:00.5", "2024-03-04T08:10:00+01:00",
             "0000-01-01T00:00:00", "2024-04-31T00:00:00", "2024-03-04t08:10:00",
+            "2024-03-04?08:10:00", "2024-03-04x08:10:00+01:00",
             "\uff12024-03-04T08:10:00", "",
         ]),
     ),
