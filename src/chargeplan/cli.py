@@ -6,8 +6,8 @@ writes its resolved configuration next to its outputs for reproducibility.
 
 Outside input is checked where it enters: the config by :func:`_load_config`
 and :func:`_section`, instance and solution files by
-:func:`chargeplan.io.instance_from_dict` and
-:func:`chargeplan.io.solution_from_dict`.  Commands raise; :func:`main` alone
+:func:`chargeplan.io.instance_from_dict` and :func:`chargeplan.io.load_solution`,
+which also checks a solution's instance checksum.  Commands raise; :func:`main` alone
 turns an exception into an exit code, a stable contract: 0 success,
 2 config/input error (:class:`ConfigError`, ``ValueError``, ``OSError``),
 3 infeasible (``InfeasibleProblemError``), 4 non-convergence
@@ -23,8 +23,8 @@ Solvers return judged :class:`~chargeplan.model.Solution` objects: ``solve``
 and ``compare`` read an ADMM run's outcome from its ``stats`` and its last
 iteration record, and ``sweep-r`` computes ``reduction_pct`` as it writes.
 
-Wall-clock timings never enter result files (only convergence logs), so
-reruns with the same config and seed are byte-identical.
+Wall-clock timings never enter result files (``io`` leaves them out of a
+solution's stats), so reruns with the same config and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .ingest import (
     build_flows,
     parse_trips,
 )
-from .model import ConvergenceError, InfeasibleProblemError, Solution
+from .model import ConvergenceError, InfeasibleProblemError
 from .report import round_assignments, solution_geojson, write_csv_tables
 
 EXIT_OK = 0
@@ -138,11 +138,6 @@ def _write_resolved(out_dir: Path, resolved: dict) -> None:
     (out_dir / "resolved_config.json").write_text(
         json.dumps(resolved, indent=1, sort_keys=True)
     )
-
-
-def _clean_stats(solution: Solution) -> Solution:
-    stats = {k: v for k, v in solution.stats.items() if "wall" not in k}
-    return dataclasses.replace(solution, stats=stats)
 
 
 def _say(args, message: str) -> None:
@@ -240,7 +235,7 @@ def cmd_solve(args, config: dict) -> int:
         raise
 
     _write_resolved(out_dir, resolved)
-    io.save_solution(_clean_stats(solution), out_dir / "solution.json", checksum)
+    io.save_solution(solution, out_dir / "solution.json", checksum)
     if history is not None:
         write_convergence_csv(history, out_dir / "convergence.csv")
         if not solution.stats["converged"]:
@@ -283,11 +278,7 @@ def cmd_sweep_r(args, config: dict) -> int:
 
 def cmd_report(args, config: dict) -> int:
     instance, checksum = io.read_instance(args.instance)
-    doc = json.loads(Path(args.solution).read_text())
-    solution = io.solution_from_dict(doc, instance)
-    stored = doc.get("instance_checksum")
-    if stored is not None and stored != checksum:
-        raise ValueError("solution was produced from a different instance file")
+    solution = io.load_solution(args.solution, instance, checksum)
 
     window = None
     if args.window:
@@ -307,7 +298,7 @@ def cmd_report(args, config: dict) -> int:
     else:
         (out_dir / "solution.geojson").write_text(json.dumps(geojson))
     rounded = round_assignments(instance, solution)
-    io.save_solution(_clean_stats(rounded), out_dir / "solution_rounded.json")
+    io.save_solution(rounded, out_dir / "solution_rounded.json")
     _say(args, f"wrote report to {out_dir}")
     return EXIT_OK
 

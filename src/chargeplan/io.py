@@ -4,8 +4,10 @@ Instance documents carry the version tag ``charge-plan-instance/1`` and name
 fields exactly as on :class:`~chargeplan.model.PlanningInstance`.  Matrices
 are row-major nested arrays; forbidden assignment-cost cells are written as
 the string ``"forbidden"``.  Solution documents (``charge-plan-solution/1``)
-store assignments sparsely as (t, i, j, value) triplets and embed a checksum
-of the instance file so mismatched reporting can be detected.  A solution is
+store assignments sparsely as (t, i, j, value) triplets, carry no wall-clock
+timing in their ``stats`` (so reruns write the same bytes), and embed a
+checksum of the instance file: :func:`load_solution`, given the instance
+file's checksum, refuses a solution made from another file.  A solution is
 read against its instance: the triplets map onto the instance's range-graph
 edges, so a nonzero one on a diagonal or out-of-range pair is an error.
 Its ``cost`` block and ``feasibility`` residuals are outputs for people:
@@ -228,15 +230,19 @@ def file_checksum(path) -> str:
 
 
 def solution_to_dict(solution: Solution, instance_checksum: str | None = None) -> dict:
-    triplets = [
-        [t, i, j, v] for t, i, j, v in solution.assignment.nonzero_triplets()
-    ]
+    """``solution`` as a document: its nonzero plan entries as (t, i, j, value)
+    triplets, slot-major, then origin-major, and its stats less the timings
+    (every key that contains "wall")."""
+    graph, z = solution.assignment.graph, solution.assignment.z
+    ts, es = np.nonzero(z)
+    triplets = list(map(list, zip(ts.tolist(), graph.src[es].tolist(),
+                                  graph.dst[es].tolist(), z[ts, es].tolist())))
     return {
         "version": SOLUTION_VERSION,
         "capacity": solution.investment.capacity.tolist(),
         "assignments": triplets,
-        "n_slots": int(solution.assignment.z.shape[0]),
-        "n_locations": solution.assignment.graph.n_locations,
+        "n_slots": int(z.shape[0]),
+        "n_locations": graph.n_locations,
         "cost": {
             "investment": solution.cost.investment,
             "assignment": solution.cost.assignment,
@@ -250,7 +256,7 @@ def solution_to_dict(solution: Solution, instance_checksum: str | None = None) -
                 for name, r in solution.feasibility.residuals.items()
             },
         },
-        "stats": solution.stats,
+        "stats": {k: v for k, v in solution.stats.items() if "wall" not in k},
         "instance_checksum": instance_checksum,
     }
 
@@ -300,5 +306,13 @@ def save_solution(solution: Solution, path, instance_checksum: str | None = None
     Path(path).write_text(dumps(solution_to_dict(solution, instance_checksum)))
 
 
-def load_solution(path, instance: PlanningInstance) -> Solution:
-    return solution_from_dict(json.loads(Path(path).read_text()), instance)
+def load_solution(path, instance: PlanningInstance,
+                  instance_checksum: str | None = None) -> Solution:
+    """:func:`solution_from_dict` of file ``path``; given the instance file's
+    checksum, a solution that stores a different one is refused."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    solution = solution_from_dict(doc, instance)
+    stored = doc.get("instance_checksum")
+    if instance_checksum is not None and stored is not None and stored != instance_checksum:
+        raise ValueError("solution was produced from a different instance file")
+    return solution

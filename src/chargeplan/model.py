@@ -285,14 +285,6 @@ class AssignmentPlan:
         graph = instance.range_graph
         return AssignmentPlan(graph, np.zeros((instance.n_slots, graph.n_edges)))
 
-    def nonzero_triplets(self):
-        """Yield (t, i, j, value) for the nonzero entries, slot-major, then
-        origin-major."""
-        ts, es = np.nonzero(self.z)
-        src, dst = self.graph.src[es].tolist(), self.graph.dst[es].tolist()
-        for t, e, i, j in zip(ts.tolist(), es.tolist(), src, dst):
-            yield t, i, j, float(self.z[t, e])
-
 
 @dataclass(frozen=True)
 class CostBreakdown:

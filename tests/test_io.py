@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +204,44 @@ class TestSolutionIO:
         save_solution(sol, spath, instance_checksum=file_checksum(ipath))
         doc = json.loads(spath.read_text())
         assert doc["instance_checksum"] == file_checksum(ipath)
+
+    def test_load_checks_the_instance_checksum(self, tmp_path, rng):
+        inst = random_instance(rng)
+        ipath, spath = tmp_path / "instance.json", tmp_path / "solution.json"
+        save_instance(inst, ipath)
+        sol = solve_centralized(inst)
+        save_solution(sol, spath, instance_checksum=file_checksum(ipath))
+        for checksum in (file_checksum(ipath), None):
+            assert load_solution(spath, inst, checksum).cost == sol.cost
+        for checksum in ("abc123", file_checksum(ipath).upper(), ""):
+            with pytest.raises(ValueError, match="different instance file"):
+                load_solution(spath, inst, checksum)
+
+    def test_timings_are_left_out_of_the_stats(self, tmp_path):
+        inst = make_instance(np.ones((2, 3)))
+        stats = {"method": "manual", "wall_ms": 3.5, "iterations": 7,
+                 "wall_time_s": 0.1, "converged": True}
+        sol = dataclasses.replace(solve_centralized(inst), stats=stats)
+        save_solution(sol, tmp_path / "solution.json")
+        doc = json.loads((tmp_path / "solution.json").read_text())
+        assert list(doc["stats"].items()) == [
+            ("method", "manual"), ("iterations", 7), ("converged", True)]
+
+    def test_load_decodes_utf8_under_an_ascii_locale(self, tmp_path):
+        inst = make_instance(np.ones((2, 3)))
+        ipath, spath = tmp_path / "instance.json", tmp_path / "solution.json"
+        save_instance(inst, ipath)
+        doc = solution_to_dict(solve_centralized(inst))
+        doc["stats"]["note"] = "caf\u00e9"
+        spath.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        code = ("import sys; from chargeplan import io; print(ascii(io.load_solution("
+                "sys.argv[2], io.load_instance(sys.argv[1])).stats['note']))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code, str(ipath), str(spath)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.stdout.strip() == "'caf\\xe9'", proc.stderr
 
     def test_wrong_version_rejected(self, tmp_path, rng):
         inst = random_instance(rng)
