@@ -37,12 +37,12 @@ the next sweep.
 What the loop reads but never changes is built once per run, not once per
 iteration.  :func:`_location_workers` sorts every origin's edges by cost
 with one stable ``lexsort`` into an :class:`_EdgeTable` that also holds the
-arrival slots and the knapsack slope steps, and each worker holds its
-origin's block of it.  Each sweep gathers every edge's receiver cap with one
-fancy index and hands each worker its column block.  The range graph builds
-its delayed-arrival gather index and bincount bins on its first
-:meth:`~chargeplan.model.RangeGraph.inflow` or ``outflow`` call, so each
-exchange is one gather and one ``bincount``.
+graph's arrival slots (:attr:`~chargeplan.model.RangeGraph.arrival`) and the
+knapsack slope steps in that order, and each worker holds its origin's
+block of it.  Each sweep gathers every edge's receiver cap with one fancy
+index and hands each worker its column block.  The graph builds its gather
+index and bincount bins on first use, so each exchange is one gather and
+one ``bincount``.
 
 The global budget couples locations and is therefore not enforced inside
 subproblems; the master checks it each iteration and, when binding, projects
@@ -116,8 +116,8 @@ class _EdgeTable(NamedTuple):
     edges: np.ndarray  # (E,) graph edge of each table column
     receivers: np.ndarray  # (E,) its destination
     unit_costs: np.ndarray  # (E,) its assignment cost
-    # (T, E): the slot in which a shipment leaving in slot t reaches the
-    # receiver, for gathering per-receiver slack in arrival terms
+    # (T, E): the graph's arrival slots of these columns, for gathering
+    # per-receiver slack in arrival terms
     arrival: np.ndarray
     # (T, E): how much the shipping-cost slope in c falls while slot t's
     # required outflow lies past the start of the edge's knapsack segment
@@ -235,7 +235,7 @@ def _location_workers(
     worker holds its origin's slices of them.
     """
     graph = instance.range_graph
-    T, beta = instance.n_slots, instance.beta
+    beta = instance.beta
     edges = np.lexsort((graph.cost, graph.src))
     unit_costs = graph.cost[edges]
     slope_steps = None
@@ -245,8 +245,8 @@ def _location_workers(
         firsts = graph.offsets[:-1][np.diff(graph.offsets) > 0]
         increments[firsts] = unit_costs[firsts]
         slope_steps = np.outer(instance.recurrence / beta, increments)
-    table = _EdgeTable(edges, graph.dst[edges], unit_costs,
-                       (np.arange(T)[:, None] + graph.delay[edges]) % T, slope_steps)
+    table = _EdgeTable(edges, graph.dst[edges], unit_costs, graph.arrival[:, edges],
+                       slope_steps)
     demand = instance.charging_demand.T.copy()  # (n, T)
     invest = instance.unit_investment_cost
     workers = [_LocationWorker(instance, table, i, rho, demand[i], float(invest[i]))
@@ -265,8 +265,7 @@ def _refuse_proven_infeasible(instance: PlanningInstance) -> None:
     are the only cases :func:`run_admm` reports as infeasible; an instance it
     cannot solve otherwise ends as not converged.
     """
-    peak = instance.beta * instance.charging_demand.max(axis=0)
-    floor = np.where(np.diff(instance.range_graph.offsets) == 0, peak, 0.0)
+    floor = np.where(np.diff(instance.range_graph.offsets) == 0, instance.own_peak, 0.0)
     cap = instance.capacity_max
     over = floor > cap + 1e-9 * np.maximum(1.0, cap)
     if over.any():
@@ -404,7 +403,7 @@ def run_admm(
     # Anchor the auxiliary capacities at the no-assignment floor (each
     # location covers its own peak); the loop then ratchets capacity down
     # through published slack instead of bootstrapping from zero.
-    c_tilde = np.minimum(instance.beta * demand.max(axis=0), instance.capacity_max)
+    c_tilde = np.minimum(instance.own_peak, instance.capacity_max)
     lam = np.zeros(n)
     z = np.zeros((T, graph.n_edges))
     z_sweep = z  # the iterate in table order: the workers' blocks side by side

@@ -46,6 +46,7 @@ from .model import (
     InfeasibleProblemError,
     InvestmentPlan,
     PlanningInstance,
+    RangeGraph,
     Solution,
     assess,
 )
@@ -63,10 +64,9 @@ class StandardFormLP:
     ``A`` is held column-major, the layout HiGHS and MPS both use: column
     ``k``'s entries are ``index[start[k]:start[k + 1]]`` (rows, ascending)
     and ``vals[start[k]:start[k + 1]]``.  Columns are the ``n_locations``
-    capacities, then one assignment per slot and edge, slot-major, where
-    ``edges`` holds the range graph's (E, 2) ``(src, dst)`` pairs.
-    :mod:`chargeplan.mps` names rows and columns from this layout and writes
-    it out; it reads nothing back.
+    capacities of ``graph``, then one assignment per slot and edge of it,
+    slot-major.  :mod:`chargeplan.mps` names rows and columns from the graph
+    and writes the LP out; it reads nothing back.
     """
 
     n_rows: int
@@ -77,9 +77,7 @@ class StandardFormLP:
     rhs: np.ndarray
     ub: np.ndarray
     obj: np.ndarray
-    n_locations: int
-    n_slots: int
-    edges: np.ndarray = field(repr=False)
+    graph: RangeGraph = field(repr=False)
 
 
 def build_lp(instance: PlanningInstance) -> StandardFormLP:
@@ -116,11 +114,11 @@ def build_lp(instance: PlanningInstance) -> StandardFormLP:
     c_vals = np.column_stack([w, np.full((n, T), -1.0)])
     # assignment column: 1 in its FLOW row; unless beta = 0, also -beta in the
     # origin's CAPU row at departure and beta in the destination's CAPU row
-    # delay[i, j] slots later (cyclic), the lower-numbered location first
+    # at arrival, the lower-numbered location first
     z_index, z_vals = [flow0 + i * T + t], [np.ones(len(t))]
     if beta != 0.0:
         out_row = capu0 + i * T + t
-        in_row = capu0 + j * T + (t + np.tile(graph.delay, T)) % T
+        in_row = capu0 + j * T + graph.arrival.ravel()
         first = i < j
         z_index += [np.where(first, out_row, in_row), np.where(first, in_row, out_row)]
         z_vals += [np.where(first, -beta, beta), np.where(first, beta, -beta)]
@@ -144,20 +142,17 @@ def build_lp(instance: PlanningInstance) -> StandardFormLP:
         rhs=rhs,
         ub=ub,
         obj=obj,
-        n_locations=n,
-        n_slots=T,
-        edges=np.column_stack([graph.src, graph.dst]),
+        graph=graph,
     )
 
 
 def _extract_plans(
     instance: PlanningInstance, x: np.ndarray
 ) -> tuple[InvestmentPlan, AssignmentPlan]:
-    n, T = instance.n_locations, instance.n_slots
-    c = np.maximum(x[:n], 0.0)
     graph = instance.range_graph
-    z = np.maximum(x[n:], 0.0).reshape(T, graph.n_edges)
-    return InvestmentPlan(c), AssignmentPlan(graph, z)
+    n = graph.n_locations
+    z = np.maximum(x[n:], 0.0).reshape(graph.n_slots, graph.n_edges)
+    return InvestmentPlan(np.maximum(x[:n], 0.0)), AssignmentPlan(graph, z)
 
 
 #: the options every solve runs with: no presolve, the dual simplex, the
@@ -295,7 +290,7 @@ def solve_base_model(instance: PlanningInstance) -> Solution:
     family over the tolerance, its residual with the unit and the location.
     """
     start = time.perf_counter()
-    c = instance.beta * instance.charging_demand.max(axis=0)
+    c = instance.own_peak
     stats = {
         "method": "base",
         "backend": "closed_form",

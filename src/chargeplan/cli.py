@@ -298,7 +298,7 @@ def cmd_report(args, config: dict) -> int:
     else:
         (out_dir / "solution.geojson").write_text(json.dumps(geojson))
     rounded = round_assignments(instance, solution)
-    io.save_solution(rounded, out_dir / "solution_rounded.json")
+    io.save_solution(rounded, out_dir / "solution_rounded.json", checksum)
     _say(args, f"wrote report to {out_dir}")
     return EXIT_OK
 

@@ -206,23 +206,19 @@ def save_instance(instance: PlanningInstance, path) -> None:
     Path(path).write_text(dumps(instance_to_dict(instance)))
 
 
-def _instance_from_bytes(data: bytes) -> PlanningInstance:
-    # decoded, and its line ends translated, as ``Path.read_text`` does, so
-    # a JSON error names the position it named when the file was read as text
-    text = TextIOWrapper(BytesIO(data), encoding="utf-8").read()
-    return instance_from_dict(json.loads(text))
-
-
-def load_instance(path) -> PlanningInstance:
-    return _instance_from_bytes(Path(path).read_bytes())
-
-
 def read_instance(path) -> tuple[PlanningInstance, str]:
     """The instance in file ``path`` and the sha256 checksum of the bytes it
     was read from.  The file is read once, so the checksum describes the
     instance returned even when the file is rewritten meanwhile."""
     data = Path(path).read_bytes()
-    return _instance_from_bytes(data), hashlib.sha256(data).hexdigest()
+    # decoded, and its line ends translated, as ``Path.read_text`` does, so
+    # a JSON error names the position it named when the file was read as text
+    text = TextIOWrapper(BytesIO(data), encoding="utf-8").read()
+    return instance_from_dict(json.loads(text)), hashlib.sha256(data).hexdigest()
+
+
+def load_instance(path) -> PlanningInstance:
+    return read_instance(path)[0]
 
 
 def file_checksum(path) -> str:

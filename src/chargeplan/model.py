@@ -4,8 +4,8 @@ The planning problem couples a one-time capacity investment decision ``c_i``
 (kW at each location) with recurring assignment decisions ``z[t, i, j]``
 (EVs redirected from location ``i`` to ``j`` in slot ``t``).  All types here
 are immutable after construction and all operations are pure functions, so
-they are safe to share across threads (a :class:`RangeGraph` fills its index
-cache on first use, and two threads filling it store equal arrays).
+they are safe to share across threads (a :class:`RangeGraph` builds its
+indices on first use, and two threads building one store equal arrays).
 
 Pairs that are out of assignment range are marked by the ``FORBIDDEN`` cost
 (``math.inf``) rather than big-M costs, which keeps the resulting LP well
@@ -161,6 +161,11 @@ class PlanningInstance:
         """Per-kW investment cost ``base_cost + location_cost`` per location."""
         return self.base_cost + self.location_cost
 
+    @property
+    def own_peak(self) -> np.ndarray:
+        """``beta * max_t(alpha * flow)``: the capacity for each own demand alone."""
+        return self.beta * self.charging_demand.max(axis=0)
+
     @cached_property
     def range_graph(self) -> "RangeGraph":
         """The in-range pairs as edges: every off-diagonal pair at a finite
@@ -170,8 +175,8 @@ class PlanningInstance:
         np.fill_diagonal(allowed, False)
         src, dst = np.nonzero(allowed)
         offsets = np.searchsorted(src, np.arange(self.n_locations + 1))
-        return RangeGraph(self.n_locations, src, dst, self.assign_cost[src, dst],
-                          self.delay[src, dst], offsets)
+        return RangeGraph(self.n_locations, self.n_slots, src, dst,
+                          self.assign_cost[src, dst], self.delay[src, dst], offsets)
 
 
 def _slot_bins(T: int, loc: np.ndarray, n: int) -> np.ndarray:
@@ -197,18 +202,16 @@ class RangeGraph:
 
     Edges are origin-major (row-major over the pairs), the central LP's column
     order within a slot; origin ``i`` owns ``offsets[i]:offsets[i + 1]``.  A
-    plan on the graph is a (T, E) array, ``z_e[t, e] = z[t, src[e], dst[e]]``.
+    plan on the graph is an (n_slots, E) array, ``z_e[t, e] = z[t, src[e], dst[e]]``.
     """
 
     n_locations: int
+    n_slots: int
     src: np.ndarray
     dst: np.ndarray
     cost: np.ndarray
     delay: np.ndarray
     offsets: np.ndarray
-    # slot count -> (arrival gather, inflow bins, outflow bins); left writable,
-    # since np.take copies a read-only index on every call
-    _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a in (self.src, self.dst, self.cost, self.delay, self.offsets):
@@ -218,29 +221,36 @@ class RangeGraph:
     def n_edges(self) -> int:
         return len(self.src)
 
+    @cached_property
+    def arrival(self) -> np.ndarray:
+        """(T, E): the slot in which a shipment leaving in slot t on edge e
+        reaches ``dst[e]``, ``(t + delay[e]) % T``, as the horizon repeats."""
+        return _readonly((np.arange(self.n_slots)[:, None] + self.delay) % self.n_slots, int)
+
+    @cached_property
+    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # (arrival gather, inflow bins, outflow bins); left writable, since
+        # np.take copies a read-only index on every call
+        T, n = self.n_slots, self.n_locations
+        return (_arrival_gather(T, self.delay),
+                _slot_bins(T, self.dst, n), _slot_bins(T, self.src, n))
+
     def _plan_index(self, z_e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The cached indices for plans with ``z_e``'s slot count; a plan
-        of another width is refused, as ``take`` would read it flat."""
-        T = z_e.shape[0]
-        if z_e.shape != (T, self.n_edges):
+        """The plan indices; a plan of another shape would be read flat, so it is refused."""
+        if z_e.shape != (self.n_slots, self.n_edges):
             raise ValueError("z_e must have shape (n_slots, n_edges)")
-        index = self._index.get(T)
-        if index is None:
-            n = self.n_locations
-            index = self._index[T] = (_arrival_gather(T, self.delay),
-                                      _slot_bins(T, self.dst, n), _slot_bins(T, self.src, n))
-        return index
+        return self._index
 
     def outflow(self, z_e: np.ndarray) -> np.ndarray:
         """(T, n) vehicles leaving each location per slot."""
         _, _, bins = self._plan_index(z_e)
-        return _binned_sums(z_e.ravel(), bins, z_e.shape[0], self.n_locations)
+        return _binned_sums(z_e.ravel(), bins, self.n_slots, self.n_locations)
 
     def inflow(self, z_e: np.ndarray) -> np.ndarray:
         """(T, n) delayed arrivals, equal to :func:`delayed_inflow` of the
         dense plan with ``z_e`` on the edges and zeros elsewhere."""
         gather, bins, _ = self._plan_index(z_e)
-        return _binned_sums(z_e.take(gather), bins, z_e.shape[0], self.n_locations)
+        return _binned_sums(z_e.take(gather), bins, self.n_slots, self.n_locations)
 
 
 @dataclass(frozen=True)
@@ -275,15 +285,15 @@ class AssignmentPlan:
         z = np.asarray(self.z, dtype=float).view()
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
-        if z.ndim != 2 or z.shape[1] != self.graph.n_edges:
-            raise ValueError("z must have shape (n_slots, n_edges)")
+        if z.shape != (self.graph.n_slots, self.graph.n_edges):
+            raise ValueError("z must have the graph's dimensions (n_slots, n_edges)")
         if not np.all(np.isfinite(z)):
             raise ValueError("z entries must be finite")
 
     @staticmethod
     def zeros(instance: PlanningInstance) -> "AssignmentPlan":
         graph = instance.range_graph
-        return AssignmentPlan(graph, np.zeros((instance.n_slots, graph.n_edges)))
+        return AssignmentPlan(graph, np.zeros((graph.n_slots, graph.n_edges)))
 
 
 @dataclass(frozen=True)
@@ -347,10 +357,9 @@ def delayed_inflow(z: np.ndarray, delay: np.ndarray) -> np.ndarray:
 
 def _plan_graph(instance: PlanningInstance, asg: AssignmentPlan) -> RangeGraph:
     """The instance's range graph, which ``asg`` must be a plan on."""
-    graph = instance.range_graph
-    if asg.graph is not graph or asg.z.shape[0] != instance.n_slots:
+    if asg.graph is not instance.range_graph:
         raise ValueError("assignment plan does not match instance dimensions")
-    return graph
+    return asg.graph
 
 
 def evaluate_objective(

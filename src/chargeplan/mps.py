@@ -27,15 +27,16 @@ def _fmt(v: float) -> str:
 
 def col_names(lp: StandardFormLP) -> list[str]:
     """The LP's column names in column order."""
-    edges = lp.edges.tolist()
-    return [f"C_{k + 1}" for k in range(lp.n_locations)] + [
-        f"Z_{a + 1}_{b + 1}_{s + 1}" for s in range(lp.n_slots) for a, b in edges
+    graph = lp.graph
+    edges = list(zip(graph.src.tolist(), graph.dst.tolist()))
+    return [f"C_{k + 1}" for k in range(graph.n_locations)] + [
+        f"Z_{a + 1}_{b + 1}_{s + 1}" for s in range(graph.n_slots) for a, b in edges
     ]
 
 
 def row_names(lp: StandardFormLP) -> list[str]:
     """The LP's row names in row order."""
-    n, T = lp.n_locations, lp.n_slots
+    n, T = lp.graph.n_locations, lp.graph.n_slots
     return (
         ["BUDGET"]
         + [f"FLOW_{a + 1}_{s + 1}" for a in range(n) for s in range(T)]

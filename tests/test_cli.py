@@ -890,6 +890,23 @@ class TestReport:
         assert run("--out", str(tmp_path / "rep"), "report", str(sol_path),
                    str(other)) == EXIT_CONFIG
 
+    def test_rounded_solution_keeps_its_instance_checksum(self, tmp_path, capsys,
+                                                          instance_file):
+        # the rounded plan names the instance file it was made from, so it
+        # is refused against another one with the same range graph
+        sol_path = self._solved(tmp_path, instance_file)
+        assert run("--out", str(tmp_path / "rep"), "report", str(sol_path),
+                   str(instance_file)) == EXIT_OK
+        doc = json.loads(instance_file.read_text())
+        doc["budget"] *= 2.0
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(doc))
+        out = tmp_path / "rep-other"
+        assert run("--out", str(out), "report", str(tmp_path / "rep" / "solution_rounded.json"),
+                   str(other)) == EXIT_CONFIG
+        assert "different instance file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oversized_solution_exit_2_before_allocating(self, tmp_path, instance_file,
                                                         capsys):
         # a dense plan of 24 x 1e7 x 1e7 cells cannot be allocated: the

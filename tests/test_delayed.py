@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from chargeplan.admm import run_admm
+from chargeplan.admm import _location_workers, run_admm
 from chargeplan.central import (
     _HIGHS_OPTIONS,
     build_lp,
@@ -30,6 +30,23 @@ def test_warm_sweep_equals_cold_solves(delayed):
     for r, sol in zip(r_values, solutions):
         cold = solve_centralized(with_range_limit(delayed, r))
         assert sol.cost.total == pytest.approx(cold.cost.total, rel=1e-9)
+
+
+def test_the_lp_and_admm_take_their_arrival_slots_from_the_graph(delayed):
+    graph = delayed.range_graph
+    n, T, E = delayed.n_locations, delayed.n_slots, graph.n_edges
+    np.testing.assert_array_equal(
+        graph.arrival, (np.arange(T)[:, None] + delayed.delay[graph.src, graph.dst]) % T)
+    # each z column holds its FLOW row, then its two CAPU rows; the one at
+    # +beta is the destination's, at the slot the shipment arrives in
+    lp = build_lp(delayed)
+    rows = lp.index[lp.start[n]:].reshape(T * E, 3)
+    vals = lp.vals[lp.start[n]:].reshape(T * E, 3)
+    into = rows[vals == delayed.beta] - (1 + n * T)
+    np.testing.assert_array_equal(into // T, np.tile(graph.dst, T))
+    np.testing.assert_array_equal((into % T).reshape(T, E), graph.arrival)
+    table, _ = _location_workers(delayed, rho=0.1)
+    np.testing.assert_array_equal(table.arrival, graph.arrival[:, table.edges])
 
 
 def test_base_bounds_central_and_the_central_plan_passes_the_check(delayed):

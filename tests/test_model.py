@@ -276,19 +276,23 @@ class TestRangeGraph:
         )
 
     def test_cached_indices_serve_every_later_plan(self):
-        # inflow and outflow build their indices on the first call for a slot
-        # count and reuse them: each later plan, one over fewer slots among
-        # them, must still get its own sums
+        # inflow and outflow build their indices on the first call and reuse
+        # them: each later plan must still get its own sums, and a plan over
+        # another horizon than the graph's is refused
         rng = np.random.default_rng(4)
         delay = rng.integers(0, 6, size=(4, 4))
         np.fill_diagonal(delay, 0)
         inst = random_instance(rng, n=4, T=6, forbid_frac=0.3, delay=delay)
         graph = inst.range_graph
-        for slots in (6, 6, 4):
-            z_e = rng.uniform(0.0, 3.0, size=(slots, graph.n_edges))
+        for _ in range(2):
+            z_e = rng.uniform(0.0, 3.0, size=(6, graph.n_edges))
             z = dense(AssignmentPlan(graph, z_e))
             assert np.array_equal(graph.inflow(z_e), delayed_inflow(z, inst.delay))
             np.testing.assert_allclose(graph.outflow(z_e), z.sum(axis=2), rtol=1e-12)
+        short = rng.uniform(0.0, 3.0, size=(4, graph.n_edges))
+        for flow in (graph.inflow, graph.outflow):
+            with pytest.raises(ValueError, match="n_slots"):
+                flow(short)
 
     def test_plan_of_another_width_is_refused(self):
         graph = make_instance(np.ones((2, 2))).range_graph

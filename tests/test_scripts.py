@@ -1,6 +1,5 @@
 """The experiment scripts run end to end on tiny instances."""
 
-import csv
 import json
 import os
 import subprocess
@@ -19,16 +18,6 @@ def run_script(name, *argv):
         [sys.executable, str(ROOT / "scripts" / name), *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
-
-
-def test_run_gap_experiment(tmp_path):
-    out = tmp_path / "gaps.csv"
-    proc = run_script("run_gap_experiment.py", "--seeds", "1", "--n-locations", "3",
-                      "--n-slots", "4", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    with open(out) as fh:
-        rows = list(csv.DictReader(fh))
-    assert [row["seed"] for row in rows] == ["0"]
 
 
 def test_run_ladder(tmp_path):
