@@ -115,7 +115,6 @@ class _EdgeTable(NamedTuple):
 
     edges: np.ndarray  # (E,) graph edge of each table column
     receivers: np.ndarray  # (E,) its destination
-    unit_costs: np.ndarray  # (E,) its assignment cost
     # (T, E): the graph's arrival slots of these columns, for gathering
     # per-receiver slack in arrival terms
     arrival: np.ndarray
@@ -138,10 +137,9 @@ class _LocationWorker:
     some slot's required outflow crosses a knapsack segment boundary.  A
     sweep over the sorted kinks that accumulates the slope finds the exact
     minimizer in O(T m log(T m)) time and O(T m) memory, with ``m`` the
-    number of in-range neighbors.  ``neighbors``, ``unit_costs``,
-    ``arrival`` and ``slope_steps`` are views of the location's ``block`` of
-    the tables :func:`_location_workers` builds once per run, so a worker
-    costs a few slices to make.
+    number of in-range neighbors.  ``neighbors`` and ``slope_steps`` are
+    views of the location's ``block`` of the table :func:`_location_workers`
+    builds once per run, so a worker costs a few slices to make.
     """
 
     def __init__(self, instance: PlanningInstance, table: _EdgeTable, i: int, rho: float,
@@ -152,12 +150,9 @@ class _LocationWorker:
         self.beta = instance.beta
         self.block = block = slice(graph.offsets[i], graph.offsets[i + 1])
         self.neighbors = table.receivers[block]
-        self.unit_costs = table.unit_costs[block]
-        self.arrival = table.arrival[:, block]
         if table.slope_steps is not None:
             self.slope_steps = table.slope_steps[:, block]
         self.demand = demand  # (T,)
-        self.recurrence = instance.recurrence
         self.invest_cost = invest_cost
         self.c_max = float(instance.capacity_max[i])
         self.n_slots = instance.n_slots
@@ -237,16 +232,15 @@ def _location_workers(
     graph = instance.range_graph
     beta = instance.beta
     edges = np.lexsort((graph.cost, graph.src))
-    unit_costs = graph.cost[edges]
     slope_steps = None
     if beta > 0:
         # a block's steps are its cost increments, the first its cheapest cost
+        unit_costs = graph.cost[edges]
         increments = np.diff(unit_costs, prepend=0.0)
         firsts = graph.offsets[:-1][np.diff(graph.offsets) > 0]
         increments[firsts] = unit_costs[firsts]
         slope_steps = np.outer(instance.recurrence / beta, increments)
-    table = _EdgeTable(edges, graph.dst[edges], unit_costs, graph.arrival[:, edges],
-                       slope_steps)
+    table = _EdgeTable(edges, graph.dst[edges], graph.arrival[:, edges], slope_steps)
     demand = instance.charging_demand.T.copy()  # (n, T)
     invest = instance.unit_investment_cost
     workers = [_LocationWorker(instance, table, i, rho, demand[i], float(invest[i]))
@@ -378,7 +372,8 @@ def run_admm(
     from the auxiliary (master) side.  Returns the judged solution and one
     :class:`IterationRecord` per iteration; the run's outcome lives in
     ``solution.stats`` (``converged``, ``iterations``, ``budget_binding``,
-    ``wall_ms``) and its final residuals in the last record.
+    and ``timings``, whose ``wall_ms`` result files leave out) and its final
+    residuals in the last record.
 
     ``converged`` means both residuals reached the threshold, so the
     workers' capacities and the master's agree, and the agreed plan passes
@@ -469,7 +464,7 @@ def run_admm(
         "converged": False,
         "rho": cfg.rho,
         "threshold": cfg.threshold,
-        "wall_ms": 1000.0 * (time.perf_counter() - start),
+        "timings": {"wall_ms": 1000.0 * (time.perf_counter() - start)},
         "budget_binding": budget_binding,
     }
     solution = assess(instance, InvestmentPlan(c_final), AssignmentPlan(graph, z_final),

@@ -8,12 +8,21 @@ Outside input is checked where it enters: the config by :func:`_load_config`
 and :func:`_section`, instance and solution files by
 :func:`chargeplan.io.instance_from_dict` and :func:`chargeplan.io.load_solution`,
 which also checks a solution's instance checksum.  Commands raise; :func:`main` alone
-turns an exception into an exit code, a stable contract: 0 success,
-2 config/input error (:class:`ConfigError`, ``ValueError``, ``OSError``),
-3 infeasible (``InfeasibleProblemError``), 4 non-convergence
-(``ConvergenceError``, raised after a non-converged ADMM run's plan is
-written: its best iterate when it ran out of iterations, its agreed iterate
-when the residuals reached the threshold on a plan that fails the check).
+turns an exception into an exit code, keyed by its type, a stable contract:
+
+- 0 success;
+- 2 bad input, ``ValueError`` (a config file, a flag, an instance or a
+  solution file) or ``OSError`` (a file that cannot be read or written),
+  reported on one stderr line that starts ``error: ``;
+- 3 infeasible, ``InfeasibleProblemError``;
+- 4 non-convergence, ``ConvergenceError``, raised after a non-converged
+  ADMM run's plan is written: its best iterate when it ran out of
+  iterations, its agreed iterate when the residuals reached the threshold
+  on a plan that fails the check.
+
+No ``raise`` in the package names another type (a test scans for one), so
+a refusal the package makes never escapes as a traceback.
+
 Each command writes ``resolved_config.json`` just before its first output
 file, so a run that fails before it has a result writes nothing; the
 exceptions are ``solve``'s ``infeasible.json`` and a non-converged ADMM
@@ -23,8 +32,9 @@ Solvers return judged :class:`~chargeplan.model.Solution` objects: ``solve``
 and ``compare`` read an ADMM run's outcome from its ``stats`` and its last
 iteration record, and ``sweep-r`` computes ``reduction_pct`` as it writes.
 
-Wall-clock timings never enter result files (``io`` leaves them out of a
-solution's stats), so reruns with the same config and seed are byte-identical.
+Wall-clock timings never enter result files (solvers put them under a
+solution's ``stats["timings"]``, which ``io`` leaves out), so reruns with the
+same config and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -61,10 +71,6 @@ EXIT_NO_CONVERGENCE = 4
 METHODS = ("centralized", "admm", "base")
 
 
-class ConfigError(Exception):
-    pass
-
-
 @dataclasses.dataclass(frozen=True)
 class SweepConfig:
     """The assignment-range limits (km) that ``sweep-r`` solves at."""
@@ -85,14 +91,14 @@ def _load_config(path: str | None) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+        raise ValueError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        raise ValueError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ValueError("config root must be a JSON object")
     unknown_sections = set(doc) - _KNOWN_SECTIONS
     if unknown_sections:
-        raise ConfigError(f"unknown config sections: {sorted(unknown_sections)}")
+        raise ValueError(f"unknown config sections: {sorted(unknown_sections)}")
     return doc
 
 
@@ -106,7 +112,7 @@ def _check_type(value, kind: type, name: str):
     """``value``, if its JSON type suits a field ``name`` of type ``kind``."""
     types, what = _JSON_TYPES[kind]
     if type(value) not in types:
-        raise TypeError(f"{name} must be {what}, got {value!r}")
+        raise ValueError(f"{name} must be {what}, got {value!r}")
     return value
 
 
@@ -116,11 +122,11 @@ def _section(config: dict, name: str, cls, **convert):
     that turns its (non-null) JSON value into the field's type."""
     data = config.get(name, {})
     if not isinstance(data, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
+        raise ValueError(f"config section {name!r} must be an object")
     fields = dataclasses.fields(cls)
     unknown = set(data) - {f.name for f in fields}
     if unknown:
-        raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
+        raise ValueError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
     try:
         for f in fields:
             if type(f.default) in _JSON_TYPES and f.name in data:
@@ -130,7 +136,7 @@ def _section(config: dict, name: str, cls, **convert):
             for key, value in data.items()
         })
     except (TypeError, ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"invalid config section {name!r}: {exc}") from exc
+        raise ValueError(f"invalid config section {name!r}: {exc}") from exc
 
 
 def _write_resolved(out_dir: Path, resolved: dict) -> None:
@@ -173,14 +179,14 @@ def cmd_ingest(args, config: dict) -> int:
                     zones=lambda zs: tuple(_zone(k, z)
                                            for k, z in enumerate(_check_type(zs, tuple, "zones"))))
     if spec.n_slots * spec.slot_minutes != 60 * HORIZON_HOURS:
-        raise ConfigError(
+        raise ValueError(
             f"invalid config section 'binning': {spec.n_slots} slots of "
             f"{spec.slot_minutes} minutes do not span one week "
             f"({60 * HORIZON_HOURS} minutes)"
         )
     if spec.n_zones ** 2 > central.MAX_LP_COLUMNS:
         # refused before the trips are read or an n x n matrix is built
-        raise ConfigError(
+        raise ValueError(
             f"invalid config section 'binning': {spec.n_zones} zones give "
             f"{spec.n_zones ** 2} zone pairs, above the {central.MAX_LP_COLUMNS} "
             f"LP columns supported"
@@ -256,7 +262,7 @@ def cmd_sweep_r(args, config: dict) -> int:
     if args.r_values:
         sweep = SweepConfig([float(v) for v in args.r_values.split(",") if v.strip()])
     if not sweep.r_values:
-        raise ConfigError("empty R list")
+        raise ValueError("empty R list")
     solutions = sweep_range(io.load_instance(args.instance), sweep.r_values)
     out_dir = Path(args.out)
     _write_resolved(out_dir, {"sweep": dataclasses.asdict(sweep)})
@@ -285,10 +291,10 @@ def cmd_report(args, config: dict) -> int:
         try:
             lo, hi = (int(v) for v in args.window.split(":"))
         except ValueError:
-            raise ConfigError(f"--window takes lo:hi, got {args.window!r}") from None
+            raise ValueError(f"--window takes lo:hi, got {args.window!r}") from None
         if not 0 <= lo < hi <= instance.n_slots:
-            raise ConfigError(f"--window {args.window} is not a slot window "
-                              f"inside 0:{instance.n_slots}")
+            raise ValueError(f"--window {args.window} is not a slot window "
+                             f"inside 0:{instance.n_slots}")
         window = (lo, hi)
     geojson = solution_geojson(instance, solution, window) if args.format == "geojson" else None
     out_dir = Path(args.out)
@@ -307,8 +313,8 @@ def cmd_compare(args, config: dict) -> int:
     admm = _section(config, "admm", AdmmConfig)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods or not set(methods) <= set(METHODS):
-        raise ConfigError(f"--methods takes one or more of {', '.join(METHODS)}, "
-                          f"got {args.methods!r}")
+        raise ValueError(f"--methods takes one or more of {', '.join(METHODS)}, "
+                         f"got {args.methods!r}")
     instance = io.load_instance(args.instance)
 
     results = {}
@@ -404,9 +410,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args, _load_config(args.config))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,8 +4,9 @@ Instance documents carry the version tag ``charge-plan-instance/1`` and name
 fields exactly as on :class:`~chargeplan.model.PlanningInstance`.  Matrices
 are row-major nested arrays; forbidden assignment-cost cells are written as
 the string ``"forbidden"``.  Solution documents (``charge-plan-solution/1``)
-store assignments sparsely as (t, i, j, value) triplets, carry no wall-clock
-timing in their ``stats`` (so reruns write the same bytes), and embed a
+store assignments sparsely as (t, i, j, value) triplets, leave out the
+``timings`` entry of a solution's ``stats``, where solvers put every
+wall-clock timing (so reruns write the same bytes), and embed a
 checksum of the instance file: :func:`load_solution`, given the instance
 file's checksum, refuses a solution made from another file.  A solution is
 read against its instance: the triplets map onto the instance's range-graph
@@ -227,8 +228,9 @@ def file_checksum(path) -> str:
 
 def solution_to_dict(solution: Solution, instance_checksum: str | None = None) -> dict:
     """``solution`` as a document: its nonzero plan entries as (t, i, j, value)
-    triplets, slot-major, then origin-major, and its stats less the timings
-    (every key that contains "wall")."""
+    triplets, slot-major, then origin-major, and its stats less their
+    ``timings`` entry, the one key solvers put wall-clock timings under; every
+    other key is written whatever its name."""
     graph, z = solution.assignment.graph, solution.assignment.z
     ts, es = np.nonzero(z)
     triplets = list(map(list, zip(ts.tolist(), graph.src[es].tolist(),
@@ -252,7 +254,7 @@ def solution_to_dict(solution: Solution, instance_checksum: str | None = None) -
                 for name, r in solution.feasibility.residuals.items()
             },
         },
-        "stats": {k: v for k, v in solution.stats.items() if "wall" not in k},
+        "stats": {k: v for k, v in solution.stats.items() if k != "timings"},
         "instance_checksum": instance_checksum,
     }
 

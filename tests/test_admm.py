@@ -89,10 +89,11 @@ def subproblem_rows(inst, i, c_tilde, lam, inflow, rho, receiver_caps=None):
     gathered onto the location's edges as ``run_admm`` does; without it only
     the sender's own demand binds.
     """
-    worker = _location_workers(inst, rho)[1][i]
+    table, workers = _location_workers(inst, rho)
+    worker = workers[i]
     if receiver_caps is None:
         receiver_caps = np.full((inst.n_slots, inst.n_locations), UNBOUNDED_CAPS)
-    caps = receiver_caps[worker.arrival, worker.neighbors]
+    caps = receiver_caps[table.arrival[:, worker.block], worker.neighbors]
     c, alloc = worker.solve(c_tilde, lam, inflow, caps)
     rows = np.zeros((inst.n_slots, inst.n_locations))
     rows[:, worker.neighbors] = alloc
@@ -210,7 +211,7 @@ class TestSolveSubproblem:
             ) + 1e-6 * max(1.0, abs(value))
 
 
-def grid_solve(worker, c_tilde, lam, inflow, caps):
+def grid_solve(inst, table, worker, c_tilde, lam, inflow, caps):
     """Reference subproblem solver: evaluates the objective on its kink grid.
 
     Builds every shipping cost as the max of the knapsack's segment support
@@ -218,19 +219,22 @@ def grid_solve(worker, c_tilde, lam, inflow, caps):
     them, recovers each segment's interior stationary point from the values
     at its ends (the objective is quadratic with curvature rho there), and
     returns the best point seen.  O(T^2 m^2) time, so for small cases only.
+    The unit costs of ``worker``'s edges come from ``inst``'s graph, in the
+    order of ``table``, and the slot weights from ``inst``.
     """
     T, m = worker.n_slots, len(worker.neighbors)
+    unit_costs = inst.range_graph.cost[table.edges[worker.block]]
     caps = np.clip(caps, 0.0, UNBOUNDED_CAPS)
     qty = np.zeros((T, m + 1))
     np.cumsum(caps, axis=1, out=qty[:, 1:])
     cost_pfx = np.zeros((T, m + 1))
-    np.cumsum(caps * worker.unit_costs[None, :], axis=1, out=cost_pfx[:, 1:])
+    np.cumsum(caps * unit_costs[None, :], axis=1, out=cost_pfx[:, 1:])
     out_cap = np.minimum(worker.demand, qty[:, -1])
 
     def knap_cost(s):
         if m == 0:
             return np.zeros_like(s)
-        lines = cost_pfx[None, :, :-1] + worker.unit_costs[None, None, :] * (
+        lines = cost_pfx[None, :, :-1] + unit_costs[None, None, :] * (
             s[:, :, None] - qty[None, :, :-1]
         )
         return lines.max(axis=2)
@@ -242,7 +246,7 @@ def grid_solve(worker, c_tilde, lam, inflow, caps):
     def objective(cs):
         value = (worker.invest_cost - lam) * cs + 0.5 * worker.rho * (c_tilde - cs) ** 2
         if worker.beta > 0:
-            value = value + (worker.recurrence[None, :] * knap_cost(required_outflow(cs))).sum(axis=1)
+            value = value + (inst.recurrence[None, :] * knap_cost(required_outflow(cs))).sum(axis=1)
         return value
 
     c_lb = 0.0
@@ -314,10 +318,11 @@ class TestKinkSweep:
     @settings(max_examples=400, deadline=None)
     def test_matches_grid_evaluation(self, case):
         inst, i, rho, c_tilde, lam, inflow, caps = case
-        worker = _location_workers(inst, rho)[1][i]
+        table, workers = _location_workers(inst, rho)
+        worker = workers[i]
         # where no capacity up to c_max covers the demand left after maximal
         # outflow, both clamp to c_max
-        ref = grid_solve(worker, c_tilde, lam, inflow, caps)
+        ref = grid_solve(inst, table, worker, c_tilde, lam, inflow, caps)
         c_opt, z_rows = worker.solve(c_tilde, lam, inflow, caps)
         # The reference recovers an interior minimizer from objective values
         # at an interval's ends, up to c_max apart, which costs it about
