@@ -95,7 +95,6 @@ class IterationRecord:
     q_primal: float
     q_dual: float
     objective: float
-    wall_ms: float
 
 
 def transform_inflows(z: np.ndarray, graph: RangeGraph) -> np.ndarray:
@@ -353,11 +352,11 @@ def residuals(
 def write_convergence_csv(history: list[IterationRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["k", "Q_primal", "Q_dual", "objective", "wall_ms"])
+        writer.writerow(["k", "Q_primal", "Q_dual", "objective"])
         for rec in history:
             writer.writerow(
                 [rec.k, f"{rec.q_primal:.12g}", f"{rec.q_dual:.12g}",
-                 f"{rec.objective:.12g}", f"{rec.wall_ms:.3f}"]
+                 f"{rec.objective:.12g}"]
             )
 
 
@@ -411,8 +410,6 @@ def run_admm(
     budget_binding = False
     best = None  # (objective, c_tilde, z)
     for k in range(1, cfg.max_iterations + 1):
-        it_start = time.perf_counter()
-
         # Published slack is rationed equally among a receiver's potential
         # senders so the sweep cannot over-subscribe it; each sender's own
         # frozen shipments are added back since that share of the
@@ -448,8 +445,7 @@ def run_admm(
 
         obj = evaluate_objective(instance, InvestmentPlan(c_tilde),
                                  AssignmentPlan(graph, z)).total
-        wall_ms = 1000.0 * (time.perf_counter() - it_start)
-        history.append(IterationRecord(k, q_primal, q_dual, obj, wall_ms))
+        history.append(IterationRecord(k, q_primal, q_dual, obj))
         if best is None or obj < best[0]:
             best = (obj, c_tilde, z)
         if q_primal <= cfg.threshold and q_dual <= cfg.threshold:

@@ -17,16 +17,17 @@ so a parsed row costs its 48 bytes of values, and the parse adds about 1 MB
 of per-block arrays at its peak.  Canonical lines (ISO start times without
 zone or fraction, plain decimals) are parsed by array code over each
 block's bytes, every other line by the per-row checks of the ``csv`` route;
-both give the same values, bit for bit.  From a block with a quote or a
-lone CR, or after one of mostly other lines, ``csv`` reads the rest of the
-file.  Binning, the per-record distance fallback and the
-per-pair averages are array code over that table.  On a 2-vCPU x86-64 host
-with CPython 3.11, parsing a 100 000-row file of canonical lines takes about
-0.1 s (0.2 s row by row), grid binning and averaging about 0.02 s; a file
-whose first block is mostly odd lines parses row by row, canonical lines
-after it included (20 000 odd lines, then 80 000 canonical ones: about twice
-the time of canonical lines alone); a 1.5 M-row file parses in 1.3-1.9 s
-and adds about 70 MB, the size of its columns, to the process's peak RSS.
+both give the same values, bit for bit.  Each block is routed by its own
+lines, and a CRLF or a lone CR ends a line there as a line feed does.  From
+the first block with a quote, ``csv`` reads the rest of the file, since a
+quoted field may span lines.  Binning, the per-record distance fallback and
+the per-pair averages are array code over that table.  On a 2-vCPU x86-64
+host with CPython 3.11, parsing a 100 000-row file of canonical lines takes
+about 0.1 s, under any of the three line ends, and grid binning and
+averaging about 0.02 s; a file with no canonical line (space-separated
+start times, say) takes about 0.4 s, since each of its blocks runs the
+array code before the row checks; a 1.5 M-row file parses in 1.3-1.9 s and
+adds about 70 MB, the size of its columns, to the process's peak RSS.
 """
 
 from __future__ import annotations
@@ -281,23 +282,21 @@ class _TripReader:
     """Appends the records after a trips file's header to one typed buffer
     per column, and counts the malformed ones.
 
-    Text is read in blocks that end at a line end.  A *canonical* line is
-    parsed by array code over the block's bytes: it has as many fields as
-    the header, no quote and no lone carriage return, is no longer than the
-    ``csv`` field size limit, its start time reads ``YYYY-MM-DDTHH:MM:SS`` on
-    a calendar date, and each of its numbers is an optional minus sign and
-    then 1 to 15 digits with at most one point among them (``-12.5``, ``.5``,
-    ``5.``).  Such a decimal is its integer mantissa, exact in a double, over
-    a power of ten, also exact, so one correctly rounded division gives the
-    bits ``float`` gives (Clinger's fast path).  Every other line goes
-    through the per-row checks of :func:`_row_checks`, and the records keep
-    file order.  ``csv`` reads the rest of the file row by row from the first
-    block that holds a quote or a lone carriage return, since a quoted field
-    may span lines and a lone carriage return ends a line to ``csv`` but not
-    to the array code, and after the first block less than two thirds of
-    whose lines are canonical, where the array code and the merge of the
-    other lines cost more than they save; so a file whose odd lines come
-    first is read row by row to its end.
+    Text is read in blocks that end at a line end.  A CRLF and a lone
+    carriage return each end one line for ``csv``, so each becomes a line
+    feed before the block is parsed.  A *canonical* line is parsed by array
+    code over the block's bytes: it has as many fields as the header and no
+    quote, is no longer than the ``csv`` field size limit, its start time
+    reads ``YYYY-MM-DDTHH:MM:SS`` on a calendar date, and each of its numbers
+    is an optional minus sign and then 1 to 15 digits with at most one point
+    among them (``-12.5``, ``.5``, ``5.``).  Such a decimal is its integer
+    mantissa, exact in a double, over a power of ten, also exact, so one
+    correctly rounded division gives the bits ``float`` gives (Clinger's
+    fast path).  Every other line of the block goes through the per-row
+    checks of :func:`_row_checks`, and the records keep file order.  ``csv``
+    reads the rest of the file row by row, in the file's own characters,
+    from the first block that holds a quote, since a quoted field may span
+    lines.
     """
 
     def __init__(self, header: list[str]):
@@ -323,18 +322,20 @@ class _TripReader:
 
     def read(self, fh, line: int) -> None:
         """Append every record of ``fh`` from here on; ``line`` is the number
-        of the line it is at."""
+        of the line it is at.  Each block is routed by its own lines: only
+        an unfinished line passes from one block to the next."""
         pieces = []  # an unfinished line, split where the blocks were read
-        mostly_odd = False  # whether the last block was
         while chunk := _read(fh, _BLOCK_CHARS):
-            if chunk.endswith("\r"):  # it may start a CRLF: keep the pair together
-                chunk += fh.read(1)
-            if (mostly_odd or '"' in chunk
-                    or "\r" in chunk and chunk.count("\r") != chunk.count("\r\n")):
+            # a CR may start a CRLF: keep it with what follows
+            while chunk.endswith("\r") and (more := fh.read(1)):
+                chunk += more
+            if '"' in chunk:
                 pieces.append(chunk + fh.readline())
                 del chunk  # its text is in pieces
                 self._rows(csv.reader(chain(_lines("".join(pieces).encode()), fh)), line)
                 return
+            if "\r" in chunk:  # each CRLF and lone CR ends one line, as a LF does
+                chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
             cut = chunk.rfind("\n") + 1
             if not cut:
                 pieces.append(chunk)
@@ -342,8 +343,7 @@ class _TripReader:
             block = "".join([_PAD, *pieces, chunk[:cut], _PAD]).encode()
             pieces = [chunk[cut:]]
             del chunk  # only the block's bytes are held while they are parsed
-            n_lines, mostly_odd = self._block(block, line)
-            line += n_lines
+            line += self._block(block, line)
         if any(pieces):
             self._block("".join([_PAD, *pieces, _PAD]).encode(), line)
 
@@ -354,11 +354,11 @@ class _TripReader:
         except csv.Error as exc:
             raise ValueError(f"trips file line {line + rows.line_num - 1}: {exc}") from None
 
-    def _block(self, block: bytes, line: int) -> tuple[int, bool]:
+    def _block(self, block: bytes, line: int) -> int:
         """Append the records of whole lines, ``line`` the number of the
-        first, with array code; how many lines they are, and whether under
-        two thirds of them are canonical.  ``block`` is their text in UTF-8
-        between two ``_PAD``; each CR in it starts a CRLF."""
+        first, with array code; how many lines they are.  ``block`` is their
+        text in UTF-8 between two ``_PAD``, each line ended by a line feed
+        (the last may have none)."""
         buf = np.frombuffer(block, dtype=np.uint8)
         if not block.isascii():
             # the word arithmetic needs every byte below 0x80; a field with
@@ -377,10 +377,9 @@ class _TripReader:
         starts = np.empty_like(ends)
         starts[0] = first
         starts[1:] = ends[:-1] + 1
-        stops = ends - (buf[ends - 1] == ord("\r"))  # a CRLF's CR is no field's
         line_commas = np.diff(np.searchsorted(commas, ends), prepend=0)
         canonical = ((line_commas == self.n_fields - 1)
-                     & (stops - starts <= csv.field_size_limit()))
+                     & (ends - starts <= csv.field_size_limit()))
 
         # field bounds of the lines with the header's field count
         lines = np.flatnonzero(canonical)
@@ -389,7 +388,7 @@ class _TripReader:
 
         def field(k):
             return (starts[lines] if k == 0 else comma[:, k - 1] + 1,
-                    stops[lines] if k == self.n_fields - 1 else comma[:, k])
+                    ends[lines] if k == self.n_fields - 1 else comma[:, k])
 
         minute, ok = _minute_of_week(buf, *field(self.k_time))
         # the numbers, one field at a time; the distance last, NaN where
@@ -419,7 +418,7 @@ class _TripReader:
                            for c, v in zip(columns, records)]
         for buffer, column in zip(self.columns, columns):
             buffer.frombytes(column.view(np.uint8))
-        return len(ends), 3 * np.count_nonzero(canonical) < 2 * len(canonical)
+        return len(ends)
 
     def _other_lines(self, block, line, starts, ends, other):
         """The records of the lines of ``block`` marked ``other``: for each the
@@ -438,8 +437,7 @@ class _TripReader:
         records, at = _new_columns(), []
         reader = csv.reader(_lines(b"".join([text[a:b] for a, b in zip(lo, hi)])))
         try:
-            # with no quote and no lone carriage return a row is one CSV
-            # line, a blank row an empty one
+            # with no quote a row is one CSV line, a blank row an empty one
             append = _row_checks(self.k_time, self.k_numbers, self.k_dist, records)
             self.skipped += append(reader, at)
         except csv.Error as exc:

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chargeplan import ingest
@@ -321,11 +321,11 @@ class TestParseTrips:
     @pytest.mark.parametrize("sep", ["T", " "], ids=["canonical", "space-separated"])
     def test_block_working_set_does_not_grow_with_the_file(self, tmp_path, sep):
         # beyond the columns' 48 bytes a row, a parse holds one block's
-        # working set, whatever the file's length, on the array code's route
-        # and on csv's (no line with a space-separated start time is
-        # canonical); the allowance covers the columns' buffers, which grow
-        # by appending and so hold room for up to 1/16 more rows than they
-        # end with (240 kB at 80 000 rows)
+        # working set, whatever the file's length, whether the array code
+        # reads the lines or hands them all to the row checks (no line with
+        # a space-separated start time is canonical); the allowance covers
+        # the columns' buffers, which grow by appending and so hold room for
+        # up to 1/16 more rows than they end with (240 kB at 80 000 rows)
         def working_set(n):
             rng = np.random.default_rng(n)
             start = datetime(2024, 3, 4)
@@ -780,16 +780,24 @@ def mixed_trips_files(draw):
     return text + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
+#: rows ended by a CR and then a CRLF, and by a lone CR; a block of 38
+#: characters, read after the header, ends between the first CR and the CRLF
+CR_ENDS = (HEADER + "\n2024-03-04T08:10:00,0.1,0.2,0.3,0.4,1\r\r\n"
+           "2024-03-04 08:10:00,0.5,0.2,0.3,0.4,\r2024-03-05T09:00:00,0.25,0.5,0.75,1.0,2.5\r")
+
+
 class TestBlockReaderMatchesRowChecks:
     @given(text=mixed_trips_files(), block=st.one_of(st.integers(1, 64), st.integers(64, 4096)))
+    @example(text=CR_ENDS, block=1)
+    @example(text=CR_ENDS, block=38)
     @settings(max_examples=100, deadline=None)
     def test_same_columns_bit_for_bit(self, text, block):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trips.csv"
             path.write_text(text, newline="")
-            # small blocks, so lines straddle block boundaries and a block
-            # of mostly odd lines hands the rest of the file to csv, and
-            # blocks of many lines, so records of both kinds share a block
+            # small blocks, so lines and line ends straddle block
+            # boundaries, and blocks of many lines, so records of both
+            # kinds share a block
             with mock.patch.object(ingest, "_BLOCK_CHARS", block):
                 parsed = parse_trips(path)
             self.assert_oracle_columns(parsed, path)
@@ -840,17 +848,31 @@ class TestBlockReaderMatchesRowChecks:
         assert block.call_count >= len(body) // 257
         self.assert_oracle_columns(parsed, path)
 
-    def test_csv_reads_the_rest_from_the_block_with_a_lone_cr(self, tmp_path):
+    def test_array_code_reads_a_lone_cr_file(self, tmp_path):
+        path = tmp_path / "trips.csv"
+        body = "".join(line + "\r" for line in self.canonical_lines(2000))
+        path.write_text(HEADER + "\r" + body, newline="")
+        parsed, block, rows = self.spied_parse(path)
+        # a lone CR ends a line as a LF does, so no block goes to csv
+        assert rows.call_count == 0
+        assert block.call_count >= len(body) // 257
+        assert len(parsed.records) == 2000
+        self.assert_oracle_columns(parsed, path)
+
+    def test_a_quote_hands_the_rest_to_csv(self, tmp_path):
+        # a quoted field may span lines, so csv reads the file from the
+        # block that holds the first quote to its end
         path = tmp_path / "trips.csv"
         lines = self.canonical_lines(2000)
-        body = "\n".join(lines[:1000]) + "\r" + "\n".join(lines[1000:]) + "\n"
+        lines[1000] = lines[1000].replace(",0.2,", ',"0.2",')
+        body = "".join(line + "\n" for line in lines)
         path.write_text(HEADER + "\n" + body, newline="")
         parsed, block, rows = self.spied_parse(path)
-        # the blocks before the one holding the CR are read by the array code
-        assert body.index("\r") >= 3 * 256
-        assert block.call_count == body.index("\r") // 256
+        # the blocks before the one holding the quote are read by the array code
+        assert body.index('"') >= 3 * 256
+        assert block.call_count == body.index('"') // 256
         assert rows.call_count == 1
-        assert len(parsed.records.minute) == 2000
+        assert len(parsed.records) == 2000
         self.assert_oracle_columns(parsed, path)
 
     def test_default_blocks_with_scattered_odd_lines(self, tmp_path):
@@ -893,24 +915,44 @@ class TestBlockReaderMatchesRowChecks:
         assert (len(parsed.records), parsed.skipped) == (2, 0)
         self.assert_oracle_columns(parsed, path)
 
-    def test_csv_reads_the_rest_after_a_mostly_odd_block(self, tmp_path):
+    def test_array_code_reads_the_blocks_after_odd_lines(self, tmp_path):
         # 100 lines with space-separated start times, which the array code
         # leaves to the row checks, then 2000 canonical lines
         start = datetime(2024, 3, 4)
         rows = [f"{(start + timedelta(minutes=7 * k)).isoformat(' ' if k < 100 else 'T')},"
                 f"0.{k:04d},0.2,0.3,0.4,{k % 5}" for k in range(2100)]
         path = write_csv(tmp_path, rows)
-        parsed, block, _ = self.spied_parse(path)
-        # the first block holds odd lines alone; no block after it is read
-        # by the array code
-        assert block.call_count == 1
-        whole = parse_trips(path)  # in one block of mostly canonical lines
-        assert (parsed.skipped, whole.skipped) == (0, 0)
-        for name in ("minute", "origin_lon", "origin_lat", "dest_lon", "dest_lat",
-                     "distance_km"):
-            column = getattr(parsed.records, name)
-            assert len(column) == 2100
-            assert column.tobytes() == getattr(whole.records, name).tobytes(), name
+        parsed, block, csv_rest = self.spied_parse(path)
+        # each block is routed by its own lines: the odd ones first do not
+        # send the canonical ones after them to csv
+        assert block.call_count >= sum(len(row) + 1 for row in rows) // 257
+        assert csv_rest.call_count == 0
+        assert (len(parsed.records), parsed.skipped) == (2100, 0)
+        self.assert_oracle_columns(parsed, path)
+
+    def test_line_numbers_across_block_splits(self, tmp_path):
+        # every kind of line end, a CR of a CR-CRLF pair among them, before
+        # a field over the size limit on line 9; wherever the blocks split
+        # the file, the error names the line csv.reader names
+        row = "2024-03-04T08:10:00,0.1,0.2,0.3,0.4,1"
+        text = (HEADER + "\r" + row + "\r\r\n" + row + "\r\n" + row + "\n\r\r\n"
+                + row + "\r" + row[:-1] + "1" * 40 + "\n" + row + "\n")
+        path = tmp_path / "trips.csv"
+        path.write_text(text, newline="")
+        limit = csv.field_size_limit(32)
+        try:
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                with pytest.raises(csv.Error, match="field larger than field limit"):
+                    for _ in reader:
+                        pass
+                assert reader.line_num == 9
+            for chars in range(1, 90):
+                with mock.patch.object(ingest, "_BLOCK_CHARS", chars), \
+                        pytest.raises(ValueError, match="trips file line 9: field larger"):
+                    parse_trips(path)
+        finally:
+            csv.field_size_limit(limit)
 
 
 class TestAssembleInstance:
