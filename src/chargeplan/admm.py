@@ -52,7 +52,6 @@ knapsack, solved by bisection on the budget multiplier).
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -60,6 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .io import write_table
 from .model import (
     AssignmentPlan,
     InfeasibleProblemError,
@@ -350,14 +350,9 @@ def residuals(
 
 
 def write_convergence_csv(history: list[IterationRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "Q_primal", "Q_dual", "objective"])
-        for rec in history:
-            writer.writerow(
-                [rec.k, f"{rec.q_primal:.12g}", f"{rec.q_dual:.12g}",
-                 f"{rec.objective:.12g}"]
-            )
+    write_table(path, ["k", "Q_primal", "Q_dual", "objective"],
+                ([rec.k, f"{rec.q_primal:.12g}", f"{rec.q_dual:.12g}", f"{rec.objective:.12g}"]
+                 for rec in history))
 
 
 def run_admm(

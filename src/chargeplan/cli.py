@@ -141,9 +141,7 @@ def _section(config: dict, name: str, cls, **convert):
 
 def _write_resolved(out_dir: Path, resolved: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.json").write_text(
-        json.dumps(resolved, indent=1, sort_keys=True)
-    )
+    io.write_json(resolved, out_dir / "resolved_config.json")
 
 
 def _say(args, message: str) -> None:
@@ -213,7 +211,7 @@ def cmd_ingest(args, config: dict) -> int:
         "zones": spec.n_zones,
         "imputed_pairs": int(distances.imputed.sum()),
     }
-    (out_dir / "ingest_summary.json").write_text(io.dumps(summary))
+    io.write_json(summary, out_dir / "ingest_summary.json")
     _say(args, f"wrote {out_dir / 'instance.json'} ({summary['retained']} trips retained)")
     return EXIT_OK
 
@@ -237,7 +235,7 @@ def cmd_solve(args, config: dict) -> int:
         solution, history = _solve(instance, args.method, admm)
     except InfeasibleProblemError as exc:
         _write_resolved(out_dir, resolved)
-        (out_dir / "infeasible.json").write_text(json.dumps({"reason": str(exc)}))
+        io.write_json({"reason": str(exc)}, out_dir / "infeasible.json")
         raise
 
     _write_resolved(out_dir, resolved)
@@ -266,18 +264,15 @@ def cmd_sweep_r(args, config: dict) -> int:
     solutions = sweep_range(io.load_instance(args.instance), sweep.r_values)
     out_dir = Path(args.out)
     _write_resolved(out_dir, {"sweep": dataclasses.asdict(sweep)})
+    rows, prev = [], None
+    for r, cost in zip(sweep.r_values, (s.cost for s in solutions)):
+        # against the previous R's total; none at the first R or after a 0
+        red = "" if prev in (None, 0.0) else f"{100.0 * (prev - cost.total) / prev:.6g}"
+        rows.append([f"{float(r):g}", f"{cost.investment:.12g}", f"{cost.assignment:.12g}",
+                     f"{cost.total:.12g}", red])
+        prev = cost.total
     path = out_dir / "sweep.csv"
-    with open(path, "w") as fh:
-        fh.write("R_km,investment,assignment,total,reduction_pct\n")
-        prev = None
-        for r, cost in zip(sweep.r_values, (s.cost for s in solutions)):
-            # against the previous R's total; none at the first R or after a 0
-            red = "" if prev in (None, 0.0) else f"{100.0 * (prev - cost.total) / prev:.6g}"
-            fh.write(
-                f"{float(r):g},{cost.investment:.12g},"
-                f"{cost.assignment:.12g},{cost.total:.12g},{red}\n"
-            )
-            prev = cost.total
+    io.write_table(path, ["R_km", "investment", "assignment", "total", "reduction_pct"], rows)
     _say(args, f"wrote {path}")
     return EXIT_OK
 
@@ -302,7 +297,7 @@ def cmd_report(args, config: dict) -> int:
     if geojson is None:
         write_csv_tables(instance, solution, out_dir, window)
     else:
-        (out_dir / "solution.geojson").write_text(json.dumps(geojson))
+        io.write_json(geojson, out_dir / "solution.geojson")
     rounded = round_assignments(instance, solution)
     io.save_solution(rounded, out_dir / "solution_rounded.json", checksum)
     _say(args, f"wrote report to {out_dir}")
@@ -323,7 +318,9 @@ def cmd_compare(args, config: dict) -> int:
             results[method], _ = _solve(instance, method, admm)
         except (InfeasibleProblemError, ConvergenceError) as exc:
             raise type(exc)(f"{method}: {exc}") from exc
-    reference = min(s.cost.total for s in results.values())
+    # the cheapest plan that passes its check; the cheapest one only if none does
+    passing = [s.cost.total for s in results.values() if s.feasibility.feasible]
+    reference = min(passing or [s.cost.total for s in results.values()])
     doc = {
         method: {
             "investment": s.cost.investment,
@@ -340,14 +337,13 @@ def cmd_compare(args, config: dict) -> int:
     }
     out_dir = Path(args.out)
     _write_resolved(out_dir, {"admm": dataclasses.asdict(admm)})
-    (out_dir / "comparison.json").write_text(io.dumps(doc))
-    with open(out_dir / "comparison.csv", "w") as fh:
-        fh.write("method,investment,assignment,total,gap_to_best_pct,feasible\n")
-        for method, row in doc.items():
-            fh.write(
-                f"{method},{row['investment']:.9g},{row['assignment']:.9g},"
-                f"{row['total']:.9g},{row['gap_to_best_pct']:.6g},{row['feasible']}\n"
-            )
+    io.write_json(doc, out_dir / "comparison.json")
+    io.write_table(
+        out_dir / "comparison.csv",
+        ["method", "investment", "assignment", "total", "gap_to_best_pct", "feasible"],
+        ([method, f"{row['investment']:.9g}", f"{row['assignment']:.9g}",
+          f"{row['total']:.9g}", f"{row['gap_to_best_pct']:.6g}", row["feasible"]]
+         for method, row in doc.items()))
     _say(args, f"wrote comparison to {out_dir}")
     stalled = [method for method, row in doc.items() if not row["converged"]]
     if stalled:

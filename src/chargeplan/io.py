@@ -1,4 +1,4 @@
-"""JSON serialization for instances and solutions.
+"""JSON and CSV writing for every result file; instance and solution documents.
 
 Instance documents carry the version tag ``charge-plan-instance/1`` and name
 fields exactly as on :class:`~chargeplan.model.PlanningInstance`.  Matrices
@@ -15,13 +15,16 @@ Its ``cost`` block and ``feasibility`` residuals are outputs for people:
 reading a solution re-judges the plan it holds, so an edited plan gets the
 cost and verdict it earns, not the ones stored next to it.
 
-Every indented document is written by :func:`dumps`, which gives the bytes
-``json.dumps`` gives with an indent of 1 but hands each list of numbers, and
-each matrix of them, to the C encoder in one call.
+Every JSON file is written by :func:`write_json` as the text of ``json.dumps``
+with an indent of 1, which :func:`dumps` gives, handing each list of numbers,
+and each matrix of them, to the C encoder in one call.  Every result table is
+written by :func:`write_table`: comma-separated, LF line ends, cells formatted
+by the caller.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import itertools
 import json
@@ -61,8 +64,6 @@ def dumps(doc) -> str:
     ``null`` and booleans directly; anything else (a non-string key, a numpy
     scalar, a tuple) goes to ``json.dumps`` itself and is re-indented, which
     is safe because JSON text holds a newline only between tokens.
-    ``resolved_config.json`` is written with sorted keys by ``json.dumps``
-    itself: it is small, and sorting here would be an option only it uses.
     """
     return _dumps(doc, "\n")
 
@@ -91,6 +92,20 @@ def _dumps(node, pad: str) -> str:
     if kind in _NUMBERS or kind is bool or node is None:
         return json.dumps(node)
     return json.dumps(node, indent=1).replace("\n", pad)
+
+
+def write_json(doc, path) -> None:
+    """Write ``doc`` to file ``path`` as the text of :func:`dumps`."""
+    Path(path).write_text(dumps(doc))
+
+
+def write_table(path, header, rows) -> None:
+    """Write ``header``, then each of ``rows``, to file ``path`` as a
+    comma-separated table with LF line ends."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def instance_to_dict(instance: PlanningInstance) -> dict:
@@ -204,7 +219,7 @@ def instance_from_dict(doc: dict) -> PlanningInstance:
 
 
 def save_instance(instance: PlanningInstance, path) -> None:
-    Path(path).write_text(dumps(instance_to_dict(instance)))
+    write_json(instance_to_dict(instance), path)
 
 
 def read_instance(path) -> tuple[PlanningInstance, str]:
@@ -262,10 +277,10 @@ def solution_to_dict(solution: Solution, instance_checksum: str | None = None) -
 def solution_from_dict(doc: dict, instance: PlanningInstance) -> Solution:
     """Read a solution document for ``instance`` and judge its plan there.
     The document's counts must be the instance's, every triplet must index a
-    cell of the plan, and a nonzero one must sit on an edge of the instance's
-    range graph.  Cost and feasibility come from :func:`~chargeplan.model.assess`
-    at the stored ``feasibility.tol``; the stored ``cost`` and residuals are
-    not read."""
+    cell of the plan that no other triplet names, and a nonzero one must sit
+    on an edge of the instance's range graph.  Cost and feasibility come from
+    :func:`~chargeplan.model.assess` at the stored ``feasibility.tol``, a
+    finite number >= 0; the stored ``cost`` and residuals are not read."""
     with _reading(doc, "solution", SOLUTION_VERSION):
         n = int(_whole(doc["n_locations"], "n_locations"))
         T = int(_whole(doc["n_slots"], "n_slots"))
@@ -279,6 +294,11 @@ def solution_from_dict(doc: dict, instance: PlanningInstance) -> Solution:
         cells = _whole(triplets[:, :3], "assignment indices", ndim=2)
         if np.any((cells < 0) | (cells >= (T, n, n))):
             raise ValueError(f"assignment index outside the {T} x {n} x {n} plan")
+        _, first, count = np.unique(np.ravel_multi_index(cells.T, (T, n, n)),
+                                    return_index=True, return_counts=True)
+        if np.any(count > 1):
+            t, i, j = cells[first[np.argmax(count > 1)]].tolist()
+            raise ValueError(f"assignment ({t}, {i}, {j}) is given twice")
         graph = instance.range_graph
         edge_of = np.full((n, n), -1)
         edge_of[graph.src, graph.dst] = np.arange(graph.n_edges)
@@ -294,14 +314,15 @@ def solution_from_dict(doc: dict, instance: PlanningInstance) -> Solution:
         capacity = _numbers(doc["capacity"], "capacity", ndim=1)
         if capacity.shape != (n,):
             raise ValueError(f"capacity must have {n} entries, got shape {capacity.shape}")
-        feasibility = _object(doc["feasibility"], "feasibility")
-        return assess(instance, InvestmentPlan(capacity), AssignmentPlan(graph, z),
-                      float(_numbers(feasibility["tol"], "feasibility.tol")),
+        tol = float(_numbers(_object(doc["feasibility"], "feasibility")["tol"], "feasibility.tol"))
+        if not 0 <= tol < math.inf:
+            raise ValueError(f"feasibility.tol must be a finite number >= 0, got {tol!r}")
+        return assess(instance, InvestmentPlan(capacity), AssignmentPlan(graph, z), tol,
                       dict(_object(doc.get("stats", {}), "stats")))
 
 
 def save_solution(solution: Solution, path, instance_checksum: str | None = None) -> None:
-    Path(path).write_text(dumps(solution_to_dict(solution, instance_checksum)))
+    write_json(solution_to_dict(solution, instance_checksum), path)
 
 
 def load_solution(path, instance: PlanningInstance,

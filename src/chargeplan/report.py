@@ -5,11 +5,11 @@ Maps are emitted as data only (RFC 7946); drawing them is out of scope.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
+from .io import write_table
 from .model import AssignmentPlan, PlanningInstance, Solution, assess
 
 #: an aggregated flow of at most this many vehicles draws no line feature
@@ -99,35 +99,20 @@ def write_csv_tables(
     graph, flows, net_sent = _flows(instance, solution, window)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    has_coords = instance.coordinates is not None
 
+    header = ["location", "capacity_kw", "location_cost", "net_assignments"]
+    columns = [solution.investment.capacity, instance.location_cost, net_sent]
+    if instance.coordinates is not None:
+        header += ["x", "y"]
+        columns += [instance.coordinates[:, 0], instance.coordinates[:, 1]]
     loc_path = out_dir / "locations.csv"
-    with open(loc_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["location", "capacity_kw", "location_cost", "net_assignments"]
-        if has_coords:
-            header += ["x", "y"]
-        writer.writerow(header)
-        for i in range(instance.n_locations):
-            row = [
-                i,
-                f"{solution.investment.capacity[i]:.9g}",
-                f"{instance.location_cost[i]:.9g}",
-                f"{net_sent[i]:.9g}",
-            ]
-            if has_coords:
-                row += [
-                    f"{instance.coordinates[i, 0]:.9g}",
-                    f"{instance.coordinates[i, 1]:.9g}",
-                ]
-            writer.writerow(row)
+    write_table(loc_path, header, ([i] + [f"{column[i]:.9g}" for column in columns]
+                                   for i in range(instance.n_locations)))
 
     flow_path = out_dir / "flows.csv"
-    with open(flow_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["from", "to", "vehicles"])
-        for e in np.flatnonzero(flows > FLOW_ATOL):
-            writer.writerow([graph.src[e], graph.dst[e], f"{flows[e]:.9g}"])
+    write_table(flow_path, ["from", "to", "vehicles"],
+                ([graph.src[e], graph.dst[e], f"{flows[e]:.9g}"]
+                 for e in np.flatnonzero(flows > FLOW_ATOL)))
     return loc_path, flow_path
 
 

@@ -999,33 +999,60 @@ class TestReport:
         np.testing.assert_array_equal(z, np.rint(z))
 
 
+#: the header row of each result table the CLI writes
+TABLE_HEADERS = {
+    "convergence.csv": ["k", "Q_primal", "Q_dual", "objective"],
+    "sweep.csv": ["R_km", "investment", "assignment", "total", "reduction_pct"],
+    "locations.csv": ["location", "capacity_kw", "location_cost", "net_assignments",
+                      "x", "y"],
+    "flows.csv": ["from", "to", "vehicles"],
+    "comparison.csv": ["method", "investment", "assignment", "total", "gap_to_best_pct",
+                       "feasible"],
+}
+
+
 class TestResolvedConfig:
-    @pytest.mark.parametrize("command", [
-        ["generate"],
-        ["ingest", str(TRIPS_50)],
-        ["solve", "{instance}", "--method", "admm"],
-        ["sweep-r", "{instance}", "--r-values", "0,3"],
-        ["report", "{solution}", "{instance}", "--format", "geojson"],
-        ["compare", "{instance}", "--methods", "base,centralized"],
-    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("command, code", [
+        pytest.param(["generate"], EXIT_OK, id="generate"),
+        pytest.param(["ingest", str(TRIPS_50)], EXIT_OK, id="ingest"),
+        pytest.param(["solve", "{instance}", "--method", "admm"], EXIT_OK, id="solve"),
+        pytest.param(["solve", "{infeasible}"], EXIT_INFEASIBLE, id="solve-infeasible"),
+        pytest.param(["sweep-r", "{instance}", "--r-values", "0,3"], EXIT_OK, id="sweep-r"),
+        pytest.param(["report", "{solution}", "{instance}", "--format", "geojson"], EXIT_OK,
+                     id="report"),
+        pytest.param(["report", "{solution}", "{instance}"], EXIT_OK, id="report-csv"),
+        pytest.param(["compare", "{instance}", "--methods", "base,centralized"], EXIT_OK,
+                     id="compare"),
+    ])
     def test_every_command_replays_its_resolved_config(self, tmp_path, instance_file,
-                                                       command):
+                                                       command, code):
         assert run("--out", str(tmp_path / "sol"), "solve", str(instance_file)) == EXIT_OK
-        argv = [arg.format(instance=instance_file, solution=tmp_path / "sol" / "solution.json")
+        infeasible = tmp_path / "infeasible.json"
+        io.save_instance(make_instance([[10.0]], beta=2.0, capacity_max=[5.0]), infeasible)
+        argv = [arg.format(instance=instance_file, infeasible=infeasible,
+                           solution=tmp_path / "sol" / "solution.json")
                 for arg in command]
         first = tmp_path / "first"
         assert run("--config", str(write_config(tmp_path, GRID_2X2)), "--out", str(first),
-                   *argv) == EXIT_OK
+                   *argv) == code
         again = tmp_path / "again"
         assert run("--config", str(first / "resolved_config.json"), "--out", str(again),
-                   *argv) == EXIT_OK
+                   *argv) == code
         assert (again / "resolved_config.json").read_bytes() == (
             first / "resolved_config.json").read_bytes()
         # every JSON document the command wrote is laid out as json.dumps
-        # lays it out at indent 1 (solution.geojson is compact)
-        for path in first.glob("*.json"):
-            text = path.read_text()
-            assert text == json.dumps(json.loads(text), indent=1), path.name
+        # lays it out at indent 1, and every table is comma-separated with
+        # LF line ends, its header first
+        for path in sorted(first.iterdir()):
+            text = path.read_bytes().decode()
+            if path.suffix == ".csv":
+                assert "\r" not in text, path.name
+                rows = list(csv.reader(StringIO(text)))
+                assert rows[0] == TABLE_HEADERS[path.name], path.name
+                assert {len(row) for row in rows} == {len(rows[0])}, path.name
+            else:
+                assert path.suffix in (".json", ".geojson"), path.name
+                assert text == json.dumps(json.loads(text), indent=1), path.name
 
 
 class TestCompare:
@@ -1101,6 +1128,27 @@ class TestCompare:
         assert err.startswith("infeasible: centralized: ")
         assert "Traceback" not in err
         assert not (tmp_path / "c").exists()
+
+    def test_gap_is_to_the_cheapest_plan_that_passes_its_check(self, tmp_path):
+        # at 0.7 times its own peaks ADMM stops on a plan that breaks a cap
+        # and costs less than the LP optimum
+        inst = generate_instance(GenParams(n_locations=6, n_slots=24, range_km=5.0, seed=3))
+        path = tmp_path / "low.json"
+        io.save_instance(own_peak_caps(inst, 0.7), path)
+        out = tmp_path / "cmp"
+        assert run("--out", str(out), "compare", str(path),
+                   "--methods", "centralized,admm") == EXIT_NO_CONVERGENCE
+        doc = json.loads((out / "comparison.json").read_text())
+        assert doc["admm"]["feasible"] is False
+        assert doc["admm"]["total"] < doc["centralized"]["total"]
+        assert doc["centralized"]["gap_to_best_pct"] == 0.0
+        assert doc["admm"]["gap_to_best_pct"] == pytest.approx(
+            100.0 * (doc["admm"]["total"] / doc["centralized"]["total"] - 1.0))
+        # with no plan that passes, the cheapest one is the reference
+        assert run("--out", str(out), "compare", str(path),
+                   "--methods", "admm") == EXIT_NO_CONVERGENCE
+        doc = json.loads((out / "comparison.json").read_text())
+        assert doc["admm"]["gap_to_best_pct"] == 0.0
 
     def test_non_converged_admm_exit_4_after_writing(self, tmp_path, instance_file):
         cfg = write_config(
@@ -1275,6 +1323,28 @@ def test_corrupted_input_exits_2_and_writes_nothing(case):
             assert code == EXIT_CONFIG, (command, err)
             assert err.startswith("error: ") and "Traceback" not in err
             assert not (work / command).exists(), command
+
+
+#: the calls that write JSON text or CSV rows, which only ``io`` makes
+WRITER_CALLS = {("json", "dump"), ("json", "dumps"), ("csv", "writer")}
+
+
+def test_only_io_writes_json_or_csv():
+    calls = []
+    for path in sorted(Path(central.__file__).parent.glob("*.py")):
+        if path.name == "io.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = {(node.module, alias.name) for alias in node.names}
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name)):
+                names = {(node.func.value.id, node.func.attr)}
+            else:
+                continue
+            calls += [f"{path.name}:{node.lineno} {'.'.join(name)}"
+                      for name in names & WRITER_CALLS]
+    assert not calls, calls
 
 
 #: what ``raise Name(...)`` may name in the package: the types ``main`` maps

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -268,6 +269,14 @@ class TestSolutionIO:
         with pytest.raises(ValueError, match="assignment"):
             solution_from_dict(doc, inst)
 
+    @pytest.mark.parametrize("repeat", [1.5, 0.0])
+    def test_two_triplets_on_one_cell_rejected(self, repeat):
+        inst = make_instance(np.ones((2, 3)))
+        doc = solution_to_dict(solve_centralized(inst))
+        doc["assignments"] = [[0, 0, 1, 0.5], [1, 2, 0, 4.0], [0, 0, 1, repeat]]
+        with pytest.raises(ValueError, match=re.escape("assignment (0, 0, 1) is given twice")):
+            solution_from_dict(doc, inst)
+
     def test_triplets_fill_their_cells(self):
         inst = make_instance(np.ones((2, 3)))
         doc = solution_to_dict(solve_centralized(inst))
@@ -308,7 +317,8 @@ class TestSolutionIO:
 
     @pytest.mark.parametrize("path, value", [
         (("feasibility", "tol"), "1e-6"), (("feasibility", "tol"), None),
-        (("stats",), [["a", 1]]),
+        (("stats",), [["a", 1]]), (("feasibility", "tol"), math.inf),
+        (("feasibility", "tol"), math.nan), (("feasibility", "tol"), -1.0),
     ])
     def test_mistyped_nested_value_is_a_value_error(self, path, value):
         inst = make_instance(np.ones((2, 3)))
