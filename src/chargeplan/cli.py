@@ -89,7 +89,7 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ValueError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:

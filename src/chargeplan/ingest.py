@@ -17,17 +17,18 @@ so a parsed row costs its 48 bytes of values, and the parse adds about 1 MB
 of per-block arrays at its peak.  Canonical lines (ISO start times without
 zone or fraction, plain decimals) are parsed by array code over each
 block's bytes, every other line by the per-row checks of the ``csv`` route;
-both give the same values, bit for bit.  Each block is routed by its own
-lines, and a CRLF or a lone CR ends a line there as a line feed does.  From
-the first block with a quote, ``csv`` reads the rest of the file, since a
-quoted field may span lines.  Binning, the per-record distance fallback and
-the per-pair averages are array code over that table.  On a 2-vCPU x86-64
-host with CPython 3.11, parsing a 100 000-row file of canonical lines takes
-about 0.1 s, under any of the three line ends, and grid binning and
-averaging about 0.02 s; a file with no canonical line (space-separated
-start times, say) takes about 0.4 s, since each of its blocks runs the
-array code before the row checks; a 1.5 M-row file parses in 1.3-1.9 s and
-adds about 70 MB, the size of its columns, to the process's peak RSS.
+both give the same values, bit for bit.  Python's text layer ends every
+line, whether the file ends it with a LF, a CRLF or a lone CR, and each
+block is whole lines, routed by its own lines.  From the first block with a
+quote, ``csv`` reads the rest of the file, since a quoted field may span
+lines.  Binning, the per-record distance fallback and the per-pair averages
+are array code over that table.  On a 2-vCPU x86-64 host with CPython 3.11,
+parsing a 100 000-row file of canonical lines takes about 0.07 s, under
+any of the three line ends, and grid binning and averaging about 0.02 s; a
+file with no canonical line (space-separated start times, say) takes about
+0.35 s, since each of its blocks runs the array code before the row checks;
+a 1.5 M-row file parses in 1.3-1.9 s and adds about 70 MB, the size of its
+columns, to the process's peak RSS.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ def parse_trips(path) -> ParseResult:
     empty or absent ``distance_km`` means the distance is not given.  A
     field longer than ``csv.field_size_limit()`` is an error naming its line.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -282,21 +283,20 @@ class _TripReader:
     """Appends the records after a trips file's header to one typed buffer
     per column, and counts the malformed ones.
 
-    Text is read in blocks that end at a line end.  A CRLF and a lone
-    carriage return each end one line for ``csv``, so each becomes a line
-    feed before the block is parsed.  A *canonical* line is parsed by array
-    code over the block's bytes: it has as many fields as the header and no
-    quote, is no longer than the ``csv`` field size limit, its start time
-    reads ``YYYY-MM-DDTHH:MM:SS`` on a calendar date, and each of its numbers
-    is an optional minus sign and then 1 to 15 digits with at most one point
-    among them (``-12.5``, ``.5``, ``5.``).  Such a decimal is its integer
-    mantissa, exact in a double, over a power of ten, also exact, so one
-    correctly rounded division gives the bits ``float`` gives (Clinger's
-    fast path).  Every other line of the block goes through the per-row
-    checks of :func:`_row_checks`, and the records keep file order.  ``csv``
-    reads the rest of the file row by row, in the file's own characters,
-    from the first block that holds a quote, since a quoted field may span
-    lines.
+    Python's text layer ends every line, at a LF, a CRLF or a lone CR, with
+    a line feed, and the text is read in blocks of whole lines.  A
+    *canonical* line is parsed by array code over the block's bytes: it has
+    as many fields as the header and no quote, is no longer than the ``csv``
+    field size limit, its start time reads ``YYYY-MM-DDTHH:MM:SS`` on a
+    calendar date, and each of its numbers is an optional minus sign and
+    then 1 to 15 digits with at most one point among them (``-12.5``,
+    ``.5``, ``5.``).  Such a decimal is its integer mantissa, exact in a
+    double, over a power of ten, also exact, so one correctly rounded
+    division gives the bits ``float`` gives (Clinger's fast path).  Every
+    other line of the block goes through the per-row checks of
+    :func:`_row_checks`, and the records keep file order.  ``csv`` reads the
+    rest of the file row by row from the first block that holds a quote,
+    since a quoted field may span lines.
     """
 
     def __init__(self, header: list[str]):
@@ -322,30 +322,16 @@ class _TripReader:
 
     def read(self, fh, line: int) -> None:
         """Append every record of ``fh`` from here on; ``line`` is the number
-        of the line it is at.  Each block is routed by its own lines: only
-        an unfinished line passes from one block to the next."""
-        pieces = []  # an unfinished line, split where the blocks were read
-        while chunk := _read(fh, _BLOCK_CHARS):
-            # a CR may start a CRLF: keep it with what follows
-            while chunk.endswith("\r") and (more := fh.read(1)):
-                chunk += more
+        of the line it is at.  Each block is whole lines, routed by its own
+        lines."""
+        while chunk := _read(fh, _BLOCK_CHARS) + fh.readline():
             if '"' in chunk:
-                pieces.append(chunk + fh.readline())
-                del chunk  # its text is in pieces
-                self._rows(csv.reader(chain(_lines("".join(pieces).encode()), fh)), line)
+                self._rows(csv.reader(chain(_lines(chunk.encode()), fh)), line)
                 return
-            if "\r" in chunk:  # each CRLF and lone CR ends one line, as a LF does
-                chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
-            cut = chunk.rfind("\n") + 1
-            if not cut:
-                pieces.append(chunk)
-                continue
-            block = "".join([_PAD, *pieces, chunk[:cut], _PAD]).encode()
-            pieces = [chunk[cut:]]
+            end = "" if chunk.endswith("\n") else "\n"  # the file's last line may have none
+            block = "".join([_PAD, chunk, end, _PAD]).encode()
             del chunk  # only the block's bytes are held while they are parsed
             line += self._block(block, line)
-        if any(pieces):
-            self._block("".join([_PAD, *pieces, _PAD]).encode(), line)
 
     def _rows(self, rows, line: int) -> None:
         """Append the rows of a ``csv.reader`` whose first line is ``line``."""
@@ -357,8 +343,7 @@ class _TripReader:
     def _block(self, block: bytes, line: int) -> int:
         """Append the records of whole lines, ``line`` the number of the
         first, with array code; how many lines they are.  ``block`` is their
-        text in UTF-8 between two ``_PAD``, each line ended by a line feed
-        (the last may have none)."""
+        text in UTF-8 between two ``_PAD``, each line ended by a line feed."""
         buf = np.frombuffer(block, dtype=np.uint8)
         if not block.isascii():
             # the word arithmetic needs every byte below 0x80; a field with
@@ -372,8 +357,6 @@ class _TripReader:
         kind = buf[marks]
         ends, commas = marks[kind == ord("\n")], marks[kind == ord(",")]
         del marks, kind
-        if buf[last - 1] != ord("\n"):
-            ends = np.append(ends, last)
         starts = np.empty_like(ends)
         starts[0] = first
         starts[1:] = ends[:-1] + 1
@@ -425,15 +408,14 @@ class _TripReader:
         index of its line, and their values, one typed buffer per column.
 
         ``starts`` and ``ends`` are the offsets of each line and of its line
-        feed (or of the end of its text), and ``line`` the file line of the
-        first.  One ``csv.reader`` reads the marked lines joined."""
+        feed, and ``line`` the file line of the first.  One ``csv.reader``
+        reads the marked lines joined."""
         i = np.flatnonzero(other)
         # runs of consecutive lines, each one slice of the block
         run = np.flatnonzero(np.diff(i, prepend=-2) != 1)
         lo = starts[i[run]].tolist()
         hi = (ends[i[np.append(run[1:], len(i)) - 1]] + 1).tolist()
-        # without the end pad, which a last line with no line feed runs into
-        text = memoryview(block)[:len(block) - len(_PAD)]
+        text = memoryview(block)
         records, at = _new_columns(), []
         reader = csv.reader(_lines(b"".join([text[a:b] for a, b in zip(lo, hi)])))
         try:

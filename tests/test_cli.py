@@ -9,6 +9,9 @@ import functools
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from io import StringIO
@@ -237,6 +240,23 @@ class TestIngest:
         assert code == EXIT_OK
         for name in ("resolved_config.json", "instance.json", "ingest_summary.json"):
             assert (again / name).read_bytes() == (out / name).read_bytes()
+
+    def test_config_decodes_utf8_under_an_ascii_locale(self, tmp_path):
+        doc = copy.deepcopy(THREE_ZONES)
+        doc["binning"]["zones"][0]["label"] = "Chenghua \u6210\u534e"
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        code = "import sys; from chargeplan.cli import main; sys.exit(main(sys.argv[1:]))"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-c", code, "--quiet", "--config", str(cfg),
+                               "--out", str(out), "ingest", str(TRIPS_50)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        resolved = json.loads((out / "resolved_config.json").read_text(encoding="utf-8"))
+        assert resolved["binning"]["zones"][0]["label"] == "Chenghua \u6210\u534e"
 
     @pytest.mark.parametrize("zones, message", [
         ([{"label": "a", "lon": 0.1}], "'lat'"),  # no lat

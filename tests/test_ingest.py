@@ -212,6 +212,18 @@ class TestParseTrips:
         assert result.records.minute.tolist() == [490, 500, 1440]
         assert result.skipped == 4
 
+    def test_start_times_that_need_python_3_11(self, tmp_path):
+        # CPython 3.10's datetime.fromisoformat rejects all three, so on it
+        # the same file would give another instance
+        path = write_csv(tmp_path, [
+            "2024-03-04T08:10:00Z,0.1,0.2,0.8,0.9,",
+            "2024-03-04T08:20:00.5,0.1,0.2,0.8,0.9,",
+            "20240304T083000,0.1,0.2,0.8,0.9,",
+        ])
+        result = parse_trips(path)
+        assert result.records.minute.tolist() == [490, 500, 510]
+        assert result.skipped == 0
+
     @pytest.mark.parametrize("distance", ["nan", "inf", "-inf", "-2.0"])
     def test_non_finite_or_negative_distance_skipped(self, tmp_path, distance):
         path = write_csv(
@@ -775,13 +787,14 @@ def mixed_trips_files(draw):
         elif shape == "long":
             row.append(draw(CANONICAL_FIELDS["number"]))
         elif shape == "quoted":
-            row[k] = '"' + row[k] + draw(st.sampled_from(["", "\n", ","])) + '"'
+            row[k] = '"' + row[k] + draw(st.sampled_from(["", "\n", ",", "\r\n", "\r"])) + '"'
         text += ",".join(row)
     return text + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
-#: rows ended by a CR and then a CRLF, and by a lone CR; a block of 38
-#: characters, read after the header, ends between the first CR and the CRLF
+#: rows ended by a CR and then a CRLF, two line ends, and by a lone CR at the
+#: end of the file; a block of 38 characters, read after the header, ends at
+#: the first CR
 CR_ENDS = (HEADER + "\n2024-03-04T08:10:00,0.1,0.2,0.3,0.4,1\r\r\n"
            "2024-03-04 08:10:00,0.5,0.2,0.3,0.4,\r2024-03-05T09:00:00,0.25,0.5,0.75,1.0,2.5\r")
 
@@ -823,14 +836,21 @@ class TestBlockReaderMatchesRowChecks:
 
     @staticmethod
     def spied_parse(path, chars=256):
-        """Parse ``path`` in blocks of ``chars`` characters; the parse and
-        the spies on the array-code and ``csv`` routes."""
+        """Parse ``path`` in blocks of ``chars`` characters; the parse, the
+        line count of each block the array code reads, and the spy on the
+        ``csv`` route."""
+        array_code, counts = ingest._TripReader._block, []
+
+        def block(*args):
+            counts.append(array_code(*args))
+            return counts[-1]
+
         with mock.patch.object(ingest, "_BLOCK_CHARS", chars), \
                 mock.patch.object(ingest._TripReader, "_block", autospec=True,
-                                  side_effect=ingest._TripReader._block) as block, \
+                                  side_effect=block), \
                 mock.patch.object(ingest._TripReader, "_rows", autospec=True,
                                   side_effect=ingest._TripReader._rows) as rows:
-            return parse_trips(path), block, rows
+            return parse_trips(path), counts, rows
 
     @staticmethod
     def canonical_lines(n):
@@ -842,20 +862,20 @@ class TestBlockReaderMatchesRowChecks:
         path = tmp_path / "trips.csv"
         body = "".join(line + "\r\n" for line in self.canonical_lines(2000))
         path.write_text(HEADER + "\r\n" + body, newline="")
-        parsed, block, rows = self.spied_parse(path)
-        # every CR starts a CRLF, so no block goes to csv
+        parsed, block_lines, rows = self.spied_parse(path)
+        # every CR starts a CRLF, so the array code reads every line
         assert rows.call_count == 0
-        assert block.call_count >= len(body) // 257
+        assert len(block_lines) > 1 and sum(block_lines) == 2000
         self.assert_oracle_columns(parsed, path)
 
     def test_array_code_reads_a_lone_cr_file(self, tmp_path):
         path = tmp_path / "trips.csv"
         body = "".join(line + "\r" for line in self.canonical_lines(2000))
         path.write_text(HEADER + "\r" + body, newline="")
-        parsed, block, rows = self.spied_parse(path)
-        # a lone CR ends a line as a LF does, so no block goes to csv
+        parsed, block_lines, rows = self.spied_parse(path)
+        # a lone CR ends a line as a LF does, so the array code reads every line
         assert rows.call_count == 0
-        assert block.call_count >= len(body) // 257
+        assert len(block_lines) > 1 and sum(block_lines) == 2000
         assert len(parsed.records) == 2000
         self.assert_oracle_columns(parsed, path)
 
@@ -867,10 +887,13 @@ class TestBlockReaderMatchesRowChecks:
         lines[1000] = lines[1000].replace(",0.2,", ',"0.2",')
         body = "".join(line + "\n" for line in lines)
         path.write_text(HEADER + "\n" + body, newline="")
-        parsed, block, rows = self.spied_parse(path)
-        # the blocks before the one holding the quote are read by the array code
-        assert body.index('"') >= 3 * 256
-        assert block.call_count == body.index('"') // 256
+        parsed, block_lines, rows = self.spied_parse(path)
+        # the array code reads the blocks before the one holding the quote:
+        # each is 256 characters and the rest of the line the 256th is on
+        start = 0
+        while (end := body.index("\n", start + 256) + 1) <= body.index('"'):
+            start = end
+        assert len(block_lines) >= 3 and sum(block_lines) == body[:start].count("\n")
         assert rows.call_count == 1
         assert len(parsed.records) == 2000
         self.assert_oracle_columns(parsed, path)
@@ -897,9 +920,9 @@ class TestBlockReaderMatchesRowChecks:
             rows.append(",".join(row))
         path = write_csv(tmp_path, rows)
         assert path.stat().st_size >= 4 * ingest._BLOCK_CHARS
-        parsed, block, csv_rest = self.spied_parse(path, ingest._BLOCK_CHARS)
+        parsed, block_lines, csv_rest = self.spied_parse(path, ingest._BLOCK_CHARS)
         # every block is read by the array code, none by csv alone
-        assert block.call_count >= 4 and csv_rest.call_count == 0
+        assert len(block_lines) >= 4 and sum(block_lines) == n and csv_rest.call_count == 0
         assert parsed.skipped > 0
         self.assert_oracle_columns(parsed, path)
 
@@ -922,10 +945,10 @@ class TestBlockReaderMatchesRowChecks:
         rows = [f"{(start + timedelta(minutes=7 * k)).isoformat(' ' if k < 100 else 'T')},"
                 f"0.{k:04d},0.2,0.3,0.4,{k % 5}" for k in range(2100)]
         path = write_csv(tmp_path, rows)
-        parsed, block, csv_rest = self.spied_parse(path)
+        parsed, block_lines, csv_rest = self.spied_parse(path)
         # each block is routed by its own lines: the odd ones first do not
         # send the canonical ones after them to csv
-        assert block.call_count >= sum(len(row) + 1 for row in rows) // 257
+        assert len(block_lines) > 1 and sum(block_lines) == len(rows)
         assert csv_rest.call_count == 0
         assert (len(parsed.records), parsed.skipped) == (2100, 0)
         self.assert_oracle_columns(parsed, path)
