@@ -18,13 +18,16 @@ Python loop after each solve, about 0.1 s at 20 x 672, which nothing here
 reads.  HiGHS runs its dual simplex on the LP exactly as built, with no
 presolve (see ``_HIGHS_OPTIONS``), so every solve, cold or warm, works on
 the rows and columns ``build_lp`` wrote.  ``solve_centralized`` is one
-build and one solve.  ``sweep_range``
-solves the range study on one model: it builds the widest R's LP once,
-closes the columns out of each R's range with zero upper bounds, lets
-HiGHS re-solve from the previous basis, and returns one
-:class:`~chargeplan.model.Solution` per R.  The embedded dense simplex
-(:func:`chargeplan.simplex.solve_simplex`) is not a production backend; the
-tests use it as an independent oracle.
+build and one solve.  ``sweep_range`` solves the range study with as
+little HiGHS work as the R list allows: an R with no pair in range (R = 0
+always) has no assignment column, so ``solve_base_model`` solves it in
+closed form.  The widest R's LP is built once, when the first R with a
+pair in range comes; each such R rewrites the upper bounds of only the
+assignment columns whose range status changed since the last R solved
+(zero out of range), and HiGHS re-solves from the previous basis.  It
+returns one :class:`~chargeplan.model.Solution` per R.  The embedded dense
+simplex (:func:`chargeplan.simplex.solve_simplex`) is not a production
+backend; the tests use it as an independent oracle.
 
 ``solve_base_model`` is the no-assignment baseline the joint plan is compared
 with.  Every solution here returns through :func:`chargeplan.model.assess`, so
@@ -247,10 +250,19 @@ def sweep_range(instance: PlanningInstance, r_values) -> list[Solution]:
 
     Every limit is applied (:func:`~chargeplan.datagen.with_range_limit`)
     before anything is solved, so an R the instance cannot be widened to
-    raises first.  Each R's in-range graph is a subgraph of the widest R's,
-    with the same costs and delays, so the widest R's LP is built once and
-    each R closes the assignment columns of the edges out of its range with
-    a zero upper bound.  HiGHS re-solves from the previous R's basis.  Both
+    raises first.  An R whose in-range graph has no edge (R = 0 always) has
+    no assignment column, so its joint LP is the no-assignment model:
+    :func:`solve_base_model` solves it in closed form.  Its solution's
+    ``stats`` are the baseline's (method ``base``, backend ``closed_form``,
+    0 iterations) and hold no LP size, and a Lagrangian bound for it is the
+    base plan's own cost, at a gap of 0.
+
+    Each other R's in-range graph is a subgraph of the widest R's, with the
+    same costs and delays, so the widest R's LP is built once, when the
+    first R with an edge comes, and every such R is solved on its one HiGHS
+    handle from the previous solve's basis.  Before each solve only the
+    assignment columns whose edge changed range status since the last R
+    HiGHS solved get a new upper bound: zero out of range, none in it.  Both
     graphs are origin-major, so ``z[:, open_edges]`` is the plan on the R
     instance's own graph, which it is priced and judged against.
 
@@ -258,19 +270,26 @@ def sweep_range(instance: PlanningInstance, r_values) -> list[Solution]:
     raises with its R named.
     """
     restricted = [(float(r), with_range_limit(instance, float(r))) for r in r_values]
-    if not restricted:
-        return []
-    wide = max(restricted, key=lambda pair: pair[0])[1]
-    lp = build_lp(wide)
-    highs = highs_model(lp)
-    n, T, graph = wide.n_locations, wide.n_slots, wide.range_graph
-    zcols = np.arange(n, lp.n_cols, dtype=np.int32)
+    highs = None
     solutions = []
     for r, inst in restricted:
-        open_edges = np.isfinite(inst.assign_cost[graph.src, graph.dst])
-        ub = np.where(np.tile(open_edges, T), highspy.kHighsInf, 0.0)
-        highs.changeColsBounds(len(zcols), zcols, np.zeros(len(zcols)), ub)
         try:
+            if inst.range_graph.n_edges == 0:
+                solutions.append(solve_base_model(inst))
+                continue
+            if highs is None:
+                wide = max(restricted, key=lambda pair: pair[0])[1]
+                lp = build_lp(wide)
+                highs = highs_model(lp)
+                n, T, graph = wide.n_locations, wide.n_slots, wide.range_graph
+                was_open = np.ones(graph.n_edges, dtype=bool)  # as built
+            open_edges = np.isfinite(inst.assign_cost[graph.src, graph.dst])
+            flipped = np.flatnonzero(open_edges != was_open)
+            if len(flipped):
+                cols = (n + graph.n_edges * np.arange(T)[:, None] + flipped).ravel()
+                ub = np.tile(np.where(open_edges[flipped], highspy.kHighsInf, 0.0), T)
+                highs.changeColsBounds(len(cols), cols.astype(np.int32), np.zeros(len(cols)), ub)
+                was_open = open_edges
             x, stats = solve_lp(lp, highs)
         except (InfeasibleProblemError, ConvergenceError) as exc:
             raise type(exc)(f"R={r:g} km: {exc}") from exc

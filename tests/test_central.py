@@ -1,6 +1,8 @@
 """Centralized LP path: builder structure, solvers, baseline, invariances."""
 
+import contextlib
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize._highspy import _core as highspy
 
+from chargeplan import central
 from chargeplan.central import (
     build_lp,
     highs_model,
@@ -397,6 +400,51 @@ def sweep_cases(draw):
     return inst, r_values
 
 
+@st.composite
+def edgeless_sweep_cases(draw):
+    """``sweep_cases`` with R = 0, whose in-range graph has no edge, put
+    first, between two other R or last, once or twice.  Unless a drawn flag
+    keeps them, caps and budget below the no-assignment plan are lifted to
+    it, so most lists are solved past their first R = 0."""
+    inst, r_values = draw(sweep_cases())
+    if draw(st.booleans()):
+        peak = inst.own_peak
+        inst = dataclasses.replace(
+            inst, capacity_max=np.maximum(inst.capacity_max, peak),
+            budget=max(inst.budget, float(inst.unit_investment_cost @ peak)))
+    for _ in range(draw(st.integers(1, 2))):
+        r_values.insert(draw(st.integers(0, len(r_values))), 0.0)
+    return inst, r_values
+
+
+@contextlib.contextmanager
+def calls_of(owner, name):
+    """Collect the arguments of every call of ``owner.name`` meanwhile; each
+    call still runs."""
+    calls, original = [], getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    with mock.patch.object(owner, name, spy):
+        yield calls
+
+
+def cold_solves(inst, r_values):
+    """One cold ``solve_centralized`` per R, up to the first R without a
+    plan, at which ``sweep_range`` must stop too, naming that R."""
+    cold = []
+    for r in r_values:
+        try:
+            cold.append(solve_centralized(with_range_limit(inst, r)))
+        except InfeasibleProblemError:
+            with pytest.raises(InfeasibleProblemError, match=f"^R={r:g} km: "):
+                sweep_range(inst, r_values)
+            break
+    return cold
+
+
 class TestRangeSweep:
     @example(case=(generate_instance(GenParams(n_locations=9, n_slots=24, seed=0,
                                                range_km=8.0)), [7.0, 0.0, 3.0, 3.0, 10.0, 1.0, 5.0]))
@@ -404,18 +452,8 @@ class TestRangeSweep:
     @settings(max_examples=100, deadline=None)
     def test_warm_sweep_equals_cold_solves(self, case):
         inst, r_values = case
-        cold = []
-        for r in r_values:
-            try:
-                cold.append(solve_centralized(with_range_limit(inst, r)))
-            except InfeasibleProblemError:
-                break
+        cold = cold_solves(inst, r_values)
         solved = r_values[:len(cold)]
-        if len(cold) < len(r_values):
-            # both routes stop at the same first infeasible R
-            with pytest.raises(InfeasibleProblemError,
-                               match=f"^R={r_values[len(cold)]:g} km: "):
-                sweep_range(inst, r_values)
         solutions = sweep_range(inst, solved)
         assert len(solutions) == len(solved)
         for r, sol, ref in zip(solved, solutions, cold):
@@ -426,6 +464,54 @@ class TestRangeSweep:
             plan = AssignmentPlan(at_r.range_graph, sol.assignment.z)
             report = check_feasibility(at_r, sol.investment, plan, tol=1e-6)
             assert report.feasible, (r, report.residuals)
+
+    @example(case=(generate_instance(GenParams(n_locations=9, n_slots=24, seed=0,
+                                               range_km=8.0)), [0.0, 7.0, 3.0, 0.0, 3.0, 1.0, 0.0]))
+    @given(case=edgeless_sweep_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_edgeless_r_is_the_base_plan_and_highs_sees_only_changed_bounds(self, case):
+        inst, r_values = case
+        cold = cold_solves(inst, r_values)
+        r_values = r_values[:len(cold)]
+        at_r = [with_range_limit(inst, r) for r in r_values]
+        with calls_of(highspy._Highs, "run") as runs, \
+                calls_of(highspy._Highs, "changeColsBounds") as bound_changes:
+            solutions = sweep_range(inst, r_values)
+        has_edges = [r_inst.range_graph.n_edges > 0 for r_inst in at_r]
+        assert len(runs) == sum(has_edges)
+
+        # the columns of the widest R's LP, built with every edge open
+        graph = with_range_limit(inst, max(r_values, default=0.0)).range_graph
+        n, T, E = inst.n_locations, inst.n_slots, graph.n_edges
+        was_open, expected = np.ones(E, dtype=bool), []
+        for r_inst, sol, ref, edges in zip(at_r, solutions, cold, has_edges):
+            assert sol.cost.total == pytest.approx(ref.cost.total, rel=1e-9, abs=1e-9)
+            if not edges:
+                base = solve_base_model(r_inst)
+                np.testing.assert_array_equal(sol.investment.capacity, base.investment.capacity)
+                assert sol.stats["method"] == "base"
+                continue
+            is_open = np.isfinite(r_inst.assign_cost[graph.src, graph.dst])
+            flipped = np.flatnonzero(is_open != was_open)
+            if len(flipped):
+                cols = n + E * np.arange(T)[:, None] + flipped
+                ub = np.where(is_open[flipped], np.inf, 0.0)
+                expected.append((cols.ravel(), np.tile(ub, T)))
+            was_open = is_open
+        assert len(bound_changes) == len(expected)
+        for (_, count, cols, lower, upper), (want_cols, want_ub) in zip(bound_changes, expected):
+            assert count == len(want_cols)
+            np.testing.assert_array_equal(cols, want_cols)
+            np.testing.assert_array_equal(lower, 0.0)
+            np.testing.assert_array_equal(upper, want_ub)
+
+    def test_edgeless_sweep_builds_no_lp(self):
+        inst = generate_instance(GenParams(n_locations=3, n_slots=4, seed=0))
+        with calls_of(central, "build_lp") as builds:
+            [sol] = sweep_range(inst, [0.0])
+        assert builds == []
+        assert sol.stats["backend"] == "closed_form"
+        assert sol.cost == solve_base_model(with_range_limit(inst, 0.0)).cost
 
     def test_empty_r_list_solves_nothing(self):
         inst = generate_instance(GenParams(n_locations=3, n_slots=4, seed=0))

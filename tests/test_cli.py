@@ -782,7 +782,7 @@ class TestSweepR:
 
     def test_infeasible_r_is_named_and_nothing_written(self, tmp_path, capsys, instance_file):
         # caps at 0.9 of each own peak: R = 7 can redirect the excess, R = 0
-        # cannot, and the sweep stops there
+        # cannot, and the sweep stops there, on the closed-form baseline
         doc = json.loads(instance_file.read_text())
         demand = np.asarray(doc["alpha"]) * np.asarray(doc["flow"])
         doc["capacity_max"] = (0.9 * doc["beta"] * demand.max(axis=0)).tolist()
@@ -791,7 +791,8 @@ class TestSweepR:
         out = tmp_path / "sweep"
         assert run("--out", str(out), "sweep-r", str(path),
                    "--r-values", "7,0,3") == EXIT_INFEASIBLE
-        assert "infeasible: R=0 km: LP is infeasible" in capsys.readouterr().err
+        assert ("infeasible: R=0 km: the no-assignment plan breaks capacity_bounds"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_lp_failure_exit_4(self, tmp_path, instance_file):
