@@ -5,9 +5,13 @@ standard-form LP with numpy, one assignment column per slot and edge of the
 instance's :class:`~chargeplan.model.RangeGraph`.  Structural zeros (diagonal
 and range-forbidden pairs) have no column and no row, so the column space
 holds exactly the capacities plus the in-range assignments.  Rows the others
-imply are not written: the LP has ``1 + 2 * n * T`` rows.  The matrix is
-written straight into compressed sparse columns, the one layout that HiGHS
-reads and :mod:`chargeplan.mps` writes.
+imply are not written, and neither is a row with one entry, which is that
+column's upper bound: an origin with a single edge bounds its columns by its
+demand instead of writing FLOW rows.  The LP has ``1 + (n + n_flow) * T``
+rows, where ``n_flow`` counts the origins with two or more edges
+(:func:`flow_origins`).  The matrix is written straight into compressed
+sparse columns, the one layout that HiGHS reads and :mod:`chargeplan.mps`
+writes.
 
 Every solve goes through one HiGHS call path: :func:`highs_model` passes the
 LP, every row of it and the column arrays as built, to the HiGHS binding
@@ -24,10 +28,10 @@ always) has no assignment column, so ``solve_base_model`` solves it in
 closed form.  The widest R's LP is built once, when the first R with a
 pair in range comes; each such R rewrites the upper bounds of only the
 assignment columns whose range status changed since the last R solved
-(zero out of range), and HiGHS re-solves from the previous basis.  It
-returns one :class:`~chargeplan.model.Solution` per R.  The embedded dense
-simplex (:func:`chargeplan.simplex.solve_simplex`) is not a production
-backend; the tests use it as an independent oracle.
+(zero out of range, the built bound in it), and HiGHS re-solves from the
+previous basis.  It returns one :class:`~chargeplan.model.Solution` per R.
+The embedded dense simplex (:func:`chargeplan.simplex.solve_simplex`) is not
+a production backend; the tests use it as an independent oracle.
 
 ``solve_base_model`` is the no-assignment baseline the joint plan is compared
 with.  Every solution here returns through :func:`chargeplan.model.assess`, so
@@ -83,15 +87,25 @@ class StandardFormLP:
     graph: RangeGraph = field(repr=False)
 
 
+def flow_origins(graph: RangeGraph) -> np.ndarray:
+    """The origins that keep a FLOW row per slot, ascending: those with two
+    or more edges, in the order :func:`build_lp` writes their rows.  An
+    origin with one edge needs no row, as ``z[t, e] <= demand[t, i]`` is that
+    column's upper bound; one with no edge has an empty row, which no plan
+    can break."""
+    return np.flatnonzero(np.diff(graph.offsets) >= 2)
+
+
 def build_lp(instance: PlanningInstance) -> StandardFormLP:
     """Lower the joint problem to standard form, column by column.
 
-    Rows: one budget row, one flow-conservation row per (location, slot)
-    (``FLOW_i_t``: outflow fits under the demand), and one capacity row per
-    (location, slot) (``CAPU_i_t``: net demand fits under the installed
-    capacity).  Net demand >= 0 needs no row: flow conservation keeps the
-    outflow under the demand, and inflow is non-negative.  Capacity box
-    bounds fold into variable bounds.
+    Rows: one budget row, one flow-conservation row per slot of each
+    :func:`flow_origins` origin (``FLOW_i_t``: outflow fits under the
+    demand), and one capacity row per (location, slot) (``CAPU_i_t``: net
+    demand fits under the installed capacity).  Net demand >= 0 needs no
+    row: flow conservation keeps the outflow under the demand, and inflow is
+    non-negative.  Capacity box bounds, and the flow conservation of an
+    origin with a single edge, fold into variable bounds.
     """
     n, T = instance.n_locations, instance.n_slots
     graph = instance.range_graph
@@ -100,40 +114,52 @@ def build_lp(instance: PlanningInstance) -> StandardFormLP:
         raise ValueError(
             f"the LP would have {n_cols} columns, above the {MAX_LP_COLUMNS} supported"
         )
-    n_rows = 1 + 2 * n * T
+    origins = flow_origins(graph)
+    n_rows = 1 + (n + len(origins)) * T
     demand = instance.charging_demand
     beta = instance.beta
     # assignment column k is slot t[k] on edge (i[k], j[k])
     t = np.repeat(np.arange(T), graph.n_edges)
     i, j = np.tile(graph.src, T), np.tile(graph.dst, T)
 
-    # Row (location, slot) of each family sits at offset + location * T + slot.
-    flow0, capu0 = 1, 1 + n * T
+    # Row (location, slot) of each family sits at offset + rank * T + slot:
+    # a CAPU row's rank is its location, a FLOW row's its origin's place in
+    # ``origins``; an edge whose origin has none (rank -1) is its only edge
+    rank = np.full(n, -1)
+    rank[origins] = np.arange(len(origins))
+    flow0, capu0 = 1, 1 + len(origins) * T
+    bounded = rank[graph.src] < 0
     w = instance.unit_investment_cost
     # capacity column i: w_i in the budget row (sum_i w_i c_i <= budget), -1
     # in each of its T CAPU rows (beta*(inflow - outflow) - c_i <= -beta*demand)
     c_index = np.column_stack([np.zeros(n, dtype=int),
                                capu0 + np.arange(n * T).reshape(n, T)])
     c_vals = np.column_stack([w, np.full((n, T), -1.0)])
-    # assignment column: 1 in its FLOW row; unless beta = 0, also -beta in the
-    # origin's CAPU row at departure and beta in the destination's CAPU row
-    # at arrival, the lower-numbered location first
-    z_index, z_vals = [flow0 + i * T + t], [np.ones(len(t))]
+    # assignment column: 1 in its origin's FLOW row, if it has one; unless
+    # beta = 0, also -beta in the origin's CAPU row at departure and beta in
+    # the destination's CAPU row at arrival, the lower-numbered location first
+    z_index, z_vals = [flow0 + rank[i] * T + t], [np.ones(len(t))]
     if beta != 0.0:
         out_row = capu0 + i * T + t
         in_row = capu0 + j * T + graph.arrival.ravel()
         first = i < j
         z_index += [np.where(first, out_row, in_row), np.where(first, in_row, out_row)]
         z_vals += [np.where(first, -beta, beta), np.where(first, beta, -beta)]
-    start = np.concatenate([np.arange(n) * (1 + T),
-                            n * (1 + T) + np.arange(len(t) + 1) * len(z_index)])
-    index = np.concatenate([c_index.ravel(), np.column_stack(z_index).ravel()])
+    # a bounded edge's columns leave out their FLOW entry, the first of each
+    dropped = np.tile(bounded, T)
+    written = np.ones((len(t), len(z_index)), dtype=bool)
+    written[:, 0] = ~dropped
+    z_start = np.arange(len(t) + 1) * len(z_index)
+    z_start[1:] -= np.cumsum(dropped)
+    start = np.concatenate([np.arange(n) * (1 + T), n * (1 + T) + z_start])
+    index = np.concatenate([c_index.ravel(), np.column_stack(z_index)[written]])
 
     rhs = np.concatenate(
-        [[float(instance.budget)], demand.T.ravel(), (-beta * demand).T.ravel()]
+        [[float(instance.budget)], demand[:, origins].T.ravel(), (-beta * demand).T.ravel()]
     )
     ub = np.full(n_cols, np.inf)
     ub[:n] = instance.capacity_max
+    ub[n:].reshape(T, graph.n_edges)[:, bounded] = demand[:, graph.src[bounded]]
     obj = np.concatenate([w, np.outer(instance.recurrence, graph.cost).ravel()])
 
     return StandardFormLP(
@@ -141,7 +167,7 @@ def build_lp(instance: PlanningInstance) -> StandardFormLP:
         n_cols=n_cols,
         start=start.astype(np.int32),
         index=index.astype(np.int32),
-        vals=np.concatenate([c_vals.ravel(), np.column_stack(z_vals).ravel()]),
+        vals=np.concatenate([c_vals.ravel(), np.column_stack(z_vals)[written]]),
         rhs=rhs,
         ub=ub,
         obj=obj,
@@ -159,12 +185,15 @@ def _extract_plans(
 
 
 #: the options every solve runs with: no presolve, the dual simplex, the
-#: feasibility tolerances, and no log.  ``build_lp`` writes no implied row,
-#: so presolve found little to remove: the FLOW rows of locations with at
-#: most one out-edge and the CAPU rows no edge touches, 4 032 of 26 881 rows
-#: at 20 x 672.  Its reduced copy of the LP held about 20 MB at 20 x 672 and
-#: 90 MB at 40 x 672, and the simplex took about as many iterations without
-#: it (3 498 against 3 479 at 20 x 672; ``BENCH_presolve.json``)
+#: feasibility tolerances, and no log.  Presolve finds almost nothing to
+#: remove: ``build_lp`` writes no implied row and no one-entry FLOW row
+#: (Andersen & Andersen, *Presolving in linear programming*, 1995, turn such
+#: a row into a bound first).  What is left are the CAPU rows of a location
+#: no edge touches, ``c_i >= beta * demand[t, i]``, kept on purpose: as the
+#: one bound ``c_i >= own_peak`` they cost the simplex more iterations at
+#: 20 x 672 (``BENCH_rows.json``).  Presolve's reduced copy of the LP held
+#: about 20 MB at 20 x 672 and 90 MB at 40 x 672, and the simplex took about
+#: as many iterations without it (``BENCH_presolve.json``)
 _HIGHS_OPTIONS = {
     "presolve": "off",
     "simplex_strategy": int(highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
@@ -262,7 +291,8 @@ def sweep_range(instance: PlanningInstance, r_values) -> list[Solution]:
     first R with an edge comes, and every such R is solved on its one HiGHS
     handle from the previous solve's basis.  Before each solve only the
     assignment columns whose edge changed range status since the last R
-    HiGHS solved get a new upper bound: zero out of range, none in it.  Both
+    HiGHS solved get a new upper bound: zero out of range, and in it the
+    bound :func:`build_lp` gave it (its origin's demand, or none).  Both
     graphs are origin-major, so ``z[:, open_edges]`` is the plan on the R
     instance's own graph, which it is priced and judged against.
 
@@ -287,7 +317,7 @@ def sweep_range(instance: PlanningInstance, r_values) -> list[Solution]:
             flipped = np.flatnonzero(open_edges != was_open)
             if len(flipped):
                 cols = (n + graph.n_edges * np.arange(T)[:, None] + flipped).ravel()
-                ub = np.tile(np.where(open_edges[flipped], highspy.kHighsInf, 0.0), T)
+                ub = np.where(np.tile(open_edges[flipped], T), lp.ub[cols], 0.0)
                 highs.changeColsBounds(len(cols), cols.astype(np.int32), np.zeros(len(cols)), ub)
                 was_open = open_edges
             x, stats = solve_lp(lp, highs)
@@ -303,11 +333,13 @@ def solve_base_model(instance: PlanningInstance) -> Solution:
 
     With z fixed at zero the capacity constraint decouples per location and
     the optimum is ``c_i = beta * max_t(alpha * flow)``.  Equals the joint
-    model whenever every pair is out of range.  The plan is judged like any
-    other, by :func:`~chargeplan.model.check_feasibility` at 1e-6; when that
-    report is infeasible (a cap below a location's own peak, or a budget
-    below the plan's investment), ``InfeasibleProblemError`` names the first
-    family over the tolerance, its residual with the unit and the location.
+    model whenever every pair is out of range.  With z = 0 only a cap or the
+    budget can fail, and each is held to ``1e-9 * max(1, bound)``, the slack
+    within which HiGHS still finds the joint LP feasible, or to 1e-6 where
+    that is tighter.  A plan over it raises ``InfeasibleProblemError``, which
+    names the family, its residual with the unit and the location; any other
+    is judged like every plan, by :func:`~chargeplan.model.check_feasibility`
+    at 1e-6, which it then passes.
     """
     start = time.perf_counter()
     c = instance.own_peak
@@ -317,12 +349,14 @@ def solve_base_model(instance: PlanningInstance) -> Solution:
         "iterations": 0,
         "timings": {"wall_ms": 1000.0 * (time.perf_counter() - start)},
     }
-    solution = assess(instance, InvestmentPlan(c), AssignmentPlan.zeros(instance), 1e-6, stats)
-    report = solution.feasibility
-    if not report.feasible:
-        # with z = 0 and c at each own peak, only the budget or a cap can fail
-        name, r = next(item for item in report.residuals.items() if item[1].violation > report.tol)
-        unit, at = ("kW", f" at location {r.where[0]}") if r.where else ("currency", "")
+    cap, budget = instance.capacity_max, instance.budget
+    invest = float(c @ instance.unit_investment_cost)
+    if invest - budget > min(1e-6, 1e-9 * max(1.0, budget)):
         raise InfeasibleProblemError(
-            f"the no-assignment plan breaks {name} by {r.violation:.6g} {unit}{at}")
-    return solution
+            f"the no-assignment plan breaks budget by {invest - budget:.6g} currency")
+    over = np.where(c - cap > np.minimum(1e-6, 1e-9 * np.maximum(1.0, cap)), c - cap, 0.0)
+    if over.any():
+        k = int(np.argmax(over))
+        raise InfeasibleProblemError(
+            f"the no-assignment plan breaks capacity_bounds by {over[k]:.6g} kW at location {k}")
+    return assess(instance, InvestmentPlan(c), AssignmentPlan.zeros(instance), 1e-6, stats)

@@ -6,6 +6,8 @@ double exactly; modern solvers read the widened layout as free-format MPS).
 This module alone makes the names, which encode their model meaning
 losslessly, 1-based: ``C_<i>`` for capacities and ``Z_<i>_<j>_<t>`` for
 assignments; ``BUDGET``, ``FLOW_<i>_<t>`` and ``CAPU_<i>_<t>`` for rows.
+An origin with one edge has no FLOW row: its ``Z`` columns carry an ``UP``
+bound, its demand, in the BOUNDS section, as the capacities do.
 MPS lists the matrix column by column, as :class:`StandardFormLP` holds it:
 the writer walks the columns' ``start`` offsets.  HiGHS reads the file back
 into the same arrays, less the matrix entries at or below its
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .central import StandardFormLP
+from .central import StandardFormLP, flow_origins
 
 
 def _fmt(v: float) -> str:
@@ -35,11 +37,12 @@ def col_names(lp: StandardFormLP) -> list[str]:
 
 
 def row_names(lp: StandardFormLP) -> list[str]:
-    """The LP's row names in row order."""
+    """The LP's row names in row order: FLOW rows for the
+    :func:`~chargeplan.central.flow_origins` only."""
     n, T = lp.graph.n_locations, lp.graph.n_slots
     return (
         ["BUDGET"]
-        + [f"FLOW_{a + 1}_{s + 1}" for a in range(n) for s in range(T)]
+        + [f"FLOW_{a + 1}_{s + 1}" for a in flow_origins(lp.graph).tolist() for s in range(T)]
         + [f"CAPU_{a + 1}_{s + 1}" for a in range(n) for s in range(T)]
     )
 

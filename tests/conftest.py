@@ -16,6 +16,7 @@ from chargeplan.model import (
     FORBIDDEN,
     AssignmentPlan,
     InfeasibleProblemError,
+    InvestmentPlan,
     PlanningInstance,
     Solution,
     _plan_graph,
@@ -251,6 +252,63 @@ def solve_with_simplex(instance: PlanningInstance) -> Solution:
     assert res.status == "optimal", res.status
     inv, asg = _extract_plans(instance, res.x)
     return assess(instance, inv, asg, 1e-6, {})
+
+
+def model_lp(instance: PlanningInstance):
+    """The joint LP written from the model's definition, dense, with none of
+    ``build_lp``'s reductions: ``min obj @ x`` over ``A x <= b``, ``x >= 0``.
+
+    Columns are the n capacities, then ``z[t, i, j]`` for every slot and
+    every pair :func:`forbidden` allows, slot-major; the pairs are returned
+    as ``(src, dst)``.  Rows: the budget (left out when unbounded); a FLOW
+    row per (location, slot), outflow <= demand; a CAPU row per (location,
+    slot), beta * net demand <= c_i; a row per (location, slot) keeping net
+    demand >= 0; and ``c_i <= capacity_max_i``.  A shipment on (i, j)
+    leaving in slot t reaches j in slot ``(t + delay[i, j]) % T``.
+    """
+    n, T = instance.n_locations, instance.n_slots
+    src, dst = np.nonzero(~forbidden(instance))
+    E = len(src)
+    demand, beta = instance.charging_demand, instance.beta
+
+    def z_col(t, e):
+        return n + t * E + e
+
+    # out[i, t] and into[i, t]: the vehicles leaving and reaching location i
+    # in slot t, as rows over x
+    out, into = np.zeros((2, n, T, n + T * E))
+    for t in range(T):
+        for e, (i, j) in enumerate(zip(src, dst)):
+            out[i, t, z_col(t, e)] = 1.0
+            into[j, (t + instance.delay[i, j]) % T, z_col(t, e)] = 1.0
+    capu = beta * (into - out)
+    capu[:, :, :n] -= np.eye(n)[:, None, :]
+    budget = np.concatenate([instance.unit_investment_cost, np.zeros(T * E)])
+    A = np.vstack([budget[None, :], out.reshape(n * T, -1), capu.reshape(n * T, -1),
+                   (out - into).reshape(n * T, -1), np.eye(n, n + T * E)])
+    b = np.concatenate([[instance.budget], demand.T.ravel(), -beta * demand.T.ravel(),
+                        demand.T.ravel(), instance.capacity_max])
+    if not np.isfinite(instance.budget):
+        A, b = A[1:], b[1:]
+    obj = np.concatenate([instance.unit_investment_cost,
+                          (instance.recurrence[:, None] * instance.assign_cost[src, dst]).ravel()])
+    return obj, A, b, (src, dst)
+
+
+def solve_model_lp(instance: PlanningInstance) -> Solution:
+    """:func:`model_lp` solved by the embedded dense simplex, its plan read
+    back onto the instance's range graph and judged at 1e-6."""
+    obj, A, b, (src, dst) = model_lp(instance)
+    res = solve_simplex(obj, A, b)
+    if res.status == "infeasible":
+        raise InfeasibleProblemError("LP is infeasible")
+    assert res.status == "optimal", res.status
+    n, T = instance.n_locations, instance.n_slots
+    z = np.zeros((T, n, n))
+    z[:, src, dst] = np.maximum(res.x[n:], 0.0).reshape(T, len(src))
+    graph = instance.range_graph
+    asg = AssignmentPlan(graph, z[:, graph.src, graph.dst])
+    return assess(instance, InvestmentPlan(np.maximum(res.x[:n], 0.0)), asg, 1e-6, {})
 
 
 @pytest.fixture

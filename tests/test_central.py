@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize._highspy import _core as highspy
@@ -28,16 +29,20 @@ from chargeplan.model import (
     evaluate_objective,
 )
 
-from chargeplan.mps import col_names, row_names
+from chargeplan.mps import col_names, row_names, write_mps
 
 from conftest import (
+    DELAYED_CLOCKS,
+    DELAYED_SEEDS,
     brute_force_integer_optimum,
     edge_cases,
     forbidden,
+    highs_read,
     lp_matrix,
     make_instance,
     net_demand_matrix,
     random_instance,
+    solve_model_lp,
     solve_with_simplex,
 )
 
@@ -88,9 +93,10 @@ class TestBuildLp:
         # one capacity column, no assignment cells (diagonal is structural zero)
         assert lp.n_cols == 1
         assert col_names(lp) == ["C_1"]
-        # budget + flow + capacity-satisfaction row
-        assert lp.n_rows == 3
-        assert row_names(lp) == ["BUDGET", "FLOW_1_1", "CAPU_1_1"]
+        # budget + capacity-satisfaction row; a location with no edge
+        # ships nothing, so its flow row would be empty and is not written
+        assert lp.n_rows == 2
+        assert row_names(lp) == ["BUDGET", "CAPU_1_1"]
 
     def test_forbidden_pairs_removed_as_variables_not_rows(self):
         cost = np.array(
@@ -102,8 +108,14 @@ class TestBuildLp:
         assert lp.n_cols == 3 + 10
         assert "Z_2_3_1" not in col_names(lp)
         assert "Z_2_3_2" not in col_names(lp)
-        # the row count is independent of which pairs are forbidden
-        assert lp.n_rows == 1 + 2 * 2 * 3
+        # location 2 keeps one edge, to location 1: its flow rows become
+        # that edge's column bounds, so only locations 1 and 3 have FLOW rows
+        assert lp.n_rows == 1 + (3 + 2) * 2
+        assert [name for name in row_names(lp) if name.startswith("FLOW")] == [
+            "FLOW_1_1", "FLOW_1_2", "FLOW_3_1", "FLOW_3_2"]
+        ub = dict(zip(col_names(lp), lp.ub))
+        assert (ub["Z_2_1_1"], ub["Z_2_1_2"]) == (1.0, 1.0)
+        assert ub["Z_1_2_1"] == np.inf
 
     def test_budget_row_coefficients(self):
         inst = make_instance(
@@ -296,12 +308,13 @@ class TestSolveCentralized:
 
 
 class TestRowsPresolveWouldRemove:
-    """Without presolve HiGHS also solves the rows presolve would have
-    removed: the FLOW rows of location 1, which has no out-edge, and of
-    location 0, which has one; and the CAPU rows of location 3, which no
-    edge touches (and of every location when beta = 0).  Location 2 has two
-    out-edges.  HiGHS must agree with the dense simplex on each case, and
-    on which cases are infeasible."""
+    """``build_lp`` writes no row presolve would remove at once: location 1
+    has no out-edge, so no FLOW row, and location 0 has one, so its FLOW
+    rows are that edge's column bounds.  Location 2 has two out-edges and
+    keeps its FLOW rows.  The CAPU rows of location 3, which no edge
+    touches (and of every location when beta = 0), are kept.  HiGHS must
+    agree with the dense simplex on each case, and on which cases are
+    infeasible."""
 
     FLOW = [[9.0, 1.0, 2.0, 4.0], [1.0, 8.0, 7.0, 5.0], [3.0, 2.0, 9.0, 1.0]]
     COST = [[0.0, 0.3, FORBIDDEN, FORBIDDEN],
@@ -310,6 +323,29 @@ class TestRowsPresolveWouldRemove:
             [FORBIDDEN, FORBIDDEN, FORBIDDEN, 0.0]]
     #: the investment of the optimum with an unbounded budget and no cap
     INVESTMENT = 92.625
+
+    def instance(self, beta=1.5, budget=np.inf, capacity_max=np.full(4, 1e9)):
+        return make_instance(
+            np.array(self.FLOW), beta=beta, assign_cost=self.COST,
+            delay=[[0, 1, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0]],
+            base_cost=2.0, location_cost=[0.5, 0.0, 1.0, 0.25],
+            budget=budget * self.INVESTMENT, capacity_max=capacity_max,
+        )
+
+    def test_mps_names_the_rows_written_and_bounds_the_single_edge(self, tmp_path):
+        lp = build_lp(self.instance())
+        path = tmp_path / "presolve.mps"
+        write_mps(lp, path)
+        back = highs_read(path).getLp()
+        T = len(self.FLOW)
+        assert back.row_names_ == (["BUDGET"] + [f"FLOW_3_{t}" for t in range(1, T + 1)]
+                                   + [f"CAPU_{i}_{t}" for i in range(1, 5)
+                                      for t in range(1, T + 1)])
+        upper = dict(zip(back.col_names_, back.col_upper_))
+        assert [upper[f"Z_1_2_{t + 1}"] for t in range(T)] == [row[0] for row in self.FLOW]
+        assert [upper[f"Z_3_{j}_{t}"] for j in (1, 2) for t in range(1, T + 1)] == [np.inf] * 2 * T
+        text = path.read_text()
+        assert text.count(" UP BND           Z_") == T
 
     @pytest.mark.parametrize("budget", [0.99, 0.9, np.inf, 0.0],
                              ids=["budget", "low", "unbounded", "zero"])
@@ -323,12 +359,7 @@ class TestRowsPresolveWouldRemove:
             # below the location's own peak at beta 1.5: only shipping
             # vehicles out helps
             capacity_max[capped] = cap * 1.5 * flow[:, capped].max()
-        inst = make_instance(
-            flow, beta=beta, assign_cost=self.COST,
-            delay=[[0, 1, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0]],
-            base_cost=2.0, location_cost=[0.5, 0.0, 1.0, 0.25],
-            budget=budget * self.INVESTMENT, capacity_max=capacity_max,
-        )
+        inst = self.instance(beta, budget, capacity_max)
 
         def solve(solver):
             try:
@@ -355,7 +386,9 @@ class TestBackendsDifferential:
     @settings(max_examples=100, deadline=None)
     def test_simplex_and_highs_agree_on_feasible_plans(self, inst):
         n, T = inst.n_locations, inst.n_slots
-        assert build_lp(inst).n_rows == 1 + 2 * n * T
+        # a FLOW row per slot of each origin with two or more pairs in range
+        n_flow = int(((~forbidden(inst)).sum(axis=1) >= 2).sum())
+        assert build_lp(inst).n_rows == 1 + (n + n_flow) * T
 
         def solve(solver):
             try:
@@ -373,6 +406,108 @@ class TestBackendsDifferential:
             assert report.feasible, report.residuals
             # net demand >= 0 holds without a row of its own
             assert net_demand_matrix(inst, sol.assignment).min() >= -1e-6
+
+
+def around_own_peak(draw, inst):
+    """``inst`` with its caps and budget drawn at 0.75-1.25 times the
+    no-assignment plan's, as in :func:`lp_instances`."""
+    peak = inst.own_peak
+    return dataclasses.replace(
+        inst, capacity_max=peak * draw(st.floats(0.75, 1.25)),
+        budget=float(inst.unit_investment_cost @ peak) * draw(st.floats(0.75, 1.25)))
+
+
+@st.composite
+def short_range_instances(draw):
+    """Generated instances at a 1-4 km range, so that some origins have one
+    pair in range or none."""
+    n, T = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+    inst = generate_instance(GenParams(n_locations=n, n_slots=T,
+                                       seed=draw(st.integers(0, 2**16)),
+                                       range_km=draw(st.floats(1.0, 4.0))))
+    return around_own_peak(draw, inst)
+
+
+@st.composite
+def delayed_instances(draw):
+    """Members of the delayed family on its 24-slot clock, cut to a 2-8 km
+    range; the dense simplex takes about a second on each."""
+    T, speed = DELAYED_CLOCKS[0]
+    inst = generate_instance(GenParams(n_locations=6, n_slots=T,
+                                       seed=draw(st.sampled_from(DELAYED_SEEDS)),
+                                       range_km=8.0, speed_kmh=speed))
+    return around_own_peak(draw, with_range_limit(inst, draw(st.floats(2.0, 8.0))))
+
+
+class TestReducedLpEqualsTheModel:
+    """HiGHS on ``build_lp``'s reduced LP against the dense simplex on the
+    LP written from the model's definition (``conftest.model_lp``), with
+    every FLOW row and no derived bound: the same optimum, within the
+    tolerances of ``TestBackendsDifferential``, and the same verdict on
+    which draws have no plan."""
+
+    @staticmethod
+    def assert_same(inst):
+        def solve(solver):
+            try:
+                return solver(inst)
+            except InfeasibleProblemError:
+                return None
+
+        a, b = solve(solve_model_lp), solve(solve_centralized)
+        assert (a is None) == (b is None), "only one LP is infeasible"
+        if a is None:
+            return
+        assert a.cost.total == pytest.approx(b.cost.total, abs=1e-6, rel=1e-7)
+        for sol in (a, b):
+            assert sol.feasibility.feasible, sol.feasibility.residuals
+
+    @given(inst=st.one_of(lp_instances(), short_range_instances()))
+    @settings(max_examples=100, deadline=None)
+    def test_on_tiny_and_short_range_instances(self, inst):
+        self.assert_same(inst)
+
+    @given(inst=delayed_instances())
+    @settings(max_examples=8, deadline=None)
+    def test_on_the_delayed_family(self, inst):
+        self.assert_same(inst)
+
+
+class TestDualBound:
+    """At HiGHS's row duals the Lagrangian bound of the reduced LP equals its
+    optimum, which holds only if HiGHS solved the LP with the bounds that
+    replace the one-entry FLOW rows."""
+
+    @staticmethod
+    def assert_bound_is_the_optimum(inst):
+        lp = build_lp(inst)
+        highs = highs_model(lp)
+        highs.run()
+        assert highs.getModelStatus() == highspy.HighsModelStatus.kOptimal
+        y = -np.array(highs.getSolution().row_dual)
+        assert y.min() >= -1e-9
+        # the CSC arrays read as a sparse matrix: lp_matrix's dense copy is
+        # 190 MB at 20 x 96
+        A = scipy.sparse.csc_matrix((lp.vals, lp.index, lp.start), shape=(lp.n_rows, lp.n_cols))
+        reduced = lp.obj + A.T @ y
+        # every z column is bounded by its origin's demand, as its FLOW row
+        # or its column bound implies
+        graph, n = lp.graph, inst.n_locations
+        ub = np.concatenate([inst.capacity_max, inst.charging_demand[:, graph.src].ravel()])
+        finite = np.isfinite(lp.ub)
+        np.testing.assert_array_equal(lp.ub[finite], ub[finite])
+        bound = -lp.rhs @ y + np.minimum(0.0, reduced) @ ub
+        optimum = highs.getInfo().objective_function_value
+        assert bound == pytest.approx(optimum, rel=1e-9)
+
+    def test_on_a_generated_instance_with_single_edge_origins(self):
+        inst = generate_instance(GenParams(n_locations=20, n_slots=96, seed=0))
+        # four origins with one edge and one with none write no FLOW row
+        assert np.bincount(np.diff(inst.range_graph.offsets))[:2].tolist() == [1, 4]
+        self.assert_bound_is_the_optimum(inst)
+
+    def test_on_the_delayed_family(self, delayed):
+        self.assert_bound_is_the_optimum(delayed)
 
 
 @st.composite
@@ -415,6 +550,30 @@ def edgeless_sweep_cases(draw):
     for _ in range(draw(st.integers(1, 2))):
         r_values.insert(draw(st.integers(0, len(r_values))), 0.0)
     return inst, r_values
+
+
+@st.composite
+def single_edge_sweep_cases(draw):
+    """A generated instance and the R list (wide, narrow, wide): at the wide
+    R one origin has a single pair in range, and the narrow R closes it
+    while another pair stays in range, under caps and a budget around the
+    no-assignment plan."""
+    n, T = draw(st.integers(3, 6)), draw(st.integers(1, 6))
+    inst = generate_instance(GenParams(n_locations=n, n_slots=T,
+                                       seed=draw(st.integers(0, 2**16)), range_km=20.0))
+    distance = inst.distance + np.diag(np.full(n, np.inf))
+    nearest = np.sort(distance, axis=1)
+    i = draw(st.integers(0, n - 1))
+    # R = the second-nearest distance admits only the nearest (range is strict)
+    wide, narrow = float(nearest[i, 1]), float(nearest[i, 0])
+    assume(narrow < wide and distance.min() < narrow)
+    peak = inst.own_peak
+    inst = dataclasses.replace(
+        inst,
+        capacity_max=peak * draw(st.floats(0.8, 1.3)),
+        budget=float(inst.unit_investment_cost @ peak) * draw(st.floats(0.8, 1.3)),
+    )
+    return inst, [wide, narrow, wide]
 
 
 @contextlib.contextmanager
@@ -495,8 +654,11 @@ class TestRangeSweep:
             flipped = np.flatnonzero(is_open != was_open)
             if len(flipped):
                 cols = n + E * np.arange(T)[:, None] + flipped
-                ub = np.where(is_open[flipped], np.inf, 0.0)
-                expected.append((cols.ravel(), np.tile(ub, T)))
+                # re-opened: the demand of an origin with this one edge, or none
+                single = (np.bincount(graph.src, minlength=n) == 1)[graph.src[flipped]]
+                demand = r_inst.charging_demand[:, graph.src[flipped]]
+                ub = np.where(is_open[flipped], np.where(single, demand, np.inf), 0.0)
+                expected.append((cols.ravel(), ub.ravel()))
             was_open = is_open
         assert len(bound_changes) == len(expected)
         for (_, count, cols, lower, upper), (want_cols, want_ub) in zip(bound_changes, expected):
@@ -504,6 +666,27 @@ class TestRangeSweep:
             np.testing.assert_array_equal(cols, want_cols)
             np.testing.assert_array_equal(lower, 0.0)
             np.testing.assert_array_equal(upper, want_ub)
+
+    @given(case=single_edge_sweep_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_a_closed_single_edge_reopens_to_its_demand_bound(self, case):
+        inst, r_values = case
+        cold = cold_solves(inst, r_values)
+        handles = []
+
+        def kept(lp):
+            handles.append((lp, highs_model(lp)))
+            return handles[-1][1]
+
+        with mock.patch.object(central, "highs_model", kept):
+            solutions = sweep_range(inst, r_values[:len(cold)])
+        for sol, ref in zip(solutions, cold):
+            assert sol.cost.total == pytest.approx(ref.cost.total, rel=1e-9, abs=1e-9)
+        if len(solutions) == len(r_values):
+            # the last R is the widest again: every column is back at its bound
+            [(lp, highs)] = handles
+            assert np.isfinite(lp.ub[inst.n_locations:]).any()
+            np.testing.assert_array_equal(highs.getLp().col_upper_, lp.ub)
 
     def test_edgeless_sweep_builds_no_lp(self):
         inst = generate_instance(GenParams(n_locations=3, n_slots=4, seed=0))
@@ -561,17 +744,36 @@ class TestBaseModel:
         joint = solve_centralized(inst)
         assert joint.cost.total == pytest.approx(base.cost.total, abs=1e-9)
 
-    # one peak of 20 kW at a unit cost of 1, so the plan invests 20: a cap and
-    # a budget 5e-7 below it lie inside check_feasibility's 1e-6
+    # one peak of 20 kW at a unit cost of 1, so the plan invests 20: a cap or
+    # a budget 5e-7 below it lies inside check_feasibility's 1e-6 but outside
+    # 1e-9 * 20; one 5e-9 below lies inside both
+    @pytest.mark.parametrize("bound", ["capacity_max", "budget"])
+    @pytest.mark.parametrize("below, refused", [(5e-7, True), (5e-9, False)])
+    def test_refuses_where_the_lp_does(self, bound, below, refused):
+        value = [20.0 - below] if bound == "capacity_max" else 20.0 - below
+        inst = make_instance([[10.0]], beta=2.0, **{bound: value})
+        if refused:
+            for solver in (solve_base_model, solve_centralized):
+                with pytest.raises(InfeasibleProblemError):
+                    solver(inst)
+            return
+        for solver in (solve_base_model, solve_centralized):
+            sol = solver(inst)
+            assert sol.investment.capacity[0] == pytest.approx(20.0, abs=1e-12)
+            assert sol.feasibility.feasible
+
     @example(case=(make_instance([[10.0]], beta=2.0), None), cap_offset=-5e-7, budget_offset=1.0)
     @example(case=(make_instance([[10.0]], beta=2.0), None), cap_offset=1.0, budget_offset=-5e-7)
+    @example(case=(make_instance([[10.0]], beta=2.0), None), cap_offset=-5e-9, budget_offset=-5e-9)
     @example(case=(make_instance([[10.0]], beta=2.0), None), cap_offset=-2e-6, budget_offset=1.0)
     @given(case=edge_cases(),
            cap_offset=st.one_of(st.floats(-3e-6, 3e-6), st.floats(-10.0, 10.0)),
            budget_offset=st.one_of(st.floats(-3e-6, 3e-6), st.floats(-10.0, 10.0)))
     @settings(max_examples=100, deadline=None)
     def test_raises_exactly_when_its_plan_is_infeasible(self, case, cap_offset, budget_offset):
-        # caps and budget drawn around the own-peak plan c = beta * max demand, z = 0
+        # caps and budget drawn around the own-peak plan c = beta * max demand,
+        # z = 0; a cap or the budget broken by more than 1e-9 * max(1, bound),
+        # or by more than the check's 1e-6, refuses it
         inst, _ = case
         peak = inst.beta * inst.charging_demand.max(axis=0)
         invest = float(peak @ inst.unit_investment_cost)
@@ -579,7 +781,10 @@ class TestBaseModel:
                                    budget=max(invest + budget_offset, 0.0))
         inv, asg = InvestmentPlan(peak), AssignmentPlan.zeros(inst)
         report = check_feasibility(inst, inv, asg, tol=1e-6)
-        if not report.feasible:
+        cap, budget = inst.capacity_max, inst.budget
+        broken = (np.any(peak - cap > 1e-9 * np.maximum(1.0, cap))
+                  or invest - budget > 1e-9 * max(1.0, budget))
+        if broken or not report.feasible:
             with pytest.raises(InfeasibleProblemError):
                 solve_base_model(inst)
             return

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from scipy.optimize._highspy import _core as highspy
 
 from chargeplan.central import _HIGHS_OPTIONS, build_lp, solve_lp
+from chargeplan.datagen import GenParams, generate_instance
 from chargeplan.mps import col_names, row_names, write_mps
 
 from conftest import edge_cases, highs_read, make_instance, random_instance
@@ -110,6 +111,24 @@ def test_round_trip_solves_to_same_objective(tmp_path):
     lp = build_lp(random_instance(rng))
     path = tmp_path / "solve.mps"
     write_mps(lp, path)
+    highs = highs_read(path)
+    for name, value in _HIGHS_OPTIONS.items():
+        highs.setOptionValue(name, value)
+    x1, s1 = solve_lp(lp)
+    x2, s2 = solve_lp(lp, highs)
+    np.testing.assert_array_equal(x2, x1)
+    assert s2["lp_objective"] == s1["lp_objective"]
+
+
+def test_round_trip_on_a_generated_instance_with_single_edge_origins(tmp_path):
+    # four origins with one edge carry their demand as UP bounds and one
+    # with none has no row: HiGHS reads the file back exactly and solves it
+    # to the point of the LP handed to it directly
+    lp = build_lp(generate_instance(GenParams(n_locations=20, n_slots=96, seed=0)))
+    assert np.isfinite(lp.ub[20:]).sum() == 4 * 96
+    path = tmp_path / "generated.mps"
+    write_mps(lp, path)
+    assert_read_back_exactly(path, lp)
     highs = highs_read(path)
     for name, value in _HIGHS_OPTIONS.items():
         highs.setOptionValue(name, value)
