@@ -62,14 +62,18 @@ import numpy as np
 from .io import write_table
 from .model import (
     AssignmentPlan,
-    InfeasibleProblemError,
     InvestmentPlan,
     PlanningInstance,
     RangeGraph,
     Solution,
     assess,
     evaluate_objective,
+    refuse_broken_bounds,
 )
+
+#: The tolerance of the check a plan :func:`run_admm` returns is judged by;
+#: agreement on a plan that fails it is not convergence.
+CHECK_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -247,34 +251,6 @@ def _location_workers(
     return table, workers
 
 
-def _refuse_proven_infeasible(instance: PlanningInstance) -> None:
-    """Raise :class:`InfeasibleProblemError` on a proof, from the locations
-    that can ship nothing, that the instance has no plan.
-
-    A location with no out-edge keeps all of its own demand, and inflow only
-    adds to it, so it needs at least its own peak, ``beta * max_t demand``.
-    Such a floor above the location's ``capacity_max``, or the investment in
-    those floors alone above the budget, proves the model infeasible.  These
-    are the only cases :func:`run_admm` reports as infeasible; an instance it
-    cannot solve otherwise ends as not converged.
-    """
-    floor = np.where(np.diff(instance.range_graph.offsets) == 0, instance.own_peak, 0.0)
-    cap = instance.capacity_max
-    over = floor > cap + 1e-9 * np.maximum(1.0, cap)
-    if over.any():
-        i = int(np.argmax(over))
-        raise InfeasibleProblemError(
-            f"location {i} has no location in range, and its own peak needs "
-            f"{floor[i]:.6g} kW, above its {cap[i]:.6g} kW bound"
-        )
-    invest = float(instance.unit_investment_cost @ floor)
-    if invest > instance.budget + 1e-9 * max(1.0, instance.budget):
-        raise InfeasibleProblemError(
-            f"the own peaks of the locations with no location in range cost "
-            f"{invest:.6g}, above the {instance.budget:.6g} budget"
-        )
-
-
 def receiver_slack(
     instance: PlanningInstance, c_tilde: np.ndarray, load: np.ndarray
 ) -> np.ndarray:
@@ -371,21 +347,27 @@ def run_admm(
 
     ``converged`` means both residuals reached the threshold, so the
     workers' capacities and the master's agree, and the agreed plan passes
-    :func:`~chargeplan.model.check_feasibility` at 1e-4.  Agreement on a
-    plan that fails the check ends the run with ``converged=False``, and
-    the agreed iterate, not the best one, is returned.  This
-    certifies consensus, not optimality.  On the default generated
-    instances ADMM stops 11-31% above the LP optimum, and on two locations
-    with staggered peaks (each covering its own) it converges after one
-    iteration 100% above it.
+    :func:`~chargeplan.model.check_feasibility` at :data:`CHECK_TOL`.
+    Agreement on a plan that fails the check ends the run with
+    ``converged=False``, and the agreed iterate, not the best one, is
+    returned.  This certifies consensus, not optimality.  On the default
+    generated instances ADMM stops 11-31% above the LP optimum, and on two
+    locations with staggered peaks (each covering its own) it converges
+    after one iteration 100% above it.
 
-    Raises :class:`~chargeplan.model.InfeasibleProblemError` only on
-    :func:`_refuse_proven_infeasible`'s proof, before the first iteration.
+    Raises :class:`~chargeplan.model.InfeasibleProblemError` only before
+    the first iteration, when the own peaks of the locations with no
+    out-edge break a cap or the budget
+    (:func:`~chargeplan.model.refuse_broken_bounds`).
     """
     cfg = config or AdmmConfig()
-    _refuse_proven_infeasible(instance)
     n, T = instance.n_locations, instance.n_slots
     graph = instance.range_graph
+    # a location that can ship nothing keeps its own demand, and inflow only
+    # adds to it, so every plan gives it at least its own peak: a proof
+    floor = np.where(np.diff(graph.offsets) == 0, instance.own_peak, 0.0)
+    refuse_broken_bounds(instance, floor, "the own-peak floor of the locations "
+                         "with no location in range")
     table, workers = _location_workers(instance, cfg.rho)
     demand = instance.charging_demand
 
@@ -459,6 +441,6 @@ def run_admm(
         "budget_binding": budget_binding,
     }
     solution = assess(instance, InvestmentPlan(c_final), AssignmentPlan(graph, z_final),
-                      1e-4, stats)
+                      CHECK_TOL, stats)
     stats["converged"] = consensus and solution.feasibility.feasible
     return solution, history

@@ -48,6 +48,7 @@ from scipy.optimize._highspy import _core as highspy
 
 from .datagen import with_range_limit
 from .model import (
+    BOUND_TOL,
     AssignmentPlan,
     ConvergenceError,
     InfeasibleProblemError,
@@ -56,6 +57,7 @@ from .model import (
     RangeGraph,
     Solution,
     assess,
+    refuse_broken_bounds,
 )
 
 #: Most columns :func:`build_lp` lowers an instance to; a larger one is an
@@ -197,7 +199,7 @@ def _extract_plans(
 _HIGHS_OPTIONS = {
     "presolve": "off",
     "simplex_strategy": int(highspy.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
-    "primal_feasibility_tolerance": 1e-8,
+    "primal_feasibility_tolerance": BOUND_TOL,
     "dual_feasibility_tolerance": 1e-7,
     "output_flag": False,
 }
@@ -334,29 +336,20 @@ def solve_base_model(instance: PlanningInstance) -> Solution:
     With z fixed at zero the capacity constraint decouples per location and
     the optimum is ``c_i = beta * max_t(alpha * flow)``.  Equals the joint
     model whenever every pair is out of range.  With z = 0 only a cap or the
-    budget can fail, and each is held to ``1e-9 * max(1, bound)``, the slack
-    within which HiGHS still finds the joint LP feasible, or to 1e-6 where
-    that is tighter.  A plan over it raises ``InfeasibleProblemError``, which
-    names the family, its residual with the unit and the location; any other
-    is judged like every plan, by :func:`~chargeplan.model.check_feasibility`
-    at 1e-6, which it then passes.
+    budget can fail: :func:`~chargeplan.model.refuse_broken_bounds` raises
+    ``InfeasibleProblemError`` when one is broken by more than
+    :data:`~chargeplan.model.BOUND_TOL` (1e-8), the primal feasibility
+    tolerance of the central LP, so the two refuse the same instances.  Any
+    other plan is judged like every plan, by
+    :func:`~chargeplan.model.check_feasibility` at 1e-6, which it then passes.
     """
     start = time.perf_counter()
     c = instance.own_peak
+    refuse_broken_bounds(instance, c, "the no-assignment plan")
     stats = {
         "method": "base",
         "backend": "closed_form",
         "iterations": 0,
         "timings": {"wall_ms": 1000.0 * (time.perf_counter() - start)},
     }
-    cap, budget = instance.capacity_max, instance.budget
-    invest = float(c @ instance.unit_investment_cost)
-    if invest - budget > min(1e-6, 1e-9 * max(1.0, budget)):
-        raise InfeasibleProblemError(
-            f"the no-assignment plan breaks budget by {invest - budget:.6g} currency")
-    over = np.where(c - cap > np.minimum(1e-6, 1e-9 * np.maximum(1.0, cap)), c - cap, 0.0)
-    if over.any():
-        k = int(np.argmax(over))
-        raise InfeasibleProblemError(
-            f"the no-assignment plan breaks capacity_bounds by {over[k]:.6g} kW at location {k}")
     return assess(instance, InvestmentPlan(c), AssignmentPlan.zeros(instance), 1e-6, stats)

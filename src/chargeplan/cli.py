@@ -49,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from . import central, io
-from .admm import AdmmConfig, run_admm, write_convergence_csv
+from .admm import CHECK_TOL, AdmmConfig, run_admm, write_convergence_csv
 from .central import solve_base_model, solve_centralized, sweep_range
 from .datagen import HORIZON_HOURS, EconParams, GenParams, generate_instance
 from .ingest import (
@@ -246,7 +246,8 @@ def cmd_solve(args, config: dict) -> int:
             # residuals at the threshold: run_admm returns the agreed iterate
             last = history[-1]
             agreed = max(last.q_primal, last.q_dual) <= admm.threshold
-            failing = "" if solution.feasibility.feasible else ", which fails the check at 1e-4"
+            tol = np.format_float_scientific(CHECK_TOL, trim="-", exp_digits=1)
+            failing = "" if solution.feasibility.feasible else f", which fails the check at {tol}"
             raise ConvergenceError(
                 f"{'agreed' if agreed else 'best'} iterate after {solution.stats['iterations']} "
                 f"iterations (Q_primal={last.q_primal:.3g}){failing}"

@@ -26,6 +26,12 @@ import numpy as np
 #: (distance at or beyond the range limit).
 FORBIDDEN = math.inf
 
+#: The slack within which a capacity cap or the budget still holds.  HiGHS
+#: solves the central LP at this primal feasibility tolerance, so every
+#: method that refuses a broken bound (:func:`refuse_broken_bounds`) refuses
+#: the instances the LP does.
+BOUND_TOL = 1e-8
+
 
 class InfeasibleProblemError(Exception):
     """Raised when a solve path proves the instance has no feasible plan."""
@@ -433,3 +439,19 @@ def assess(instance: PlanningInstance, inv: InvestmentPlan, asg: AssignmentPlan,
     all.  An infeasible report is returned, not raised; the caller decides."""
     cost = evaluate_objective(instance, inv, asg)
     return Solution(inv, asg, cost, check_feasibility(instance, inv, asg, tol), stats)
+
+
+def refuse_broken_bounds(instance: PlanningInstance, c: np.ndarray, plan: str) -> None:
+    """Raise :class:`InfeasibleProblemError` when the capacities ``c`` pass
+    the budget, or a cap, by more than :data:`BOUND_TOL`.  The message
+    starts with ``plan`` and names the family, the amount with its unit and,
+    for a cap, the location of the largest breach."""
+    invest = float(c @ instance.unit_investment_cost)
+    if invest - instance.budget > BOUND_TOL:
+        raise InfeasibleProblemError(
+            f"{plan} breaks budget by {invest - instance.budget:.6g} currency")
+    over = c - instance.capacity_max
+    k = int(np.argmax(over))
+    if over[k] > BOUND_TOL:
+        raise InfeasibleProblemError(
+            f"{plan} breaks capacity_bounds by {over[k]:.6g} kW at location {k}")

@@ -130,7 +130,8 @@ class TestSolveSubproblem:
         cost = np.full((1, 1), np.inf)
         np.fill_diagonal(cost, 0.0)
         inst = make_instance([[10.0]], beta=2.0, capacity_max=[5.0], assign_cost=cost)
-        with pytest.raises(InfeasibleProblemError, match="20 kW, above its 5 kW bound"):
+        with pytest.raises(InfeasibleProblemError,
+                           match="breaks capacity_bounds by 15 kW at location 0"):
             run_admm(inst)
         c, _ = subproblem_rows(inst, 0, 0.0, 0.0, np.zeros(1), rho=0.1)
         assert c == 5.0

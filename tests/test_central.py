@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize._highspy import _core as highspy
 
 from chargeplan import central
+from chargeplan.admm import run_admm
 from chargeplan.central import (
     build_lp,
     highs_model,
@@ -21,6 +22,7 @@ from chargeplan.central import (
 )
 from chargeplan.datagen import GenParams, generate_instance, with_range_limit
 from chargeplan.model import (
+    BOUND_TOL,
     FORBIDDEN,
     AssignmentPlan,
     InfeasibleProblemError,
@@ -744,36 +746,39 @@ class TestBaseModel:
         joint = solve_centralized(inst)
         assert joint.cost.total == pytest.approx(base.cost.total, abs=1e-9)
 
-    # one peak of 20 kW at a unit cost of 1, so the plan invests 20: a cap or
-    # a budget 5e-7 below it lies inside check_feasibility's 1e-6 but outside
-    # 1e-9 * 20; one 5e-9 below lies inside both
+    # one peak of 1, 20 or 1e4 kW at a unit cost of 1, so the plan invests
+    # as much: a cap or a budget 5e-7 below it lies inside check_feasibility's
+    # 1e-6 but outside BOUND_TOL; one 5e-9 below lies inside both
     @pytest.mark.parametrize("bound", ["capacity_max", "budget"])
     @pytest.mark.parametrize("below, refused", [(5e-7, True), (5e-9, False)])
     def test_refuses_where_the_lp_does(self, bound, below, refused):
-        value = [20.0 - below] if bound == "capacity_max" else 20.0 - below
-        inst = make_instance([[10.0]], beta=2.0, **{bound: value})
-        if refused:
+        for peak in (1.0, 20.0, 1e4):
+            value = [peak - below] if bound == "capacity_max" else peak - below
+            inst = make_instance([[peak / 2]], beta=2.0, **{bound: value})
             for solver in (solve_base_model, solve_centralized):
-                with pytest.raises(InfeasibleProblemError):
-                    solver(inst)
-            return
-        for solver in (solve_base_model, solve_centralized):
-            sol = solver(inst)
-            assert sol.investment.capacity[0] == pytest.approx(20.0, abs=1e-12)
-            assert sol.feasibility.feasible
+                if refused:
+                    with pytest.raises(InfeasibleProblemError):
+                        solver(inst)
+                    continue
+                sol = solver(inst)
+                assert sol.investment.capacity[0] == pytest.approx(peak, abs=1e-12)
+                assert sol.feasibility.feasible
 
     @example(case=(make_instance([[10.0]], beta=2.0), None), cap_offset=-5e-7, budget_offset=1.0)
     @example(case=(make_instance([[10.0]], beta=2.0), None), cap_offset=1.0, budget_offset=-5e-7)
     @example(case=(make_instance([[10.0]], beta=2.0), None), cap_offset=-5e-9, budget_offset=-5e-9)
     @example(case=(make_instance([[10.0]], beta=2.0), None), cap_offset=-2e-6, budget_offset=1.0)
+    @example(case=(make_instance([[10.0]], beta=2.0), None), cap_offset=-1.5e-8, budget_offset=1.0)
+    @example(case=(make_instance([[0.5]], beta=2.0), None), cap_offset=1.0, budget_offset=-5e-9)
     @given(case=edge_cases(),
-           cap_offset=st.one_of(st.floats(-3e-6, 3e-6), st.floats(-10.0, 10.0)),
-           budget_offset=st.one_of(st.floats(-3e-6, 3e-6), st.floats(-10.0, 10.0)))
+           cap_offset=st.one_of(st.floats(-3e-6, 3e-6), st.floats(-3e-8, 3e-8),
+                                st.floats(-10.0, 10.0)),
+           budget_offset=st.one_of(st.floats(-3e-6, 3e-6), st.floats(-3e-8, 3e-8),
+                                   st.floats(-10.0, 10.0)))
     @settings(max_examples=100, deadline=None)
     def test_raises_exactly_when_its_plan_is_infeasible(self, case, cap_offset, budget_offset):
         # caps and budget drawn around the own-peak plan c = beta * max demand,
-        # z = 0; a cap or the budget broken by more than 1e-9 * max(1, bound),
-        # or by more than the check's 1e-6, refuses it
+        # z = 0; a cap or the budget broken by more than BOUND_TOL refuses it
         inst, _ = case
         peak = inst.beta * inst.charging_demand.max(axis=0)
         invest = float(peak @ inst.unit_investment_cost)
@@ -782,8 +787,7 @@ class TestBaseModel:
         inv, asg = InvestmentPlan(peak), AssignmentPlan.zeros(inst)
         report = check_feasibility(inst, inv, asg, tol=1e-6)
         cap, budget = inst.capacity_max, inst.budget
-        broken = (np.any(peak - cap > 1e-9 * np.maximum(1.0, cap))
-                  or invest - budget > 1e-9 * max(1.0, budget))
+        broken = np.any(peak - cap > BOUND_TOL) or invest - budget > BOUND_TOL
         if broken or not report.feasible:
             with pytest.raises(InfeasibleProblemError):
                 solve_base_model(inst)
@@ -793,6 +797,67 @@ class TestBaseModel:
         assert not base.assignment.z.any()
         assert base.cost == evaluate_objective(inst, inv, asg)
         assert base.feasibility == report
+
+
+@st.composite
+def near_edgeless_instances(draw):
+    """Generated instances of 2-6 locations at a 0-3 km range, where most
+    locations have no pair in range."""
+    return generate_instance(GenParams(n_locations=draw(st.integers(2, 6)), n_slots=24,
+                                       seed=draw(st.integers(0, 2**16)),
+                                       range_km=draw(st.sampled_from([0.0, 1.0, 2.0, 3.0]))))
+
+
+def _generated_at_zero_range():
+    return generate_instance(GenParams(n_locations=6, n_slots=24, seed=0, range_km=0.0))
+
+
+class TestOneBoundRule:
+    """The base plan, the LP and ADMM's proof before its first iteration
+    refuse a broken cap or budget at one slack, BOUND_TOL."""
+
+    @example(inst=make_instance([[1e4]]), bound="capacity_max", pick=0, delta=5e-6)
+    @example(inst=make_instance([[1e4]]), bound="budget", pick=0, delta=5e-6)
+    @example(inst=make_instance([[1e4]]), bound="capacity_max", pick=0, delta=5e-9)
+    @example(inst=make_instance([[0.5]], beta=2.0), bound="capacity_max", pick=0, delta=5e-9)
+    @example(inst=_generated_at_zero_range(), bound="capacity_max", pick=0, delta=1e-7)
+    @example(inst=_generated_at_zero_range(), bound="capacity_max", pick=0, delta=2e-8)
+    @example(inst=_generated_at_zero_range(), bound="capacity_max", pick=0, delta=5e-9)
+    @given(inst=st.one_of(edge_cases().map(lambda case: case[0]), near_edgeless_instances()),
+           bound=st.sampled_from(["capacity_max", "budget"]), pick=st.integers(0, 5),
+           delta=st.one_of(st.just(0.0), st.floats(1e-12, 5e-9), st.floats(2e-8, 1e-3)))
+    @settings(max_examples=60, deadline=None)
+    def test_every_method_refuses_the_same_instances(self, inst, bound, pick, delta):
+        # a location with no out-edge needs its own peak in every plan, and
+        # the own-peak plan fits every other bound; in the budget case only
+        # such locations pay for capacity, so their own peaks are the
+        # cheapest investment, and the budget is drawn delta below it
+        shut = np.diff(inst.range_graph.offsets) == 0
+        assume(shut.any())
+        peak = inst.own_peak
+        if bound == "capacity_max":
+            k = np.flatnonzero(shut)[pick % shut.sum()]
+            assume(peak[k] >= delta)
+            cap = inst.capacity_max.copy()
+            cap[k] = peak[k] - delta
+            inst = dataclasses.replace(inst, capacity_max=cap)
+            breach = peak[k] - cap[k]
+        else:
+            w = np.where(shut, inst.unit_investment_cost, 0.0)
+            floor = float(peak @ w)
+            assume(floor >= delta)
+            inst = dataclasses.replace(inst, base_cost=0.0, location_cost=w,
+                                       budget=floor - delta)
+            breach = floor - inst.budget
+        # between 5e-9 and 2e-8 HiGHS's verdict can go either way
+        solvers = (solve_base_model, solve_centralized, run_admm)
+        if breach >= 2e-8:
+            for solve in solvers:
+                with pytest.raises(InfeasibleProblemError):
+                    solve(inst)
+        elif breach <= 5e-9:
+            for solve in solvers:
+                solve(inst)
 
 
 class TestVerifiedAgainstCheck:
