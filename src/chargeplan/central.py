@@ -49,6 +49,7 @@ from scipy.optimize._highspy import _core as highspy
 from .datagen import with_range_limit
 from .model import (
     BOUND_TOL,
+    PLAN_TOL,
     AssignmentPlan,
     ConvergenceError,
     InfeasibleProblemError,
@@ -265,9 +266,9 @@ def solve_lp(lp: StandardFormLP, highs: highspy._Highs | None = None) -> tuple[n
 
 def _judge(instance: PlanningInstance, x: np.ndarray, stats: dict) -> Solution:
     """The LP point ``x`` of ``instance``'s own columns as a centralized
-    solution, priced and judged at 1e-6."""
+    solution, priced and judged at :data:`~chargeplan.model.PLAN_TOL`."""
     stats["method"] = "centralized"
-    return assess(instance, *_extract_plans(instance, x), 1e-6, stats)
+    return assess(instance, *_extract_plans(instance, x), PLAN_TOL, stats)
 
 
 def solve_centralized(instance: PlanningInstance) -> Solution:
@@ -340,8 +341,8 @@ def solve_base_model(instance: PlanningInstance) -> Solution:
     ``InfeasibleProblemError`` when one is broken by more than
     :data:`~chargeplan.model.BOUND_TOL` (1e-8), the primal feasibility
     tolerance of the central LP, so the two refuse the same instances.  Any
-    other plan is judged like every plan, by
-    :func:`~chargeplan.model.check_feasibility` at 1e-6, which it then passes.
+    other plan is judged like every plan, at :data:`~chargeplan.model.PLAN_TOL`,
+    which it then passes.
     """
     start = time.perf_counter()
     c = instance.own_peak
@@ -352,4 +353,4 @@ def solve_base_model(instance: PlanningInstance) -> Solution:
         "iterations": 0,
         "timings": {"wall_ms": 1000.0 * (time.perf_counter() - start)},
     }
-    return assess(instance, InvestmentPlan(c), AssignmentPlan.zeros(instance), 1e-6, stats)
+    return assess(instance, InvestmentPlan(c), AssignmentPlan.zeros(instance), PLAN_TOL, stats)

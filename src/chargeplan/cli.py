@@ -4,11 +4,12 @@ One declarative JSON config file (``--config``) feeds every command, one
 section per concern; flags override the few high-traffic knobs.  Every run
 writes its resolved configuration next to its outputs for reproducibility.
 
-Outside input is checked where it enters: the config by :func:`_load_config`
-and :func:`_section`, instance and solution files by
-:func:`chargeplan.io.instance_from_dict` and :func:`chargeplan.io.load_solution`,
-which also checks a solution's instance checksum.  Commands raise; :func:`main` alone
-turns an exception into an exit code, keyed by its type, a stable contract:
+Outside input is checked where it enters: :func:`chargeplan.io.read_json`
+decodes every JSON file, :func:`_load_config` and :func:`_section` check the
+config, :func:`chargeplan.io.instance_from_dict` an instance and
+:func:`chargeplan.io.load_solution` a solution and its instance checksum.
+Commands raise; :func:`main` alone turns an exception into an exit code,
+keyed by its type, a stable contract:
 
 - 0 success;
 - 2 bad input, ``ValueError`` (a config file, a flag, an instance or a
@@ -42,14 +43,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import central, io
-from .admm import CHECK_TOL, AdmmConfig, run_admm, write_convergence_csv
+from .admm import AdmmConfig, run_admm, write_convergence_csv
 from .central import solve_base_model, solve_centralized, sweep_range
 from .datagen import HORIZON_HOURS, EconParams, GenParams, generate_instance
 from .ingest import (
@@ -86,14 +86,7 @@ _KNOWN_SECTIONS = {"generate", "admm", "binning", "econ", "sweep"}
 
 
 def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ValueError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file is not valid JSON: {exc}") from exc
+    doc = {} if path is None else io.read_json(path)[0]
     if not isinstance(doc, dict):
         raise ValueError("config root must be a JSON object")
     unknown_sections = set(doc) - _KNOWN_SECTIONS
@@ -246,7 +239,7 @@ def cmd_solve(args, config: dict) -> int:
             # residuals at the threshold: run_admm returns the agreed iterate
             last = history[-1]
             agreed = max(last.q_primal, last.q_dual) <= admm.threshold
-            tol = np.format_float_scientific(CHECK_TOL, trim="-", exp_digits=1)
+            tol = np.format_float_scientific(solution.feasibility.tol, trim="-", exp_digits=1)
             failing = "" if solution.feasibility.feasible else f", which fails the check at {tol}"
             raise ConvergenceError(
                 f"{'agreed' if agreed else 'best'} iterate after {solution.stats['iterations']} "
@@ -262,7 +255,7 @@ def cmd_sweep_r(args, config: dict) -> int:
         sweep = SweepConfig([float(v) for v in args.r_values.split(",") if v.strip()])
     if not sweep.r_values:
         raise ValueError("empty R list")
-    solutions = sweep_range(io.load_instance(args.instance), sweep.r_values)
+    solutions = sweep_range(io.read_instance(args.instance)[0], sweep.r_values)
     out_dir = Path(args.out)
     _write_resolved(out_dir, {"sweep": dataclasses.asdict(sweep)})
     rows, prev = [], None
@@ -311,7 +304,7 @@ def cmd_compare(args, config: dict) -> int:
     if not methods or not set(methods) <= set(METHODS):
         raise ValueError(f"--methods takes one or more of {', '.join(METHODS)}, "
                          f"got {args.methods!r}")
-    instance = io.load_instance(args.instance)
+    instance = io.read_instance(args.instance)[0]
 
     results = {}
     for method in methods:

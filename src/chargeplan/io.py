@@ -15,11 +15,11 @@ Its ``cost`` block and ``feasibility`` residuals are outputs for people:
 reading a solution re-judges the plan it holds, so an edited plan gets the
 cost and verdict it earns, not the ones stored next to it.
 
-Every JSON file is written by :func:`write_json` as the text of ``json.dumps``
-with an indent of 1, which :func:`dumps` gives, handing each list of numbers,
-and each matrix of them, to the C encoder in one call.  Every result table is
-written by :func:`write_table`: comma-separated, LF line ends, cells formatted
-by the caller.
+Every JSON file is read by :func:`read_json` and written by :func:`write_json`
+as the text of ``json.dumps`` with an indent of 1, which :func:`dumps` gives,
+handing each list of numbers, and each matrix of them, to the C encoder in one
+call.  Every result table is written by :func:`write_table`: comma-separated,
+LF line ends, cells formatted by the caller.
 """
 
 from __future__ import annotations
@@ -92,6 +92,18 @@ def _dumps(node, pad: str) -> str:
     if kind in _NUMBERS or kind is bool or node is None:
         return json.dumps(node)
     return json.dumps(node, indent=1).replace("\n", pad)
+
+
+def read_json(path) -> tuple[object, str]:
+    """The JSON document in file ``path``, read past a byte-order mark with line
+    ends translated as ``Path.read_text`` does (so a JSON error names the same
+    position), and the sha256 checksum of the very bytes decoded."""
+    data = Path(path).read_bytes()
+    try:
+        doc = json.loads(TextIOWrapper(BytesIO(data), encoding="utf-8-sig").read())
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ValueError(f"{path} is not a UTF-8 JSON file: {exc}") from exc
+    return doc, hashlib.sha256(data).hexdigest()
 
 
 def write_json(doc, path) -> None:
@@ -223,14 +235,9 @@ def save_instance(instance: PlanningInstance, path) -> None:
 
 
 def read_instance(path) -> tuple[PlanningInstance, str]:
-    """The instance in file ``path`` and the sha256 checksum of the bytes it
-    was read from.  The file is read once, so the checksum describes the
-    instance returned even when the file is rewritten meanwhile."""
-    data = Path(path).read_bytes()
-    # decoded, and its line ends translated, as ``Path.read_text`` does, so
-    # a JSON error names the position it named when the file was read as text
-    text = TextIOWrapper(BytesIO(data), encoding="utf-8").read()
-    return instance_from_dict(json.loads(text)), hashlib.sha256(data).hexdigest()
+    """The instance in file ``path`` and the checksum :func:`read_json` gives."""
+    doc, checksum = read_json(path)
+    return instance_from_dict(doc), checksum
 
 
 def load_instance(path) -> PlanningInstance:
@@ -329,7 +336,7 @@ def load_solution(path, instance: PlanningInstance,
                   instance_checksum: str | None = None) -> Solution:
     """:func:`solution_from_dict` of file ``path``; given the instance file's
     checksum, a solution that stores a different one is refused."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(path)[0]
     solution = solution_from_dict(doc, instance)
     stored = doc.get("instance_checksum")
     if instance_checksum is not None and stored is not None and stored != instance_checksum:

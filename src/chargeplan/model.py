@@ -32,6 +32,9 @@ FORBIDDEN = math.inf
 #: the instances the LP does.
 BOUND_TOL = 1e-8
 
+#: The tolerance plans are judged at, unless a method says otherwise.
+PLAN_TOL = 1e-6
+
 
 class InfeasibleProblemError(Exception):
     """Raised when a solve path proves the instance has no feasible plan."""
@@ -90,17 +93,12 @@ class PlanningInstance:
             raise ValueError("n_locations and n_slots must be positive")
         object.__setattr__(self, "n_locations", n)
         object.__setattr__(self, "n_slots", T)
-        object.__setattr__(self, "flow", _readonly(self.flow))
-        object.__setattr__(self, "alpha", _readonly(self.alpha))
-        object.__setattr__(self, "assign_cost", _readonly(self.assign_cost))
         object.__setattr__(self, "delay", _readonly(self.delay, dtype=int))
-        object.__setattr__(self, "location_cost", _readonly(self.location_cost))
-        object.__setattr__(self, "capacity_max", _readonly(self.capacity_max))
-        object.__setattr__(self, "recurrence", _readonly(self.recurrence))
-        if self.distance is not None:
-            object.__setattr__(self, "distance", _readonly(self.distance))
-        if self.coordinates is not None:
-            object.__setattr__(self, "coordinates", _readonly(self.coordinates))
+        for name in ("flow", "alpha", "assign_cost", "location_cost", "capacity_max", "recurrence"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        for name in ("distance", "coordinates"):  # optional
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _readonly(getattr(self, name)))
         self._validate()
 
     def _validate(self):
@@ -390,7 +388,7 @@ def check_feasibility(
     instance: PlanningInstance,
     inv: InvestmentPlan,
     asg: AssignmentPlan,
-    tol: float = 1e-6,
+    tol: float = PLAN_TOL,
 ) -> FeasibilityReport:
     """Compute worst residuals of every constraint family.
 

@@ -1,6 +1,7 @@
 """End-to-end CLI contract: commands, configs, exit codes, determinism."""
 
 import ast
+import codecs
 import contextlib
 import copy
 import csv
@@ -145,12 +146,12 @@ class TestGenerate:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert run("--config", str(path), "--out", str(tmp_path / "x"), "generate") == EXIT_CONFIG
-        assert "config file is not valid JSON" in refusal(capsys)
+        assert f"{path} is not a UTF-8 JSON file: Expecting property name" in refusal(capsys)
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
-        assert run("--config", str(tmp_path / "nope.json"),
-                   "--out", str(tmp_path / "x"), "generate") == EXIT_CONFIG
-        assert "config file not found" in refusal(capsys)
+        path = tmp_path / "nope.json"
+        assert run("--config", str(path), "--out", str(tmp_path / "x"), "generate") == EXIT_CONFIG
+        assert f"No such file or directory: '{path}'" in refusal(capsys)
 
     @pytest.mark.parametrize("value", [4.0, True, "4"])
     def test_non_integer_int_field_exit_2(self, tmp_path, capsys, value):
@@ -1346,11 +1347,42 @@ def test_corrupted_input_exits_2_and_writes_nothing(case):
             assert not (work / command).exists(), command
 
 
-#: the calls that write JSON text or CSV rows, which only ``io`` makes
-WRITER_CALLS = {("json", "dump"), ("json", "dumps"), ("csv", "writer")}
+@pytest.mark.parametrize("damage", ["truncated", "latin-1", "missing"])
+@pytest.mark.parametrize("document", ["config", "instance", "solution"])
+def test_unreadable_input_file_is_named(tmp_path, document, damage):
+    commands = ("report",) if document == "solution" else INPUT_COMMANDS
+    write_documents(valid_documents(), tmp_path)
+    path = tmp_path / f"{document}.json"
+    data = path.read_bytes()
+    if damage == "missing":
+        path.unlink()
+    else:  # half a document, or one that is JSON only in Latin-1
+        path.write_bytes(data[:len(data) // 2] if damage == "truncated"
+                         else data.replace(b"{", b'{"caf\xe9": 0,', 1))
+    for command in commands:
+        code, err = run_command(command, tmp_path)
+        assert code == EXIT_CONFIG, (command, err)
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err, err
+        assert "Traceback" not in err
+        assert not (tmp_path / command).exists(), command
 
 
-def test_only_io_writes_json_or_csv():
+def test_a_byte_order_mark_is_read_past(tmp_path):
+    write_documents(valid_documents(), tmp_path)
+    for name in ("config", "instance"):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    # not report: the solution's checksum is of the instance without the mark
+    for command in ("solve", "sweep-r", "compare"):
+        assert run_command(command, tmp_path) == (EXIT_OK, ""), command
+
+
+#: the calls that read or write JSON text or write CSV rows, which only ``io`` makes
+IO_CALLS = {("json", "load"), ("json", "loads"), ("json", "dump"), ("json", "dumps"),
+            ("csv", "writer")}
+
+
+def test_only_io_reads_or_writes_json_or_writes_csv():
     calls = []
     for path in sorted(Path(central.__file__).parent.glob("*.py")):
         if path.name == "io.py":
@@ -1364,7 +1396,7 @@ def test_only_io_writes_json_or_csv():
             else:
                 continue
             calls += [f"{path.name}:{node.lineno} {'.'.join(name)}"
-                      for name in names & WRITER_CALLS]
+                      for name in names & IO_CALLS]
     assert not calls, calls
 
 

@@ -1,5 +1,6 @@
 """JSON round-trips for instances and solutions, plus version handling."""
 
+import codecs
 import dataclasses
 import json
 import math
@@ -26,6 +27,7 @@ from chargeplan.io import (
     load_instance,
     load_solution,
     read_instance,
+    read_json,
     save_instance,
     save_solution,
     solution_from_dict,
@@ -143,16 +145,21 @@ class TestInstanceIO:
     @pytest.mark.parametrize("data", [b'{\r\n "version": 1,\r\n x}', b'{\r "a": 1\r,}',
                                       b"\xff{}", b"\xef\xbb\xbf{}"])
     def test_unreadable_file_fails_as_when_read_as_text(self, tmp_path, data):
-        # read_instance parses the bytes it hashes, with the decoding and
-        # line-end translation of Path.read_text, so messages name the same
-        # position
+        # read_instance parses the bytes it hashes, with the decoding (past a
+        # byte-order mark) and line-end translation of Path.read_text, so
+        # messages name the same position
         path = tmp_path / "instance.json"
         path.write_bytes(data)
         with pytest.raises(ValueError) as as_text:
-            instance_from_dict(json.loads(path.read_text(encoding="utf-8")))
+            instance_from_dict(json.loads(path.read_text(encoding="utf-8-sig")))
         for load in (load_instance, read_instance):
-            with pytest.raises(type(as_text.value), match=re.escape(str(as_text.value))):
+            with pytest.raises(ValueError, match=re.escape(str(as_text.value))):
                 load(path)
+
+    def test_read_json_reads_past_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(codecs.BOM_UTF8 + b'{"a": [1, 2]}')
+        assert read_json(path) == ({"a": [1, 2]}, file_checksum(path))
 
     def test_save_is_deterministic(self, tmp_path, rng):
         inst = random_instance(rng)

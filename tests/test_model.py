@@ -188,6 +188,8 @@ class TestEvaluateObjective:
             evaluate_objective(
                 inst, InvestmentPlan([1.0, 2.0, 3.0]), AssignmentPlan.zeros(inst)
             )
+        with pytest.raises(ValueError, match="capacity must be a vector"):
+            InvestmentPlan(np.ones((1, 2)))
 
     @given(scale=st.floats(0.0, 50.0), seed=st.integers(0, 50))
     @settings(max_examples=40, deadline=None)
